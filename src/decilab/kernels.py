@@ -217,18 +217,34 @@ class DecimatedFamily:
     def validate_conditions(self):
         """Enforce the level conditions from the threshold level on."""
         for j in range(self.threshold, self.n_levels):
-            lv = self.levels[j]
-            if lv.gamma % 2 != 0:
-                raise ValueError(f"gamma must be even from level {self.threshold} on (level {j})")
-            res = integer_condition_residual(lv.gamma, lv.center_freqs)
-            if np.any(res > INTEGER_TOL):
-                raise ValueError(f"gamma*lambda not in 2*pi*Z at level {j}")
-            for i in range(self.n_branches):
-                if self.limit_freqs[i] == 0.0 and lv.center_freqs[i] != 0.0:
-                    raise ValueError(f"branch {i} has zero limit frequency but nonzero center at level {j}")
-                for ip in range(i + 1, self.n_branches):
-                    if self.limit_freqs[i] == self.limit_freqs[ip] and lv.center_freqs[i] != lv.center_freqs[ip]:
-                        raise ValueError(f"branches {i},{ip} share a limit frequency but split at level {j}")
+            failures = _frequency_condition_failures(self, j)
+            if failures:
+                raise ValueError(next(iter(failures.values())))
+
+
+def _frequency_condition_failures(family, j):
+    """The frequency conditions level j breaks, as {condition: message}.
+
+    Conditions, checked in this order: "even" (gamma is even), "integer"
+    (gamma*center lies in 2*pi*Z), "zero_freq" (a branch with zero limit
+    frequency has zero center), "coincidence" (branches sharing a limit
+    frequency share the center). An empty dict means level j meets them all.
+    """
+    lv = family.levels[j]
+    lim, center = family.limit_freqs, lv.center_freqs
+    failures = {}
+    if lv.gamma % 2 != 0:
+        failures["even"] = f"gamma must be even from level {family.threshold} on (level {j})"
+    if not np.all(integer_condition_residual(lv.gamma, center) <= INTEGER_TOL):
+        failures["integer"] = f"gamma*lambda not in 2*pi*Z at level {j}"
+    zero = np.flatnonzero((lim == 0.0) & (center != 0.0))
+    if zero.size:
+        failures["zero_freq"] = f"branch {zero[0]} has zero limit frequency but nonzero center at level {j}"
+    split = np.argwhere(np.triu((lim[:, None] == lim[None, :]) & (center[:, None] != center[None, :]), 1))
+    if split.size:
+        i, ip = split[0]
+        failures["coincidence"] = f"branches {i},{ip} share a limit frequency but split at level {j}"
+    return failures
 
 
 @dataclass(frozen=True)
@@ -279,24 +295,8 @@ def check_condition_c(family, grid_size=512, rescaled_halfwidth=20.0):
     nl = family.n_levels
     t0 = family.threshold
 
-    integer_res = np.zeros((nl, n))
-    even_ok = True
-    for j, lv in enumerate(family.levels):
-        integer_res[j] = integer_condition_residual(lv.gamma, lv.center_freqs)
-        if j >= t0 and lv.gamma % 2 != 0:
-            even_ok = False
-    integer_ok = bool(np.all(integer_res[t0:] <= INTEGER_TOL)) if t0 < nl else True
-
-    zero_ok = True
-    coincide_ok = True
-    for j in range(t0, nl):
-        lv = family.levels[j]
-        for i in range(n):
-            if family.limit_freqs[i] == 0.0 and lv.center_freqs[i] != 0.0:
-                zero_ok = False
-            for ip in range(i + 1, n):
-                if family.limit_freqs[i] == family.limit_freqs[ip] and lv.center_freqs[i] != lv.center_freqs[ip]:
-                    coincide_ok = False
+    integer_res = np.array([integer_condition_residual(lv.gamma, lv.center_freqs) for lv in family.levels])
+    failed = {name for j in range(t0, nl) for name in _frequency_condition_failures(family, j)}
 
     lam_grid = np.linspace(0.0, np.pi, grid_size, endpoint=False)
     uniform = np.zeros((nl, n))
@@ -325,11 +325,11 @@ def check_condition_c(family, grid_size=512, rescaled_halfwidth=20.0):
                 modulus[j, i] = np.max(np.abs(np.abs(scaled) - np.abs(lim)))
 
     return ConditionReport(
-        integer_ok=integer_ok,
+        integer_ok="integer" not in failed,
         integer_residuals=integer_res,
-        even_ok=even_ok,
-        zero_freq_ok=zero_ok,
-        coincidence_ok=coincide_ok,
+        even_ok="even" not in failed,
+        zero_freq_ok="zero_freq" not in failed,
+        coincidence_ok="coincidence" not in failed,
         uniform_stats=uniform,
         uniform_max=float(np.max(uniform)),
         rescaled_residuals=rescaled,

@@ -2,7 +2,9 @@
 
 Exact quantities (cross-covariances, the triangular-weighted sums entering
 the covariance of square-sums) are finite sums over kernel supports and are
-computed without quadrature. Limiting quantities integrate the limit
+computed without quadrature. A(n) and B(n) are triangular-weighted samples,
+at the lags that are multiples of gamma, of one full cross-correlation: of
+the two kernels for A (squared after sampling), of their squares for B. Limiting quantities integrate the limit
 responses over the truncated real line or fold them over aliases of
 (-pi, pi); every such value is returned with the truncation bound used.
 
@@ -168,53 +170,50 @@ def limit_cross_cov(family, i, ip, lag, tol=1e-10):
     return MomentReport(float(total.real), const * bound, digest)
 
 
-def _tau_range(k1, k2, gamma, n):
-    # gamma*tau + u must meet supp(k2) for some u in supp(k1)
-    lo = max(-(n - 1), int(np.ceil((k2.support_start - k1.support_end) / gamma)))
-    hi = min(n - 1, int(np.floor((k2.support_end - k1.support_start) / gamma)))
-    return lo, hi
+def _decimated_lags(k1, k2, gamma, n, power):
+    """Triangular weights 1 - |tau|/n and samples c(gamma*tau), |tau| < n.
+
+    c(d) = sum_u v1(u)**power * v2(u + d)**power is one full correlation of
+    the (powered) coefficients, whose entry j is the lag
+    k2.support_start - k1.support_end + j; every gamma-th entry is kept.
+    """
+    corr = np.correlate(k2.coeffs ** power, k1.coeffs ** power, "full")
+    lag0 = k2.support_start - k1.support_end
+    j0 = (-lag0) % gamma
+    sampled = corr[j0::gamma]
+    tau = (lag0 + j0) // gamma + np.arange(sampled.size)
+    keep = np.abs(tau) < n
+    return 1.0 - np.abs(tau[keep]) / n, sampled[keep]
 
 
 def a_term(family, level, i, ip, n):
     """Triangular-weighted sum of squared lagged correlations, exact.
 
-    A(n) = sum_{|tau| < n} (1 - |tau|/n) * (sum_u v_i(u) v_i'(gamma*tau+u))^2.
+    A(n) = sum_{|tau| < n} (1 - |tau|/n) * c(gamma*tau)^2 with
+    c(d) = sum_u v_i(u) v_i'(u + d), the cross-correlation of the two
+    kernels sampled at multiples of gamma.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     lv = family.levels[level]
     k1, k2 = lv.kernels[i], lv.kernels[ip]
-    lo, hi = _tau_range(k1, k2, lv.gamma, n)
-    total = 0.0
-    for tau in range(lo, hi + 1):
-        inner = _corr_sum(k1, k2, lv.gamma * tau)
-        total += (1.0 - abs(tau) / n) * inner * inner
-    return total
+    weights, corr = _decimated_lags(k1, k2, lv.gamma, n, 1)
+    return float(np.dot(weights, corr * corr))
 
 
 def b_term(family, level, i, ip, n):
     """Fourth-cumulant weight, exact.
 
-    B(n) = sum_u v_i(u)^2 * sum_{|tau| < n} (1 - |tau|/n) v_i'(gamma*tau+u)^2.
+    B(n) = sum_u v_i(u)^2 * sum_{|tau| < n} (1 - |tau|/n) v_i'(gamma*tau+u)^2,
+    i.e. the triangular-weighted sum of the cross-correlation of the squared
+    kernels sampled at multiples of gamma.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     lv = family.levels[level]
     k1, k2 = lv.kernels[i], lv.kernels[ip]
-    g = lv.gamma
-    total = 0.0
-    for u in range(k1.support_start, k1.support_end + 1):
-        v1 = k1.coeffs[u - k1.support_start]
-        if v1 == 0.0:
-            continue
-        tau_lo = max(-(n - 1), int(np.ceil((k2.support_start - u) / g)))
-        tau_hi = min(n - 1, int(np.floor((k2.support_end - u) / g)))
-        acc = 0.0
-        for tau in range(tau_lo, tau_hi + 1):
-            v2 = k2.coeffs[g * tau + u - k2.support_start]
-            acc += (1.0 - abs(tau) / n) * v2 * v2
-        total += v1 * v1 * acc
-    return total
+    weights, corr = _decimated_lags(k1, k2, lv.gamma, n, 2)
+    return float(np.dot(weights, corr))
 
 
 def cov_of_square_sums(family, level, i, ip, n, noise):

@@ -106,18 +106,49 @@ class PathMatrix:
         return self.values.shape[1]
 
 
-def _gather_convolve(noise, lo, kernel, out_positions):
-    """sum_s v(s) * xi(pos - s) for each pos, via exact index gathering."""
-    s = kernel.support
-    idx = out_positions[:, None] - s[None, :] - lo
-    return noise[idx] @ kernel.coeffs
+def _decimated_convolve(xi, lo, kernel, gamma, first, n):
+    """Z_k = sum_s v(s) * xi(first + gamma*k - s) for k = 0 .. n-1.
+
+    xi holds the values at absolute indices lo, lo+1, ... and must cover
+    every index the sums touch. Polyphase form: with the taps reversed,
+    c[m] = v(support_end - m), and m split as gamma*q + r,
+
+        Z_k = sum_{q < Q, r < gamma} c[gamma*q + r] * X[k + q, r],
+
+    where X is the needed stretch of xi, zero-padded at the end and
+    reshaped to n + Q - 1 rows of gamma consecutive values, and
+    Q = ceil(L / gamma). X is a view or one copy of that stretch, so memory
+    is O(len(xi)). The n*L multiply-adds loop over the shorter axis: Q
+    block matrix-vector products when Q <= gamma, else gamma valid-mode
+    correlations of a column of X with a column of the taps.
+    """
+    q_len = -(-kernel.length // gamma)
+    taps = np.zeros(q_len * gamma)
+    taps[:kernel.length] = kernel.coeffs[::-1]
+    taps = taps.reshape(q_len, gamma)
+    start = first - kernel.support_end - lo
+    rows = n + q_len - 1
+    stretch = xi[start:start + rows * gamma]
+    if stretch.size < rows * gamma:  # the missing tail only meets zero taps
+        stretch = np.concatenate([stretch, np.zeros(rows * gamma - stretch.size)])
+    x = stretch.reshape(rows, gamma)
+    if q_len <= gamma:
+        out = x[:n] @ taps[0]
+        for q in range(1, q_len):
+            out += x[q:q + n] @ taps[q]
+    else:
+        out = np.correlate(x[:, 0], taps[:, 0], "valid")
+        for r in range(1, gamma):
+            out += np.correlate(x[:, r], taps[:, r], "valid")
+    return out
 
 
 def simulate_decimated(family, level, n, noise, seed):
     """Exact realization Z[i, k] = sum_t v_{i,j}(gamma*k - t) xi_t, k < n.
 
     All branches share one noise stream; exactly the indices needed for the
-    union of the branch supports are drawn.
+    union of the branch supports are drawn, and each branch is one
+    polyphase convolution of that stream (memory O(n*gamma + L)).
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -126,21 +157,25 @@ def simulate_decimated(family, level, n, noise, seed):
     t_lo = min(-k.support_end for k in lv.kernels)
     t_hi = max(g * (n - 1) - k.support_start for k in lv.kernels) + 1
     xi = noise_values(noise, seed, t_lo, t_hi)
-    positions = g * np.arange(n)
     values = np.empty((family.n_branches, n), dtype=float)
     for i, kern in enumerate(lv.kernels):
-        values[i] = _gather_convolve(xi, t_lo, kern, positions)
+        values[i] = _decimated_convolve(xi, t_lo, kern, g, 0, n)
     return PathMatrix(values=values, level=int(level), gamma=g, seed=int(seed))
 
 
 def simulate_linear_process(a, n, noise, seed):
-    """X_u = sum_t a(u - t) xi_t for u = 1..n (undecimated convolution)."""
+    """X_u = sum_t a(u - t) xi_t for u = 1..n (undecimated convolution).
+
+    The polyphase convolution at gamma = 1 is one valid-mode correlation of
+    the n + L - 1 noise values with the reversed kernel, so memory stays
+    O(n + L) at paper scale (n around 1e6, long AR kernels).
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     t_lo = 1 - a.support_end
     t_hi = n - a.support_start + 1
     xi = noise_values(noise, seed, t_lo, t_hi)
-    return _gather_convolve(xi, t_lo, a, np.arange(1, n + 1))
+    return _decimated_convolve(xi, t_lo, a, 1, 1, n)
 
 
 def ar1_kernel(phi, tail=1e-12):
@@ -178,12 +213,13 @@ def windowed_coefficients(x, window, gamma):
     if n_j < 1:
         raise ValueError("series too short: floor((n+1)/gamma) coefficients would be zero")
 
-    r = np.arange(gamma + 1)
-    taps = window.evaluate(-r / gamma)
+    # Z_k = sum_{r=0}^{gamma} W(-r/gamma) x_{gamma*k + r}: the decimated
+    # convolution with the kernel v(-r) = W(-r/gamma) on -gamma .. 0
+    taps = window.evaluate(-np.arange(gamma, -1, -1) / gamma)
     padded = np.zeros(n + 2)
     padded[1:n + 1] = x  # u = 0 and u = n+1 contribute nothing
-    idx = gamma * np.arange(n_j)[:, None] + r[None, :]
-    return (padded[idx] @ taps) / np.sqrt(gamma)
+    kernel = TimeKernel(-gamma, taps)
+    return _decimated_convolve(padded, 0, kernel, gamma, 0, n_j) / np.sqrt(gamma)
 
 
 def write_path_csv(path_matrix, fh, digest=None, float_format="%.17g"):

@@ -22,7 +22,7 @@ from decilab.moments import (
     symmetrized_limit_product,
 )
 from decilab.quadrature import gauss_legendre_panels
-from decilab.simulate import NoiseSpec
+from decilab.simulate import NoiseSpec, ar1_kernel
 from decilab.windows import make_bspline_window
 
 from conftest import random_trig_poly, single_level_family
@@ -114,6 +114,27 @@ class TestABTerms:
         fam = single_level_family([k1, k2], gamma=gamma)
         assert a_term(fam, 0, 0, 1, n) == pytest.approx(brute_a_term(k1, k2, gamma, n), abs=1e-10)
         assert b_term(fam, 0, 0, 1, n) == pytest.approx(brute_b_term(k1, k2, gamma, n), abs=1e-10)
+
+    def test_a_matches_geometric_closed_form_on_long_ar1(self):
+        phi, gamma, n = 0.99, 2, 100_000
+        kern = ar1_kernel(phi)
+        assert kern.length == 2945
+        fam = single_level_family([kern], gamma=gamma)
+        tau = np.abs(np.arange(-(n - 1), n))
+        closed = np.sum((1.0 - tau / n) * phi ** (2 * gamma * tau)) / (1.0 - phi * phi) ** 2
+        assert a_term(fam, 0, 0, 0, n) == pytest.approx(closed, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("gamma,n", [(1, 150), (3, 40), (7, 9)])
+    def test_long_kernels_truncate_at_n(self, rng, gamma, n):
+        # n < L/gamma, so the |tau| < n window cuts off lags where the
+        # correlation is still nonzero
+        k1 = TimeKernel(-90, rng.standard_normal(200))
+        k2 = TimeKernel(-115, rng.standard_normal(210))
+        assert n < k1.length / gamma
+        fam = single_level_family([k1, k2], gamma=gamma)
+        for i, ip, ka, kb in ((0, 1, k1, k2), (1, 0, k2, k1)):
+            assert a_term(fam, 0, i, ip, n) == pytest.approx(brute_a_term(ka, kb, gamma, n), rel=1e-12, abs=0)
+            assert b_term(fam, 0, i, ip, n) == pytest.approx(brute_b_term(ka, kb, gamma, n), rel=1e-12, abs=0)
 
     def test_a_equals_m_n_of_folded_product(self, rng):
         # A(n) = M_n(g)^2 with g = sqrt(2*pi)/gamma * fold(v1* conj v2*)

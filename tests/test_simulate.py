@@ -1,14 +1,18 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from decilab.kernels import TimeKernel, make_scaled_window_family
 from decilab.moments import cov_exact
 from decilab.simulate import (
     NoiseSpec,
+    _decimated_convolve,
     ar1_kernel,
     draw_noise,
     mix_seed,
@@ -83,6 +87,34 @@ class TestNoise:
             draw_noise(GAUSS, 0, 1)
 
 
+class TestDecimatedConvolve:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gamma=st.integers(1, 9),
+        start=st.integers(-15, 15),
+        coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40),
+        first=st.integers(-5, 5),
+        n=st.integers(1, 12),
+        slack=st.integers(0, 3),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(gamma=9, start=-4, coeffs=[1.0, -0.5, 0.25], first=0, n=5, slack=0, seed=1)  # L < gamma
+    @example(gamma=3, start=2, coeffs=[0.5] * 40, first=1, n=7, slack=0, seed=2)  # L > gamma
+    def test_matches_double_loop_oracle(self, gamma, start, coeffs, first, n, slack, seed):
+        kern = TimeKernel(start, np.array(coeffs))
+        # every index first + gamma*k - s touches, plus slack values either side
+        lo = first - kern.support_end - slack
+        hi = first + gamma * (n - 1) - kern.support_start + 1 + slack
+        xi = np.random.default_rng(seed).standard_normal(hi - lo)
+        z = _decimated_convolve(xi, lo, kern, gamma, first, n)
+        assert z.shape == (n,)
+        for k in range(n):
+            acc = 0.0
+            for t in range(lo, hi):
+                acc += kern.value(first + gamma * k - t) * xi[t - lo]
+            assert abs(acc - z[k]) < 1e-12
+
+
 class TestSimulateDecimated:
     def test_identity_filter_reproduces_noise(self):
         fam = single_level_family([TimeKernel(0, np.array([1.0]))], gamma=1)
@@ -147,6 +179,22 @@ class TestLinearProcess:
         rms = math.sqrt(np.mean((x - y) ** 2))
         bound = phi ** (t_len) / math.sqrt(1.0 - phi * phi)
         assert rms < 4.0 * max(bound, phi ** (3 * t_len - 1))
+
+    def test_paper_scale_memory(self):
+        kern = ar1_kernel(0.95)
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            x = simulate_linear_process(kern, n, GAUSS, 41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (n,)
+        assert peak < 64 * 2 ** 20
+        # X_u = sum_t a(u - t) xi_t at both ends of the range
+        for u in (1, n):
+            xi = noise_values(GAUSS, 41, u - kern.support_end, u + 1)
+            assert abs(x[u - 1] - np.dot(kern.coeffs[::-1], xi)) < 1e-12
 
     def test_same_seed_bitwise_identical(self):
         k = ar1_kernel(0.3)
