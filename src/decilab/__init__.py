@@ -13,7 +13,6 @@ from .kernels import (
     ConditionReport,
     DecimatedFamily,
     FamilyLevel,
-    FrequencyResponse,
     TimeKernel,
     check_condition_c,
     eval_response,
@@ -42,7 +41,6 @@ from .montecarlo import (
     ReplicateSet,
     convergence_sweep,
     empirical_cov,
-    linear_form_clt_check,
     normality_report,
     replicate_sums,
 )

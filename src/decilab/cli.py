@@ -2,12 +2,15 @@
 
 Experiments are described by a line-oriented ``key = value`` file with
 sections (configparser syntax); command-line flags override config keys.
-Every numeric output row carries a 12-hex digest of the effective
-configuration, so re-running a digest reproduces its rows byte for byte.
-Floats are emitted with 17 significant digits, UTF-8, LF line endings.
+Every output carries a 12-hex digest of the effective configuration: a
+last column on each CSV row, a ``digest`` line in each report, and the
+comment line of path.csv; re-running a digest reproduces its outputs byte
+for byte. Floats are emitted with 17 significant digits, UTF-8, LF line
+endings. This module is the only writer of output files.
 
-Exit codes: 0 success, 2 configuration error, 3 hypothesis-gate rejection
-(a requested window whose decay cannot support the estimator theory).
+Exit codes: 0 success, 2 configuration error (including any value the
+library rejects), 3 hypothesis-gate rejection (a requested window whose
+decay cannot support the estimator theory).
 
 Config schema (sections and keys; unknown keys are rejected):
 
@@ -25,8 +28,8 @@ Config schema (sections and keys; unknown keys are rejected):
 import argparse
 import configparser
 import hashlib
-import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +39,7 @@ from .kernels import DecimatedFamily, FamilyLevel, make_scaled_window_family, re
 from .windows import make_bspline_window
 
 FLOAT_FMT = "%.17g"
+SWEEP_HEADER = "gamma,n,entry_i,entry_ip,empirical,analytic_n,gamma_limit,se"
 
 _KNOWN_KEYS = {
     "experiment": {"command", "seed", "out"},
@@ -79,7 +83,7 @@ def _parse_config_file(path):
     return parser
 
 
-def _effective_items(parser, command, seed, out_dir):
+def _effective_items(parser, command, seed):
     items = [("experiment.command", command), ("experiment.seed", str(seed))]
     for section in sorted(parser.sections()):
         for key in sorted(parser[section]):
@@ -89,8 +93,8 @@ def _effective_items(parser, command, seed, out_dir):
     return items
 
 
-def config_digest(parser, command, seed, out_dir):
-    text = "\n".join(f"{k}={v}" for k, v in _effective_items(parser, command, seed, out_dir))
+def config_digest(parser, command, seed):
+    text = "\n".join(f"{k}={v}" for k, v in _effective_items(parser, command, seed))
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -130,6 +134,16 @@ def _get_values(parser, section, key, kind=float, default=None, required=False):
         return [kind(tok) for tok in raw.split()]
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a list of {kind.__name__}") from exc
+
+
+def _get_level(parser, family):
+    """[run] level (default 0) and [run] levels (default all), each a level of the family."""
+    level = _get_int(parser, "run", "level", 0)
+    levels = _get_values(parser, "run", "levels", int, list(range(family.n_levels)))
+    for j in [level, *levels]:
+        if not 0 <= j < family.n_levels:
+            raise ConfigError(f"[run] level {j} is not in 0..{family.n_levels - 1}")
+    return level, levels
 
 
 def _family_from_config(parser, config_dir):
@@ -238,12 +252,22 @@ def _open_out(out_dir, name):
     return open(out_dir / name, "w", encoding="utf-8", newline="\n")
 
 
+def _fmt(value):
+    return FLOAT_FMT % value if isinstance(value, float) else str(value)
+
+
 def _write_report(out_dir, name, pairs):
     with _open_out(out_dir, name) as fh:
         for key, value in pairs:
-            if isinstance(value, float):
-                value = FLOAT_FMT % value
-            fh.write(f"{key} = {value}\n")
+            fh.write(f"{key} = {_fmt(value)}\n")
+
+
+def _write_csv(out_dir, name, header, rows, digest):
+    """header, then one line per row; every line ends in the digest column."""
+    with _open_out(out_dir, name) as fh:
+        fh.write(f"{header},digest\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + f",{digest}\n")
 
 
 def _cmd_gamma(parser, out_dir, seed, digest, config_dir):
@@ -251,48 +275,44 @@ def _cmd_gamma(parser, out_dir, seed, digest, config_dir):
     if family.limit_responses is None:
         raise ConfigError("gamma command needs a family with limit responses (built-in types)")
     gm = moments.gamma_matrix(family)
-    with _open_out(out_dir, "gamma_matrix.csv") as fh:
-        fh.write("entry_i,entry_ip,constant,value,digest\n")
-        for i in range(family.n_branches):
-            for ip in range(family.n_branches):
-                fh.write(f"{i + 1},{ip + 1},{gm.constants[i, ip]},"
-                         f"{FLOAT_FMT % gm.entries[i, ip]},{digest}\n")
-    with _open_out(out_dir, "gamma_truncation.csv") as fh:
-        fh.write("entry_i,entry_ip,truncation_bound,digest\n")
-        for i in range(family.n_branches):
-            for ip in range(family.n_branches):
-                fh.write(f"{i + 1},{ip + 1},{FLOAT_FMT % gm.truncation_bounds[i, ip]},{digest}\n")
+    cells = [(i, ip) for i in range(family.n_branches) for ip in range(family.n_branches)]
+    _write_csv(out_dir, "gamma_matrix.csv", "entry_i,entry_ip,constant,value",
+               [(i + 1, ip + 1, gm.constants[i, ip], gm.entries[i, ip]) for i, ip in cells], digest)
+    _write_csv(out_dir, "gamma_truncation.csv", "entry_i,entry_ip,truncation_bound",
+               [(i + 1, ip + 1, gm.truncation_bounds[i, ip]) for i, ip in cells], digest)
     return 0
 
 
 def _cmd_simulate(parser, out_dir, seed, digest, config_dir):
     family = _family_from_config(parser, config_dir)
     noise = _noise_from_config(parser)
-    level = _get_int(parser, "run", "level", 0)
+    level, _ = _get_level(parser, family)
     n = _get_int(parser, "run", "n", required=True)
     pm = simulate.simulate_decimated(family, level, n, noise, seed)
     with _open_out(out_dir, "path.csv") as fh:
-        simulate.write_path_csv(pm, fh, digest=digest, float_format=FLOAT_FMT)
+        fh.write(f"# level={pm.level},gamma={pm.gamma},seed={pm.seed},digest={digest}\n")
+        fh.write("k," + ",".join(f"Z_{i + 1}" for i in range(pm.n_branches)) + "\n")
+        for k in range(pm.n_coeffs):
+            fh.write(f"{k}," + ",".join(map(_fmt, pm.values[:, k])) + "\n")
     return 0
 
 
-def _run_replicates(parser, config_dir, seed):
+def _run_replicates(parser, config_dir):
     family = _family_from_config(parser, config_dir)
     noise = _noise_from_config(parser)
-    level = _get_int(parser, "run", "level", 0)
+    level, levels = _get_level(parser, family)
     n = _get_int(parser, "run", "n", required=True)
     reps = _get_int(parser, "run", "replicates", required=True)
-    if reps < 1:
-        raise ConfigError("need replicates >= 1")
     centering = _get(parser, "run", "centering", "exact")
-    return family, noise, level, n, reps, centering
+    return family, noise, level, levels, n, reps, centering
 
 
 def _cmd_clt(parser, out_dir, seed, digest, config_dir):
-    family, noise, level, n, reps, centering = _run_replicates(parser, config_dir, seed)
+    family, noise, level, _, n, reps, centering = _run_replicates(parser, config_dir)
     rs = montecarlo.replicate_sums(family, level, n, noise, reps, seed, centering)
-    with _open_out(out_dir, "replicates.csv") as fh:
-        montecarlo.write_replicates_csv(rs, fh, digest=digest, float_format=FLOAT_FMT)
+    coords = ",".join(f"coord_{i + 1}" for i in range(rs.n_branches))
+    _write_csv(out_dir, "replicates.csv", f"replicate,{coords}",
+               ((r, *rs.samples[r]) for r in range(rs.n_replicates)), digest)
     pairs = [("digest", digest), ("replicates", rs.n_replicates), ("centering", centering)]
     for i in range(rs.n_branches):
         rep = montecarlo.normality_report(rs, coordinate=i)
@@ -308,21 +328,16 @@ def _cmd_clt(parser, out_dir, seed, digest, config_dir):
 
 
 def _cmd_cov_check(parser, out_dir, seed, digest, config_dir):
-    family, noise, level, n, reps, centering = _run_replicates(parser, config_dir, seed)
+    family, noise, level, _, n, reps, centering = _run_replicates(parser, config_dir)
     rows = montecarlo.convergence_sweep(family, [level], n, noise, reps, seed, centering)
-    with _open_out(out_dir, "cov_check.csv") as fh:
-        montecarlo.write_sweep_csv(rows, fh, digest=digest, float_format=FLOAT_FMT)
+    _write_csv(out_dir, "cov_check.csv", SWEEP_HEADER, map(astuple, rows), digest)
     return 0
 
 
 def _cmd_sweep(parser, out_dir, seed, digest, config_dir):
-    family, noise, _, n, reps, centering = _run_replicates(parser, config_dir, seed)
-    levels = _get_values(parser, "run", "levels", int)
-    if levels is None:
-        levels = list(range(family.n_levels))
+    family, noise, _, levels, n, reps, centering = _run_replicates(parser, config_dir)
     rows = montecarlo.convergence_sweep(family, levels, n, noise, reps, seed, centering)
-    with _open_out(out_dir, "sweep.csv") as fh:
-        montecarlo.write_sweep_csv(rows, fh, digest=digest, float_format=FLOAT_FMT)
+    _write_csv(out_dir, "sweep.csv", SWEEP_HEADER, map(astuple, rows), digest)
     return 0
 
 
@@ -333,6 +348,7 @@ def _cmd_specdens(parser, out_dir, seed, digest, config_dir):
     gammas = _get_values(parser, "specdens", "gammas", int)
     gamma = _get_int(parser, "specdens", "gamma", gammas[-1] if gammas else None, required=gammas is None)
     est = specdens.estimate_f0(series, window, gamma, rate_threshold=threshold)
+    sweep = [specdens.estimate_f0(series, window, g, rate_threshold=threshold) for g in gammas or ()]
     pairs = [
         ("digest", digest),
         ("f0_hat", est.f0_hat),
@@ -349,13 +365,9 @@ def _cmd_specdens(parser, out_dir, seed, digest, config_dir):
     if target is not None:
         pairs.append(("target_f0", target))
     _write_report(out_dir, "specdens_report.txt", pairs)
-    if gammas:
-        with _open_out(out_dir, "specdens_sweep.csv") as fh:
-            fh.write("gamma,f0_hat,se,rate_value,digest\n")
-            for g in gammas:
-                row = specdens.estimate_f0(series, window, g, rate_threshold=threshold)
-                fh.write(f"{g},{FLOAT_FMT % row.f0_hat},{FLOAT_FMT % row.se},"
-                         f"{FLOAT_FMT % row.rate_value},{digest}\n")
+    if sweep:
+        _write_csv(out_dir, "specdens_sweep.csv", "gamma,f0_hat,se,rate_value",
+                   [(e.gamma, e.f0_hat, e.se, e.rate_value) for e in sweep], digest)
     return 0
 
 
@@ -389,10 +401,10 @@ def main(argv=None):
             raise ConfigError(f"config declares command {declared!r} but {args.command!r} was invoked")
         seed = args.seed if args.seed is not None else _get_int(parser, "experiment", "seed", 0)
         out_dir = Path(args.out if args.out is not None else _get(parser, "experiment", "out", "."))
-        digest = config_digest(parser, args.command, seed, out_dir)
+        digest = config_digest(parser, args.command, seed)
         config_dir = Path(args.config).resolve().parent
         return _COMMANDS[args.command](parser, out_dir, seed, digest, config_dir)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"decilab: config error: {exc}", file=sys.stderr)
         return 2
     except HypothesisGateError as exc:

@@ -15,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .quadrature import gauss_legendre_panels
+from .quadrature import TWO_PI, gauss_legendre_panels
 
-TWO_PI = 2.0 * np.pi
 INTEGER_TOL = 1e-9  # absolute tolerance for gamma*lambda / (2*pi) integrality
 
 
@@ -70,9 +69,6 @@ class TimeKernel:
         out[inside] = self.coeffs[idx[inside]]
         return out if out.ndim else float(out)
 
-    def response(self, lam):
-        return eval_response(self, lam)
-
 
 def eval_response(kernel, lam):
     """Frequency response (2*pi)**(-1/2) * sum_t v(t) exp(-i*lam*t).
@@ -86,16 +82,6 @@ def eval_response(kernel, lam):
     phases = np.exp(-1j * lam_arr[:, None] * t[None, :])
     out = phases @ kernel.coeffs / np.sqrt(TWO_PI)
     return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
-
-
-@dataclass(frozen=True)
-class FrequencyResponse:
-    """Callable view of a kernel's frequency response (evaluation is derived)."""
-
-    source: TimeKernel
-
-    def __call__(self, lam):
-        return eval_response(self.source, lam)
 
 
 def fold(g, gamma, lam):

@@ -24,19 +24,13 @@ unfolded +-passband copies double the folded sum for a positive shared
 frequency, which quadruples the integral.)
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import eval_response
-from .quadrature import (
-    decay_cutoff,
-    folding_cutoff,
-    gauss_legendre_panels,
-)
+from .quadrature import TWO_PI, decay_cutoff, folding_cutoff, gauss_legendre_panels
 
-TWO_PI = 2.0 * np.pi
 IMAG_TOL = 1e-8
 PSD_TOL = 1e-8
 
@@ -47,7 +41,6 @@ class MomentReport:
 
     value: float
     truncation_bound: float
-    inputs_digest: str
 
 
 @dataclass(frozen=True)
@@ -73,11 +66,6 @@ class GammaMatrix:
             raise ValueError("limiting covariance must be positive semidefinite")
         if not np.all(np.isin(constants, (0, 1, 2))):
             raise ValueError("case constants must be 0, 1 or 2")
-
-
-def _digest(*parts):
-    text = "|".join(str(p) for p in parts)
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def _corr_sum(k1, k2, shift):
@@ -159,15 +147,14 @@ def limit_cross_cov(family, i, ip, lag, tol=1e-10):
     _require_limits(family)
     const = case_constant(family, i, ip)
     cutoff, bound = decay_cutoff(2.0 * family.decay, tol)
-    digest = _digest("limit_cross_cov", family.name, i, ip, lag, cutoff)
     if const == 0:
-        return MomentReport(0.0, 0.0, digest)
+        return MomentReport(0.0, 0.0)
     w = symmetrized_limit_product(family, i, ip)
     x, wts = gauss_legendre_panels(-cutoff, cutoff, panels=max(64, int(4 * cutoff)), nodes=8)
     total = const * np.sum(wts * w(x) * np.exp(1j * x * lag))
     if abs(total.imag) > IMAG_TOL:
         raise AssertionError(f"imaginary residue {total.imag:.3e} exceeds {IMAG_TOL:g}")
-    return MomentReport(float(total.real), const * bound, digest)
+    return MomentReport(float(total.real), const * bound)
 
 
 def _decimated_lags(k1, k2, gamma, n, power):
@@ -252,15 +239,11 @@ def m_n_functional(g, n, n_coeffs=None, nodes=None):
     return float(np.sqrt(np.sum(weights * np.abs(c) ** 2)))
 
 
-def folded_limit_weight(family, i, ip, n_alias=None, tol=1e-10):
+def folded_limit_weight(family, i, ip, tol=1e-10):
     """Callable lam -> sum_{|p| <= P} w(lam + 2*pi*p) with its tail bound."""
     _require_limits(family)
     w = symmetrized_limit_product(family, i, ip)
-    if n_alias is None:
-        n_alias, bound = folding_cutoff(2.0 * family.decay, tol)
-    else:
-        q = 2.0 * family.decay
-        bound = (1.0 + (2.0 * n_alias - 1.0) * np.pi) ** (1.0 - q) / (np.pi * (q - 1.0))
+    n_alias, bound = folding_cutoff(2.0 * family.decay, tol)
     p = np.arange(-n_alias, n_alias + 1, dtype=float)
 
     def folded(lam):
@@ -280,16 +263,15 @@ def gamma_limit(family, i, ip, tol=1e-10, panels=64, nodes=8):
     """
     _require_limits(family)
     const = case_constant(family, i, ip)
-    digest = _digest("gamma_limit", family.name, i, ip, tol)
     if const == 0:
-        return MomentReport(0.0, 0.0, digest)
+        return MomentReport(0.0, 0.0)
     folded, tail = folded_limit_weight(family, i, ip, tol=tol)
     x, wts = gauss_legendre_panels(-np.pi, np.pi, panels=panels, nodes=nodes)
     vals = folded(x)
     integral = float(np.sum(wts * np.abs(vals) ** 2))
     # the alias tail perturbs |folded|^2 by at most (2*max|folded| + tail) * tail
     bound = 4.0 * np.pi * const ** 2 * (2.0 * float(np.max(np.abs(vals))) + tail) * tail * TWO_PI
-    return MomentReport(4.0 * np.pi * const ** 2 * integral, bound, digest)
+    return MomentReport(4.0 * np.pi * const ** 2 * integral, bound)
 
 
 def gamma_matrix(family, tol=1e-10):

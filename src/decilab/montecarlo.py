@@ -9,7 +9,6 @@ replicate range; the heavy numpy kernels release the GIL.
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -196,51 +195,6 @@ def normality_report(samples, coordinate=None):
 
 
 @dataclass(frozen=True)
-class LinearFormReport:
-    normality: NormalityReport
-    empirical_var: float
-    var_se: float
-    exact_var: float
-
-
-def linear_form_clt_check(family, level, noise, n_replicates, base_seed,
-                          branch=0, workers=None):
-    """Normality of the raw coefficient Z_{branch, 0} across replicates.
-
-    The coefficient itself is a normalized linear form of the noise, so it
-    is asymptotically normal along the ladder (exactly normal under gaussian
-    noise). Its replicate variance is compared against the exact lag-zero
-    covariance; the jackknife SE of that variance is reported.
-    """
-    if n_replicates < 100:
-        raise ValueError("need at least 100 replicates")
-    vals = np.empty(n_replicates)
-
-    def run_chunk(r0):
-        r1 = min(r0 + CHUNK, n_replicates)
-        for r in range(r0, r1):
-            pm = simulate_decimated(family, level, 1, noise, mix_seed(base_seed, r))
-            vals[r] = pm.values[branch, 0]
-
-    starts = range(0, n_replicates, CHUNK)
-    nworkers = _worker_count(workers)
-    if nworkers == 1:
-        for r0 in starts:
-            run_chunk(r0)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(run_chunk, starts))
-
-    cov = empirical_cov(vals[:, None])
-    return LinearFormReport(
-        normality=normality_report(vals),
-        empirical_var=float(cov.matrix[0, 0]),
-        var_se=float(cov.se[0, 0]),
-        exact_var=cov_exact(family, level, branch, branch, 0, 0),
-    )
-
-
-@dataclass(frozen=True)
 class SweepRow:
     gamma: int
     n: int
@@ -283,31 +237,3 @@ def convergence_sweep(family, levels, n, noise, n_replicates, base_seed,
                     se=float(emp.se[i, ip]),
                 ))
     return rows
-
-
-def write_replicates_csv(replicate_set, fh, digest=None, float_format="%.17g"):
-    """CSV schema: replicate, coord_1..coord_N (plus the run digest column)."""
-    coords = ",".join(f"coord_{i + 1}" for i in range(replicate_set.n_branches))
-    header = f"replicate,{coords}"
-    if digest is not None:
-        header += ",digest"
-    fh.write(header + "\n")
-    for r in range(replicate_set.n_replicates):
-        row = ",".join(float_format % v for v in replicate_set.samples[r])
-        if digest is not None:
-            row += f",{digest}"
-        fh.write(f"{r},{row}\n")
-
-
-def write_sweep_csv(rows, fh, digest=None, float_format="%.17g"):
-    """CSV schema: gamma, n, entry_i, entry_ip, empirical, analytic_n, gamma_limit, se."""
-    header = "gamma,n,entry_i,entry_ip,empirical,analytic_n,gamma_limit,se"
-    if digest is not None:
-        header += ",digest"
-    fh.write(header + "\n")
-    for row in rows:
-        vals = [float_format % v for v in (row.empirical, row.analytic_n, row.gamma_limit, row.se)]
-        line = f"{row.gamma},{row.n},{row.branch_i},{row.branch_ip}," + ",".join(vals)
-        if digest is not None:
-            line += f",{digest}"
-        fh.write(line + "\n")

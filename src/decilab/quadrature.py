@@ -10,6 +10,7 @@ corresponding tail-bound rules.
 
 import numpy as np
 
+TWO_PI = 2.0 * np.pi
 DEFAULT_PANELS = 64
 DEFAULT_NODES = 8
 TAIL_TOL = 1e-10

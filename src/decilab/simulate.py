@@ -220,16 +220,3 @@ def windowed_coefficients(x, window, gamma):
     padded[1:n + 1] = x  # u = 0 and u = n+1 contribute nothing
     kernel = TimeKernel(-gamma, taps)
     return _decimated_convolve(padded, 0, kernel, gamma, 0, n_j) / np.sqrt(gamma)
-
-
-def write_path_csv(path_matrix, fh, digest=None, float_format="%.17g"):
-    """CSV export: comment header with level/gamma/seed, columns k, Z_1..Z_N."""
-    meta = f"# level={path_matrix.level},gamma={path_matrix.gamma},seed={path_matrix.seed}"
-    if digest is not None:
-        meta += f",digest={digest}"
-    fh.write(meta + "\n")
-    cols = ",".join(f"Z_{i + 1}" for i in range(path_matrix.n_branches))
-    fh.write(f"k,{cols}\n")
-    for k in range(path_matrix.n_coeffs):
-        row = ",".join(float_format % v for v in path_matrix.values[:, k])
-        fh.write(f"{k},{row}\n")

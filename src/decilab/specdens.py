@@ -23,11 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .kernels import eval_response
-from .quadrature import decay_cutoff, folding_cutoff, gauss_legendre_panels
+from .quadrature import TWO_PI, decay_cutoff, folding_cutoff, gauss_legendre_panels
 from .simulate import windowed_coefficients
 from .windows import Window, make_bspline_window, validate_window  # noqa: F401  (module surface)
 
-TWO_PI = 2.0 * np.pi
 DEFAULT_RATE_THRESHOLD = 0.1
 
 
@@ -124,21 +123,22 @@ def check_rate_condition(n, gamma, beta, threshold=DEFAULT_RATE_THRESHOLD):
     return RateCheck(value=value, ok=bool(value < threshold), threshold=threshold)
 
 
-def estimate_f0(x, window, gamma, kappa4=None, rate_threshold=DEFAULT_RATE_THRESHOLD):
+def estimate_f0(x, window, gamma, rate_threshold=DEFAULT_RATE_THRESHOLD):
     """Mean of squared windowed coefficients as the spectral level at zero.
 
-    Populates the plug-in error model: sigma2 from asymptotic_sigma2 with
-    f0_hat substituted for the unknown f(0) (standard plug-in practice),
-    se = sqrt(sigma2 / n_j), and the rate check for the (n, gamma, decay)
-    design. kappa4 is accepted for interface completeness; the limiting
-    variance is free of the fourth cumulant because decimation kills the
-    cumulant term. Series shorter than gamma are rejected (no coefficients).
+    Populates the plug-in error model: sigma2 = 2 * f0_hat**2, the closed
+    form of asymptotic_sigma2 for every window windowed_coefficients admits
+    (support in [-1, 0], unit L2 transform), with f0_hat substituted for
+    the unknown f(0); se = sqrt(sigma2 / n_j); and the rate check for the
+    (n, gamma, decay) design. The limiting variance is free of the fourth
+    cumulant because decimation kills the cumulant term. Series shorter
+    than gamma are rejected (no coefficients).
     """
     x = np.asarray(x, dtype=float)
     z = windowed_coefficients(x, window, gamma)  # rejects bad gamma/support, n_j = 0
     n_j = z.size
     f0_hat = float(np.mean(z * z))
-    sigma2 = asymptotic_sigma2(window, f0_hat)
+    sigma2 = 2.0 * f0_hat * f0_hat
     if window.decay > 2.0:
         rate = check_rate_condition(x.size, gamma, window.decay, rate_threshold)
         rate_value, rate_ok = rate.value, rate.ok

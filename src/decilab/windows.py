@@ -11,9 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import decay_cutoff, gauss_legendre_panels
-
-TWO_PI = 2.0 * np.pi
+from .quadrature import TWO_PI, decay_cutoff, gauss_legendre_panels
 
 
 @dataclass(frozen=True)

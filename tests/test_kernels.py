@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from decilab.kernels import (
     DecimatedFamily,
     FamilyLevel,
-    FrequencyResponse,
     TimeKernel,
     check_condition_c,
     eval_response,
@@ -94,13 +93,6 @@ class TestEvalResponse:
         vec = eval_response(k, lams)
         for lam, v in zip(lams, vec):
             assert abs(v - eval_response(k, float(lam))) < 1e-15
-
-    def test_frequency_response_wrapper_parseval(self, rng):
-        k = TimeKernel(-1, rng.standard_normal(6))
-        resp = FrequencyResponse(k)
-        x, w = gauss_legendre_panels(-math.pi, math.pi, panels=64, nodes=8)
-        integral = float(np.sum(w * np.abs(resp(x)) ** 2))
-        assert abs(integral - k.energy) < 1e-8
 
 
 class TestParseval:

@@ -1,4 +1,3 @@
-import io
 import math
 import tracemalloc
 
@@ -20,7 +19,6 @@ from decilab.simulate import (
     simulate_decimated,
     simulate_linear_process,
     windowed_coefficients,
-    write_path_csv,
 )
 from decilab.windows import Window, make_bspline_window
 
@@ -273,15 +271,3 @@ class TestSharedNoiseCovariance:
         emp = np.mean(prods) - np.mean(z1) * np.mean(z2)
         se = np.std(prods) / math.sqrt(reps)
         assert abs(emp - exact) < 4.0 * se
-
-
-class TestPathCsv:
-    def test_header_and_shape(self):
-        fam = single_level_family([TimeKernel(0, np.array([1.0]))], gamma=2)
-        pm = simulate_decimated(fam, 0, 3, GAUSS, 1)
-        buf = io.StringIO()
-        write_path_csv(pm, buf, digest="abc")
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# level=0,gamma=2,seed=1,digest=abc"
-        assert lines[1] == "k,Z_1"
-        assert len(lines) == 5

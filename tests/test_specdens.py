@@ -156,6 +156,14 @@ class TestEstimator:
         est = estimate_f0(np.ones(8), w, 8)
         assert est.n_j == 1 and est.degenerate and not est.rate_ok
 
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_sigma2_is_the_closed_form(self, rng, order):
+        # 2*f0^2 holds exactly for every admissible window; asymptotic_sigma2
+        # is its quadrature oracle (TestSigma2)
+        est = estimate_f0(rng.standard_normal(2048), make_bspline_window(order), 16)
+        assert est.sigma2 == 2 * est.f0_hat ** 2
+        assert est.se == math.sqrt(est.sigma2 / est.n_j)
+
 
 class TestSigma2:
     def test_zero_level(self):
