@@ -140,6 +140,8 @@ def _get_level(parser, family):
     """[run] level (default 0) and [run] levels (default all), each a level of the family."""
     level = _get_int(parser, "run", "level", 0)
     levels = _get_values(parser, "run", "levels", int, list(range(family.n_levels)))
+    if not levels:
+        raise ConfigError("[run] levels is empty")
     for j in [level, *levels]:
         if not 0 <= j < family.n_levels:
             raise ConfigError(f"[run] level {j} is not in 0..{family.n_levels - 1}")
@@ -347,8 +349,9 @@ def _cmd_specdens(parser, out_dir, seed, digest, config_dir):
     series, target = _series_from_config(parser, config_dir, seed)
     gammas = _get_values(parser, "specdens", "gammas", int)
     gamma = _get_int(parser, "specdens", "gamma", gammas[-1] if gammas else None, required=gammas is None)
-    est = specdens.estimate_f0(series, window, gamma, rate_threshold=threshold)
     sweep = [specdens.estimate_f0(series, window, g, rate_threshold=threshold) for g in gammas or ()]
+    est = next((e for e in sweep if e.gamma == gamma), None) or specdens.estimate_f0(
+        series, window, gamma, rate_threshold=threshold)
     pairs = [
         ("digest", digest),
         ("f0_hat", est.f0_hat),

@@ -139,8 +139,7 @@ class DecimatedFamily:
     limit_freqs[i] is the frequency the branch-i responses concentrate
     around; decay is the exponent delta > 1/2 of the uniform envelope
     (1 + gamma*|lam - center|)**(-delta). limit_responses, when present, are
-    vectorized callables on the real line giving the rescaled limits;
-    phases, when present, give one phase function per stored level.
+    vectorized callables on the real line giving the rescaled limits.
 
     Structural conditions (even gamma, integer condition, frequency
     coincidences) are required only from level index `threshold` on. With
@@ -153,7 +152,6 @@ class DecimatedFamily:
     limit_freqs: np.ndarray
     decay: float
     limit_responses: Optional[tuple] = None
-    phases: Optional[tuple] = None
     threshold: int = 0
     name: str = ""
     strict: bool = True
@@ -163,8 +161,6 @@ class DecimatedFamily:
         object.__setattr__(self, "limit_freqs", _as_readonly(self.limit_freqs))
         if self.limit_responses is not None:
             object.__setattr__(self, "limit_responses", tuple(self.limit_responses))
-        if self.phases is not None:
-            object.__setattr__(self, "phases", tuple(self.phases))
         self._validate_structure()
         if self.strict:
             self.validate_conditions()
@@ -197,8 +193,6 @@ class DecimatedFamily:
             raise ValueError("limit frequencies must lie in [0, pi)")
         if self.limit_responses is not None and len(self.limit_responses) != n:
             raise ValueError("one limit response per branch required")
-        if self.phases is not None and len(self.phases) != len(self.levels):
-            raise ValueError("one phase function per level required")
 
     def validate_conditions(self):
         """Enforce the level conditions from the threshold level on."""
@@ -240,7 +234,7 @@ class ConditionReport:
     uniform_stats[j, i] is the grid sup of
     gamma**(-1/2) |v*_{i,j}(lam)| (1 + gamma*|lam - center|)**decay on [0, pi);
     rescaled_residuals[j, i] the grid sup of
-    |gamma**(-1/2) v*_{i,j}(lam/gamma + center) exp(i*phase_j(lam)) - limit_i(lam)|
+    |gamma**(-1/2) v*_{i,j}(lam/gamma + center) - limit_i(lam)|
     (None when no limit responses were supplied); modulus_residuals the same
     with absolute values inside, a fallback that ignores the unknown phase.
     """
@@ -284,12 +278,15 @@ def check_condition_c(family, grid_size=512, rescaled_halfwidth=20.0):
     integer_res = np.array([integer_condition_residual(lv.gamma, lv.center_freqs) for lv in family.levels])
     failed = {name for j in range(t0, nl) for name in _frequency_condition_failures(family, j)}
 
+    # |v*| on the 2*grid_size-point DFT grid pi*m/grid_size, by one rfft of the wrapped taps
     lam_grid = np.linspace(0.0, np.pi, grid_size, endpoint=False)
     uniform = np.zeros((nl, n))
     for j, lv in enumerate(family.levels):
         g = lv.gamma
         for i in range(n):
-            resp = np.abs(eval_response(lv.kernels[i], lam_grid))
+            taps = lv.kernels[i].coeffs
+            wrapped = np.bincount(np.arange(taps.size) % (2 * grid_size), weights=taps, minlength=2 * grid_size)
+            resp = np.abs(np.fft.rfft(wrapped)[:grid_size]) / np.sqrt(TWO_PI)
             envelope = (1.0 + g * np.abs(lam_grid - lv.center_freqs[i])) ** family.decay
             uniform[j, i] = np.max(resp * envelope) / np.sqrt(g)
 
@@ -302,12 +299,10 @@ def check_condition_c(family, grid_size=512, rescaled_halfwidth=20.0):
         modulus = np.zeros((nl, n))
         for j, lv in enumerate(family.levels):
             g = lv.gamma
-            phase = family.phases[j](xi) if family.phases is not None else 0.0
-            rot = np.exp(1j * phase)
             for i in range(n):
                 scaled = eval_response(lv.kernels[i], xi / g + lv.center_freqs[i]) / np.sqrt(g)
                 lim = np.asarray(family.limit_responses[i](xi))
-                rescaled[j, i] = np.max(np.abs(scaled * rot - lim))
+                rescaled[j, i] = np.max(np.abs(scaled - lim))
                 modulus[j, i] = np.max(np.abs(np.abs(scaled) - np.abs(lim)))
 
     return ConditionReport(
@@ -408,15 +403,13 @@ def two_frequency_demo_family(prototype, gammas, high_freq=np.pi / 2):
     )
 
 
-def parseval_gap(kernel, panels=None, nodes=8):
+def parseval_gap(kernel):
     """|int |v*|^2 d lam - sum v(t)^2| on (-pi, pi); quadrature diagnostic.
 
     The quadrature density scales with the kernel length so the oscillatory
     response is resolved.
     """
-    if panels is None:
-        panels = max(64, 2 * kernel.length)
-    x, w = gauss_legendre_panels(-np.pi, np.pi, panels=panels, nodes=nodes)
+    x, w = gauss_legendre_panels(-np.pi, np.pi, panels=max(64, 2 * kernel.length))
     integral = float(np.sum(w * np.abs(eval_response(kernel, x)) ** 2))
     return abs(integral - kernel.energy)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import eval_response
-from .quadrature import TWO_PI, decay_cutoff, folding_cutoff, gauss_legendre_panels
+from .quadrature import TWO_PI, alias_sum_norm_sq, gauss_legendre_panels, line_integral
 
 IMAG_TOL = 1e-8
 PSD_TOL = 1e-8
@@ -139,22 +139,20 @@ def symmetrized_limit_product(family, i, ip):
 def limit_cross_cov(family, i, ip, lag, tol=1e-10):
     """Limit of Cov(Z_{i,k}, Z_{i',k+lag}) along the level ladder.
 
-    C * int_R w(lam) exp(i*lam*lag) dlam with the integral truncated where
-    the (1+|lam|)**(-2*decay) envelope makes the tail negligible. The
-    symmetrization makes the integral real; the quadrature's imaginary
-    residue is asserted below 1e-8 and the real part returned.
+    C * int_R w(lam) exp(i*lam*lag) dlam, truncated by line_integral with
+    the (1+|lam|)**(-2*decay) envelope. The symmetrization makes the
+    integral real; the quadrature's imaginary residue is asserted below
+    1e-8 and the real part returned.
     """
     _require_limits(family)
     const = case_constant(family, i, ip)
-    cutoff, bound = decay_cutoff(2.0 * family.decay, tol)
     if const == 0:
         return MomentReport(0.0, 0.0)
     w = symmetrized_limit_product(family, i, ip)
-    x, wts = gauss_legendre_panels(-cutoff, cutoff, panels=max(64, int(4 * cutoff)), nodes=8)
-    total = const * np.sum(wts * w(x) * np.exp(1j * x * lag))
+    total, bound = line_integral(lambda x: const * w(x) * np.exp(1j * x * lag), 2.0 * family.decay, tol)
     if abs(total.imag) > IMAG_TOL:
         raise AssertionError(f"imaginary residue {total.imag:.3e} exceeds {IMAG_TOL:g}")
-    return MomentReport(float(total.real), const * bound)
+    return MomentReport(float(total.real), bound)
 
 
 def _decimated_lags(k1, k2, gamma, n, power):
@@ -210,7 +208,7 @@ def cov_of_square_sums(family, level, i, ip, n, noise):
     )
 
 
-def m_n_functional(g, n, n_coeffs=None, nodes=None):
+def m_n_functional(g, n, n_coeffs=None):
     """Triangular-weighted l2 norm of the Fourier coefficients of g.
 
     M_n(g) = sqrt( sum_{|k| < n} (1 - |k|/n) |c_k|^2 ) with
@@ -226,10 +224,9 @@ def m_n_functional(g, n, n_coeffs=None, nodes=None):
     if n_coeffs is not None and n_coeffs < n:
         raise ValueError("need n_coeffs >= n")
     k_max = n - 1
-    if nodes is None:
-        nodes = 2048
-        while nodes < 2 * (k_max + 1):
-            nodes *= 2
+    nodes = 2048
+    while nodes < 2 * (k_max + 1):
+        nodes *= 2
     lam = -np.pi + TWO_PI * np.arange(nodes) / nodes
     vals = np.asarray(g(lam), dtype=complex)
     spec = np.fft.ifft(vals)  # spec[k] = (1/M) sum_m g_m exp(+2i*pi*k*m/M)
@@ -239,39 +236,19 @@ def m_n_functional(g, n, n_coeffs=None, nodes=None):
     return float(np.sqrt(np.sum(weights * np.abs(c) ** 2)))
 
 
-def folded_limit_weight(family, i, ip, tol=1e-10):
-    """Callable lam -> sum_{|p| <= P} w(lam + 2*pi*p) with its tail bound."""
-    _require_limits(family)
-    w = symmetrized_limit_product(family, i, ip)
-    n_alias, bound = folding_cutoff(2.0 * family.decay, tol)
-    p = np.arange(-n_alias, n_alias + 1, dtype=float)
-
-    def folded(lam):
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        pts = lam[None, :] + TWO_PI * p[:, None]
-        return w(pts.ravel()).reshape(p.size, lam.size).sum(axis=0)
-
-    return folded, bound
-
-
-def gamma_limit(family, i, ip, tol=1e-10, panels=64, nodes=8):
+def gamma_limit(family, i, ip, tol=1e-10):
     """One entry of the limiting covariance of centered square-sum vectors.
 
     Gamma[i, i'] = 4*pi * C**2 * int_{-pi}^{pi} |sum_p w(lam+2*pi*p)|^2 dlam,
-    the alias sum truncated where the decay envelope puts the tail below
-    tol (never fewer than 8 aliases each side).
+    the alias sum truncated so that the entry is within tol.
     """
     _require_limits(family)
     const = case_constant(family, i, ip)
     if const == 0:
         return MomentReport(0.0, 0.0)
-    folded, tail = folded_limit_weight(family, i, ip, tol=tol)
-    x, wts = gauss_legendre_panels(-np.pi, np.pi, panels=panels, nodes=nodes)
-    vals = folded(x)
-    integral = float(np.sum(wts * np.abs(vals) ** 2))
-    # the alias tail perturbs |folded|^2 by at most (2*max|folded| + tail) * tail
-    bound = 4.0 * np.pi * const ** 2 * (2.0 * float(np.max(np.abs(vals))) + tail) * tail * TWO_PI
-    return MomentReport(4.0 * np.pi * const ** 2 * integral, bound)
+    scale = 4.0 * np.pi * const ** 2
+    integral, bound = alias_sum_norm_sq(symmetrized_limit_product(family, i, ip), 2.0 * family.decay, tol / scale)
+    return MomentReport(scale * integral, scale * bound)
 
 
 def gamma_matrix(family, tol=1e-10):

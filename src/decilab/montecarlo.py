@@ -72,6 +72,8 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed,
     """
     if n_replicates < 100:
         raise ValueError("need at least 100 replicates")
+    if n < 1:
+        raise ValueError("need n >= 1")
     centers = _centers(family, level, centering)
     samples = np.empty((n_replicates, family.n_branches))
     scale = 1.0 / np.sqrt(n)

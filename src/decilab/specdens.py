@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import eval_response
-from .quadrature import TWO_PI, decay_cutoff, folding_cutoff, gauss_legendre_panels
+from .quadrature import TWO_PI, alias_sum, alias_sum_norm_sq, gauss_legendre_panels, line_integral
 from .simulate import windowed_coefficients
 from .windows import Window, make_bspline_window, validate_window  # noqa: F401  (module surface)
 
@@ -77,37 +77,29 @@ class LeakageReport:
 def folded_window_response(window, gamma, lam, tol=1e-10):
     """sum_p gamma**0.5 * What(gamma*(lam + 2*pi*p)), 2*pi-periodic in lam.
 
-    The alias sum is truncated using the window decay exponent; the gamma
-    factor inside the argument only sharpens the tail bound used.
+    The alias sum is truncated by alias_sum with the window decay exponent.
     """
     gamma = int(gamma)
     if gamma < 2 or gamma % 2 != 0:
         raise ValueError("need an even decimation factor gamma >= 2")
-    n_alias, _ = folding_cutoff(window.decay, tol, min_terms=8)
+    folded, _ = alias_sum(lambda x: np.sqrt(gamma) * window.transform(gamma * x), window.decay, tol)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    lam_arr = lam_arr - TWO_PI * np.round(lam_arr / TWO_PI)  # exact periodicity
-    p = np.arange(-n_alias, n_alias + 1, dtype=float)
-    pts = gamma * (lam_arr[None, :] + TWO_PI * p[:, None])
-    vals = np.sqrt(gamma) * window.transform(pts.ravel()).reshape(p.size, lam_arr.size).sum(axis=0)
+    vals = folded(lam_arr - TWO_PI * np.round(lam_arr / TWO_PI))  # exact periodicity
     return vals.reshape(np.shape(lam)) if np.ndim(lam) else complex(vals[0])
 
 
-def asymptotic_sigma2(window, f0, panels=64, nodes=8, tol=1e-10):
+def asymptotic_sigma2(window, f0, tol=1e-10):
     """Asymptotic variance of sqrt(n_j) times the estimator.
 
     4*pi * f0^2 * int_{-pi}^{pi} (sum_p |What(lam+2*pi*p)|^2)^2 dlam, the
-    alias sum truncated per the window decay bound.
+    alias sum truncated so that the value is within tol.
     """
     if f0 < 0:
         raise ValueError("need f0 >= 0")
     if f0 == 0.0:
         return 0.0
-    n_alias, _ = folding_cutoff(2.0 * window.decay, tol, min_terms=8)
-    x, w = gauss_legendre_panels(-np.pi, np.pi, panels=panels, nodes=nodes)
-    p = np.arange(-n_alias, n_alias + 1, dtype=float)
-    pts = x[None, :] + TWO_PI * p[:, None]
-    folded = (np.abs(window.transform(pts.ravel())) ** 2).reshape(p.size, x.size).sum(axis=0)
-    return 4.0 * np.pi * f0 * f0 * float(np.sum(w * folded ** 2))
+    scale = 4.0 * np.pi * f0 * f0
+    return scale * alias_sum_norm_sq(lambda x: np.abs(window.transform(x)) ** 2, 2.0 * window.decay, tol / scale)[0]
 
 
 def check_rate_condition(n, gamma, beta, threshold=DEFAULT_RATE_THRESHOLD):
@@ -161,9 +153,7 @@ def estimate_f0(x, window, gamma, rate_threshold=DEFAULT_RATE_THRESHOLD):
 
 def transform_second_moment(window, tol=1e-10):
     """int xi^2 |What(xi)|^2 dxi, the curvature weight of the leading bias."""
-    cutoff, _ = decay_cutoff(2.0 * window.decay - 2.0, tol)
-    x, w = gauss_legendre_panels(-cutoff, cutoff, panels=max(64, int(2 * cutoff)), nodes=8)
-    return float(np.sum(w * x * x * np.abs(window.transform(x)) ** 2))
+    return float(line_integral(lambda x: x * x * np.abs(window.transform(x)) ** 2, 2.0 * window.decay - 2.0, tol)[0])
 
 
 def predict_bias(window, gammas, means=None, f0=None, curvature=None):
@@ -210,7 +200,7 @@ def predict_bias(window, gammas, means=None, f0=None, curvature=None):
     )
 
 
-def leakage_integral(family, level, epsilon, n_j=None, branch=0, nodes=8):
+def leakage_integral(family, level, epsilon, n_j=None, branch=0):
     """Spectral energy of a level response outside the band |lam - target| <= epsilon.
 
     I = int_0^pi 1{|lam - target| > epsilon} |v*(lam)|^2 dlam by panelwise
@@ -231,7 +221,7 @@ def leakage_integral(family, level, epsilon, n_j=None, branch=0, nodes=8):
     total = 0.0
     panels = max(64, 2 * kernel.length)
     for a, b in segments:
-        x, w = gauss_legendre_panels(a, b, panels=max(8, int(panels * (b - a) / np.pi)), nodes=nodes)
+        x, w = gauss_legendre_panels(a, b, panels=max(8, int(panels * (b - a) / np.pi)))
         total += float(np.sum(w * np.abs(eval_response(kernel, x)) ** 2))
     return LeakageReport(
         value=total,

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,10 @@ def specdens(**changes):
 REJECTED = {
     "too_few_replicates": ("clt", with_run(replicates=50)),
     "zero_n": ("simulate", with_run(n=0)),
+    "zero_n_clt": ("clt", with_run(n=0)),
+    "zero_n_cov_check": ("cov-check", with_run(n=0)),
+    "zero_n_sweep": ("sweep", with_run(n=0)),
+    "empty_levels": ("sweep", with_run(levels="")),
     "level_past_end": ("simulate", with_run(level=5)),
     "negative_level": ("simulate", with_run(level=-1)),
     "levels_past_end": ("sweep", with_run(levels="0 7")),
@@ -69,8 +74,11 @@ REJECTED = {
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, case):
     command, sections = REJECTED[case]
-    code, out = run(tmp_path, command, sections)
+    with warnings.catch_warnings(record=True) as caught:  # under pytest, warnings never reach stderr
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, command, sections)
     err = capsys.readouterr().err
+    assert not caught and "Warning" not in err
     assert code == 2
     assert err.startswith("decilab: config error: ")
     assert "Traceback" not in err

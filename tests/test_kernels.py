@@ -22,6 +22,7 @@ from decilab.kernels import (
     write_kernel,
 )
 from decilab.quadrature import gauss_legendre_panels
+from decilab.simulate import ar1_kernel
 from decilab.windows import make_bspline_window
 
 from conftest import random_trig_poly
@@ -276,6 +277,25 @@ class TestConditionChecker:
         assert not report.limit_available
         assert report.rescaled_residuals is None
         assert report.modulus_residuals is None
+
+    @pytest.mark.parametrize("kernel", [
+        TimeKernel(3, np.array([0.7])),
+        TimeKernel(-2, np.array([1.0, -0.5, 2.0, 0.25, -1.5])),
+        TimeKernel(-400, np.sin(np.arange(1000) / 37.0) / (1.0 + np.arange(1000) / 50.0)),
+        ar1_kernel(0.99),  # 2945 taps, more than 2 * grid_size
+    ])
+    def test_uniform_stats_match_eval_response(self, kernel):
+        grid_size = 512
+        fam = DecimatedFamily(
+            levels=tuple(FamilyLevel(gamma=g, kernels=(kernel,), center_freqs=np.zeros(1)) for g in (2, 4)),
+            limit_freqs=np.zeros(1),
+            decay=1.5,
+        )
+        report = check_condition_c(fam, grid_size=grid_size)
+        lam = np.linspace(0.0, math.pi, grid_size, endpoint=False)
+        for j, g in enumerate((2, 4)):
+            direct = np.max(np.abs(eval_response(kernel, lam)) * (1.0 + g * lam) ** 1.5) / math.sqrt(g)
+            assert report.uniform_stats[j, 0] == pytest.approx(direct, rel=1e-12, abs=0)
 
     def test_two_frequency_demo(self):
         w = make_bspline_window(4)

@@ -354,7 +354,18 @@ class TestLimitQuantities:
 
     def test_truncation_bounds_reported(self, ma_family):
         rep = gamma_limit(ma_family, 0, 0)
-        assert rep.truncation_bound >= 0.0
+        assert abs(rep.value - 1.0 / (2.0 * math.pi ** 2)) <= rep.truncation_bound <= 1e-10
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+@pytest.mark.parametrize("modulation,variance,gamma11", [
+    (0.0, 1.0 / (2.0 * math.pi), 1.0 / (2.0 * math.pi ** 2)),
+    (math.pi / 2, 1.0 / (4.0 * math.pi), 1.0 / (8.0 * math.pi ** 2)),
+], ids=["baseband", "modulated"])
+def test_limit_quantities_within_reported_bounds(order, modulation, variance, gamma11):
+    fam = make_scaled_window_family(make_bspline_window(order), [16, 32], modulation)
+    for rep, exact in ((limit_cross_cov(fam, 0, 0, 0), variance), (gamma_limit(fam, 0, 0), gamma11)):
+        assert abs(rep.value - exact) <= rep.truncation_bound <= 1e-10
 
 
 class TestGammaMatrixValidation:

@@ -43,6 +43,13 @@ class TestReplicateRunner:
         runs = [replicate_sums(two_freq, 1, 20, GAUSS, reps, 77, workers=w).samples for w in (1, 2)]
         assert np.array_equal(runs[0], runs[1])
 
+    def test_limit_centers_are_the_limit_variance(self):
+        # order 5 puts the first zero of sinc^5 at 10*pi, past any cutoff that
+        # ignores the envelope constant
+        fam = decilab.make_scaled_window_family(decilab.make_bspline_window(5), [8, 16])
+        rs = replicate_sums(fam, 0, 10, GAUSS, 100, 3, centering="limit")
+        assert abs(rs.centers[0] - 1.0 / (2.0 * np.pi)) <= 1e-10
+
     def test_jackknife_se_matches_brute_force(self, rng):
         x = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 3))
         r = x.shape[0]

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 
-from decilab.quadrature import decay_cutoff, folding_cutoff, gauss_legendre_panels, integrate
+from decilab.quadrature import alias_sum, decay_cutoff, folding_cutoff, gauss_legendre_panels, integrate, line_integral
 
 
 def test_gauss_legendre_exact_on_polynomials():
@@ -35,3 +37,17 @@ def test_folding_cutoff_minimum_and_rule():
     p2, bound2 = folding_cutoff(3.0, tol=1e-10)
     assert p2 > p
     assert bound2 < 1e-10
+
+
+def test_line_integral_within_reported_bound():
+    # int (1+x^2)^-2 dx = pi/2; the envelope constant is 4 (at |x| = 1), not 1
+    value, bound = line_integral(lambda x: (1.0 + x * x) ** -2, 4.0)
+    assert abs(value - math.pi / 2.0) <= bound <= 1e-10
+
+
+def test_alias_sum_within_reported_bound():
+    # sum_p 1/(1+(lam+2*pi*p)^2) = sinh(1) / (2*(cosh(1) - cos(lam)))
+    folded, bound = alias_sum(lambda x: 1.0 / (1.0 + x * x), 2.0, tol=1e-6)
+    lam = np.linspace(-math.pi, math.pi, 9)
+    exact = math.sinh(1.0) / (2.0 * (math.cosh(1.0) - np.cos(lam)))
+    assert np.max(np.abs(folded(lam) - exact)) <= bound <= 1e-6

@@ -183,6 +183,10 @@ class TestSigma2:
             assert s2 >= f0 * f0
             assert s2 == pytest.approx(2.0 * f0 * f0, rel=1e-6)
 
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_closed_form_within_tolerance(self, order):
+        assert abs(asymptotic_sigma2(make_bspline_window(order), 1.0) / 2.0 - 1.0) <= 1e-10
+
     def test_matches_limiting_covariance_entry(self):
         # consistency of the estimator variance with the square-sum CLT
         w = make_bspline_window(4)
