@@ -32,7 +32,6 @@ from .moments import (
     cov_of_square_sums,
     gamma_limit,
     gamma_matrix,
-    limit_cov_squares,
     limit_cross_cov,
     m_n_functional,
 )

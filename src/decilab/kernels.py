@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quadrature import TWO_PI, gauss_legendre_panels
+from .quadrature import TWO_PI, periodic_rule
 
 INTEGER_TOL = 1e-9  # absolute tolerance for gamma*lambda / (2*pi) integrality
 
@@ -406,10 +406,10 @@ def two_frequency_demo_family(prototype, gammas, high_freq=np.pi / 2):
 def parseval_gap(kernel):
     """|int |v*|^2 d lam - sum v(t)^2| on (-pi, pi); quadrature diagnostic.
 
-    The quadrature density scales with the kernel length so the oscillatory
-    response is resolved.
+    |v*|^2 is a trigonometric polynomial of degree length - 1, which
+    periodic_rule integrates exactly.
     """
-    x, w = gauss_legendre_panels(-np.pi, np.pi, panels=max(64, 2 * kernel.length))
+    x, w = periodic_rule(kernel.length - 1)
     integral = float(np.sum(w * np.abs(eval_response(kernel, x)) ** 2))
     return abs(integral - kernel.energy)
 

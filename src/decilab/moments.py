@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import eval_response
-from .quadrature import TWO_PI, alias_sum_norm_sq, gauss_legendre_panels, line_integral
+from .quadrature import TWO_PI, alias_sum_norm_sq, line_integral, periodic_rule
 
 IMAG_TOL = 1e-8
 PSD_TOL = 1e-8
@@ -84,18 +84,18 @@ def cov_exact(family, level, i, ip, k, kp, spectral_check=False, tol=1e-8):
 
     Equals sum_t v_i(gamma*k - t) v_i'(gamma*k' - t). With spectral_check the
     same value is recomputed as int conj(v*_i) v*_i' exp(i*gamma*lam*(k'-k))
-    over (-pi, pi) and the two are asserted to agree within tol.
+    over (-pi, pi) and the two are asserted to agree within tol; periodic_rule
+    is exact for that trigonometric polynomial, whose frequencies run from
+    a_i - b_i' + shift to b_i - a_i' + shift (a, b support ends).
     """
     lv = family.levels[level]
-    value = _corr_sum(lv.kernels[i], lv.kernels[ip], lv.gamma * (kp - k))
+    k1, k2 = lv.kernels[i], lv.kernels[ip]
+    shift = lv.gamma * (kp - k)
+    value = _corr_sum(k1, k2, shift)
     if spectral_check:
-        length = lv.kernels[i].length + lv.kernels[ip].length
-        x, w = gauss_legendre_panels(-np.pi, np.pi, panels=max(64, 2 * length), nodes=8)
-        integrand = (
-            np.conj(eval_response(lv.kernels[i], x))
-            * eval_response(lv.kernels[ip], x)
-            * np.exp(1j * lv.gamma * x * (kp - k))
-        )
+        degree = max(abs(k1.support_start - k2.support_end + shift), abs(k1.support_end - k2.support_start + shift))
+        x, w = periodic_rule(degree)
+        integrand = np.conj(eval_response(k1, x)) * eval_response(k2, x) * np.exp(1j * shift * x)
         spectral = np.sum(w * integrand)
         if abs(spectral.real - value) > tol or abs(spectral.imag) > tol:
             raise AssertionError(
@@ -129,9 +129,9 @@ def symmetrized_limit_product(family, i, ip):
 
     def w(lam):
         lam = np.asarray(lam, dtype=float)
-        return 0.5 * (
-            np.conj(ri(-lam)) * rip(-lam) + ri(lam) * np.conj(rip(lam))
-        )
+        a, b = ri(-lam), ri(lam)
+        c, d = (a, b) if ip == i else (rip(-lam), rip(lam))  # i == i': r_i's values, not two more calls
+        return 0.5 * (np.conj(a) * c + b * np.conj(d))
 
     return w
 
@@ -208,7 +208,7 @@ def cov_of_square_sums(family, level, i, ip, n, noise):
     )
 
 
-def m_n_functional(g, n, n_coeffs=None):
+def m_n_functional(g, n):
     """Triangular-weighted l2 norm of the Fourier coefficients of g.
 
     M_n(g) = sqrt( sum_{|k| < n} (1 - |k|/n) |c_k|^2 ) with
@@ -221,8 +221,6 @@ def m_n_functional(g, n, n_coeffs=None):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n_coeffs is not None and n_coeffs < n:
-        raise ValueError("need n_coeffs >= n")
     k_max = n - 1
     nodes = 2048
     while nodes < 2 * (k_max + 1):
@@ -265,17 +263,3 @@ def gamma_matrix(family, tol=1e-10):
             constants[i, ip] = constants[ip, i] = case_constant(family, i, ip)
     return GammaMatrix(entries=entries, constants=constants, truncation_bounds=bounds)
 
-
-def limit_cov_squares(family, i, ip, lag, tol=1e-10):
-    """Limit of Cov(Z_i^2, Z_i'^2) at fixed lag: twice the squared limit covariance.
-
-    Equals 2 * C**2 * (int w(lam) exp(i*lam*lag) dlam)**2, i.e. exactly
-    2 * limit_cross_cov(...)**2.
-    """
-    rep = limit_cross_cov(family, i, ip, lag, tol)
-    return 2.0 * rep.value ** 2
-
-
-def limit_variance(family, i, tol=1e-10):
-    """Limit of E[Z_i^2] along the ladder: limit_cross_cov at lag 0."""
-    return limit_cross_cov(family, i, i, 0, tol).value

@@ -31,22 +31,7 @@ class ReplicateSet:
     """Normalized centered square-sum vectors, one row per replicate."""
 
     samples: np.ndarray  # shape (R, N)
-    family_name: str
-    level: int
-    gamma: int
-    n: int
-    noise: str
-    base_seed: int
-    centering: str
-    centers: np.ndarray
-
-    @property
-    def n_replicates(self):
-        return self.samples.shape[0]
-
-    @property
-    def n_branches(self):
-        return self.samples.shape[1]
+    centers: np.ndarray  # the per-branch center subtracted from each Z^2
 
 
 def _centers(family, level, centering):
@@ -68,7 +53,7 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed,
     """R replicates of n**-0.5 * sum_{k<n} (Z_{i,k}^2 - center_i).
 
     Centering is the exact level expectation of Z^2 (per-branch, lag zero)
-    or its level limit; the mode and the centers used are recorded.
+    or its level limit; the centers used are returned with the samples.
     """
     if n_replicates < 100:
         raise ValueError("need at least 100 replicates")
@@ -84,53 +69,31 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed,
             pm = simulate_decimated(family, level, n, noise, mix_seed(base_seed, r))
             samples[r] = (np.sum(pm.values ** 2, axis=1) - n * centers) * scale
 
-    starts = range(0, n_replicates, CHUNK)
-    nworkers = _worker_count(workers)
-    if nworkers == 1:
-        for r0 in starts:
-            run_chunk(r0)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(run_chunk, starts))
-
-    return ReplicateSet(
-        samples=samples,
-        family_name=family.name,
-        level=int(level),
-        gamma=family.levels[level].gamma,
-        n=int(n),
-        noise=noise.distribution,
-        base_seed=int(base_seed),
-        centering=centering,
-        centers=centers,
-    )
+    with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
+        list(pool.map(run_chunk, range(0, n_replicates, CHUNK)))
+    return ReplicateSet(samples, centers)
 
 
 @dataclass(frozen=True)
 class CovarianceReport:
     matrix: np.ndarray
     se: np.ndarray
-    degenerate: np.ndarray  # per-coordinate zero-variance flags
 
 
-def empirical_cov(replicate_set):
-    """Unbiased sample covariance with leave-one-out jackknife standard errors.
+def empirical_cov(samples):
+    """Unbiased covariance of (R, N) samples with leave-one-out jackknife standard errors.
 
-    Zero-variance coordinates are flagged, not failed. Jackknife SEs need at
-    least three replicates; below that they are NaN.
+    Jackknife SEs need at least three replicates; below that they are NaN.
     """
-    x = replicate_set.samples if isinstance(replicate_set, ReplicateSet) else np.asarray(replicate_set)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = np.asarray(samples)
     r = x.shape[0]
     if r < 2:
         raise ValueError("need at least 2 replicates")
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (r - 1)
-    degenerate = np.array([np.all(x[:, i] == x[0, i]) for i in range(x.shape[1])])
     if r < 3:
-        return CovarianceReport(cov, np.full_like(cov, np.nan), degenerate)
+        return CovarianceReport(cov, np.full_like(cov, np.nan))
 
     s2 = np.einsum("ri,rj->ij", x, x)
     mu = (x.sum(axis=0)[None, :] - x) / (r - 1)  # leave-one-out means
@@ -140,7 +103,7 @@ def empirical_cov(replicate_set):
         - (r - 1) * mu[:, :, None] * mu[:, None, :]
     ) / (r - 2)
     se = np.sqrt((r - 1) / r * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
-    return CovarianceReport(cov, se, degenerate)
+    return CovarianceReport(cov, se)
 
 
 @dataclass(frozen=True)
@@ -168,22 +131,14 @@ def _ks_normal_distance(z):
     return float(max(np.max(i / cdf.size - cdf), np.max(cdf - (i - 1) / cdf.size)))
 
 
-def normality_report(samples, coordinate=None):
-    """Moment and Kolmogorov-Smirnov diagnostics against a matched normal.
+def normality_report(samples):
+    """Moment and Kolmogorov-Smirnov diagnostics of a 1-d sample against a matched normal.
 
-    samples is a ReplicateSet (with a coordinate when multivariate) or a
-    plain 1-d array. Moments are standardized by the sample std; the KS
-    distance is against the normal with matched mean and variance.
-    Degenerate (constant) input is flagged, not failed.
+    Moments are standardized by the sample std; the KS distance is against
+    the normal with matched mean and variance. Degenerate (constant) input
+    is flagged, not failed.
     """
-    if isinstance(samples, ReplicateSet):
-        if samples.n_branches > 1 and coordinate is None:
-            raise ValueError("coordinate required for a multivariate replicate set")
-        x = samples.samples[:, coordinate or 0]
-    else:
-        x = np.asarray(samples, dtype=float)
-        if coordinate is not None and x.ndim > 1:
-            x = x[:, coordinate]
+    x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError("need a 1-d sample")
     std = float(np.std(x))
@@ -212,29 +167,25 @@ def convergence_sweep(family, levels, n, noise, n_replicates, base_seed,
                       centering="exact", workers=None):
     """Per level and branch pair: empirical covariance vs exact and limiting values.
 
-    n may be a single count or one count per level. gamma_limit columns are
-    NaN when the family carries no limit responses.
+    The same n is used at every level. gamma_limit columns are NaN when the
+    family carries no limit responses.
     """
-    levels = list(levels)
-    ns = [int(n)] * len(levels) if np.isscalar(n) else [int(v) for v in n]
-    if len(ns) != len(levels):
-        raise ValueError("need one n per level")
     have_limits = family.limit_responses is not None
     gm = gamma_matrix(family) if have_limits else None
     rows = []
-    for level, n_level in zip(levels, ns):
-        rs = replicate_sums(family, level, n_level, noise, n_replicates,
+    for level in levels:
+        rs = replicate_sums(family, level, n, noise, n_replicates,
                             mix_seed(base_seed, 1000 + level), centering, workers)
-        emp = empirical_cov(rs)
+        emp = empirical_cov(rs.samples)
         for i in range(family.n_branches):
             for ip in range(i, family.n_branches):
                 rows.append(SweepRow(
                     gamma=family.levels[level].gamma,
-                    n=n_level,
+                    n=int(n),
                     branch_i=i + 1,
                     branch_ip=ip + 1,
                     empirical=float(emp.matrix[i, ip]),
-                    analytic_n=cov_of_square_sums(family, level, i, ip, n_level, noise),
+                    analytic_n=cov_of_square_sums(family, level, i, ip, n, noise),
                     gamma_limit=float(gm.entries[i, ip]) if have_limits else float("nan"),
                     se=float(emp.se[i, ip]),
                 ))

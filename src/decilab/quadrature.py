@@ -1,9 +1,11 @@
 """Composite Gauss-Legendre quadrature and the one truncation policy.
 
 A fixed composite Gauss-Legendre rule (panels x nodes) serves every smooth
-integrand instead of adaptive quadrature. Real-line integrals and alias sums
-of f with |f(x)| <= C*(1+|x|)**(-q) are truncated only here: each primitive
-measures C from f and sizes its cutoff by the tail rules at tol/C.
+integrand instead of adaptive quadrature; a trigonometric polynomial of known
+degree takes the equispaced periodic rule, which is exact. Real-line
+integrals and alias sums of f with |f(x)| <= C*(1+|x|)**(-q) are truncated
+only here: each primitive measures C from f and sizes its cutoff by the tail
+rules at tol/C.
 """
 
 import numpy as np
@@ -30,10 +32,14 @@ def gauss_legendre_panels(a, b, panels=DEFAULT_PANELS, nodes=DEFAULT_NODES):
     return x, w
 
 
-def integrate(f, a, b, panels=DEFAULT_PANELS, nodes=DEFAULT_NODES):
-    """Integrate a vectorized callable on [a, b]."""
-    x, w = gauss_legendre_panels(a, b, panels, nodes)
-    return np.sum(w * f(x))
+def periodic_rule(degree):
+    """Nodes and weight of the rule on [-pi, pi) exact for trigonometric polynomials of this degree.
+
+    The degree + 1 equispaced nodes -pi + 2*pi*m/(degree + 1) share the
+    weight 2*pi/(degree + 1).
+    """
+    m = int(degree) + 1
+    return -np.pi + TWO_PI * np.arange(m) / m, TWO_PI / m
 
 
 def decay_cutoff(exponent, tol=TAIL_TOL):

@@ -67,6 +67,8 @@ REJECTED = {
     "odd_specdens_gamma": ("specdens", specdens(gamma=15)),
     "odd_specdens_sweep_gamma": ("specdens", specdens(gammas="16 15")),
     "explosive_phi": ("specdens", specdens(synth="ar1", phi=1.5)),
+    "unknown_noise": ("simulate", {**with_run(), "noise": {"distribution": "cauchy"}}),
+    "low_window_order": ("simulate", {"family": {**FAMILY, "order": 2}, "run": RUN}),
     "series_shorter_than_gamma": ("specdens", specdens(n=10)),
 }
 

@@ -15,9 +15,7 @@ from decilab.moments import (
     cov_of_square_sums,
     gamma_limit,
     gamma_matrix,
-    limit_cov_squares,
     limit_cross_cov,
-    limit_variance,
     m_n_functional,
     symmetrized_limit_product,
 )
@@ -85,6 +83,14 @@ class TestCovExact:
             fam = single_level_family([k1, k2], gamma=3)
             # raises internally if the quadrature disagrees with the sum
             cov_exact(fam, 0, 0, 1, 0, 2, spectral_check=True, tol=1e-8)
+
+    @pytest.mark.parametrize("gamma,length,lag", [(64, 65, 20), (8, 200, 1000), (1, 50, 1000)])
+    def test_spectral_check_at_long_lags(self, rng, gamma, length, lag):
+        # the factor exp(i*gamma*lam*lag) oscillates far faster than the responses
+        k = TimeKernel(0, rng.standard_normal(length))
+        fam = single_level_family([k, k], gamma=gamma)
+        value = cov_exact(fam, 0, 0, 1, 0, lag, spectral_check=True)
+        assert value == cov_exact(fam, 0, 0, 1, 0, lag)
 
     def test_lag_symmetry(self, rng):
         k1 = TimeKernel(0, rng.standard_normal(6))
@@ -216,11 +222,6 @@ class TestMnFunctional:
         assert m_n_functional(g, 1) == pytest.approx(0.0, abs=1e-12)
         assert m_n_functional(g, 4) == pytest.approx(math.sqrt(TWO_PI) * math.sqrt(0.75), abs=1e-12)
 
-    def test_requires_enough_coefficients(self):
-        g = lambda lam: np.ones_like(np.asarray(lam, dtype=float))
-        with pytest.raises(ValueError):
-            m_n_functional(g, 8, n_coeffs=4)
-
     def test_lipschitz_in_l2(self, rng):
         x, w = gauss_legendre_panels(-math.pi, math.pi, panels=64, nodes=8)
         for _ in range(10):
@@ -261,7 +262,7 @@ class TestLimitQuantities:
         assert rep.value == 0.0 and rep.truncation_bound == 0.0
 
     def test_limit_variance_matches_exact_at_deep_level(self, ma_family):
-        lim = limit_variance(ma_family, 0)
+        lim = limit_cross_cov(ma_family, 0, 0, 0).value
         deep = cov_exact(ma_family, 3, 0, 0, 0, 0)
         assert lim == pytest.approx(1.0 / TWO_PI, abs=1e-4)
         assert abs(lim - deep) < 1e-4
@@ -273,7 +274,7 @@ class TestLimitQuantities:
 
     def test_modulated_limit_variance(self, two_freq):
         # cosine modulation halves the variance: limit is 1/(4*pi)
-        lim = limit_variance(two_freq, 1)
+        lim = limit_cross_cov(two_freq, 1, 1, 0).value
         deep = cov_exact(two_freq, 3, 1, 1, 0, 0)
         assert lim == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-4)
         assert abs(lim - deep) < 1e-4
@@ -337,13 +338,6 @@ class TestLimitQuantities:
                 ),
             )
             assert np.allclose(gamma_matrix(rotated).entries, base_entries, atol=1e-10)
-
-    def test_limit_cov_squares_consistency(self, ma_family, two_freq):
-        # equals twice the squared limiting covariance, for both case constants
-        for fam, i, ip in ((ma_family, 0, 0), (two_freq, 1, 1)):
-            lcc = limit_cross_cov(fam, i, ip, 0).value
-            assert limit_cov_squares(fam, i, ip, 0) == pytest.approx(2.0 * lcc ** 2, abs=1e-10)
-        assert limit_cov_squares(two_freq, 0, 1, 3) == 0.0
 
     def test_symmetrized_product_is_conjugate_symmetric(self, two_freq):
         w = symmetrized_limit_product(two_freq, 0, 1)

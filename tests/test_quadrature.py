@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 
-from decilab.quadrature import alias_sum, decay_cutoff, folding_cutoff, gauss_legendre_panels, integrate, line_integral
+from decilab.quadrature import alias_sum, decay_cutoff, folding_cutoff, gauss_legendre_panels, line_integral
 
 
 def test_gauss_legendre_exact_on_polynomials():
     # 8 nodes per panel integrate degree-15 polynomials exactly
-    val = integrate(lambda x: x ** 14, -1.0, 1.0, panels=2, nodes=8)
+    x, w = gauss_legendre_panels(-1.0, 1.0, panels=2, nodes=8)
+    val = np.sum(w * x ** 14)
     assert abs(val - 2.0 / 15.0) < 1e-14
 
 
@@ -18,7 +19,8 @@ def test_gauss_legendre_weights_sum_to_length():
 
 
 def test_oscillatory_integral():
-    val = integrate(lambda x: np.cos(7.0 * x), 0.0, np.pi, panels=32, nodes=8)
+    x, w = gauss_legendre_panels(0.0, np.pi, panels=32, nodes=8)
+    val = np.sum(w * np.cos(7.0 * x))
     assert abs(val - np.sin(7.0 * np.pi) / 7.0) < 1e-12
 
 

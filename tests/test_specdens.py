@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from decilab.kernels import make_scaled_window_family
+from decilab.kernels import eval_response, make_scaled_window_family
 from decilab.moments import cov_exact, gamma_limit
 from decilab.quadrature import gauss_legendre_panels
 from decilab.simulate import NoiseSpec, draw_noise, mix_seed, simulate_decimated
@@ -299,6 +300,28 @@ class TestLeakage:
         inside = leakage_integral(fam, 0, 1.0).value  # band around pi/2
         energy = cov_exact(fam, 0, 0, 0, 0, 0)
         assert inside < 1e-4 * energy
+
+    # at gamma 1024 the value is about 1e-15, where a cosine series of the
+    # autocorrelation cancels to rounding (2.6% off; negative at gamma 2048)
+    @pytest.mark.parametrize("gamma,panels_per_tap,tol", [(16, 8, 1e-14), (64, 8, 1e-14), (1024, 1, 1e-22)])
+    def test_matches_direct_quadrature(self, gamma, panels_per_tap, tol):
+        fam = make_scaled_window_family(make_bspline_window(4), [gamma])
+        kernel = fam.levels[0].kernels[0]
+        # baseband target: the band is [0, 0.5], the leakage the rest of [0, pi]
+        x, w = gauss_legendre_panels(0.5, math.pi, panels=panels_per_tap * kernel.length, nodes=8)
+        oracle = sum(float(np.sum(w[s:s + 512] * np.abs(eval_response(kernel, x[s:s + 512])) ** 2))
+                     for s in range(0, x.size, 512))
+        assert abs(leakage_integral(fam, 0, 0.5).value - oracle) <= tol
+
+    def test_memory_flat_in_gamma(self):
+        fam = make_scaled_window_family(make_bspline_window(4), [1024])
+        tracemalloc.start()
+        try:
+            leakage_integral(fam, 0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
 
     def test_epsilon_validation(self):
         w = make_bspline_window(4)
