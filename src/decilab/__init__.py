@@ -45,7 +45,6 @@ from .montecarlo import (
 )
 from .simulate import (
     NoiseSpec,
-    PathMatrix,
     ar1_kernel,
     draw_noise,
     mix_seed,

@@ -280,12 +280,12 @@ def _cmd_simulate(parser, out_dir, seed, digest, config_dir):
     noise = _noise_from_config(parser)
     level, _ = _get_level(parser, family)
     n = _get_int(parser, "run", "n", required=True)
-    pm = simulate.simulate_decimated(family, level, n, noise, seed)
+    z = simulate.simulate_decimated(family, level, n, noise, seed)
     with _open_out(out_dir, "path.csv") as fh:
-        fh.write(f"# level={pm.level},gamma={pm.gamma},seed={pm.seed},digest={digest}\n")
-        fh.write("k," + ",".join(f"Z_{i + 1}" for i in range(pm.n_branches)) + "\n")
-        for k in range(pm.n_coeffs):
-            fh.write(f"{k}," + ",".join(map(_fmt, pm.values[:, k])) + "\n")
+        fh.write(f"# level={level},gamma={family.levels[level].gamma},seed={seed},digest={digest}\n")
+        fh.write("k," + ",".join(f"Z_{i + 1}" for i in range(z.shape[0])) + "\n")
+        for k, column in enumerate(z.T):
+            fh.write(f"{k}," + ",".join(map(_fmt, column)) + "\n")
     return 0
 
 

@@ -2,8 +2,9 @@
 
 Replicate r always uses the seed mix(base_seed, r), and replicates are
 assembled by index, so results are identical for any worker count or
-scheduling. Parallelism is thread-based over fixed-size chunks of the
-replicate range; the heavy numpy kernels release the GIL.
+scheduling. Parallelism is thread-based: with w = min(workers, R) threads,
+thread j runs the replicates j, j + w, j + 2w, ..., so the threads' shares
+differ by at most one replicate. The heavy numpy kernels release the GIL.
 """
 
 import os
@@ -16,14 +17,20 @@ from scipy.special import ndtr
 from .moments import cov_exact, cov_of_square_sums, gamma_matrix, limit_cross_cov
 from .simulate import mix_seed, simulate_decimated
 
-CHUNK = 128  # replicates per task; fixed so scheduling cannot shift results
 KS_99 = 1.63  # ~99% quantile scale of the one-sample KS statistic
 
 
 def _worker_count(workers):
     if workers is not None:
         return max(1, int(workers))
-    return max(1, int(os.environ.get("DECILAB_THREADS", "1")))
+    value = os.environ.get("DECILAB_THREADS", "1")
+    try:
+        count = int(value)
+        if count < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"DECILAB_THREADS must be an integer >= 1, got {value!r}") from None
+    return count
 
 
 @dataclass(frozen=True)
@@ -63,14 +70,15 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed,
     samples = np.empty((n_replicates, family.n_branches))
     scale = 1.0 / np.sqrt(n)
 
-    def run_chunk(r0):
-        r1 = min(r0 + CHUNK, n_replicates)
-        for r in range(r0, r1):
-            pm = simulate_decimated(family, level, n, noise, mix_seed(base_seed, r))
-            samples[r] = (np.sum(pm.values ** 2, axis=1) - n * centers) * scale
+    n_workers = min(_worker_count(workers), n_replicates)
 
-    with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
-        list(pool.map(run_chunk, range(0, n_replicates, CHUNK)))
+    def run_share(first):
+        for r in range(first, n_replicates, n_workers):
+            z = simulate_decimated(family, level, n, noise, mix_seed(base_seed, r))
+            samples[r] = (np.sum(z ** 2, axis=1) - n * centers) * scale
+
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        list(pool.map(run_share, range(n_workers)))
     return ReplicateSet(samples, centers)
 
 

@@ -1,8 +1,13 @@
 """White-noise streams and exact realizations of decimated linear arrays.
 
-Noise values are indexed absolutely in time: xi_t is a pure function of
-(distribution, seed, t), implemented with the Philox counter-based generator
-positioned at the block containing t. Kernels with different supports, or
+xi_t is a pure function of (distribution, seed, t): w_t is the raw 64-bit
+word at position t + 2**62 of the Philox stream keyed by the seed, and with
+u_t = (w_t >> 11) * 2**-53 + 2**-54 in (0, 1), Gaussian xi_t = ndtri(u_t),
+scaled uniform xi_t = sqrt(3) * (2 * u_t - 1), Rademacher xi_t =
+2 * (w_t >> 63) - 1. Philox is counter-based, so a range is read by
+advancing the counter to the 4-word block holding its first index; for
+Philox, numpy's Generator.random computes exactly (w >> 11) * 2**-53 from
+the same words, in one pass in C. Kernels with different supports, or
 overlapping output indices, therefore consume consistent noise values, and
 results do not depend on chunking or on how work is spread across workers.
 """
@@ -48,36 +53,33 @@ def mix_seed(base_seed, index):
     return (x ^ (x >> 31)) & _MASK64
 
 
-def _raw_range(seed, lo, hi):
-    """Raw 64-bit Philox words for absolute indices lo..hi-1.
+def _stream_at(seed, lo):
+    """Philox keyed by seed at the 4-word block holding w_lo, and lo's lane in that block.
 
-    Each index maps to a fixed (counter block, lane) pair, so any chunking
-    of a range reproduces the same words. Philox emits 4 words per counter
-    increment; advance() moves the counter one block per unit.
+    advance() moves the counter one block per unit; the first lane words
+    read from it precede w_lo.
     """
     i0 = int(lo) + _T_OFFSET
-    i1 = int(hi) + _T_OFFSET
     if i0 < 0:
         raise ValueError("time index below supported range")
-    block0 = i0 >> 2
-    offset = i0 & 3
-    nblocks = ((i1 + 3) >> 2) - block0
     bg = np.random.Philox(key=int(seed) & _MASK64)
-    bg.advance(block0)
-    raw = bg.random_raw(4 * nblocks)
-    return raw[offset:offset + (i1 - i0)]
+    bg.advance(i0 >> 2)
+    return bg, i0 & 3
 
 
 def noise_values(spec, seed, lo, hi):
     """xi_t for t = lo .. hi-1; deterministic per (spec, seed, t)."""
     if hi <= lo:
         return np.empty(0, dtype=float)
-    raw = _raw_range(seed, lo, hi)
+    bg, lane = _stream_at(seed, lo)
+    n_words = lane + int(hi) - int(lo)
     if spec.distribution == "rademacher":
+        raw = bg.random_raw(n_words)[lane:]
         return 2.0 * ((raw >> np.uint64(63)).astype(float)) - 1.0
-    u = (raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54  # uniform in (0, 1)
+    u = np.random.Generator(bg).random(n_words)[lane:]
+    u += 2.0 ** -54  # uniform in (0, 1)
     if spec.distribution == "gaussian":
-        return ndtri(u)
+        return ndtri(u, out=u)
     return np.sqrt(3.0) * (2.0 * u - 1.0)
 
 
@@ -86,24 +88,6 @@ def draw_noise(spec, count, seed):
     if count < 1:
         raise ValueError("need count >= 1")
     return noise_values(spec, seed, 0, count)
-
-
-@dataclass(frozen=True)
-class PathMatrix:
-    """Realized coefficients Z[i, k] of one level of a decimated family."""
-
-    values: np.ndarray  # shape (N, n)
-    level: int
-    gamma: int
-    seed: int
-
-    @property
-    def n_branches(self):
-        return self.values.shape[0]
-
-    @property
-    def n_coeffs(self):
-        return self.values.shape[1]
 
 
 def _decimated_convolve(xi, lo, kernel, gamma, first, n):
@@ -144,7 +128,7 @@ def _decimated_convolve(xi, lo, kernel, gamma, first, n):
 
 
 def simulate_decimated(family, level, n, noise, seed):
-    """Exact realization Z[i, k] = sum_t v_{i,j}(gamma*k - t) xi_t, k < n.
+    """Exact realization Z[i, k] = sum_t v_{i,j}(gamma*k - t) xi_t, k < n: an (N, n) array.
 
     All branches share one noise stream; exactly the indices needed for the
     union of the branch supports are drawn, and each branch is one
@@ -160,7 +144,7 @@ def simulate_decimated(family, level, n, noise, seed):
     values = np.empty((family.n_branches, n), dtype=float)
     for i, kern in enumerate(lv.kernels):
         values[i] = _decimated_convolve(xi, t_lo, kern, g, 0, n)
-    return PathMatrix(values=values, level=int(level), gamma=g, seed=int(seed))
+    return values
 
 
 def simulate_linear_process(a, n, noise, seed):

@@ -87,6 +87,17 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+@pytest.mark.parametrize("command", ["clt", "cov-check", "sweep"])
+def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, command, value):
+    monkeypatch.setenv("DECILAB_THREADS", value)
+    code, out = run(tmp_path, command, CONFIGS[command])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"decilab: config error: DECILAB_THREADS must be an integer >= 1, got {value!r}\n")
+    assert not out.exists()
+
+
 def test_module_entry_point_exit_code(tmp_path):
     cfg = tmp_path / "simulate.ini"
     write_config(cfg, with_run(level=-1))

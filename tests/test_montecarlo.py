@@ -8,7 +8,8 @@ import pytest
 from scipy import stats
 
 import decilab
-from decilab.montecarlo import CHUNK, convergence_sweep, empirical_cov, normality_report, replicate_sums
+from decilab import montecarlo
+from decilab.montecarlo import convergence_sweep, empirical_cov, normality_report, replicate_sums
 from decilab.simulate import NoiseSpec
 
 GAUSS = NoiseSpec("gaussian")
@@ -39,9 +40,33 @@ def two_freq():
 
 class TestReplicateRunner:
     def test_worker_count_invariance(self, two_freq):
-        reps = 2 * CHUNK + 44  # three chunks, so both workers take some
-        runs = [replicate_sums(two_freq, 1, 20, GAUSS, reps, 77, workers=w).samples for w in (1, 2)]
-        assert np.array_equal(runs[0], runs[1])
+        # 301 replicates split unevenly over 2 and over 3 threads
+        runs = [replicate_sums(two_freq, 1, 20, GAUSS, 301, 77, workers=w).samples for w in (1, 2, 3)]
+        assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+
+    def test_threads_capped_by_replicates(self, two_freq, monkeypatch):
+        serial = replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=1).samples
+        pool_sizes = []
+
+        class InlineExecutor:
+            """Runs tasks in the calling thread and records the requested pool size."""
+
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlineExecutor)
+        capped = replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=10_000).samples
+        assert pool_sizes and all(size <= 100 for size in pool_sizes)
+        assert capped.tobytes() == serial.tobytes()
 
     def test_limit_centers_are_the_limit_variance(self):
         # order 5 puts the first zero of sinc^5 at 10*pi, past any cutoff that

@@ -344,8 +344,7 @@ class TestExpectationIdentities:
         reps, n = 4000, 8
         acc = np.zeros(n)
         for r in range(reps):
-            pm = simulate_decimated(fam, 0, n, GAUSS, mix_seed(31337, r))
-            acc += pm.values[0] ** 2
+            acc += simulate_decimated(fam, 0, n, GAUSS, mix_seed(31337, r))[0] ** 2
         means = acc / reps
         se = analytic * math.sqrt(2.0 / reps)  # sd of chi-square mean
         assert np.all(np.abs(means - analytic) < 4.0 * se)
