@@ -16,11 +16,9 @@ from .kernels import (
     TimeKernel,
     check_condition_c,
     eval_response,
-    fold,
     make_scaled_window_family,
     read_kernel,
     two_frequency_demo_family,
-    write_kernel,
 )
 from .moments import (
     GammaMatrix,
@@ -33,7 +31,6 @@ from .moments import (
     gamma_limit,
     gamma_matrix,
     limit_cross_cov,
-    m_n_functional,
 )
 from .montecarlo import (
     NormalityReport,
@@ -55,14 +52,11 @@ from .simulate import (
 )
 from .specdens import (
     SpecEstimate,
-    Window,
     asymptotic_sigma2,
     check_rate_condition,
     estimate_f0,
-    folded_window_response,
     leakage_integral,
-    make_bspline_window,
-    predict_bias,
 )
+from .windows import Window, make_bspline_window
 
 __version__ = "0.1.0"

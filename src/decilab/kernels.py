@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quadrature import TWO_PI, periodic_rule
+from .quadrature import TWO_PI
 
 INTEGER_TOL = 1e-9  # absolute tolerance for gamma*lambda / (2*pi) integrality
 
@@ -73,37 +73,20 @@ class TimeKernel:
 def eval_response(kernel, lam):
     """Frequency response (2*pi)**(-1/2) * sum_t v(t) exp(-i*lam*t).
 
-    Exact finite sum over the kernel support; 2*pi periodic in lam and
+    Exact finite sum over the kernel support by Horner's rule in
+    z = exp(-i*lam), times one exp(-i*lam*support_start) factor, so memory
+    is O(len(lam)) at any kernel length. 2*pi periodic in lam and
     conjugate-symmetric since the kernel is real. Scalar lam gives a complex
     scalar, an array gives an array.
     """
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    t = kernel.support.astype(float)
-    phases = np.exp(-1j * lam_arr[:, None] * t[None, :])
-    out = phases @ kernel.coeffs / np.sqrt(TWO_PI)
+    z = np.exp(-1j * lam_arr)
+    acc = np.zeros(lam_arr.shape, dtype=complex)
+    for c in kernel.coeffs[::-1]:
+        acc *= z
+        acc += c
+    out = acc * np.exp(-1j * kernel.support_start * lam_arr) / np.sqrt(TWO_PI)
     return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
-
-
-def fold(g, gamma, lam):
-    """sum_{p=0}^{gamma-1} g((lam + 2*pi*p) / gamma) for a 2*pi-periodic g.
-
-    The result is again 2*pi-periodic in lam, and satisfies the exchange
-    identity int_{-pi}^{pi} g = gamma**-1 * int_{-pi}^{pi} fold(g, gamma, .).
-    g must accept ndarray arguments. fold(g, 1, lam) == g(lam) exactly.
-    """
-    gamma = int(gamma)
-    if gamma < 1:
-        raise ValueError("need gamma >= 1")
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    if gamma == 1:
-        vals = np.asarray(g(lam_arr))
-    else:
-        p = np.arange(gamma, dtype=float)
-        pts = (lam_arr[None, :] + TWO_PI * p[:, None]) / gamma
-        vals = np.asarray(g(pts.ravel())).reshape(gamma, lam_arr.size).sum(axis=0)
-    if np.ndim(lam):
-        return vals.reshape(np.shape(lam))
-    return vals[0] if np.iscomplexobj(vals) else float(vals[0])
 
 
 @dataclass(frozen=True)
@@ -231,7 +214,10 @@ def _frequency_condition_failures(family, j):
 class ConditionReport:
     """Numerical audit of the concentration conditions for a family.
 
-    uniform_stats[j, i] is the grid sup of
+    failed names the frequency conditions ("even", "integer", "zero_freq",
+    "coincidence") that some level from the family threshold on breaks;
+    integer_residuals[j, i] is the distance of gamma*center / (2*pi) from
+    the nearest integer. uniform_stats[j, i] is the grid sup of
     gamma**(-1/2) |v*_{i,j}(lam)| (1 + gamma*|lam - center|)**decay on [0, pi);
     rescaled_residuals[j, i] the grid sup of
     |gamma**(-1/2) v*_{i,j}(lam/gamma + center) - limit_i(lam)|
@@ -239,21 +225,15 @@ class ConditionReport:
     with absolute values inside, a fallback that ignores the unknown phase.
     """
 
-    integer_ok: bool
+    failed: frozenset
     integer_residuals: np.ndarray
-    even_ok: bool
-    zero_freq_ok: bool
-    coincidence_ok: bool
     uniform_stats: np.ndarray
-    uniform_max: float
     rescaled_residuals: Optional[np.ndarray]
     modulus_residuals: Optional[np.ndarray]
-    limit_available: bool
-    threshold: int
 
     @property
     def frequency_conditions_ok(self):
-        return bool(self.integer_ok and self.even_ok and self.zero_freq_ok and self.coincidence_ok)
+        return not self.failed
 
 
 def check_condition_c(family, grid_size=512, rescaled_halfwidth=20.0):
@@ -273,10 +253,9 @@ def check_condition_c(family, grid_size=512, rescaled_halfwidth=20.0):
 
     n = family.n_branches
     nl = family.n_levels
-    t0 = family.threshold
 
     integer_res = np.array([integer_condition_residual(lv.gamma, lv.center_freqs) for lv in family.levels])
-    failed = {name for j in range(t0, nl) for name in _frequency_condition_failures(family, j)}
+    failed = frozenset(name for j in range(family.threshold, nl) for name in _frequency_condition_failures(family, j))
 
     # |v*| on the 2*grid_size-point DFT grid pi*m/grid_size, by one rfft of the wrapped taps
     lam_grid = np.linspace(0.0, np.pi, grid_size, endpoint=False)
@@ -292,8 +271,7 @@ def check_condition_c(family, grid_size=512, rescaled_halfwidth=20.0):
 
     rescaled = None
     modulus = None
-    available = family.limit_responses is not None
-    if available:
+    if family.limit_responses is not None:
         xi = np.linspace(-rescaled_halfwidth, rescaled_halfwidth, grid_size)
         rescaled = np.zeros((nl, n))
         modulus = np.zeros((nl, n))
@@ -306,17 +284,11 @@ def check_condition_c(family, grid_size=512, rescaled_halfwidth=20.0):
                 modulus[j, i] = np.max(np.abs(np.abs(scaled) - np.abs(lim)))
 
     return ConditionReport(
-        integer_ok="integer" not in failed,
+        failed=failed,
         integer_residuals=integer_res,
-        even_ok="even" not in failed,
-        zero_freq_ok="zero_freq" not in failed,
-        coincidence_ok="coincidence" not in failed,
         uniform_stats=uniform,
-        uniform_max=float(np.max(uniform)),
         rescaled_residuals=rescaled,
         modulus_residuals=modulus,
-        limit_available=available,
-        threshold=t0,
     )
 
 
@@ -401,27 +373,6 @@ def two_frequency_demo_family(prototype, gammas, high_freq=np.pi / 2):
         limit_responses=(base.limit_responses[0], mod.limit_responses[0]),
         name=f"two-frequency:{getattr(prototype, 'name', 'window')}",
     )
-
-
-def parseval_gap(kernel):
-    """|int |v*|^2 d lam - sum v(t)^2| on (-pi, pi); quadrature diagnostic.
-
-    |v*|^2 is a trigonometric polynomial of degree length - 1, which
-    periodic_rule integrates exactly.
-    """
-    x, w = periodic_rule(kernel.length - 1)
-    integral = float(np.sum(w * np.abs(eval_response(kernel, x)) ** 2))
-    return abs(integral - kernel.energy)
-
-
-def write_kernel(kernel, path_or_file):
-    """Plain-text exchange format: support_start line, then one coefficient per line."""
-    text = "\n".join([str(kernel.support_start)] + [repr(float(c)) for c in kernel.coeffs]) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
 
 
 def read_kernel(path_or_file):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import eval_response
-from .quadrature import TWO_PI, alias_sum_norm_sq, line_integral, periodic_rule
+from .quadrature import alias_sum_norm_sq, line_integral, periodic_rule
 
 IMAG_TOL = 1e-8
 PSD_TOL = 1e-8
@@ -206,32 +206,6 @@ def cov_of_square_sums(family, level, i, ip, n, noise):
     return 2.0 * a_term(family, level, i, ip, n) + noise.kurtosis_excess * b_term(
         family, level, i, ip, n
     )
-
-
-def m_n_functional(g, n):
-    """Triangular-weighted l2 norm of the Fourier coefficients of g.
-
-    M_n(g) = sqrt( sum_{|k| < n} (1 - |k|/n) |c_k|^2 ) with
-    c_k = (2*pi)**-0.5 * int_{-pi}^{pi} g(lam) exp(i*k*lam) dlam. This is
-    Lipschitz with constant 1 for the L2(-pi, pi) norm and increases to that
-    norm as n grows. Coefficients come from a trapezoid rule on the periodic
-    interval (spectrally accurate for smooth g); the node count is at least
-    2048 and always exceeds twice the largest coefficient index to keep the
-    needed coefficients alias-free.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    k_max = n - 1
-    nodes = 2048
-    while nodes < 2 * (k_max + 1):
-        nodes *= 2
-    lam = -np.pi + TWO_PI * np.arange(nodes) / nodes
-    vals = np.asarray(g(lam), dtype=complex)
-    spec = np.fft.ifft(vals)  # spec[k] = (1/M) sum_m g_m exp(+2i*pi*k*m/M)
-    k = np.arange(-k_max, k_max + 1)
-    c = np.sqrt(TWO_PI) * (-1.0) ** np.abs(k) * spec[np.mod(k, nodes)]
-    weights = 1.0 - np.abs(k) / n
-    return float(np.sqrt(np.sum(weights * np.abs(c) ** 2)))
 
 
 def gamma_limit(family, i, ip, tol=1e-10):

@@ -21,15 +21,16 @@ KS_99 = 1.63  # ~99% quantile scale of the one-sample KS statistic
 
 
 def _worker_count(workers):
-    if workers is not None:
-        return max(1, int(workers))
-    value = os.environ.get("DECILAB_THREADS", "1")
+    if workers is None:
+        source, value = "DECILAB_THREADS", os.environ.get("DECILAB_THREADS", "1")
+    else:
+        source, value = "workers", workers
     try:
         count = int(value)
         if count < 1:
             raise ValueError
     except ValueError:
-        raise ValueError(f"DECILAB_THREADS must be an integer >= 1, got {value!r}") from None
+        raise ValueError(f"{source} must be an integer >= 1, got {value!r}") from None
     return count
 
 

@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .quadrature import TWO_PI, alias_sum, alias_sum_norm_sq, gauss_legendre_panels, line_integral
+from .kernels import eval_response
+from .quadrature import alias_sum_norm_sq, gauss_legendre_panels
 from .simulate import windowed_coefficients
-from .windows import Window, make_bspline_window, validate_window  # noqa: F401  (module surface)
 
 DEFAULT_RATE_THRESHOLD = 0.1
 
@@ -53,38 +53,12 @@ class RateCheck:
 
 
 @dataclass(frozen=True)
-class BiasPrediction:
-    """Order marker (and, when data is supplied, fitted slope) of the bias."""
-
-    supported: bool
-    order_exponent: float
-    slope: Optional[float] = None
-    biases: Optional[np.ndarray] = None
-    leading_constant: Optional[float] = None
-    message: str = ""
-
-
-@dataclass(frozen=True)
 class LeakageReport:
     """Spectral mass of a level response outside a band around its target."""
 
     value: float
     epsilon: float
     scaled: Optional[float] = None  # sqrt(n_j) * value when n_j was given
-
-
-def folded_window_response(window, gamma, lam, tol=1e-10):
-    """sum_p gamma**0.5 * What(gamma*(lam + 2*pi*p)), 2*pi-periodic in lam.
-
-    The alias sum is truncated by alias_sum with the window decay exponent.
-    """
-    gamma = int(gamma)
-    if gamma < 2 or gamma % 2 != 0:
-        raise ValueError("need an even decimation factor gamma >= 2")
-    folded, _ = alias_sum(lambda x: np.sqrt(gamma) * window.transform(gamma * x), window.decay, tol)
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    vals = folded(lam_arr - TWO_PI * np.round(lam_arr / TWO_PI))  # exact periodicity
-    return vals.reshape(np.shape(lam)) if np.ndim(lam) else complex(vals[0])
 
 
 def asymptotic_sigma2(window, f0, tol=1e-10):
@@ -150,68 +124,20 @@ def estimate_f0(x, window, gamma, rate_threshold=DEFAULT_RATE_THRESHOLD):
     )
 
 
-def transform_second_moment(window, tol=1e-10):
-    """int xi^2 |What(xi)|^2 dxi, the curvature weight of the leading bias."""
-    return float(line_integral(lambda x: x * x * np.abs(window.transform(x)) ** 2, 2.0 * window.decay - 2.0, tol)[0])
-
-
-def predict_bias(window, gammas, means=None, f0=None, curvature=None):
-    """Order marker of the expectation error, with optional fitted slope.
-
-    The expectation of the estimator misses f(0) by O(gamma**-2) when the
-    window decay exceeds 2; windows with decay <= 2 are flagged as outside
-    the hypotheses rather than fitted. Given per-gamma expectations (means,
-    analytic or simulated) and the target f0, the log-log slope of
-    |mean - f0| against gamma is fitted. Given the quadratic constant of
-    the spectral density at zero, the leading bias constant
-    curvature * int xi^2 |What|^2 dxi is reported, so the prediction is
-    leading_constant * gamma**-2.
-    """
-    if window.decay <= 2.0:
-        return BiasPrediction(
-            supported=False,
-            order_exponent=-2.0,
-            message="outside estimator hypotheses: need window decay > 2",
-        )
-    slope = None
-    biases = None
-    if means is not None:
-        if f0 is None:
-            raise ValueError("need the target f0 together with means")
-        gammas = np.asarray(gammas, dtype=float)
-        means = np.asarray(means, dtype=float)
-        if gammas.size != means.size or gammas.size < 2:
-            raise ValueError("need one mean per gamma and at least two gammas")
-        biases = means - f0
-        mags = np.abs(biases)
-        if np.any(mags == 0.0):
-            raise ValueError("zero bias encountered; slope undefined")
-        slope = float(np.polyfit(np.log(gammas), np.log(mags), 1)[0])
-    leading = None
-    if curvature is not None:
-        leading = float(curvature) * transform_second_moment(window)
-    return BiasPrediction(
-        supported=True,
-        order_exponent=-2.0,
-        slope=slope,
-        biases=biases,
-        leading_constant=leading,
-    )
-
-
 def leakage_integral(family, level, epsilon, n_j=None, branch=0):
     """Spectral energy of a level response outside the band |lam - target| <= epsilon.
 
     I = int_0^pi 1{|lam - target| > epsilon} |v*(lam)|^2 dlam by panelwise
     quadrature on the (up to two) sub-intervals, so the indicator introduces
-    no discontinuity into any panel. Horner's rule in exp(-i*lam) sums v* in
-    O(nodes) memory and keeps |v*|^2 accurate far below the energy, where a
-    closed form through the autocorrelation cancels to rounding. When n_j is
-    given, sqrt(n_j) * I is reported too; the local CLT needs it to vanish.
+    no discontinuity into any panel. v* comes from eval_response (Horner's
+    rule, O(nodes) memory), which keeps |v*|^2 accurate far below the
+    energy, where a closed form through the autocorrelation cancels to
+    rounding. When n_j is given, sqrt(n_j) * I is reported too; the local
+    CLT needs it to vanish.
     """
     if epsilon <= 0.0:
         raise ValueError("need epsilon > 0")
-    coeffs = family.levels[level].kernels[branch].coeffs
+    kernel = family.levels[level].kernels[branch]
     target = family.limit_freqs[branch]
     segments = []
     if target - epsilon > 0.0:
@@ -221,12 +147,8 @@ def leakage_integral(family, level, epsilon, n_j=None, branch=0):
     total = 0.0
     for a, b in segments:
         # |v*|^2 has degree L - 1: panels of width pi/(2L) hold a quarter period of its top frequency
-        x, w = gauss_legendre_panels(a, b, panels=max(8, int(2 * coeffs.size * (b - a) / np.pi)))
-        z, acc = np.exp(-1j * x), np.zeros(x.size, dtype=complex)
-        for c in coeffs[::-1]:
-            acc *= z
-            acc += c
-        total += float(np.sum(w * np.abs(acc) ** 2)) / TWO_PI
+        x, w = gauss_legendre_panels(a, b, panels=max(8, int(2 * kernel.length * (b - a) / np.pi)))
+        total += float(np.sum(w * np.abs(eval_response(kernel, x)) ** 2))
     return LeakageReport(
         value=total,
         epsilon=float(epsilon),

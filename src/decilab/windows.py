@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import TWO_PI, gauss_legendre_panels, line_integral
+from .quadrature import TWO_PI, gauss_legendre_panels
 
 
 @dataclass(frozen=True)
@@ -85,23 +85,3 @@ def make_bspline_window(order):
         support=(-1.0, 0.0),
     )
 
-
-def validate_window(window, norm_tol=1e-6):
-    """Check the window contract; raises ValueError on violation.
-
-    Verifies support containment in [-1, 0] and unit L2 norm of the
-    transform. The norm integral is truncated by line_integral with the tail
-    below norm_tol / 10. Returns a dict with the measured quantities.
-    """
-    lo, hi = window.support
-    if lo < -1.0 or hi > 0.0:
-        raise ValueError("window support must be contained in [-1, 0]")
-    outside = np.array([-1.001, 0.001])
-    if np.any(np.abs(window.evaluate(outside)) > 0.0):
-        raise ValueError("window does not vanish outside [-1, 0]")
-
-    norm, tail_bound = line_integral(lambda x: np.abs(window.transform(x)) ** 2, 2.0 * window.decay, 0.1 * norm_tol)
-    if abs(norm - 1.0) > norm_tol:
-        raise ValueError(f"transform L2 norm is {norm:.8f}, expected 1 within {norm_tol:g}")
-
-    return {"l2_norm": norm, "l2_tail_bound": tail_bound}

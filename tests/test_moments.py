@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decilab.kernels import TimeKernel, eval_response, fold, make_scaled_window_family, two_frequency_demo_family
+from decilab.kernels import TimeKernel, eval_response, make_scaled_window_family, two_frequency_demo_family
 from decilab.moments import (
     GammaMatrix,
     a_term,
@@ -16,7 +16,6 @@ from decilab.moments import (
     gamma_limit,
     gamma_matrix,
     limit_cross_cov,
-    m_n_functional,
     symmetrized_limit_product,
 )
 from decilab.quadrature import gauss_legendre_panels
@@ -24,6 +23,7 @@ from decilab.simulate import NoiseSpec, ar1_kernel
 from decilab.windows import make_bspline_window
 
 from conftest import random_trig_poly, single_level_family
+from oracles import fold, m_n_functional
 
 TWO_PI = 2.0 * math.pi
 GAUSS = NoiseSpec("gaussian")

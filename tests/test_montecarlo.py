@@ -33,6 +33,16 @@ def test_import_loads_neither_scipy_stats_nor_signal():
     assert out.stdout.strip() == "[]"
 
 
+def test_package_exports_no_test_oracles():
+    # test-only oracles live in tests/oracles.py; the bias predictor and kernel writer are gone
+    src = str(Path(decilab.__file__).resolve().parents[1])
+    names = ("fold", "m_n_functional", "folded_window_response", "predict_bias", "write_kernel")
+    code = f"import decilab; print([n for n in {names!r} if hasattr(decilab, n)])"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.fixture(scope="module")
 def two_freq():
     return decilab.two_frequency_demo_family(decilab.make_bspline_window(4), [16, 32])
@@ -43,6 +53,11 @@ class TestReplicateRunner:
         # 301 replicates split unevenly over 2 and over 3 threads
         runs = [replicate_sums(two_freq, 1, 20, GAUSS, 301, 77, workers=w).samples for w in (1, 2, 3)]
         assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, two_freq, workers):
+        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {workers}"):
+            replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=workers)
 
     def test_threads_capped_by_replicates(self, two_freq, monkeypatch):
         serial = replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=1).samples
