@@ -17,6 +17,7 @@ Config schema (sections and keys; unknown keys are rejected):
   [experiment]  command (optional, must match the subcommand), seed, out
   [family]      type = bspline_ma | two_frequency | files
                 order, gammas, modulation          (built-in types)
+                built-in gammas: increasing, even, >= 1; multiples of 4 for two_frequency
                 decay, limit_freqs, threshold,
                 gamma.<j>, kernels.<j>, freqs.<j>  (type = files)
   [noise]       distribution = gaussian | rademacher | scaled_uniform
@@ -153,8 +154,6 @@ def _family_from_config(parser, config_dir):
     if ftype in ("bspline_ma", "two_frequency"):
         order = _get_int(parser, "family", "order", 4)
         gammas = _get_values(parser, "family", "gammas", int, required=True)
-        if any(g % 2 for g in gammas):
-            raise ConfigError("family gammas must be even")
         window = make_bspline_window(order)
         if ftype == "bspline_ma":
             modulation = _get_float(parser, "family", "modulation", 0.0)
@@ -178,8 +177,6 @@ def _family_from_config(parser, config_dir):
                 kernels.append(read_kernel(kpath))
             levels.append(FamilyLevel(gamma=gamma, kernels=tuple(kernels), center_freqs=np.array(freqs)))
             j += 1
-        if not levels:
-            raise ConfigError("family type 'files' needs at least one gamma.<j> level")
         return DecimatedFamily(
             levels=tuple(levels),
             limit_freqs=np.array(limit_freqs),
@@ -339,6 +336,8 @@ def _cmd_specdens(parser, out_dir, seed, digest, config_dir):
     threshold = _get_float(parser, "tolerances", "rate_threshold", specdens.DEFAULT_RATE_THRESHOLD)
     series, target = _series_from_config(parser, config_dir, seed)
     gammas = _get_values(parser, "specdens", "gammas", int)
+    if gammas == []:
+        raise ConfigError("[specdens] gammas is empty")
     gamma = _get_int(parser, "specdens", "gamma", gammas[-1] if gammas else None, required=gammas is None)
     sweep = [specdens.estimate_f0(series, window, g, rate_threshold=threshold) for g in gammas or ()]
     est = next((e for e in sweep if e.gamma == gamma), None) or specdens.estimate_f0(

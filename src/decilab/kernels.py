@@ -18,12 +18,24 @@ import numpy as np
 from .quadrature import TWO_PI
 
 INTEGER_TOL = 1e-9  # absolute tolerance for gamma*lambda / (2*pi) integrality
+RESCALED_HALFWIDTH = 20.0  # check_condition_c compares rescaled responses on [-20, 20]
 
 
 def _as_readonly(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _require_gamma(gamma):
+    if not gamma >= 1:
+        raise ValueError(f"need gamma >= 1, got {gamma}")
+
+
+def _require_band(freqs, kind):
+    freqs = np.asarray(freqs, dtype=float)
+    if not np.all((freqs >= 0.0) & (freqs < np.pi)):  # NaN fails both comparisons
+        raise ValueError(f"{kind} frequencies must lie in [0, pi)")
 
 
 @dataclass(frozen=True)
@@ -101,12 +113,10 @@ class FamilyLevel:
         object.__setattr__(self, "gamma", int(self.gamma))
         object.__setattr__(self, "kernels", tuple(self.kernels))
         object.__setattr__(self, "center_freqs", _as_readonly(self.center_freqs))
-        if self.gamma < 1:
-            raise ValueError("need gamma >= 1")
+        _require_gamma(self.gamma)
         if len(self.kernels) != self.center_freqs.size:
             raise ValueError("one center frequency per kernel required")
-        if np.any(self.center_freqs < 0.0) or np.any(self.center_freqs >= np.pi):
-            raise ValueError("center frequencies must lie in [0, pi)")
+        _require_band(self.center_freqs, "center")
 
 
 def integer_condition_residual(gamma, lam):
@@ -124,11 +134,10 @@ class DecimatedFamily:
     (1 + gamma*|lam - center|)**(-delta). limit_responses, when present, are
     vectorized callables on the real line giving the rescaled limits.
 
-    Structural conditions (even gamma, integer condition, frequency
-    coincidences) are required only from level index `threshold` on. With
-    strict=False the constructor skips those checks, which allows building
-    deliberately violating families for diagnostic use; check_condition_c
-    reports the violations either way.
+    The constructor is the one place the family rules are checked. The
+    frequency conditions (even gamma, integer condition, zero frequency,
+    coincidence) bind from level `threshold` on; strict=False skips them to
+    build violating families for check_condition_c to report.
     """
 
     levels: tuple
@@ -144,9 +153,22 @@ class DecimatedFamily:
         object.__setattr__(self, "limit_freqs", _as_readonly(self.limit_freqs))
         if self.limit_responses is not None:
             object.__setattr__(self, "limit_responses", tuple(self.limit_responses))
-        self._validate_structure()
+        if not self.levels:
+            raise ValueError("need at least one level")
+        if any(len(lv.kernels) != self.n_branches for lv in self.levels):
+            raise ValueError("every level must carry one kernel per branch")
+        if np.any(np.diff(self.gammas) <= 0):
+            raise ValueError("gamma must be strictly increasing across levels")
+        if not self.decay > 0.5:
+            raise ValueError("need decay > 1/2")
+        _require_band(self.limit_freqs, "limit")
+        if self.limit_responses is not None and len(self.limit_responses) != self.n_branches:
+            raise ValueError("one limit response per branch required")
         if self.strict:
-            self.validate_conditions()
+            for j in range(self.threshold, self.n_levels):
+                failures = _frequency_condition_failures(self, j)
+                if failures:
+                    raise ValueError(next(iter(failures.values())))
 
     @property
     def n_branches(self):
@@ -159,30 +181,6 @@ class DecimatedFamily:
     @property
     def gammas(self):
         return np.array([lv.gamma for lv in self.levels])
-
-    def _validate_structure(self):
-        if not self.levels:
-            raise ValueError("need at least one level")
-        n = self.n_branches
-        for lv in self.levels:
-            if len(lv.kernels) != n:
-                raise ValueError("every level must carry one kernel per branch")
-        g = self.gammas
-        if np.any(np.diff(g) <= 0):
-            raise ValueError("gamma must be strictly increasing across levels")
-        if self.decay <= 0.5:
-            raise ValueError("need decay > 1/2")
-        if np.any(self.limit_freqs < 0.0) or np.any(self.limit_freqs >= np.pi):
-            raise ValueError("limit frequencies must lie in [0, pi)")
-        if self.limit_responses is not None and len(self.limit_responses) != n:
-            raise ValueError("one limit response per branch required")
-
-    def validate_conditions(self):
-        """Enforce the level conditions from the threshold level on."""
-        for j in range(self.threshold, self.n_levels):
-            failures = _frequency_condition_failures(self, j)
-            if failures:
-                raise ValueError(next(iter(failures.values())))
 
 
 def _frequency_condition_failures(family, j):
@@ -236,14 +234,14 @@ class ConditionReport:
         return not self.failed
 
 
-def check_condition_c(family, grid_size=512, rescaled_halfwidth=20.0):
+def check_condition_c(family, grid_size=512):
     """Audit a family against the concentration conditions on finite grids.
 
     Checks (a) the arithmetic conditions on gammas and center frequencies
     from the family threshold on, (b) the uniform envelope statistic per
     level and branch over a [0, pi) grid, (c) when limit responses are
     present, the sup-norm residual of the rescaled response against its
-    limit over [-rescaled_halfwidth, rescaled_halfwidth]. Missing limit
+    limit over [-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH]. Missing limit
     responses mark the residuals as unavailable instead of failing.
     """
     if family.n_levels < 2:
@@ -272,7 +270,7 @@ def check_condition_c(family, grid_size=512, rescaled_halfwidth=20.0):
     rescaled = None
     modulus = None
     if family.limit_responses is not None:
-        xi = np.linspace(-rescaled_halfwidth, rescaled_halfwidth, grid_size)
+        xi = np.linspace(-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH, grid_size)
         rescaled = np.zeros((nl, n))
         modulus = np.zeros((nl, n))
         for j, lv in enumerate(family.levels):
@@ -300,79 +298,53 @@ def snapped_center_freq(gamma, target):
     return TWO_PI * q / gamma
 
 
-def make_scaled_window_family(prototype, gammas, modulation_freq=0.0, name=None):
-    """Family whose level-j kernel samples a window profile at scale gamma_j.
+def _window_family(prototype, gammas, freqs, name):
+    """One branch per limit frequency f, sampling the window at every scale gamma.
 
-    For modulation_freq == 0 the kernel is v_j(t) = gamma**-0.5 * W(t/gamma)
-    on the sampled support; for a positive modulation frequency the same is
-    multiplied by cos(center*t) where center snaps gamma*center onto 2*pi*Z
-    exactly (integer condition by construction). The limiting rescaled
-    response is What / sqrt(2*pi), halved under modulation because the
-    cosine splits the passband across +-center.
+    Branch f at level gamma carries v(t) = gamma**-0.5 * W(t/gamma) * cos(c*t)
+    on t = -gamma..0, c = snapped_center_freq(gamma, f) (0 for f = 0). Its limit
+    response is What / sqrt(2*pi), halved for f > 0 as the cosine splits the
+    passband across +-c. Inputs are checked before sampling; DecimatedFamily
+    enforces the family rules.
     """
-    if not 0.0 <= modulation_freq < np.pi:
-        raise ValueError("modulation frequency must lie in [0, pi)")
-    gammas = [int(g) for g in gammas]
-    if any(g % 2 != 0 for g in gammas):
-        raise ValueError("gamma values must be even")
-    if any(b <= a for a, b in zip(gammas, gammas[1:])) or len(gammas) == 0:
-        raise ValueError("gamma values must be strictly increasing and nonempty")
-
+    _require_band(freqs, "limit")
     levels = []
-    for g in gammas:
+    for g in map(int, gammas):
+        _require_gamma(g)
         t = np.arange(-g, 1)
-        coeffs = prototype.evaluate(t / g) / np.sqrt(g)
-        if modulation_freq > 0.0:
-            center = snapped_center_freq(g, modulation_freq)
-            coeffs = coeffs * np.cos(center * t)
-        else:
-            center = 0.0
-        levels.append(FamilyLevel(gamma=g, kernels=(TimeKernel(-g, coeffs),), center_freqs=np.array([center])))
+        profile = prototype.evaluate(t / g) / np.sqrt(g)
+        centers = np.array([snapped_center_freq(g, f) for f in freqs])
+        kernels = tuple(TimeKernel(-g, profile * np.cos(c * t)) for c in centers)
+        levels.append(FamilyLevel(gamma=g, kernels=kernels, center_freqs=centers))
 
-    transform = prototype.transform
-    if modulation_freq > 0.0:
-        limit = lambda lam: 0.5 * transform(np.asarray(lam, dtype=float)) / np.sqrt(TWO_PI)
-    else:
-        limit = lambda lam: transform(np.asarray(lam, dtype=float)) / np.sqrt(TWO_PI)
-
+    limit = lambda lam: prototype.transform(np.asarray(lam, dtype=float)) / np.sqrt(TWO_PI)
+    halved = lambda lam: 0.5 * prototype.transform(np.asarray(lam, dtype=float)) / np.sqrt(TWO_PI)
     return DecimatedFamily(
         levels=tuple(levels),
-        limit_freqs=np.array([modulation_freq]),
+        limit_freqs=np.array(freqs, dtype=float),
         decay=float(prototype.decay),
-        limit_responses=(limit,),
-        name=name or f"scaled:{getattr(prototype, 'name', 'window')}@{modulation_freq:g}",
+        limit_responses=tuple(halved if f > 0.0 else limit for f in freqs),
+        name=name,
     )
 
 
-def two_frequency_demo_family(prototype, gammas, high_freq=np.pi / 2):
-    """Two-branch family: one baseband branch, one modulated at high_freq.
+def make_scaled_window_family(prototype, gammas, modulation_freq=0.0):
+    """One-branch window family, modulated when modulation_freq > 0 (see _window_family).
 
-    Both branches reuse the same window profile and noise stream; the limit
-    frequencies differ, so the limiting covariance between the branches'
-    square-sums vanishes. gammas must make gamma*high_freq / (2*pi) integral
-    (multiples of 4 for the default pi/2).
+    gammas must be increasing, >= 1 and even; modulation_freq lies in [0, pi).
     """
-    gammas = [int(g) for g in gammas]
-    base = make_scaled_window_family(prototype, gammas, 0.0)
-    mod = make_scaled_window_family(prototype, gammas, high_freq)
-    levels = []
-    for lv0, lv1 in zip(base.levels, mod.levels):
-        if lv1.center_freqs[0] != high_freq:
-            raise ValueError("gamma does not make the high frequency exact; use multiples of 2*pi/high_freq")
-        levels.append(
-            FamilyLevel(
-                gamma=lv0.gamma,
-                kernels=(lv0.kernels[0], lv1.kernels[0]),
-                center_freqs=np.array([0.0, high_freq]),
-            )
-        )
-    return DecimatedFamily(
-        levels=tuple(levels),
-        limit_freqs=np.array([0.0, high_freq]),
-        decay=float(prototype.decay),
-        limit_responses=(base.limit_responses[0], mod.limit_responses[0]),
-        name=f"two-frequency:{getattr(prototype, 'name', 'window')}",
-    )
+    return _window_family(prototype, gammas, (modulation_freq,), f"scaled:{prototype.name}@{modulation_freq:g}")
+
+
+def two_frequency_demo_family(prototype, gammas):
+    """Baseband branch plus a branch modulated at pi/2, from one window (see _window_family).
+
+    The limit frequencies differ, so the limiting covariance of the two square-sums
+    vanishes. gamma*pi/2 in 2*pi*Z needs gammas that are multiples of 4.
+    """
+    if any(int(g) % 4 for g in gammas):
+        raise ValueError("two-frequency gammas must be multiples of 4")
+    return _window_family(prototype, gammas, (0.0, np.pi / 2), f"two-frequency:{prototype.name}")
 
 
 def read_kernel(path_or_file):

@@ -33,17 +33,19 @@ class Window:
 def bspline_value(order, x):
     """Cardinal B-spline of the given order, supported on [0, order].
 
-    Cox-de Boor recursion; order 1 is the indicator of [0, 1), order m is the
-    m-fold self-convolution of it (a piecewise polynomial of degree m-1).
+    Order 1 is the indicator of [0, 1), order m the m-fold self-convolution
+    of it (a piecewise polynomial of degree m-1). Cox-de Boor recursion, run
+    as a triangle over x, x-1, ..., x-(order-1): O(order**2) array operations.
     """
     if order < 1:
         raise ValueError("need order >= 1")
-    x = np.asarray(x, dtype=float)
-    if order == 1:
-        return ((x >= 0.0) & (x < 1.0)).astype(float)
-    b0 = bspline_value(order - 1, x)
-    b1 = bspline_value(order - 1, x - 1.0)
-    return (x * b0 + (order - x) * b1) / (order - 1.0)
+    shifted = [np.asarray(x, dtype=float)]
+    for _ in range(order - 1):
+        shifted.append(shifted[-1] - 1.0)  # repeated subtraction, as the recursion forms y-1
+    b = [((y >= 0.0) & (y < 1.0)).astype(float) for y in shifted]
+    for k in range(2, order + 1):
+        b = [(y * b0 + (k - y) * b1) / (k - 1.0) for y, b0, b1 in zip(shifted, b, b[1:])]
+    return b[0]
 
 
 def bspline_l2_norm_sq(order):

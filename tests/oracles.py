@@ -3,7 +3,8 @@
 They check identities of the library's exact time-domain sums: A(n) =
 M_n(g)**2 for the folded product of two responses, Parseval for
 eval_response, the alias structure of a scaled window, and the unit L2
-norm of a window transform. Imported as `from oracles import ...`, like
+norm of a window transform; the two-term recursion is the reference for
+the B-spline values. Imported as `from oracles import ...`, like
 conftest; the file name keeps pytest from collecting it.
 """
 
@@ -105,3 +106,16 @@ def validate_window(window, norm_tol=1e-6):
         raise ValueError(f"transform L2 norm is {norm:.8f}, expected 1 within {norm_tol:g}")
 
     return {"l2_norm": norm, "l2_tail_bound": tail_bound}
+
+
+def bspline_recursive(order, x):
+    """Cardinal B-spline by the two-term Cox-de Boor recursion, 2**(order-1) calls.
+
+    The reference for windows.bspline_value, which must agree bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    if order == 1:
+        return ((x >= 0.0) & (x < 1.0)).astype(float)
+    b0 = bspline_recursive(order - 1, x)
+    b1 = bspline_recursive(order - 1, x - 1.0)
+    return (x * b0 + (order - x) * b1) / (order - 1.0)

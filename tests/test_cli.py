@@ -11,6 +11,11 @@ import decilab
 from decilab.cli import main
 
 FAMILY = {"type": "two_frequency", "order": 4, "gammas": "16 32"}
+SCALED = {"type": "bspline_ma", "order": 4, "gammas": "16 32"}
+KERNEL = "kernel.txt"  # written next to every test config by write_kernel
+FILES = {"type": "files", "decay": 1.0, "limit_freqs": "0",
+         "gamma.0": 2, "kernels.0": KERNEL, "freqs.0": 0,
+         "gamma.1": 4, "kernels.1": KERNEL, "freqs.1": 0}
 RUN = {"level": 1, "n": 20, "replicates": 150}
 CONFIGS = {
     "simulate": {"family": FAMILY, "run": RUN},
@@ -45,8 +50,16 @@ def run(tmp_path, command, sections, tag="out", seed=5):
     return main([command, "--config", str(cfg), "--out", str(out)]), out
 
 
+def write_kernel(tmp_path):
+    (tmp_path / KERNEL).write_text("-1\n0.5\n1.0\n0.5\n", encoding="utf-8")
+
+
 def with_run(**changes):
     return {"family": FAMILY, "run": {**RUN, **changes}}
+
+
+def with_family(base=FAMILY, **changes):
+    return {"family": {**base, **changes}, "run": RUN}
 
 
 def specdens(**changes):
@@ -70,12 +83,22 @@ REJECTED = {
     "unknown_noise": ("simulate", {**with_run(), "noise": {"distribution": "cauchy"}}),
     "low_window_order": ("simulate", {"family": {**FAMILY, "order": 2}, "run": RUN}),
     "series_shorter_than_gamma": ("specdens", specdens(n=10)),
+    "empty_specdens_gammas": ("specdens", {"specdens": {"window_order": 4, "gammas": "", "synth": "white",
+                                                        "n": 4096}}),
+    "zero_family_gamma": ("simulate", with_family(gammas="0 16")),
+    "negative_family_gamma": ("simulate", with_family(SCALED, gammas="-2 16")),
+    "odd_family_gamma": ("simulate", with_family(SCALED, gammas="15 16")),
+    "decreasing_family_gammas": ("simulate", with_family(SCALED, gammas="32 16")),
+    "nan_modulation": ("simulate", with_family(SCALED, modulation="nan")),
+    "nan_limit_freq": ("simulate", with_family(FILES, limit_freqs="nan")),
+    "nan_decay": ("simulate", with_family(FILES, decay="nan")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, case):
     command, sections = REJECTED[case]
+    write_kernel(tmp_path)
     with warnings.catch_warnings(record=True) as caught:  # under pytest, warnings never reach stderr
         warnings.simplefilter("always")
         code, out = run(tmp_path, command, sections)
@@ -83,8 +106,16 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, case):
     assert not caught and "Warning" not in err
     assert code == 2
     assert err.startswith("decilab: config error: ")
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_files_family_runs(tmp_path):
+    # the control for the nan_* cases above: the same family with finite values runs
+    write_kernel(tmp_path)
+    code, out = run(tmp_path, "simulate", with_family(FILES))
+    assert code == 0 and (out / "path.csv").is_file()
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])

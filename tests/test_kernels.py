@@ -178,6 +178,22 @@ class TestFamilyValidation:
         lv = FamilyLevel(gamma=2, kernels=(k,), center_freqs=np.zeros(1))
         with pytest.raises(ValueError):
             DecimatedFamily(levels=(lv,), limit_freqs=np.zeros(1), decay=0.5)
+        with pytest.raises(ValueError, match="decay"):
+            DecimatedFamily(levels=(lv,), limit_freqs=np.zeros(1), decay=math.nan)
+
+    def test_nan_frequencies_rejected(self):
+        k = TimeKernel(0, np.array([1.0]))
+        with pytest.raises(ValueError, match="center frequencies"):
+            FamilyLevel(gamma=2, kernels=(k,), center_freqs=np.array([math.nan]))
+        lv = FamilyLevel(gamma=2, kernels=(k,), center_freqs=np.zeros(1))
+        with pytest.raises(ValueError, match="limit frequencies"):
+            DecimatedFamily(levels=(lv,), limit_freqs=np.array([math.nan]), decay=1.0, strict=False)
+
+    def test_gamma_at_least_one(self):
+        k = TimeKernel(0, np.array([1.0]))
+        for gamma in (0, -2):
+            with pytest.raises(ValueError, match="gamma >= 1"):
+                FamilyLevel(gamma=gamma, kernels=(k,), center_freqs=np.zeros(1))
 
 
 class TestScaledWindowFamily:
@@ -212,6 +228,39 @@ class TestScaledWindowFamily:
             make_scaled_window_family(w, [8, 16], math.pi)
         with pytest.raises(ValueError):
             make_scaled_window_family(w, [8, 16], -0.1)
+        with pytest.raises(ValueError, match="limit frequencies"):
+            make_scaled_window_family(w, [8, 16], math.nan)
+
+    @pytest.mark.parametrize("gammas,match", [
+        ([0, 16], "gamma >= 1"),
+        ([-2, 16], "gamma >= 1"),
+        ([7, 16], "even"),
+        ([16, 8], "strictly increasing"),
+        ([], "at least one level"),
+    ])
+    def test_rejects_bad_ladder(self, gammas, match):
+        # the ladder rules live in FamilyLevel/DecimatedFamily; gamma < 1 is refused before t / gamma
+        with pytest.raises(ValueError, match=match):
+            make_scaled_window_family(make_bspline_window(4), gammas)
+
+    def test_two_frequency_needs_multiples_of_4(self):
+        w = make_bspline_window(4)
+        for gammas in ([8, 18], [6, 16]):
+            with pytest.raises(ValueError, match="multiples of 4"):
+                two_frequency_demo_family(w, gammas)
+
+    def test_two_frequency_branches_are_the_scaled_families(self):
+        w = make_bspline_window(5)
+        gammas = [8, 16, 32]
+        fam = two_frequency_demo_family(w, gammas)
+        lam = np.linspace(-30.0, 30.0, 301)
+        for branch, freq in enumerate((0.0, math.pi / 2)):
+            single = make_scaled_window_family(w, gammas, freq)
+            for lv, lv1 in zip(fam.levels, single.levels):
+                assert lv.center_freqs[branch] == lv1.center_freqs[0]
+                assert np.array_equal(lv.kernels[branch].coeffs, lv1.kernels[0].coeffs)
+            assert np.array_equal(fam.limit_responses[branch](lam), single.limit_responses[0](lam))
+        assert fam.name == "two-frequency:bspline5"
 
     def test_kernel_samples_profile(self):
         w = make_bspline_window(4)

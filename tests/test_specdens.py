@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import decilab
 from decilab.kernels import make_scaled_window_family
 from decilab.moments import cov_exact, gamma_limit
 from decilab.quadrature import gauss_legendre_panels
@@ -16,7 +21,7 @@ from decilab.specdens import (
 )
 from decilab.windows import bspline_l2_norm_sq, bspline_value, make_bspline_window
 
-from oracles import folded_window_response, validate_window
+from oracles import bspline_recursive, folded_window_response, validate_window
 
 TWO_PI = 2.0 * math.pi
 GAUSS = NoiseSpec("gaussian")
@@ -35,6 +40,19 @@ def white_noise_expectation(window, gamma):
 class TestBsplineWindow:
     def test_cubic_l2_norm_matches_exact_fraction(self):
         assert bspline_l2_norm_sq(4) == pytest.approx(151.0 / 315.0, abs=1e-12)
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_values_match_recursion_bitwise(self, order):
+        x = np.linspace(-1.0, 13.0, 40000)
+        assert np.array_equal(bspline_value(order, x), bspline_recursive(order, x))
+        assert bspline_value(order, 1.7) == bspline_recursive(order, 1.7)
+
+    def test_high_order_window_builds_quickly(self):
+        # 2**39 recursive calls at order 40 would never finish
+        code = "from decilab.windows import make_bspline_window; make_bspline_window(40)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20,
+                              env={**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])})
+        assert proc.returncode == 0, proc.stderr
 
     def test_partition_of_unity(self):
         x = np.linspace(2.0, 3.0, 7)
