@@ -18,7 +18,7 @@ Config schema (sections and keys; unknown keys are rejected):
   [family]      type = bspline_ma | two_frequency | files
                 order, gammas, modulation          (built-in types)
                 built-in gammas: increasing, even, >= 1; multiples of 4 for two_frequency
-                decay, limit_freqs, threshold,
+                decay, limit_freqs, threshold (0 .. number of levels),
                 gamma.<j>, kernels.<j>, freqs.<j>  (type = files)
   [noise]       distribution = gaussian | rademacher | scaled_uniform
   [run]         level, n, replicates, centering, levels

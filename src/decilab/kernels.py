@@ -28,8 +28,10 @@ def _as_readonly(a, dtype=float):
 
 
 def _require_gamma(gamma):
-    if not gamma >= 1:
-        raise ValueError(f"need gamma >= 1, got {gamma}")
+    """gamma as an int; a value below 1 or not an integer (NaN, inf) is rejected, not truncated."""
+    if not (float(gamma).is_integer() and gamma >= 1):
+        raise ValueError(f"need an integer gamma >= 1, got {gamma}")
+    return int(gamma)
 
 
 def _require_band(freqs, kind):
@@ -51,6 +53,8 @@ class TimeKernel:
             raise ValueError("need at least one coefficient")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
+        if not float(self.support_start).is_integer():
+            raise ValueError(f"support start must be an integer, got {self.support_start}")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "support_start", int(self.support_start))
 
@@ -110,10 +114,9 @@ class FamilyLevel:
     center_freqs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", int(self.gamma))
+        object.__setattr__(self, "gamma", _require_gamma(self.gamma))
         object.__setattr__(self, "kernels", tuple(self.kernels))
         object.__setattr__(self, "center_freqs", _as_readonly(self.center_freqs))
-        _require_gamma(self.gamma)
         if len(self.kernels) != self.center_freqs.size:
             raise ValueError("one center frequency per kernel required")
         _require_band(self.center_freqs, "center")
@@ -136,8 +139,9 @@ class DecimatedFamily:
 
     The constructor is the one place the family rules are checked. The
     frequency conditions (even gamma, integer condition, zero frequency,
-    coincidence) bind from level `threshold` on; strict=False skips them to
-    build violating families for check_condition_c to report.
+    coincidence) bind from level `threshold` on, an integer in 0..n_levels
+    (n_levels binds none); strict=False skips them to build violating
+    families for check_condition_c to report.
     """
 
     levels: tuple
@@ -155,6 +159,9 @@ class DecimatedFamily:
             object.__setattr__(self, "limit_responses", tuple(self.limit_responses))
         if not self.levels:
             raise ValueError("need at least one level")
+        if not (float(self.threshold).is_integer() and 0 <= self.threshold <= self.n_levels):
+            raise ValueError(f"threshold must be an integer in 0..{self.n_levels}, got {self.threshold}")
+        object.__setattr__(self, "threshold", int(self.threshold))
         if any(len(lv.kernels) != self.n_branches for lv in self.levels):
             raise ValueError("every level must carry one kernel per branch")
         if np.any(np.diff(self.gammas) <= 0):
@@ -309,8 +316,7 @@ def _window_family(prototype, gammas, freqs, name):
     """
     _require_band(freqs, "limit")
     levels = []
-    for g in map(int, gammas):
-        _require_gamma(g)
+    for g in map(_require_gamma, gammas):
         t = np.arange(-g, 1)
         profile = prototype.evaluate(t / g) / np.sqrt(g)
         centers = np.array([snapped_center_freq(g, f) for f in freqs])
@@ -331,7 +337,7 @@ def _window_family(prototype, gammas, freqs, name):
 def make_scaled_window_family(prototype, gammas, modulation_freq=0.0):
     """One-branch window family, modulated when modulation_freq > 0 (see _window_family).
 
-    gammas must be increasing, >= 1 and even; modulation_freq lies in [0, pi).
+    gammas must be increasing even integers >= 1; modulation_freq lies in [0, pi).
     """
     return _window_family(prototype, gammas, (modulation_freq,), f"scaled:{prototype.name}@{modulation_freq:g}")
 
@@ -342,7 +348,7 @@ def two_frequency_demo_family(prototype, gammas):
     The limit frequencies differ, so the limiting covariance of the two square-sums
     vanishes. gamma*pi/2 in 2*pi*Z needs gammas that are multiples of 4.
     """
-    if any(int(g) % 4 for g in gammas):
+    if any(g % 4 for g in gammas):  # nonzero, or NaN, unless g is a multiple of 4
         raise ValueError("two-frequency gammas must be multiples of 4")
     return _window_family(prototype, gammas, (0.0, np.pi / 2), f"two-frequency:{prototype.name}")
 

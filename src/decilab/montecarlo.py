@@ -5,6 +5,9 @@ assembled by index, so results are identical for any worker count or
 scheduling. Parallelism is thread-based: with w = min(workers, R) threads,
 thread j runs the replicates j, j + w, j + 2w, ..., so the threads' shares
 differ by at most one replicate. The heavy numpy kernels release the GIL.
+
+The KS distance of normality_report uses scipy.special.ndtr, imported on
+its first call, not with this module.
 """
 
 import os
@@ -12,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .moments import cov_exact, cov_of_square_sums, gamma_matrix, limit_cross_cov
 from .simulate import mix_seed, simulate_decimated
@@ -135,6 +137,7 @@ def _ks_normal_distance(z):
     D = max_i max(i/n - Phi(z_(i)), Phi(z_(i)) - (i-1)/n) over the order
     statistics z_(1) <= ... <= z_(n).
     """
+    from scipy.special import ndtr  # loaded on the first KS distance
     cdf = ndtr(np.sort(z))
     i = np.arange(1, cdf.size + 1)
     return float(max(np.max(i / cdf.size - cdf), np.max(cdf - (i - 1) / cdf.size)))

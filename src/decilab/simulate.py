@@ -10,12 +10,15 @@ Philox, numpy's Generator.random computes exactly (w >> 11) * 2**-53 from
 the same words, in one pass in C. Kernels with different supports, or
 overlapping output indices, therefore consume consistent noise values, and
 results do not depend on chunking or on how work is spread across workers.
+
+ndtri is scipy.special.ndtri, imported on the first Gaussian draw, not with
+this module, so runs that draw no Gaussian noise never load scipy.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .kernels import TimeKernel
 
@@ -79,6 +82,7 @@ def noise_values(spec, seed, lo, hi):
     u = np.random.Generator(bg).random(n_words)[lane:]
     u += 2.0 ** -54  # uniform in (0, 1)
     if spec.distribution == "gaussian":
+        from scipy.special import ndtri  # loaded on the first Gaussian draw
         return ndtri(u, out=u)
     return np.sqrt(3.0) * (2.0 * u - 1.0)
 
@@ -165,14 +169,25 @@ def simulate_linear_process(a, n, noise, seed):
 def ar1_kernel(phi, tail=1e-12):
     """Truncated AR(1) moving-average weights phi**t, t = 0..T.
 
-    T is chosen so the l2 norm of the dropped tail is below `tail`:
-    sum_{t>T} phi**(2t) = phi**(2(T+1)) / (1 - phi**2) <= tail**2.
+    T is the least t >= 0 with the l2 norm of the dropped tail at most
+    `tail`: sum_{s>t} phi**(2s) = phi**(2(t+1)) / (1 - phi**2) <= tail**2.
+    Solving for t gives a start that is off by rounding at most; stepping
+    from it with the same floating-point predicate until it flips finds
+    that least t in a few evaluations.
     """
     if not 0.0 < abs(phi) < 1.0:
         raise ValueError("need 0 < |phi| < 1")
-    t_max = 0
-    while abs(phi) ** (t_max + 1) / np.sqrt(1.0 - phi * phi) > tail:
+    if not tail > 0.0:
+        raise ValueError("need tail > 0")
+
+    def kept(t):  # the tail beyond t is still above the target
+        return abs(phi) ** (t + 1) / np.sqrt(1.0 - phi * phi) > tail
+
+    t_max = max(0, math.ceil((math.log(tail) + 0.5 * math.log1p(-phi * phi)) / math.log(abs(phi))) - 1)
+    while kept(t_max):
         t_max += 1
+    while t_max > 0 and not kept(t_max - 1):
+        t_max -= 1
     return TimeKernel(0, phi ** np.arange(t_max + 1))
 
 
@@ -185,9 +200,9 @@ def windowed_coefficients(x, window, gamma):
     support must be contained in [-1, 0] and gamma must be even, so each
     coefficient touches only the block gamma*k <= u <= gamma*(k+1).
     """
+    if not (float(gamma).is_integer() and gamma >= 2 and gamma % 2 == 0):
+        raise ValueError(f"need an even integer decimation factor gamma >= 2, got {gamma}")
     gamma = int(gamma)
-    if gamma < 2 or gamma % 2 != 0:
-        raise ValueError("need an even decimation factor gamma >= 2")
     lo, hi = window.support
     if lo < -1.0 or hi > 0.0:
         raise ValueError("window support must be contained in [-1, 0]")

@@ -4,8 +4,9 @@ They check identities of the library's exact time-domain sums: A(n) =
 M_n(g)**2 for the folded product of two responses, Parseval for
 eval_response, the alias structure of a scaled window, and the unit L2
 norm of a window transform; the two-term recursion is the reference for
-the B-spline values. Imported as `from oracles import ...`, like
-conftest; the file name keeps pytest from collecting it.
+the B-spline values, and the step-by-step loop for the AR(1) truncation
+point. Imported as `from oracles import ...`, like conftest; the file name
+keeps pytest from collecting it.
 """
 
 import numpy as np
@@ -119,3 +120,11 @@ def bspline_recursive(order, x):
     b0 = bspline_recursive(order - 1, x)
     b1 = bspline_recursive(order - 1, x - 1.0)
     return (x * b0 + (order - x) * b1) / (order - 1.0)
+
+
+def ar1_truncation_loop(phi, tail):
+    """The AR(1) truncation point by stepping t up from 0 until the dropped tail is small enough."""
+    t_max = 0
+    while abs(phi) ** (t_max + 1) / np.sqrt(1.0 - phi * phi) > tail:
+        t_max += 1
+    return t_max

@@ -92,6 +92,7 @@ REJECTED = {
     "nan_modulation": ("simulate", with_family(SCALED, modulation="nan")),
     "nan_limit_freq": ("simulate", with_family(FILES, limit_freqs="nan")),
     "nan_decay": ("simulate", with_family(FILES, decay="nan")),
+    "negative_threshold": ("simulate", with_family(FILES, threshold=-1)),
 }
 
 
@@ -138,6 +139,25 @@ def test_module_entry_point_exit_code(tmp_path):
                           env={**os.environ, "PYTHONPATH": env_src})
     assert proc.returncode == 2
     assert proc.stderr == "decilab: config error: [run] level -1 is not in 0..1\n"
+
+
+def test_noise_free_runs_load_no_scipy(tmp_path):
+    # scipy.special loads on the first Gaussian draw or KS distance, so these runs never import scipy
+    runs = [("gamma", CONFIGS["gamma"]),
+            ("simulate", {**CONFIGS["simulate"], "noise": {"distribution": "rademacher"}}),
+            ("sweep", {**CONFIGS["sweep"], "noise": {"distribution": "scaled_uniform"}})]
+    argvs = []
+    for command, sections in runs:
+        cfg = tmp_path / f"{command}.ini"
+        write_config(cfg, {"experiment": {"seed": 5}, **sections})
+        argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+    code = ("import sys; from decilab.cli import main; "
+            f"codes = [main(argv) for argv in {argvs!r}]; "
+            "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = {**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] []"
 
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))

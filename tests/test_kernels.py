@@ -48,6 +48,12 @@ class TestTimeKernel:
         with pytest.raises(ValueError):
             TimeKernel(0, np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize("start", [2.5, math.nan, -math.inf])
+    def test_support_start_must_be_an_integer(self, start):
+        # int() would truncate 2.5 to 2
+        with pytest.raises(ValueError, match="support start must be an integer"):
+            TimeKernel(start, np.array([1.0]))
+
     def test_energy_exact(self):
         k = TimeKernel(-2, np.array([1.0, 2.0, -3.0]))
         assert k.energy == 14.0
@@ -161,6 +167,14 @@ class TestFamilyValidation:
         fam = DecimatedFamily(levels=(lv,), limit_freqs=np.zeros(1), decay=1.0, threshold=1)
         assert fam.n_levels == 1
 
+    @pytest.mark.parametrize("threshold", [-1, 2, 0.5, math.nan])
+    def test_threshold_within_the_levels(self, threshold):
+        # threshold -1 would check the last level first, and twice in check_condition_c
+        k = TimeKernel(0, np.array([1.0]))
+        lv = FamilyLevel(gamma=2, kernels=(k,), center_freqs=np.zeros(1))
+        with pytest.raises(ValueError, match=r"threshold must be an integer in 0\.\.1"):
+            DecimatedFamily(levels=(lv,), limit_freqs=np.zeros(1), decay=1.0, threshold=threshold)
+
     def test_integer_condition_enforced(self):
         k = TimeKernel(0, np.array([1.0]))
         lv = FamilyLevel(gamma=8, kernels=(k,), center_freqs=np.array([math.pi / 3]))
@@ -191,7 +205,8 @@ class TestFamilyValidation:
 
     def test_gamma_at_least_one(self):
         k = TimeKernel(0, np.array([1.0]))
-        for gamma in (0, -2):
+        # a non-integer gamma is rejected, not truncated by int()
+        for gamma in (0, -2, 2.7, math.nan, math.inf):
             with pytest.raises(ValueError, match="gamma >= 1"):
                 FamilyLevel(gamma=gamma, kernels=(k,), center_freqs=np.zeros(1))
 
@@ -237,6 +252,9 @@ class TestScaledWindowFamily:
         ([7, 16], "even"),
         ([16, 8], "strictly increasing"),
         ([], "at least one level"),
+        ([16.9, 32], "integer gamma"),
+        ([16, math.nan], "integer gamma"),
+        ([16, math.inf], "integer gamma"),
     ])
     def test_rejects_bad_ladder(self, gammas, match):
         # the ladder rules live in FamilyLevel/DecimatedFamily; gamma < 1 is refused before t / gamma
@@ -245,7 +263,7 @@ class TestScaledWindowFamily:
 
     def test_two_frequency_needs_multiples_of_4(self):
         w = make_bspline_window(4)
-        for gammas in ([8, 18], [6, 16]):
+        for gammas in ([8, 18], [6, 16], [16.9, 32], [math.nan, 32]):
             with pytest.raises(ValueError, match="multiples of 4"):
                 two_frequency_demo_family(w, gammas)
 

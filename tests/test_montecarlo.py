@@ -25,12 +25,33 @@ class TestNormalityReport:
 
 
 def test_import_loads_neither_scipy_stats_nor_signal():
-    # each costs set-up time on every run; decilab needs only scipy.special
+    # each costs set-up time on every run; scipy.special waits for the first Gaussian draw or KS distance
     src = str(Path(decilab.__file__).resolve().parents[1])
-    code = "import sys, decilab; print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])"
+    code = ("import sys, decilab, decilab.cli; "
+            "print([m for m in ('scipy.special', 'scipy.stats', 'scipy.signal') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_first_gaussian_draw_from_pool_threads():
+    # the in-process tests import scipy.special up front; here three threads race to import it first
+    src = str(Path(decilab.__file__).resolve().parents[1])
+    code = "\n".join([
+        "import sys",
+        "import decilab",
+        "sys.setswitchinterval(1e-6)",
+        "fam = decilab.two_frequency_demo_family(decilab.make_bspline_window(4), [16, 32])",
+        "noise = decilab.NoiseSpec('gaussian')",
+        "loaded = 'scipy.special' in sys.modules",
+        "threaded = decilab.replicate_sums(fam, 1, 20, noise, 150, 77, workers=3).samples",
+        "serial = decilab.replicate_sums(fam, 1, 20, noise, 150, 77, workers=1).samples",
+        "print(loaded, threaded.tobytes() == serial.tobytes())",
+    ])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False True"
 
 
 def test_package_exports_no_test_oracles():

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import signal
 from scipy.special import ndtri
 
+import decilab
 from decilab.kernels import TimeKernel, make_scaled_window_family
 from decilab.moments import cov_exact
 from decilab.simulate import (
@@ -24,6 +29,7 @@ from decilab.simulate import (
 from decilab.windows import Window, make_bspline_window
 
 from conftest import single_level_family
+from oracles import ar1_truncation_loop
 
 GAUSS = NoiseSpec("gaussian")
 RADEMACHER = NoiseSpec("rademacher")
@@ -223,6 +229,29 @@ class TestLinearProcess:
         )
 
 
+class TestAr1Truncation:
+    @pytest.mark.parametrize("tail", [1e-12, 1e-6])
+    @pytest.mark.parametrize("phi", [sign * p for p in (1e-3, 0.5, 0.95, 0.99, 0.999, 0.9999) for sign in (1, -1)])
+    def test_matches_the_loop(self, phi, tail):
+        t_max = ar1_truncation_loop(phi, tail)
+        kern = ar1_kernel(phi, tail)
+        assert kern.length == t_max + 1
+        assert kern.coeffs.tobytes() == (phi ** np.arange(t_max + 1)).tobytes()
+
+    def test_long_kernel_builds_quickly(self):
+        # 34 192 186 taps; stepping t up from 0 takes about 25 s
+        code = "from decilab.simulate import ar1_kernel; print(ar1_kernel(0.999999).length)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10,
+                              env={**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "34192186"  # the loop's count
+
+    def test_rejects_nonpositive_tail(self):
+        for tail in (0.0, -1e-12, math.nan):
+            with pytest.raises(ValueError, match="tail > 0"):
+                ar1_kernel(0.5, tail)
+
+
 class TestWindowedCoefficients:
     def test_coefficient_count(self):
         w = make_bspline_window(4)
@@ -256,6 +285,8 @@ class TestWindowedCoefficients:
         w = make_bspline_window(4)
         with pytest.raises(ValueError):
             windowed_coefficients(np.ones(30), w, 5)
+        with pytest.raises(ValueError, match="even integer"):  # not truncated to 4
+            windowed_coefficients(np.ones(30), w, 4.5)
 
     def test_rejects_bad_support(self):
         bad = Window(
