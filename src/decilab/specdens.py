@@ -67,7 +67,7 @@ def asymptotic_sigma2(window, f0, tol=1e-10):
     4*pi * f0^2 * int_{-pi}^{pi} (sum_p |What(lam+2*pi*p)|^2)^2 dlam, the
     alias sum truncated so that the value is within tol.
     """
-    if f0 < 0:
+    if not f0 >= 0:
         raise ValueError("need f0 >= 0")
     if f0 == 0.0:
         return 0.0

@@ -1,8 +1,27 @@
 import math
 
 import numpy as np
+import pytest
 
-from decilab.quadrature import alias_sum, decay_cutoff, folding_cutoff, gauss_legendre_panels, line_integral
+import decilab.quadrature as quadrature
+from decilab.kernels import make_scaled_window_family, two_frequency_demo_family
+from decilab.moments import symmetrized_limit_product
+from decilab.quadrature import (
+    MAX_ALIASES,
+    MIN_ALIASES,
+    alias_sum,
+    alias_sum_norm_sq,
+    decay_cutoff,
+    folding_cutoff,
+    gauss_legendre_panels,
+    line_integral,
+)
+from decilab.specdens import asymptotic_sigma2
+from decilab.windows import Window, make_bspline_window
+
+
+def folding_bound(q, p):
+    return (1.0 + (2.0 * p - 1.0) * math.pi) ** (1.0 - q) / (math.pi * (q - 1.0))
 
 
 def test_gauss_legendre_exact_on_polynomials():
@@ -53,3 +72,96 @@ def test_alias_sum_within_reported_bound():
     lam = np.linspace(-math.pi, math.pi, 9)
     exact = math.sinh(1.0) / (2.0 * (math.cosh(1.0) - np.cos(lam)))
     assert np.max(np.abs(folded(lam) - exact)) <= bound <= 1e-6
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 6.0, 8.0, 10.0])
+def test_folding_cutoff_is_least(q):
+    for tol in 10.0 ** -np.arange(4, 19):
+        if folding_bound(q, MAX_ALIASES) >= tol:
+            with pytest.raises(ValueError):
+                folding_cutoff(q, tol)
+            continue
+        p, bound = folding_cutoff(q, tol)
+        assert bound == folding_bound(q, p) < tol
+        assert p == MIN_ALIASES or folding_bound(q, p - 1) >= tol
+
+
+@pytest.mark.parametrize("cutoff, exponent, tol", [
+    (folding_cutoff, 8.0, 0.0),
+    (folding_cutoff, 8.0, -1e-10),
+    (folding_cutoff, 8.0, math.nan),
+    (folding_cutoff, 8.0, math.inf),
+    (folding_cutoff, 1.02, 1e-10),  # the least P is far past MAX_ALIASES
+    (folding_cutoff, math.nan, 1e-10),
+    (decay_cutoff, 2.0, 0.0),
+    (decay_cutoff, 2.0, -1e-10),
+    (decay_cutoff, 2.0, math.nan),
+    (decay_cutoff, math.nan, 1e-10),
+])
+def test_cutoffs_reject_unmeetable_tolerances(cutoff, exponent, tol):
+    with pytest.raises(ValueError):
+        cutoff(exponent, tol)
+
+
+def test_unmeetable_alias_tolerance_raises_before_folding():
+    points = []
+
+    def f(x):
+        points.append(np.size(x))
+        return 1.0 / (1.0 + x * x)
+
+    with pytest.raises(ValueError):
+        alias_sum_norm_sq(f, 1.02)
+    assert points == [1023]  # the envelope grid only: no alias grid was built
+
+
+def test_asymptotic_sigma2_rejects_nan_f0():
+    def transform(x):
+        raise AssertionError("no point may be evaluated")
+
+    window = Window("never", evaluate=transform, transform=transform, decay=3.0)
+    with pytest.raises(ValueError):
+        asymptotic_sigma2(window, math.nan)
+
+
+def test_alias_sum_norm_sq_within_reported_bound():
+    # F(lam) = sinh(1) / (2*(cosh(1) - cos(lam))), whose squared norm on [-pi, pi] is (pi/2)*coth(1)
+    value, bound = alias_sum_norm_sq(lambda x: 1.0 / (1.0 + x * x), 2.0, tol=1e-3)
+    assert abs(value - 0.5 * math.pi / math.tanh(1.0)) <= bound <= 1e-3
+
+
+def test_asymptotic_sigma2_evaluates_each_alias_point_once(monkeypatch):
+    window = make_bspline_window(3)
+    points = []
+    cutoffs = []
+
+    def transform(x):
+        points.append(np.size(x))
+        return window.transform(x)
+
+    def spy(exponent, tol):
+        cutoffs.append(folding_cutoff(exponent, tol))
+        return cutoffs[-1]
+
+    monkeypatch.setattr(quadrature, "folding_cutoff", spy)
+    counted = Window("counted", evaluate=window.evaluate, transform=transform, decay=window.decay)
+    asymptotic_sigma2(counted, 1.0)
+    n_alias = cutoffs[-1][0]
+    # the envelope grid, then the half-range rule's 256 nodes at each alias |p| <= P'
+    assert sum(points) <= 1023 + (2 * n_alias + 1) * 256
+
+
+def test_alias_sum_norm_sq_integrands_are_hermitian():
+    # alias_sum_norm_sq integrates on [0, pi] only, which needs f(-x) = conj f(x)
+    x = np.linspace(0.0, 60.0 * math.pi, 4001)
+    window = make_bspline_window(4)
+    families = [two_frequency_demo_family(window, [16, 32])]
+    families += [make_scaled_window_family(window, [16, 32], mod) for mod in (0.0, math.pi / 2)]
+    for fam in families:
+        for i in range(fam.n_branches):
+            for ip in range(fam.n_branches):
+                w = symmetrized_limit_product(fam, i, ip)
+                assert np.array_equal(w(-x), np.conj(w(x)))
+    for order in (3, 4, 5):
+        transform = make_bspline_window(order).transform
+        assert np.array_equal(np.abs(transform(-x)) ** 2, np.abs(transform(x)) ** 2)
