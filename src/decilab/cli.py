@@ -261,14 +261,12 @@ def _write_csv(out_dir, name, header, rows, digest):
 
 def _cmd_gamma(parser, out_dir, seed, digest, config_dir):
     family = _family_from_config(parser, config_dir)
-    if family.limit_responses is None:
-        raise ConfigError("gamma command needs a family with limit responses (built-in types)")
+    if family.limit_kernels is None:
+        raise ConfigError("gamma command needs a family with limit kernels (built-in types)")
     gm = moments.gamma_matrix(family)
     cells = [(i, ip) for i in range(family.n_branches) for ip in range(family.n_branches)]
     _write_csv(out_dir, "gamma_matrix.csv", "entry_i,entry_ip,constant,value",
                [(i + 1, ip + 1, gm.constants[i, ip], gm.entries[i, ip]) for i, ip in cells], digest)
-    _write_csv(out_dir, "gamma_truncation.csv", "entry_i,entry_ip,truncation_bound",
-               [(i + 1, ip + 1, gm.truncation_bounds[i, ip]) for i, ip in cells], digest)
     return 0
 
 

@@ -3,9 +3,10 @@
 A filter bank here is a collection of N branches observed across a ladder of
 decimation factors gamma_0 < gamma_1 < ...; branch i at level j carries a
 real kernel v_{i,j} with finite support, a center frequency lambda_{i,j} in
-[0, pi), and (optionally) a limiting rescaled response defined on the whole
-line. All objects are immutable after construction and all operations are
-pure, so everything is safe for unrestricted concurrent use.
+[0, pi), and (optionally) a limit kernel, a window and weight whose
+transform is the limit of the rescaled responses. All objects are immutable
+after construction and all operations are pure, so everything is safe for
+unrestricted concurrent use.
 
 Indices: branches and levels are 0-based throughout the Python API.
 """
@@ -134,8 +135,10 @@ class DecimatedFamily:
 
     limit_freqs[i] is the frequency the branch-i responses concentrate
     around; decay is the exponent delta > 1/2 of the uniform envelope
-    (1 + gamma*|lam - center|)**(-delta). limit_responses, when present, are
-    vectorized callables on the real line giving the rescaled limits.
+    (1 + gamma*|lam - center|)**(-delta). limit_kernels, when present, hold
+    one (Window, weight) per branch: the rescaled responses tend to
+    weight * What / sqrt(2*pi), and the limit quantities are finite sums
+    over the lags where two limit kernels overlap (see moments).
 
     The constructor is the one place the family rules are checked. The
     frequency conditions (even gamma, integer condition, zero frequency,
@@ -147,7 +150,7 @@ class DecimatedFamily:
     levels: tuple
     limit_freqs: np.ndarray
     decay: float
-    limit_responses: Optional[tuple] = None
+    limit_kernels: Optional[tuple] = None
     threshold: int = 0
     name: str = ""
     strict: bool = True
@@ -155,8 +158,8 @@ class DecimatedFamily:
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         object.__setattr__(self, "limit_freqs", _as_readonly(self.limit_freqs))
-        if self.limit_responses is not None:
-            object.__setattr__(self, "limit_responses", tuple(self.limit_responses))
+        if self.limit_kernels is not None:
+            object.__setattr__(self, "limit_kernels", tuple((w, float(wt)) for w, wt in self.limit_kernels))
         if not self.levels:
             raise ValueError("need at least one level")
         if not (float(self.threshold).is_integer() and 0 <= self.threshold <= self.n_levels):
@@ -169,8 +172,8 @@ class DecimatedFamily:
         if not self.decay > 0.5:
             raise ValueError("need decay > 1/2")
         _require_band(self.limit_freqs, "limit")
-        if self.limit_responses is not None and len(self.limit_responses) != self.n_branches:
-            raise ValueError("one limit response per branch required")
+        if self.limit_kernels is not None and len(self.limit_kernels) != self.n_branches:
+            raise ValueError("one limit kernel per branch required")
         if self.strict:
             for j in range(self.threshold, self.n_levels):
                 failures = _frequency_condition_failures(self, j)
@@ -188,6 +191,14 @@ class DecimatedFamily:
     @property
     def gammas(self):
         return np.array([lv.gamma for lv in self.levels])
+
+    @property
+    def limit_responses(self):
+        """The rescaled limit responses weight * What(lam) / sqrt(2*pi), one callable per branch, or None."""
+        if self.limit_kernels is None:
+            return None
+        return tuple((lambda lam, w=w, wt=wt: wt * w.transform(np.asarray(lam, dtype=float)) / np.sqrt(TWO_PI))
+                     for w, wt in self.limit_kernels)
 
 
 def _frequency_condition_failures(family, j):
@@ -226,7 +237,7 @@ class ConditionReport:
     gamma**(-1/2) |v*_{i,j}(lam)| (1 + gamma*|lam - center|)**decay on [0, pi);
     rescaled_residuals[j, i] the grid sup of
     |gamma**(-1/2) v*_{i,j}(lam/gamma + center) - limit_i(lam)|
-    (None when no limit responses were supplied); modulus_residuals the same
+    (None when the family has no limit kernels); modulus_residuals the same
     with absolute values inside, a fallback that ignores the unknown phase.
     """
 
@@ -246,10 +257,10 @@ def check_condition_c(family, grid_size=512):
 
     Checks (a) the arithmetic conditions on gammas and center frequencies
     from the family threshold on, (b) the uniform envelope statistic per
-    level and branch over a [0, pi) grid, (c) when limit responses are
+    level and branch over a [0, pi) grid, (c) when limit kernels are
     present, the sup-norm residual of the rescaled response against its
     limit over [-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH]. Missing limit
-    responses mark the residuals as unavailable instead of failing.
+    kernels mark the residuals as unavailable instead of failing.
     """
     if family.n_levels < 2:
         raise ValueError("need at least two stored levels")
@@ -276,7 +287,8 @@ def check_condition_c(family, grid_size=512):
 
     rescaled = None
     modulus = None
-    if family.limit_responses is not None:
+    responses = family.limit_responses
+    if responses is not None:
         xi = np.linspace(-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH, grid_size)
         rescaled = np.zeros((nl, n))
         modulus = np.zeros((nl, n))
@@ -284,7 +296,7 @@ def check_condition_c(family, grid_size=512):
             g = lv.gamma
             for i in range(n):
                 scaled = eval_response(lv.kernels[i], xi / g + lv.center_freqs[i]) / np.sqrt(g)
-                lim = np.asarray(family.limit_responses[i](xi))
+                lim = np.asarray(responses[i](xi))
                 rescaled[j, i] = np.max(np.abs(scaled - lim))
                 modulus[j, i] = np.max(np.abs(np.abs(scaled) - np.abs(lim)))
 
@@ -310,8 +322,8 @@ def _window_family(prototype, gammas, freqs, name):
 
     Branch f at level gamma carries v(t) = gamma**-0.5 * W(t/gamma) * cos(c*t)
     on t = -gamma..0, c = snapped_center_freq(gamma, f) (0 for f = 0). Its limit
-    response is What / sqrt(2*pi), halved for f > 0 as the cosine splits the
-    passband across +-c. Inputs are checked before sampling; DecimatedFamily
+    kernel is (W, 1), or (W, 1/2) for f > 0 as the cosine splits the passband
+    across +-c. Inputs are checked before sampling; DecimatedFamily
     enforces the family rules.
     """
     _require_band(freqs, "limit")
@@ -323,13 +335,11 @@ def _window_family(prototype, gammas, freqs, name):
         kernels = tuple(TimeKernel(-g, profile * np.cos(c * t)) for c in centers)
         levels.append(FamilyLevel(gamma=g, kernels=kernels, center_freqs=centers))
 
-    limit = lambda lam: prototype.transform(np.asarray(lam, dtype=float)) / np.sqrt(TWO_PI)
-    halved = lambda lam: 0.5 * prototype.transform(np.asarray(lam, dtype=float)) / np.sqrt(TWO_PI)
     return DecimatedFamily(
         levels=tuple(levels),
         limit_freqs=np.array(freqs, dtype=float),
         decay=float(prototype.decay),
-        limit_responses=tuple(halved if f > 0.0 else limit for f in freqs),
+        limit_kernels=tuple((prototype, 0.5 if f > 0.0 else 1.0) for f in freqs),
         name=name,
     )
 

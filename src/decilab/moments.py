@@ -4,9 +4,7 @@ Exact quantities (cross-covariances, the triangular-weighted sums entering
 the covariance of square-sums) are finite sums over kernel supports and are
 computed without quadrature. A(n) and B(n) are triangular-weighted samples,
 at the lags that are multiples of gamma, of one full cross-correlation: of
-the two kernels for A (squared after sampling), of their squares for B. Limiting quantities integrate the limit
-responses over the truncated real line or fold them over aliases of
-(-pi, pi); every such value is returned with the truncation bound used.
+the two kernels for A (squared after sampling), of their squares for B.
 
 The covariance identity at the center of the module: for branches i, i' at
 one level,
@@ -17,27 +15,34 @@ with A, B the exact sums implemented by a_term and b_term. As the level
 grows, B vanishes and 2*A approaches the limiting covariance entry
 
     Gamma[i, i'] = 4*pi * C^2 * int_{-pi}^{pi} |sum_p w(lam + 2*pi*p)|^2 dlam
+                 = 2 * C^2 * sum_k rho(k)^2,  rho(k) = w_i w_i' int W_i(t) W_i'(t + k) dt
 
-where w is the symmetrized product of limit responses and C the 0/1/2 case
-constant of the limit frequencies. (The case constant enters squared: the
-unfolded +-passband copies double the folded sum for a positive shared
-frequency, which quadruples the integral.)
+where w is the product of the limit responses, (W_i, w_i) the limit kernels
+and C the 0/1/2 case constant of the limit frequencies (entering squared:
+the +-passband copies double the folded sum for a positive shared
+frequency). The second form is Poisson summation and Parseval; its sum runs
+over the integer lags where the kernels overlap, each rho(k) exact by
+per-knot Gauss-Legendre. The limit centering is C * rho(0), and each limit
+value comes with the rounding bound of its finite sum.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import eval_response
-from .quadrature import alias_sum_norm_sq, line_integral, periodic_rule
+from .kernels import _as_readonly, eval_response
+from .quadrature import periodic_rule
+from .windows import EPS, _correlations
 
-IMAG_TOL = 1e-8
 PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class MomentReport:
-    """A limiting-moment value with its truncation-error bound."""
+    """A limiting-moment value with the rounding bound of its finite sum; nothing is truncated.
+
+    rho(k) over K Gauss-Legendre nodes is within K*eps*sum|terms|; gamma_limit carries that through the square.
+    """
 
     value: float
     truncation_bound: float
@@ -49,22 +54,15 @@ class GammaMatrix:
 
     entries: np.ndarray
     constants: np.ndarray
-    truncation_bounds: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        constants = np.array(self.constants, dtype=int)
-        bounds = np.array(self.truncation_bounds, dtype=float)
-        for arr in (entries, constants, bounds):
-            arr.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "truncation_bounds", bounds)
-        if not np.allclose(entries, entries.T, atol=0.0):
+        object.__setattr__(self, "entries", _as_readonly(self.entries))
+        object.__setattr__(self, "constants", _as_readonly(self.constants, int))
+        if not np.allclose(self.entries, self.entries.T, atol=0.0):
             raise ValueError("limiting covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(entries)) < -PSD_TOL:
+        if np.min(np.linalg.eigvalsh(self.entries)) < -PSD_TOL:
             raise ValueError("limiting covariance must be positive semidefinite")
-        if not np.all(np.isin(constants, (0, 1, 2))):
+        if not np.all(np.isin(self.constants, (0, 1, 2))):
             raise ValueError("case constants must be 0, 1 or 2")
 
 
@@ -114,45 +112,29 @@ def case_constant(family, i, ip):
 
 
 def _require_limits(family):
-    if family.limit_responses is None:
-        raise ValueError("limit responses unavailable for this family")
+    if family.limit_kernels is None:
+        raise ValueError("limit kernels unavailable for this family")
 
 
-def symmetrized_limit_product(family, i, ip):
-    """The real-line weight w(lam) pairing two limiting responses.
-
-    w(lam) = 0.5 * [ conj(v_i(-lam)) v_i'(-lam) + v_i(lam) conj(v_i'(lam)) ].
-    """
-    _require_limits(family)
-    ri = family.limit_responses[i]
-    rip = family.limit_responses[ip]
-
-    def w(lam):
-        lam = np.asarray(lam, dtype=float)
-        a, b = ri(-lam), ri(lam)
-        c, d = (a, b) if ip == i else (rip(-lam), rip(lam))  # i == i': r_i's values, not two more calls
-        return 0.5 * (np.conj(a) * c + b * np.conj(d))
-
-    return w
+def _limit_correlations(family, i, ip):
+    """{k: (rho(k), its rounding bound)} for the limit kernels of branches i and i'."""
+    (w1, wt1), (w2, wt2) = family.limit_kernels[i], family.limit_kernels[ip]
+    return {k: (wt1 * wt2 * r, abs(wt1 * wt2) * b) for k, (r, b) in _correlations(w1, w2).items()}
 
 
-def limit_cross_cov(family, i, ip, lag, tol=1e-10):
-    """Limit of Cov(Z_{i,k}, Z_{i',k+lag}) along the level ladder.
+def limit_cross_cov(family, i, ip, lag):
+    """Limit of Cov(Z_{i,k}, Z_{i',k+lag}) along the level ladder: C * rho(lag).
 
-    C * int_R w(lam) exp(i*lam*lag) dlam, truncated by line_integral with
-    the (1+|lam|)**(-2*decay) envelope. The symmetrization makes the
-    integral real; the quadrature's imaginary residue is asserted below
-    1e-8 and the real part returned.
+    rho(lag) = w_i * w_i' * int W_i(t) W_i'(t + lag) dt by per-knot
+    Gauss-Legendre, exact up to the reported rounding bound; zero when the
+    case constant C is or when the limit kernels do not overlap at this lag.
     """
     _require_limits(family)
     const = case_constant(family, i, ip)
     if const == 0:
         return MomentReport(0.0, 0.0)
-    w = symmetrized_limit_product(family, i, ip)
-    total, bound = line_integral(lambda x: const * w(x) * np.exp(1j * x * lag), 2.0 * family.decay, tol)
-    if abs(total.imag) > IMAG_TOL:
-        raise AssertionError(f"imaginary residue {total.imag:.3e} exceeds {IMAG_TOL:g}")
-    return MomentReport(float(total.real), bound)
+    rho, bound = _limit_correlations(family, i, ip).get(lag, (0.0, 0.0))
+    return MomentReport(const * rho, const * bound)
 
 
 def _decimated_lags(k1, k2, gamma, n, power):
@@ -208,32 +190,31 @@ def cov_of_square_sums(family, level, i, ip, n, noise):
     )
 
 
-def gamma_limit(family, i, ip, tol=1e-10):
+def gamma_limit(family, i, ip):
     """One entry of the limiting covariance of centered square-sum vectors.
 
-    Gamma[i, i'] = 4*pi * C**2 * int_{-pi}^{pi} |sum_p w(lam+2*pi*p)|^2 dlam,
-    the alias sum truncated so that the entry is within tol.
+    Gamma[i, i'] = 2 * C**2 * sum_k rho(k)**2 over the lags k where the two
+    limit kernels overlap. With delta_k the rounding bound of rho(k), the
+    reported bound is 2 * C**2 * sum_k (2*|rho(k)| + delta_k) * delta_k plus
+    (lags + 2) * eps * Gamma for the sum of squares.
     """
     _require_limits(family)
     const = case_constant(family, i, ip)
     if const == 0:
         return MomentReport(0.0, 0.0)
-    scale = 4.0 * np.pi * const ** 2
-    integral, bound = alias_sum_norm_sq(symmetrized_limit_product(family, i, ip), 2.0 * family.decay, tol / scale)
-    return MomentReport(scale * integral, scale * bound)
+    rho, delta = np.array(list(_limit_correlations(family, i, ip).values())).reshape(-1, 2).T
+    value = 2.0 * const ** 2 * float(np.sum(rho * rho))
+    bound = 2.0 * const ** 2 * float(np.sum((2.0 * np.abs(rho) + delta) * delta)) + (rho.size + 2) * EPS * value
+    return MomentReport(value, bound)
 
 
-def gamma_matrix(family, tol=1e-10):
-    """The full limiting covariance with case constants and truncation bounds."""
+def gamma_matrix(family):
+    """The full limiting covariance with its case constants."""
     n = family.n_branches
     entries = np.zeros((n, n))
     constants = np.zeros((n, n), dtype=int)
-    bounds = np.zeros((n, n))
     for i in range(n):
         for ip in range(i, n):
-            rep = gamma_limit(family, i, ip, tol=tol)
-            entries[i, ip] = entries[ip, i] = rep.value
-            bounds[i, ip] = bounds[ip, i] = rep.truncation_bound
+            entries[i, ip] = entries[ip, i] = gamma_limit(family, i, ip).value
             constants[i, ip] = constants[ip, i] = case_constant(family, i, ip)
-    return GammaMatrix(entries=entries, constants=constants, truncation_bounds=bounds)
-
+    return GammaMatrix(entries=entries, constants=constants)

@@ -180,9 +180,9 @@ def convergence_sweep(family, levels, n, noise, n_replicates, base_seed,
     """Per level and branch pair: empirical covariance vs exact and limiting values.
 
     The same n is used at every level. gamma_limit columns are NaN when the
-    family carries no limit responses.
+    family carries no limit kernels.
     """
-    have_limits = family.limit_responses is not None
+    have_limits = family.limit_kernels is not None
     gm = gamma_matrix(family) if have_limits else None
     rows = []
     for level in levels:

@@ -11,9 +11,11 @@ faster than quadratically, and sqrt(n_j) * (f0_hat - E Z_0^2) is
 asymptotically normal with variance
 
     sigma^2 = 4*pi * f(0)^2 * int_{-pi}^{pi} (sum_p |What(lam+2*pi*p)|^2)^2 dlam
+            = 8*pi^2 * f(0)^2 * sum_k R_W(k)^2,  R_W(k) = int W(t) W(t + k) dt,
 
-which for admissible windows (support of length at most one, unit L2
-transform) collapses to exactly 2*f(0)^2.
+a finite sum over the lags where the window overlaps its shift (Poisson
+summation and Parseval). For admissible windows (support of length at most
+one, unit L2 transform) only R_W(0) = 1/(2*pi) remains: sigma^2 = 2*f(0)^2.
 """
 
 import math
@@ -23,8 +25,9 @@ from typing import Optional
 import numpy as np
 
 from .kernels import eval_response
-from .quadrature import alias_sum_norm_sq, gauss_legendre_panels
+from .quadrature import gauss_legendre_panels
 from .simulate import windowed_coefficients
+from .windows import _correlations
 
 DEFAULT_RATE_THRESHOLD = 0.1
 
@@ -61,18 +64,18 @@ class LeakageReport:
     scaled: Optional[float] = None  # sqrt(n_j) * value when n_j was given
 
 
-def asymptotic_sigma2(window, f0, tol=1e-10):
+def asymptotic_sigma2(window, f0):
     """Asymptotic variance of sqrt(n_j) times the estimator.
 
-    4*pi * f0^2 * int_{-pi}^{pi} (sum_p |What(lam+2*pi*p)|^2)^2 dlam, the
-    alias sum truncated so that the value is within tol.
+    8*pi^2 * f0^2 * sum_k R_W(k)^2 over the lags where the window overlaps
+    its shift, each R_W(k) exact by per-knot Gauss-Legendre.
     """
     if not f0 >= 0:
         raise ValueError("need f0 >= 0")
     if f0 == 0.0:
         return 0.0
-    scale = 4.0 * np.pi * f0 * f0
-    return scale * alias_sum_norm_sq(lambda x: np.abs(window.transform(x)) ** 2, 2.0 * window.decay, tol / scale)[0]
+    total = sum(rho * rho for rho, _ in _correlations(window, window).values())
+    return 8.0 * np.pi ** 2 * f0 * f0 * total
 
 
 def check_rate_condition(n, gamma, beta, threshold=DEFAULT_RATE_THRESHOLD):
@@ -135,7 +138,7 @@ def leakage_integral(family, level, epsilon, n_j=None, branch=0):
     rounding. When n_j is given, sqrt(n_j) * I is reported too; the local
     CLT needs it to vanish.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN fails too
         raise ValueError("need epsilon > 0")
     kernel = family.levels[level].kernels[branch]
     target = family.limit_freqs[branch]

@@ -1,17 +1,23 @@
-"""Continuous analysis windows with closed-form Fourier transforms.
+"""Piecewise-polynomial analysis windows with closed-form Fourier transforms.
 
-A window is a bounded real function W supported inside [-1, 0], normalized
-so that its transform What(xi) = int W(t) exp(-i xi t) dt has unit L2 norm,
-with a known polynomial decay exponent for |What|. The built-in prototypes
-are rescaled cardinal B-splines, whose transforms are powers of a sinc.
+A window is a real piecewise polynomial W between its knots, normalized so
+that its transform What(xi) = int W(t) exp(-i xi t) dt has unit L2 norm,
+with a known polynomial decay exponent for |What|. Every limit quantity is
+a finite sum of rho(k) = int W1(t) W2(t + k) dt over the integer lags k
+where two windows overlap, exact by Gauss-Legendre between their knots. The
+built-in prototypes are rescaled cardinal B-splines on [-1, 0], whose
+transforms are powers of a sinc.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .quadrature import TWO_PI, gauss_legendre_panels
+from .quadrature import TWO_PI, _panel_rule, gauss_legendre_panels
+
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -19,15 +25,39 @@ class Window:
     """Normalized analysis window.
 
     evaluate and transform accept and return ndarrays. decay is the exponent
-    beta such that |transform(xi)| * (1+|xi|)**beta stays bounded. support is
-    the closure of {W != 0} and must be contained in [-1, 0].
+    beta such that |transform(xi)| * (1+|xi|)**beta stays bounded. W is a
+    polynomial of degree at most `degree` between consecutive (increasing)
+    knots and zero outside them; support is (knots[0], knots[-1]).
     """
 
     name: str
     evaluate: Callable
     transform: Callable
     decay: float
-    support: tuple = (-1.0, 0.0)
+    knots: tuple
+    degree: int
+
+    @property
+    def support(self):
+        return self.knots[0], self.knots[-1]
+
+
+def _correlations(w1, w2):
+    """{k: (rho, bound)} with rho = int W1(t) W2(t + k) dt, at each integer lag k where they overlap.
+
+    On each interval between the knots of W1 and of W2(. + k) the product
+    is one polynomial of degree w1.degree + w2.degree, which
+    (w1.degree + w2.degree) // 2 + 1 Gauss-Legendre nodes integrate exactly;
+    bound = K*eps*sum|terms| over the K nodes is the rounding bound of the sum.
+    """
+    out = {}
+    for k in range(math.floor(w2.knots[0] - w1.knots[-1]) + 1, math.ceil(w2.knots[-1] - w1.knots[0])):
+        lo, hi = max(w1.knots[0], w2.knots[0] - k), min(w1.knots[-1], w2.knots[-1] - k)
+        edges = np.unique(np.clip(np.concatenate((w1.knots, np.subtract(w2.knots, k))), lo, hi))
+        x, w = _panel_rule(edges, (w1.degree + w2.degree) // 2 + 1)
+        terms = w * w1.evaluate(x) * w2.evaluate(x + k)
+        out[k] = float(np.sum(terms)), x.size * EPS * float(np.sum(np.abs(terms)))
+    return out
 
 
 def bspline_value(order, x):
@@ -57,7 +87,8 @@ def bspline_l2_norm_sq(order):
 def make_bspline_window(order):
     """B-spline window of the given order, rescaled to support [-1, 0].
 
-    W(t) = scale * B_m(m*(t+1)) with the scale fixed by 2*pi*int W^2 = 1,
+    W(t) = scale * B_m(m*(t+1)), of degree m-1 between the knots -1 + j/m,
+    j = 0..m, with the scale fixed by 2*pi*int W^2 = 1,
     equivalently int |What|^2 = 1. The transform is the closed form
 
         What(xi) = (scale/m) * exp(i*xi/2) * sinc(xi/(2m))**m
@@ -84,6 +115,7 @@ def make_bspline_window(order):
         evaluate=evaluate,
         transform=transform,
         decay=float(m),
-        support=(-1.0, 0.0),
+        knots=tuple(-1.0 + j / m for j in range(m + 1)),
+        degree=m - 1,
     )
 

@@ -30,7 +30,6 @@ CSV_HEADERS = {
     ("cov-check", "cov_check.csv"): "gamma,n,entry_i,entry_ip,empirical,analytic_n,gamma_limit,se,digest",
     ("sweep", "sweep.csv"): "gamma,n,entry_i,entry_ip,empirical,analytic_n,gamma_limit,se,digest",
     ("gamma", "gamma_matrix.csv"): "entry_i,entry_ip,constant,value,digest",
-    ("gamma", "gamma_truncation.csv"): "entry_i,entry_ip,truncation_bound,digest",
     ("specdens", "specdens_sweep.csv"): "gamma,f0_hat,se,rate_value,digest",
 }
 
@@ -93,6 +92,10 @@ REJECTED = {
     "nan_limit_freq": ("simulate", with_family(FILES, limit_freqs="nan")),
     "nan_decay": ("simulate", with_family(FILES, decay="nan")),
     "negative_threshold": ("simulate", with_family(FILES, threshold=-1)),
+    # a files family has no limit kernels, so nothing that needs a limit runs on it
+    "files_family_gamma": ("gamma", {"family": FILES}),
+    "files_family_limit_centering_clt": ("clt", {"family": FILES, "run": {**RUN, "centering": "limit"}}),
+    "files_family_limit_centering_sweep": ("sweep", {"family": FILES, "run": {**RUN, "centering": "limit"}}),
 }
 
 

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decilab.kernels import TimeKernel, eval_response, make_scaled_window_family, two_frequency_demo_family
+from decilab.kernels import (
+    DecimatedFamily,
+    FamilyLevel,
+    TimeKernel,
+    eval_response,
+    make_scaled_window_family,
+    two_frequency_demo_family,
+)
 from decilab.moments import (
     GammaMatrix,
     a_term,
@@ -16,14 +23,21 @@ from decilab.moments import (
     gamma_limit,
     gamma_matrix,
     limit_cross_cov,
-    symmetrized_limit_product,
 )
 from decilab.quadrature import gauss_legendre_panels
 from decilab.simulate import NoiseSpec, ar1_kernel
-from decilab.windows import make_bspline_window
+from decilab.specdens import asymptotic_sigma2
+from decilab.windows import Window, make_bspline_window
 
 from conftest import random_trig_poly, single_level_family
-from oracles import fold, m_n_functional
+from oracles import (
+    fold,
+    frequency_gamma_limit,
+    frequency_limit_cross_cov,
+    frequency_sigma2,
+    m_n_functional,
+    symmetrized_limit_product,
+)
 
 TWO_PI = 2.0 * math.pi
 GAUSS = NoiseSpec("gaussian")
@@ -281,18 +295,18 @@ class TestLimitQuantities:
 
     def test_missing_limits_raise(self):
         fam = single_level_family([TimeKernel(0, np.array([1.0]))], gamma=2)
-        with pytest.raises(ValueError, match="limit responses unavailable"):
+        with pytest.raises(ValueError, match="limit kernels unavailable"):
             limit_cross_cov(fam, 0, 0, 0)
-        with pytest.raises(ValueError, match="limit responses unavailable"):
+        with pytest.raises(ValueError, match="limit kernels unavailable"):
             gamma_limit(fam, 0, 0)
 
     def test_gamma_entries(self, two_freq):
         gm = gamma_matrix(two_freq)
         assert gm.entries[0, 1] == 0.0
         assert gm.constants[0, 0] == 1 and gm.constants[1, 1] == 2
-        assert gm.entries[0, 0] == pytest.approx(1.0 / (2.0 * math.pi ** 2), rel=1e-6)
+        assert gm.entries[0, 0] == pytest.approx(1.0 / (2.0 * math.pi ** 2), rel=1e-14)
         # the +-passband copies double the folded weight: 4*pi*C^2*int gives 1/(8 pi^2)
-        assert gm.entries[1, 1] == pytest.approx(1.0 / (8.0 * math.pi ** 2), rel=1e-6)
+        assert gm.entries[1, 1] == pytest.approx(1.0 / (8.0 * math.pi ** 2), rel=1e-14)
 
     def test_gamma_agrees_with_exact_decomposition(self, two_freq):
         # 2A + kappa4*B at gamma=64, n=512 should sit within 1% of Gamma
@@ -303,8 +317,6 @@ class TestLimitQuantities:
 
     def test_duplicated_branch_entries_equal(self):
         base = make_scaled_window_family(make_bspline_window(4), [8, 16])
-        from decilab.kernels import DecimatedFamily, FamilyLevel
-
         levels = tuple(
             FamilyLevel(
                 gamma=lv.gamma,
@@ -317,27 +329,23 @@ class TestLimitQuantities:
             levels=levels,
             limit_freqs=np.zeros(2),
             decay=4.0,
-            limit_responses=(base.limit_responses[0], base.limit_responses[0]),
+            limit_kernels=(base.limit_kernels[0], base.limit_kernels[0]),
         )
         gm = gamma_matrix(fam)
         assert gm.entries[0, 0] == pytest.approx(gm.entries[0, 1], abs=1e-14)
         assert gm.entries[0, 0] == pytest.approx(gm.entries[1, 1], abs=1e-14)
 
     def test_phase_invariance(self, two_freq):
-        from decilab.kernels import DecimatedFamily
-
+        # a limit kernel cannot express a phase rotation of its response, so the
+        # rotated responses go through the frequency oracle
         base_entries = gamma_matrix(two_freq).entries
         for theta in (math.pi / 7, math.pi / 2):
             rot = complex(math.cos(theta), math.sin(theta))
-            rotated = DecimatedFamily(
-                levels=two_freq.levels,
-                limit_freqs=two_freq.limit_freqs,
-                decay=two_freq.decay,
-                limit_responses=tuple(
-                    (lambda lam, f=f: rot * f(lam)) for f in two_freq.limit_responses
-                ),
-            )
-            assert np.allclose(gamma_matrix(rotated).entries, base_entries, atol=1e-10)
+            rotated = tuple((lambda lam, f=f: rot * f(lam)) for f in two_freq.limit_responses)
+            for i in range(2):
+                for ip in range(2):
+                    value, bound = frequency_gamma_limit(two_freq, i, ip, rotated)
+                    assert abs(value - base_entries[i, ip]) <= bound <= 1e-10
 
     def test_symmetrized_product_is_conjugate_symmetric(self, two_freq):
         w = symmetrized_limit_product(two_freq, 0, 1)
@@ -351,15 +359,107 @@ class TestLimitQuantities:
         assert abs(rep.value - 1.0 / (2.0 * math.pi ** 2)) <= rep.truncation_bound <= 1e-10
 
 
-@pytest.mark.parametrize("order", [3, 4, 5])
-@pytest.mark.parametrize("modulation,variance,gamma11", [
+LIMIT_CASES = pytest.mark.parametrize("modulation,variance,gamma11", [
     (0.0, 1.0 / (2.0 * math.pi), 1.0 / (2.0 * math.pi ** 2)),
     (math.pi / 2, 1.0 / (4.0 * math.pi), 1.0 / (8.0 * math.pi ** 2)),
 ], ids=["baseband", "modulated"])
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6, 7, 8])
+@LIMIT_CASES
 def test_limit_quantities_within_reported_bounds(order, modulation, variance, gamma11):
-    fam = make_scaled_window_family(make_bspline_window(order), [16, 32], modulation)
+    # the finite sums are exact up to rounding, which the reported bound covers
+    window = make_bspline_window(order)
+    fam = make_scaled_window_family(window, [16, 32], modulation)
     for rep, exact in ((limit_cross_cov(fam, 0, 0, 0), variance), (gamma_limit(fam, 0, 0), gamma11)):
-        assert abs(rep.value - exact) <= rep.truncation_bound <= 1e-10
+        assert abs(rep.value - exact) <= min(rep.truncation_bound, 1e-15)
+    # sigma^2 at f0 = 1/(2*pi) is the baseband Gamma entry 1/(2*pi^2)
+    assert abs(asymptotic_sigma2(window, 1.0 / TWO_PI) - 1.0 / (2.0 * math.pi ** 2)) <= 1e-15
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6, 7, 8])
+@LIMIT_CASES
+def test_limit_quantities_agree_with_frequency_oracle(order, modulation, variance, gamma11):
+    window = make_bspline_window(order)
+    fam = make_scaled_window_family(window, [16, 32], modulation)
+    for rep, (value, bound) in ((limit_cross_cov(fam, 0, 0, 0), frequency_limit_cross_cov(fam, 0, 0, 0)),
+                                (gamma_limit(fam, 0, 0), frequency_gamma_limit(fam, 0, 0))):
+        assert abs(rep.value - value) <= bound
+    value, bound = frequency_sigma2(window, 1.0 / TWO_PI)
+    assert abs(asymptotic_sigma2(window, 1.0 / TWO_PI) - value) <= bound
+
+
+def stretched_window(window, length):
+    """W_L(t) = L**-0.5 * W(t/L) on L times the knots: the same L2 norm, transform L**0.5 * What(L*xi)."""
+    return Window(
+        name=f"{window.name}x{length}",
+        evaluate=lambda t: window.evaluate(np.asarray(t, dtype=float) / length) / math.sqrt(length),
+        transform=lambda xi: math.sqrt(length) * window.transform(length * np.asarray(xi, dtype=float)),
+        decay=window.decay,
+        knots=tuple(length * k for k in window.knots),
+        degree=window.degree,
+    )
+
+
+def sampled_family(windows, gammas):
+    """Baseband branch i samples windows[i] at each gamma, v(t) = gamma**-0.5 * W(t/gamma); limit kernel (W, 1)."""
+    levels = []
+    for g in gammas:
+        kernels = []
+        for w in windows:
+            t = np.arange(math.floor(g * w.knots[0]), math.ceil(g * w.knots[-1]) + 1)
+            kernels.append(TimeKernel(int(t[0]), w.evaluate(t / g) / math.sqrt(g)))
+        levels.append(FamilyLevel(gamma=g, kernels=tuple(kernels), center_freqs=np.zeros(len(windows))))
+    return DecimatedFamily(
+        levels=tuple(levels),
+        limit_freqs=np.zeros(len(windows)),
+        decay=min(w.decay for w in windows),
+        limit_kernels=tuple((w, 1.0) for w in windows),
+    )
+
+
+class TestSupportTwoWindow:
+    """An order-4 window on [-2, 0]: rho(+-1) != 0, so Gamma sums three lags."""
+
+    @pytest.fixture(scope="class")
+    def fam(self):
+        return sampled_family([stretched_window(make_bspline_window(4), 2)], [16, 32])
+
+    def test_gamma_sums_the_overlapping_lags(self, fam):
+        rho = {k: limit_cross_cov(fam, 0, 0, k).value for k in (-1, 0, 1)}
+        assert rho[1] == pytest.approx(0.0079050468423127, abs=1e-15)
+        assert rho[-1] == pytest.approx(rho[1], abs=1e-17)
+        assert rho[0] == pytest.approx(1.0 / TWO_PI, abs=1e-15)
+        rep = gamma_limit(fam, 0, 0)
+        assert rep.value == pytest.approx(2.0 * sum(r * r for r in rho.values()), abs=1e-17)
+        assert rep.value == pytest.approx(0.05091055088348553, abs=1e-15)
+        assert rep.truncation_bound < 1e-15
+
+    def test_gamma_agrees_with_frequency_oracle(self, fam):
+        rep = gamma_limit(fam, 0, 0)
+        value, bound = frequency_gamma_limit(fam, 0, 0)
+        assert abs(rep.value - value) <= bound <= 1e-10
+
+    @pytest.mark.parametrize("lag", [-1, 0, 1, 2])
+    def test_cross_cov_agrees_with_frequency_oracle(self, fam, lag):
+        value, bound = frequency_limit_cross_cov(fam, 0, 0, lag)
+        assert abs(limit_cross_cov(fam, 0, 0, lag).value - value) <= bound <= 1e-10
+
+    def test_sigma2_sums_the_overlapping_lags(self, fam):
+        window = fam.limit_kernels[0][0]
+        value, bound = frequency_sigma2(window, 1.0 / TWO_PI)
+        assert abs(asymptotic_sigma2(window, 1.0 / TWO_PI) - value) <= bound
+        assert asymptotic_sigma2(window, 1.0 / TWO_PI) == pytest.approx(gamma_limit(fam, 0, 0).value, abs=1e-17)
+
+
+def test_limit_cross_cov_is_the_limit_of_cov_exact():
+    # Two different windows at one limit frequency: rho(lag) pairs W_i(t) with
+    # W_i'(t + lag), as Cov(Z_{i,k}, Z_{i',k+lag}) does, and rho(1) != rho(-1).
+    fam = sampled_family([stretched_window(make_bspline_window(4), 2), make_bspline_window(3)], [64, 1024])
+    for lag in (-1, 0, 1, 2):
+        lim = limit_cross_cov(fam, 0, 1, lag).value
+        assert abs(cov_exact(fam, 1, 0, 1, 0, lag) - lim) < 1e-9
+    assert limit_cross_cov(fam, 0, 1, 1).value > 0.05 and limit_cross_cov(fam, 0, 1, -1).value == 0.0
 
 
 class TestGammaMatrixValidation:
@@ -368,7 +468,6 @@ class TestGammaMatrixValidation:
             GammaMatrix(
                 entries=np.array([[1.0, 0.2], [0.1, 1.0]]),
                 constants=np.ones((2, 2), dtype=int),
-                truncation_bounds=np.zeros((2, 2)),
             )
 
     def test_indefinite_rejected(self):
@@ -376,7 +475,6 @@ class TestGammaMatrixValidation:
             GammaMatrix(
                 entries=np.array([[1.0, 2.0], [2.0, 1.0]]),
                 constants=np.ones((2, 2), dtype=int),
-                truncation_bounds=np.zeros((2, 2)),
             )
 
     def test_bad_constants_rejected(self):
@@ -384,5 +482,4 @@ class TestGammaMatrixValidation:
             GammaMatrix(
                 entries=np.eye(2),
                 constants=np.full((2, 2), 3),
-                truncation_bounds=np.zeros((2, 2)),
             )

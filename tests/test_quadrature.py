@@ -3,21 +3,21 @@ import math
 import numpy as np
 import pytest
 
-import decilab.quadrature as quadrature
 from decilab.kernels import make_scaled_window_family, two_frequency_demo_family
-from decilab.moments import symmetrized_limit_product
-from decilab.quadrature import (
+from decilab.quadrature import _legendre, gauss_legendre_panels
+from decilab.specdens import asymptotic_sigma2
+from decilab.windows import Window, make_bspline_window
+
+from oracles import (
     MAX_ALIASES,
     MIN_ALIASES,
     alias_sum,
     alias_sum_norm_sq,
     decay_cutoff,
     folding_cutoff,
-    gauss_legendre_panels,
     line_integral,
+    symmetrized_limit_product,
 )
-from decilab.specdens import asymptotic_sigma2
-from decilab.windows import Window, make_bspline_window
 
 
 def folding_bound(q, p):
@@ -35,6 +35,20 @@ def test_gauss_legendre_weights_sum_to_length():
     x, w = gauss_legendre_panels(-np.pi, np.pi, panels=16, nodes=4)
     assert abs(w.sum() - 2.0 * np.pi) < 1e-12
     assert x.min() > -np.pi and x.max() < np.pi
+
+
+def test_legendre_nodes_cached_read_only():
+    x1, w1 = _legendre(5)
+    x2, w2 = _legendre(5)
+    assert x1 is x2 and w1 is w2
+    ref_x, ref_w = np.polynomial.legendre.leggauss(5)
+    assert np.array_equal(x1, ref_x) and np.array_equal(w1, ref_w)
+    for arr in (x1, w1):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    x, w = gauss_legendre_panels(0.0, 1.0, panels=1, nodes=5)
+    x[0] = w[0] = 0.0  # the panel rule is the caller's own copy
+    assert np.array_equal(_legendre(5)[0], ref_x) and np.array_equal(_legendre(5)[1], ref_w)
 
 
 def test_oscillatory_integral():
@@ -119,7 +133,7 @@ def test_asymptotic_sigma2_rejects_nan_f0():
     def transform(x):
         raise AssertionError("no point may be evaluated")
 
-    window = Window("never", evaluate=transform, transform=transform, decay=3.0)
+    window = Window("never", evaluate=transform, transform=transform, decay=3.0, knots=(-1.0, 0.0), degree=0)
     with pytest.raises(ValueError):
         asymptotic_sigma2(window, math.nan)
 
@@ -128,27 +142,6 @@ def test_alias_sum_norm_sq_within_reported_bound():
     # F(lam) = sinh(1) / (2*(cosh(1) - cos(lam))), whose squared norm on [-pi, pi] is (pi/2)*coth(1)
     value, bound = alias_sum_norm_sq(lambda x: 1.0 / (1.0 + x * x), 2.0, tol=1e-3)
     assert abs(value - 0.5 * math.pi / math.tanh(1.0)) <= bound <= 1e-3
-
-
-def test_asymptotic_sigma2_evaluates_each_alias_point_once(monkeypatch):
-    window = make_bspline_window(3)
-    points = []
-    cutoffs = []
-
-    def transform(x):
-        points.append(np.size(x))
-        return window.transform(x)
-
-    def spy(exponent, tol):
-        cutoffs.append(folding_cutoff(exponent, tol))
-        return cutoffs[-1]
-
-    monkeypatch.setattr(quadrature, "folding_cutoff", spy)
-    counted = Window("counted", evaluate=window.evaluate, transform=transform, decay=window.decay)
-    asymptotic_sigma2(counted, 1.0)
-    n_alias = cutoffs[-1][0]
-    # the envelope grid, then the half-range rule's 256 nodes at each alias |p| <= P'
-    assert sum(points) <= 1023 + (2 * n_alias + 1) * 256
 
 
 def test_alias_sum_norm_sq_integrands_are_hermitian():

@@ -264,6 +264,8 @@ class TestWindowedCoefficients:
             evaluate=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
             transform=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             decay=4.0,
+            knots=(-1.0, 0.0),
+            degree=0,
         )
         z = windowed_coefficients(np.arange(1.0, 33.0), zero, 4)
         assert np.all(z == 0.0)
@@ -294,7 +296,8 @@ class TestWindowedCoefficients:
             evaluate=lambda t: np.ones_like(np.asarray(t, dtype=float)),
             transform=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             decay=4.0,
-            support=(-2.0, 0.0),
+            knots=(-2.0, 0.0),
+            degree=0,
         )
         with pytest.raises(ValueError):
             windowed_coefficients(np.ones(30), bad, 4)

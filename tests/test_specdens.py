@@ -177,7 +177,7 @@ class TestEstimator:
     @pytest.mark.parametrize("order", [3, 4, 5])
     def test_sigma2_is_the_closed_form(self, rng, order):
         # 2*f0^2 holds exactly for every admissible window; asymptotic_sigma2
-        # is its quadrature oracle (TestSigma2)
+        # computes it as a finite sum (TestSigma2)
         est = estimate_f0(rng.standard_normal(2048), make_bspline_window(order), 16)
         assert est.sigma2 == 2 * est.f0_hat ** 2
         assert est.se == math.sqrt(est.sigma2 / est.n_j)
@@ -194,7 +194,6 @@ class TestSigma2:
     def test_lower_bound_and_sharpness(self):
         # Cauchy-Schwarz with the unit normalization gives sigma2 >= f0^2;
         # windows supported on an interval of length one achieve 2*f0^2
-        # (up to the alias-truncation deficit of the folded sum)
         f0 = 1.0 / TWO_PI
         for order in (3, 4, 5):
             s2 = asymptotic_sigma2(make_bspline_window(order), f0)
@@ -318,8 +317,9 @@ class TestLeakage:
     def test_epsilon_validation(self):
         w = make_bspline_window(4)
         fam = make_scaled_window_family(w, [8, 16])
-        with pytest.raises(ValueError):
-            leakage_integral(fam, 0, 0.0)
+        for epsilon in (0.0, -0.5, math.nan):  # NaN would skip both segments: zero leakage
+            with pytest.raises(ValueError):
+                leakage_integral(fam, 0, epsilon)
 
 
 class TestExpectationIdentities:
