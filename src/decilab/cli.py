@@ -12,25 +12,30 @@ Exit codes: 0 success, 2 configuration error (including any value the
 library rejects), 3 hypothesis-gate rejection (a requested window whose
 decay cannot support the estimator theory).
 
-Config schema (sections and keys; unknown keys are rejected):
+Config schema. Every value is parsed once, when the file is loaded; an
+unknown section or key, or a value of the wrong kind, is rejected:
 
   [experiment]  command (optional, must match the subcommand), seed, out
-  [family]      type = bspline_ma | two_frequency | files
-                order, gammas, modulation          (built-in types)
-                built-in gammas: increasing, even, >= 1; multiples of 4 for two_frequency
-                decay, limit_freqs, threshold (0 .. number of levels),
-                gamma.<j>, kernels.<j>, freqs.<j>  (type = files)
+  [family]      type = bspline_ma | two_frequency | files; each type reads only these keys:
+                  bspline_ma     order, gammas, modulation
+                  two_frequency  order, gammas
+                  files          decay, limit_freqs, threshold, gamma.<j>, kernels.<j>, freqs.<j>
+                built-in gammas: increasing, even, >= 1; multiples of 4 for two_frequency;
+                files: threshold in 0 .. number of levels, levels j = 0, 1, ... without gaps
   [noise]       distribution = gaussian | rademacher | scaled_uniform
   [run]         level, n, replicates, centering, levels
-  [specdens]    window_order, gamma, gammas, input | synth, phi, n
+  [specdens]    window_order, gamma, gammas, input | synth = white | ar1, phi (ar1), n (synth)
   [tolerances]  rate_threshold
+
+A [family] key the chosen type does not read is rejected, as are [specdens]
+phi without synth = ar1 and [specdens] n with input.
 """
 
 import argparse
 import configparser
 import hashlib
 import sys
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +47,33 @@ from .windows import make_bspline_window
 FLOAT_FMT = "%.17g"
 SWEEP_HEADER = "gamma,n,entry_i,entry_ip,empirical,analytic_n,gamma_limit,se"
 
-_KNOWN_KEYS = {
-    "experiment": {"command", "seed", "out"},
-    "family": {"type", "order", "gammas", "modulation", "decay", "limit_freqs", "threshold"},
-    "noise": {"distribution"},
-    "run": {"level", "n", "replicates", "centering", "levels"},
-    "specdens": {"window_order", "gamma", "gammas", "input", "synth", "phi", "n"},
-    "tolerances": {"rate_threshold"},
+
+def _ints(raw):
+    return [int(tok) for tok in raw.split()]
+
+
+def _floats(raw):
+    return [float(tok) for tok in raw.split()]
+
+
+# {section: {key: parser of its value}}; a stem ending in "." stands for the per-level keys <stem><j>
+_SCHEMA = {
+    "experiment": {"command": str, "seed": int, "out": str},
+    "family": {"type": str, "order": int, "gammas": _ints, "modulation": float, "decay": float,
+               "limit_freqs": _floats, "threshold": int, "gamma.": int, "kernels.": str, "freqs.": _floats},
+    "noise": {"distribution": str},
+    "run": {"level": int, "n": int, "replicates": int, "centering": str, "levels": _ints},
+    "specdens": {"window_order": int, "gamma": int, "gammas": _ints, "input": str, "synth": str,
+                 "phi": float, "n": int},
+    "tolerances": {"rate_threshold": float},
 }
+# {family type: the [family] keys it reads besides type}
+_FAMILY_KEYS = {
+    "bspline_ma": {"order", "gammas", "modulation"},
+    "two_frequency": {"order", "gammas"},
+    "files": {"decay", "limit_freqs", "threshold", "gamma.", "kernels.", "freqs."},
+}
+_KIND = {int: "an integer", float: "a number", _ints: "a list of int", _floats: "a list of float"}
 
 
 class ConfigError(Exception):
@@ -60,7 +84,14 @@ class HypothesisGateError(Exception):
     pass
 
 
+def _stem(key):
+    """The schema name of a key: gamma.<j> goes by its stem gamma., every other key by itself."""
+    name, dot, _ = key.partition(".")
+    return name + dot
+
+
 def _parse_config_file(path):
+    """The raw parser, which the digest reads, and {section: {key: value}} with each value parsed."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cfg_path = Path(path)
     if not cfg_path.is_file():
@@ -70,18 +101,19 @@ def _parse_config_file(path):
             parser.read_file(fh, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    cfg = {section: {} for section in _SCHEMA}
     for section in parser.sections():
-        base = section.split(".")[0]
-        if base not in _KNOWN_KEYS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if base == "family" and "." in key:
-                stem = key.split(".")[0]
-                if stem not in {"gamma", "kernels", "freqs"}:
-                    raise ConfigError(f"unknown key {key!r} in [{section}]")
-            elif key not in _KNOWN_KEYS[base]:
+        for key, raw in parser[section].items():
+            parse = _SCHEMA[section].get(_stem(key))
+            if parse is None:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-    return parser
+            try:
+                cfg[section][key] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r} is not {_KIND[parse]}") from exc
+    return parser, cfg
 
 
 def _effective_items(parser, command, seed):
@@ -99,48 +131,16 @@ def config_digest(parser, command, seed):
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _get(parser, section, key, default=None, required=False):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    if required:
+def _need(cfg, section, key):
+    if key not in cfg[section]:
         raise ConfigError(f"missing required key {key!r} in section [{section}]")
-    return default
+    return cfg[section][key]
 
 
-def _get_int(parser, section, key, default=None, required=False):
-    raw = _get(parser, section, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
-
-
-def _get_float(parser, section, key, default=None, required=False):
-    raw = _get(parser, section, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-
-
-def _get_values(parser, section, key, kind=float, default=None, required=False):
-    raw = _get(parser, section, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return [kind(tok) for tok in raw.split()]
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a list of {kind.__name__}") from exc
-
-
-def _get_level(parser, family):
+def _get_level(cfg, family):
     """[run] level (default 0) and [run] levels (default all), each a level of the family."""
-    level = _get_int(parser, "run", "level", 0)
-    levels = _get_values(parser, "run", "levels", int, list(range(family.n_levels)))
+    level = cfg["run"].get("level", 0)
+    levels = cfg["run"].get("levels", list(range(family.n_levels)))
     if not levels:
         raise ConfigError("[run] levels is empty")
     for j in [level, *levels]:
@@ -149,63 +149,62 @@ def _get_level(parser, family):
     return level, levels
 
 
-def _family_from_config(parser, config_dir):
-    ftype = _get(parser, "family", "type", required=True)
-    if ftype in ("bspline_ma", "two_frequency"):
-        order = _get_int(parser, "family", "order", 4)
-        gammas = _get_values(parser, "family", "gammas", int, required=True)
-        window = make_bspline_window(order)
+def _family_from_config(cfg, config_dir):
+    fam = cfg["family"]
+    ftype = _need(cfg, "family", "type")
+    if ftype not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown family type {ftype!r}")
+    n_levels = sum(key.startswith("gamma.") for key in fam)
+    levels_read = {str(j) for j in range(n_levels)}  # files reads gamma.<j> etc. for j = 0 .. n_levels - 1
+    for key in fam:
+        name, dot, j = key.partition(".")
+        if key != "type" and (name + dot not in _FAMILY_KEYS[ftype] or dot and j not in levels_read):
+            raise ConfigError(f"[family] {key} is not read by type = {ftype}")
+    if ftype != "files":
+        gammas = _need(cfg, "family", "gammas")
+        window = make_bspline_window(fam.get("order", 4))
         if ftype == "bspline_ma":
-            modulation = _get_float(parser, "family", "modulation", 0.0)
-            return make_scaled_window_family(window, gammas, modulation)
+            return make_scaled_window_family(window, gammas, fam.get("modulation", 0.0))
         return two_frequency_demo_family(window, gammas)
-    if ftype == "files":
-        decay = _get_float(parser, "family", "decay", required=True)
-        limit_freqs = _get_values(parser, "family", "limit_freqs", float, required=True)
-        threshold = _get_int(parser, "family", "threshold", 0)
-        levels = []
-        j = 0
-        while parser.has_option("family", f"gamma.{j}"):
-            gamma = _get_int(parser, "family", f"gamma.{j}", required=True)
-            paths = _get(parser, "family", f"kernels.{j}", required=True).split()
-            freqs = _get_values(parser, "family", f"freqs.{j}", float, required=True)
-            kernels = []
-            for rel in paths:
-                kpath = (config_dir / rel).resolve()
-                if not kpath.is_file():
-                    raise ConfigError(f"kernel file not found: {rel}")
-                kernels.append(read_kernel(kpath))
-            levels.append(FamilyLevel(gamma=gamma, kernels=tuple(kernels), center_freqs=np.array(freqs)))
-            j += 1
-        return DecimatedFamily(
-            levels=tuple(levels),
-            limit_freqs=np.array(limit_freqs),
-            decay=decay,
-            threshold=threshold,
-            name="files",
-        )
-    raise ConfigError(f"unknown family type {ftype!r}")
+    decay = _need(cfg, "family", "decay")
+    limit_freqs = _need(cfg, "family", "limit_freqs")
+    levels = []
+    for j in range(n_levels):
+        gamma = _need(cfg, "family", f"gamma.{j}")
+        paths = _need(cfg, "family", f"kernels.{j}").split()
+        freqs = _need(cfg, "family", f"freqs.{j}")
+        kernels = []
+        for rel in paths:
+            kpath = (config_dir / rel).resolve()
+            if not kpath.is_file():
+                raise ConfigError(f"kernel file not found: {rel}")
+            kernels.append(read_kernel(kpath))
+        levels.append(FamilyLevel(gamma=gamma, kernels=tuple(kernels), center_freqs=np.array(freqs)))
+    return DecimatedFamily(levels=tuple(levels), limit_freqs=np.array(limit_freqs), decay=decay,
+                           threshold=fam.get("threshold", 0), name="files")
 
 
-def _noise_from_config(parser):
-    return simulate.NoiseSpec(_get(parser, "noise", "distribution", "gaussian"))
+def _noise_from_config(cfg):
+    return simulate.NoiseSpec(cfg["noise"].get("distribution", "gaussian"))
 
 
-def _window_from_config(parser):
-    order = _get_int(parser, "specdens", "window_order", 4)
+def _window_from_config(cfg):
+    order = cfg["specdens"].get("window_order", 4)
     if order <= 2:
-        raise HypothesisGateError(
-            f"window order {order} gives decay <= 2: outside estimator hypotheses"
-        )
+        raise HypothesisGateError(f"window order {order} gives decay <= 2: outside estimator hypotheses")
     return make_bspline_window(order)
 
 
-def _series_from_config(parser, config_dir, seed):
-    input_path = _get(parser, "specdens", "input")
-    synth = _get(parser, "specdens", "synth")
+def _series_from_config(cfg, config_dir, seed):
+    spec = cfg["specdens"]
+    input_path, synth = spec.get("input"), spec.get("synth")
     if (input_path is None) == (synth is None):
         raise ConfigError("specdens needs exactly one of 'input' or 'synth'")
+    if "phi" in spec and synth != "ar1":
+        raise ConfigError("[specdens] phi is read only with synth = ar1")
     if input_path is not None:
+        if "n" in spec:
+            raise ConfigError("[specdens] n is not read with input: the series sets its length")
         path = (config_dir / input_path).resolve()
         if not path.is_file():
             raise ConfigError(f"input series not found: {input_path}")
@@ -224,12 +223,12 @@ def _series_from_config(parser, config_dir, seed):
         if not rows:
             raise ConfigError(f"input series is empty: {input_path}")
         return np.asarray(rows), None
-    n = _get_int(parser, "specdens", "n", required=True)
-    noise = _noise_from_config(parser)
+    n = _need(cfg, "specdens", "n")
+    noise = _noise_from_config(cfg)
     if synth == "white":
         return simulate.draw_noise(noise, n, seed), 1.0 / (2.0 * np.pi)
     if synth == "ar1":
-        phi = _get_float(parser, "specdens", "phi", 0.5)
+        phi = spec.get("phi", 0.5)
         kernel = simulate.ar1_kernel(phi)
         target = 1.0 / (2.0 * np.pi * (1.0 - phi) ** 2)
         return simulate.simulate_linear_process(kernel, n, noise, seed), target
@@ -259,8 +258,8 @@ def _write_csv(out_dir, name, header, rows, digest):
             fh.write(",".join(map(_fmt, row)) + f",{digest}\n")
 
 
-def _cmd_gamma(parser, out_dir, seed, digest, config_dir):
-    family = _family_from_config(parser, config_dir)
+def _cmd_gamma(cfg, out_dir, seed, digest, config_dir):
+    family = _family_from_config(cfg, config_dir)
     if family.limit_kernels is None:
         raise ConfigError("gamma command needs a family with limit kernels (built-in types)")
     gm = moments.gamma_matrix(family)
@@ -270,11 +269,11 @@ def _cmd_gamma(parser, out_dir, seed, digest, config_dir):
     return 0
 
 
-def _cmd_simulate(parser, out_dir, seed, digest, config_dir):
-    family = _family_from_config(parser, config_dir)
-    noise = _noise_from_config(parser)
-    level, _ = _get_level(parser, family)
-    n = _get_int(parser, "run", "n", required=True)
+def _cmd_simulate(cfg, out_dir, seed, digest, config_dir):
+    family = _family_from_config(cfg, config_dir)
+    noise = _noise_from_config(cfg)
+    level, _ = _get_level(cfg, family)
+    n = _need(cfg, "run", "n")
     z = simulate.simulate_decimated(family, level, n, noise, seed)
     with _open_out(out_dir, "path.csv") as fh:
         fh.write(f"# level={level},gamma={family.levels[level].gamma},seed={seed},digest={digest}\n")
@@ -284,18 +283,18 @@ def _cmd_simulate(parser, out_dir, seed, digest, config_dir):
     return 0
 
 
-def _run_replicates(parser, config_dir):
-    family = _family_from_config(parser, config_dir)
-    noise = _noise_from_config(parser)
-    level, levels = _get_level(parser, family)
-    n = _get_int(parser, "run", "n", required=True)
-    reps = _get_int(parser, "run", "replicates", required=True)
-    centering = _get(parser, "run", "centering", "exact")
+def _run_replicates(cfg, config_dir):
+    family = _family_from_config(cfg, config_dir)
+    noise = _noise_from_config(cfg)
+    level, levels = _get_level(cfg, family)
+    n = _need(cfg, "run", "n")
+    reps = _need(cfg, "run", "replicates")
+    centering = cfg["run"].get("centering", "exact")
     return family, noise, level, levels, n, reps, centering
 
 
-def _cmd_clt(parser, out_dir, seed, digest, config_dir):
-    family, noise, level, _, n, reps, centering = _run_replicates(parser, config_dir)
+def _cmd_clt(cfg, out_dir, seed, digest, config_dir):
+    family, noise, level, _, n, reps, centering = _run_replicates(cfg, config_dir)
     rs = montecarlo.replicate_sums(family, level, n, noise, reps, seed, centering)
     n_replicates, n_branches = rs.samples.shape
     coords = ",".join(f"coord_{i + 1}" for i in range(n_branches))
@@ -315,44 +314,32 @@ def _cmd_clt(parser, out_dir, seed, digest, config_dir):
     return 0
 
 
-def _cmd_cov_check(parser, out_dir, seed, digest, config_dir):
-    family, noise, level, _, n, reps, centering = _run_replicates(parser, config_dir)
+def _cmd_cov_check(cfg, out_dir, seed, digest, config_dir):
+    family, noise, level, _, n, reps, centering = _run_replicates(cfg, config_dir)
     rows = montecarlo.convergence_sweep(family, [level], n, noise, reps, seed, centering)
     _write_csv(out_dir, "cov_check.csv", SWEEP_HEADER, map(astuple, rows), digest)
     return 0
 
 
-def _cmd_sweep(parser, out_dir, seed, digest, config_dir):
-    family, noise, _, levels, n, reps, centering = _run_replicates(parser, config_dir)
+def _cmd_sweep(cfg, out_dir, seed, digest, config_dir):
+    family, noise, _, levels, n, reps, centering = _run_replicates(cfg, config_dir)
     rows = montecarlo.convergence_sweep(family, levels, n, noise, reps, seed, centering)
     _write_csv(out_dir, "sweep.csv", SWEEP_HEADER, map(astuple, rows), digest)
     return 0
 
 
-def _cmd_specdens(parser, out_dir, seed, digest, config_dir):
-    window = _window_from_config(parser)
-    threshold = _get_float(parser, "tolerances", "rate_threshold", specdens.DEFAULT_RATE_THRESHOLD)
-    series, target = _series_from_config(parser, config_dir, seed)
-    gammas = _get_values(parser, "specdens", "gammas", int)
+def _cmd_specdens(cfg, out_dir, seed, digest, config_dir):
+    window = _window_from_config(cfg)
+    threshold = cfg["tolerances"].get("rate_threshold", specdens.DEFAULT_RATE_THRESHOLD)
+    series, target = _series_from_config(cfg, config_dir, seed)
+    gammas = cfg["specdens"].get("gammas")
     if gammas == []:
         raise ConfigError("[specdens] gammas is empty")
-    gamma = _get_int(parser, "specdens", "gamma", gammas[-1] if gammas else None, required=gammas is None)
+    gamma = cfg["specdens"].get("gamma", gammas[-1]) if gammas else _need(cfg, "specdens", "gamma")
     sweep = [specdens.estimate_f0(series, window, g, rate_threshold=threshold) for g in gammas or ()]
     est = next((e for e in sweep if e.gamma == gamma), None) or specdens.estimate_f0(
         series, window, gamma, rate_threshold=threshold)
-    pairs = [
-        ("digest", digest),
-        ("f0_hat", est.f0_hat),
-        ("n", est.n),
-        ("gamma", est.gamma),
-        ("n_j", est.n_j),
-        ("sigma2", est.sigma2),
-        ("se", est.se),
-        ("bias_order", est.bias_order),
-        ("rate_value", est.rate_value),
-        ("rate_ok", est.rate_ok),
-        ("degenerate", est.degenerate),
-    ]
+    pairs = [("digest", digest), *asdict(est).items()]  # every SpecEstimate field, in order
     if target is not None:
         pairs.append(("target_f0", target))
     _write_report(out_dir, "specdens_report.txt", pairs)
@@ -386,15 +373,15 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     try:
-        parser = _parse_config_file(args.config)
-        declared = _get(parser, "experiment", "command")
+        parser, cfg = _parse_config_file(args.config)
+        declared = cfg["experiment"].get("command")
         if declared is not None and declared != args.command:
             raise ConfigError(f"config declares command {declared!r} but {args.command!r} was invoked")
-        seed = args.seed if args.seed is not None else _get_int(parser, "experiment", "seed", 0)
-        out_dir = Path(args.out if args.out is not None else _get(parser, "experiment", "out", "."))
+        seed = args.seed if args.seed is not None else cfg["experiment"].get("seed", 0)
+        out_dir = Path(args.out if args.out is not None else cfg["experiment"].get("out", "."))
         digest = config_digest(parser, args.command, seed)
         config_dir = Path(args.config).resolve().parent
-        return _COMMANDS[args.command](parser, out_dir, seed, digest, config_dir)
+        return _COMMANDS[args.command](cfg, out_dir, seed, digest, config_dir)
     except (ConfigError, ValueError) as exc:
         print(f"decilab: config error: {exc}", file=sys.stderr)
         return 2

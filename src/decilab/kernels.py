@@ -237,15 +237,13 @@ class ConditionReport:
     gamma**(-1/2) |v*_{i,j}(lam)| (1 + gamma*|lam - center|)**decay on [0, pi);
     rescaled_residuals[j, i] the grid sup of
     |gamma**(-1/2) v*_{i,j}(lam/gamma + center) - limit_i(lam)|
-    (None when the family has no limit kernels); modulus_residuals the same
-    with absolute values inside, a fallback that ignores the unknown phase.
+    (None when the family has no limit kernels).
     """
 
     failed: frozenset
     integer_residuals: np.ndarray
     uniform_stats: np.ndarray
     rescaled_residuals: Optional[np.ndarray]
-    modulus_residuals: Optional[np.ndarray]
 
     @property
     def frequency_conditions_ok(self):
@@ -286,26 +284,21 @@ def check_condition_c(family, grid_size=512):
             uniform[j, i] = np.max(resp * envelope) / np.sqrt(g)
 
     rescaled = None
-    modulus = None
     responses = family.limit_responses
     if responses is not None:
         xi = np.linspace(-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH, grid_size)
         rescaled = np.zeros((nl, n))
-        modulus = np.zeros((nl, n))
         for j, lv in enumerate(family.levels):
             g = lv.gamma
             for i in range(n):
                 scaled = eval_response(lv.kernels[i], xi / g + lv.center_freqs[i]) / np.sqrt(g)
-                lim = np.asarray(responses[i](xi))
-                rescaled[j, i] = np.max(np.abs(scaled - lim))
-                modulus[j, i] = np.max(np.abs(np.abs(scaled) - np.abs(lim)))
+                rescaled[j, i] = np.max(np.abs(scaled - responses[i](xi)))
 
     return ConditionReport(
         failed=failed,
         integer_residuals=integer_res,
         uniform_stats=uniform,
         rescaled_residuals=rescaled,
-        modulus_residuals=modulus,
     )
 
 

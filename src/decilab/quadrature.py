@@ -1,10 +1,9 @@
-"""Gauss-Legendre panel rules and the periodic rule.
+"""Gauss-Legendre panel rules.
 
 A composite Gauss-Legendre rule (panels x nodes) serves every smooth
 integrand; with one panel per knot interval and n nodes it is exact for
 piecewise polynomials of degree 2n - 1, which is how every limit quantity
-is computed (see windows). A trigonometric polynomial of known degree takes
-the equispaced periodic rule, which is exact. No quantity is truncated.
+is computed (see windows). No quantity is truncated.
 """
 
 from functools import lru_cache
@@ -39,12 +38,3 @@ def gauss_legendre_panels(a, b, panels=64, nodes=8):
         raise ValueError("need panels >= 1 and nodes >= 1")
     return _panel_rule(np.linspace(a, b, panels + 1), nodes)
 
-
-def periodic_rule(degree):
-    """Nodes and weight of the rule on [-pi, pi) exact for trigonometric polynomials of this degree.
-
-    The degree + 1 equispaced nodes -pi + 2*pi*m/(degree + 1) share the
-    weight 2*pi/(degree + 1).
-    """
-    m = int(degree) + 1
-    return -np.pi + TWO_PI * np.arange(m) / m, TWO_PI / m

@@ -198,7 +198,8 @@ def windowed_coefficients(x, window, gamma):
     k = 0 .. n_j - 1 with n_j = floor((n+1)/gamma). The window is sampled
     pointwise at the real arguments k - u/gamma (no interpolation); its
     support must be contained in [-1, 0] and gamma must be even, so each
-    coefficient touches only the block gamma*k <= u <= gamma*(k+1).
+    coefficient touches only the block gamma*k <= u <= gamma*(k+1). A
+    series with a non-finite value is rejected.
     """
     if not (float(gamma).is_integer() and gamma >= 2 and gamma % 2 == 0):
         raise ValueError(f"need an even integer decimation factor gamma >= 2, got {gamma}")
@@ -207,6 +208,8 @@ def windowed_coefficients(x, window, gamma):
     if lo < -1.0 or hi > 0.0:
         raise ValueError("window support must be contained in [-1, 0]")
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("series has a non-finite value")
     n = x.size
     n_j = (n + 1) // gamma
     if n_j < 1:

@@ -83,10 +83,13 @@ def check_rate_condition(n, gamma, beta, threshold=DEFAULT_RATE_THRESHOLD):
 
     The CLT for the estimator needs this quantity to vanish along the
     design; at finite scale we call it small below the (configurable)
-    threshold.
+    threshold. The one home of the estimator's rate rules: a decay beta
+    <= 2 and a threshold that is NaN or <= 0 are rejected.
     """
     if beta <= 2.0:
         raise ValueError("outside estimator hypotheses: need window decay > 2")
+    if not threshold > 0.0:  # NaN fails too
+        raise ValueError(f"need rate_threshold > 0, got {threshold}")
     value = math.sqrt(n) * float(gamma) ** (0.5 - 2.0 * beta)
     return RateCheck(value=value, ok=bool(value < threshold), threshold=threshold)
 
@@ -98,20 +101,17 @@ def estimate_f0(x, window, gamma, rate_threshold=DEFAULT_RATE_THRESHOLD):
     form of asymptotic_sigma2 for every window windowed_coefficients admits
     (support in [-1, 0], unit L2 transform), with f0_hat substituted for
     the unknown f(0); se = sqrt(sigma2 / n_j); and the rate check for the
-    (n, gamma, decay) design. The limiting variance is free of the fourth
-    cumulant because decimation kills the cumulant term. Series shorter
-    than gamma are rejected (no coefficients).
+    (n, gamma, decay) design, which rejects a window with decay <= 2 and a
+    threshold that is NaN or <= 0. The limiting variance is free of the
+    fourth cumulant because decimation kills the cumulant term. Series
+    shorter than gamma are rejected (no coefficients), as are non-finite ones.
     """
     x = np.asarray(x, dtype=float)
     z = windowed_coefficients(x, window, gamma)  # rejects bad gamma/support, n_j = 0
     n_j = z.size
     f0_hat = float(np.mean(z * z))
     sigma2 = 2.0 * f0_hat * f0_hat
-    if window.decay > 2.0:
-        rate = check_rate_condition(x.size, gamma, window.decay, rate_threshold)
-        rate_value, rate_ok = rate.value, rate.ok
-    else:
-        rate_value, rate_ok = float("nan"), False
+    rate = check_rate_condition(x.size, gamma, window.decay, rate_threshold)
     degenerate = n_j <= 1
     return SpecEstimate(
         f0_hat=f0_hat,
@@ -121,8 +121,8 @@ def estimate_f0(x, window, gamma, rate_threshold=DEFAULT_RATE_THRESHOLD):
         sigma2=sigma2,
         se=math.sqrt(sigma2 / n_j),
         bias_order=float(gamma) ** -2.0,
-        rate_value=rate_value,
-        rate_ok=bool(rate_ok and not degenerate),
+        rate_value=rate.value,
+        rate_ok=rate.ok and not degenerate,
         degenerate=degenerate,
     )
 

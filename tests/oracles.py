@@ -1,6 +1,7 @@
 """Frequency-domain reference implementations that only the tests call.
 
-They check identities of the library's exact time-domain sums: A(n) =
+They check identities of the library's exact time-domain sums: the
+covariance of two coefficients as an integral of their responses, A(n) =
 M_n(g)**2 for the folded product of two responses, Parseval for
 eval_response, the alias structure of a scaled window, the unit L2 norm of
 a window transform, and the limit quantities (centering, Gamma, sigma^2)
@@ -25,7 +26,7 @@ import numpy as np
 
 from decilab.kernels import eval_response
 from decilab.moments import case_constant
-from decilab.quadrature import TWO_PI, gauss_legendre_panels, periodic_rule
+from decilab.quadrature import TWO_PI, gauss_legendre_panels
 
 TAIL_TOL = 1e-10
 MIN_ALIASES = 8
@@ -222,6 +223,31 @@ def fold(g, gamma, lam):
     if np.ndim(lam):
         return vals.reshape(np.shape(lam))
     return vals[0] if np.iscomplexobj(vals) else float(vals[0])
+
+
+def periodic_rule(degree):
+    """Nodes and weight of the rule on [-pi, pi) exact for trigonometric polynomials of this degree.
+
+    The degree + 1 equispaced nodes -pi + 2*pi*m/(degree + 1) share the
+    weight 2*pi/(degree + 1).
+    """
+    m = int(degree) + 1
+    return -np.pi + TWO_PI * np.arange(m) / m, TWO_PI / m
+
+
+def spectral_cov(family, level, i, ip, k, kp):
+    """Cov(Z_{i,k}, Z_{i',k'}) as int conj(v*_i) v*_i' exp(i*gamma*lam*(k'-k)) over (-pi, pi), complex.
+
+    periodic_rule is exact for that trigonometric polynomial, whose
+    frequencies run from a_i - b_i' + shift to b_i - a_i' + shift (a, b
+    support ends); the imaginary part vanishes up to rounding.
+    """
+    lv = family.levels[level]
+    k1, k2 = lv.kernels[i], lv.kernels[ip]
+    shift = lv.gamma * (kp - k)
+    degree = max(abs(k1.support_start - k2.support_end + shift), abs(k1.support_end - k2.support_start + shift))
+    x, w = periodic_rule(degree)
+    return np.sum(w * np.conj(eval_response(k1, x)) * eval_response(k2, x) * np.exp(1j * shift * x))
 
 
 def parseval_gap(kernel):

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -8,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import decilab
+from decilab import cli
 from decilab.cli import main
 
 FAMILY = {"type": "two_frequency", "order": 4, "gammas": "16 32"}
 SCALED = {"type": "bspline_ma", "order": 4, "gammas": "16 32"}
 KERNEL = "kernel.txt"  # written next to every test config by write_kernel
+SERIES, INF_SERIES = "series.txt", "inf_series.txt"  # written next to every test config by write_series
 FILES = {"type": "files", "decay": 1.0, "limit_freqs": "0",
          "gamma.0": 2, "kernels.0": KERNEL, "freqs.0": 0,
          "gamma.1": 4, "kernels.1": KERNEL, "freqs.1": 0}
@@ -51,6 +54,12 @@ def run(tmp_path, command, sections, tag="out", seed=5):
 
 def write_kernel(tmp_path):
     (tmp_path / KERNEL).write_text("-1\n0.5\n1.0\n0.5\n", encoding="utf-8")
+
+
+def write_series(tmp_path):
+    values = [f"{math.sin(0.7 * u):.17g}" for u in range(64)]
+    (tmp_path / SERIES).write_text("\n".join(["x", *values]) + "\n", encoding="utf-8")
+    (tmp_path / INF_SERIES).write_text("\n".join(["x", *values[:40], "inf", *values[41:]]) + "\n", encoding="utf-8")
 
 
 def with_run(**changes):
@@ -96,6 +105,17 @@ REJECTED = {
     "files_family_gamma": ("gamma", {"family": FILES}),
     "files_family_limit_centering_clt": ("clt", {"family": FILES, "run": {**RUN, "centering": "limit"}}),
     "files_family_limit_centering_sweep": ("sweep", {"family": FILES, "run": {**RUN, "centering": "limit"}}),
+    # a [family] key the chosen type does not read, and [specdens] keys the chosen source does not read
+    "decay_with_bspline_ma": ("simulate", with_family(SCALED, decay=9)),
+    "modulation_with_two_frequency": ("simulate", with_family(modulation=0.5)),
+    "order_with_files": ("simulate", with_family(FILES, order=4)),
+    "files_family_stray_level": ("simulate", with_family(FILES, **{"kernels.2": KERNEL})),
+    "phi_with_white": ("specdens", specdens(phi=0.5)),
+    "n_with_input": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": SERIES, "n": 64}}),
+    # values are parsed on load, also where the command never reads them
+    "unparsed_rate_threshold": ("simulate", {**with_run(), "tolerances": {"rate_threshold": "abc"}}),
+    "nan_rate_threshold": ("specdens", {**specdens(), "tolerances": {"rate_threshold": "nan"}}),
+    "non_finite_input_series": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": INF_SERIES}}),
 }
 
 
@@ -103,6 +123,7 @@ REJECTED = {
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, case):
     command, sections = REJECTED[case]
     write_kernel(tmp_path)
+    write_series(tmp_path)
     with warnings.catch_warnings(record=True) as caught:  # under pytest, warnings never reach stderr
         warnings.simplefilter("always")
         code, out = run(tmp_path, command, sections)
@@ -120,6 +141,35 @@ def test_files_family_runs(tmp_path):
     write_kernel(tmp_path)
     code, out = run(tmp_path, "simulate", with_family(FILES))
     assert code == 0 and (out / "path.csv").is_file()
+
+
+def test_input_series_runs(tmp_path):
+    # the control for n_with_input and non_finite_input_series: the finite series without n runs
+    write_series(tmp_path)
+    code, out = run(tmp_path, "specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": SERIES}})
+    assert code == 0 and (out / "specdens_report.txt").is_file()
+
+
+def test_config_seed_is_parsed_under_seed_flag(tmp_path, capsys):
+    cfg = tmp_path / "simulate.ini"
+    write_config(cfg, {"experiment": {"seed": "abc"}, **with_run()})
+    assert main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "decilab: config error: [experiment] seed = 'abc' is not an integer\n"
+
+
+def test_docstring_names_the_whole_schema():
+    # every section and key of the schema table, and the keys of each family type, appear in the module docstring
+    blocks = dict(re.findall(r"^  \[(\w+)\] +(.*(?:\n {16}.*)*)", cli.__doc__, re.M))
+    assert blocks.keys() == cli._SCHEMA.keys()
+
+    def names(keys):
+        return {key + "<j>" if key.endswith(".") else key for key in keys}
+
+    for section, keys in cli._SCHEMA.items():
+        assert names(keys) <= set(re.findall(r"[a-z_]+(?:\.<j>)?", blocks[section])), section
+    for ftype, keys in cli._FAMILY_KEYS.items():
+        line = re.search(rf"^ +{ftype} +(.+)$", blocks["family"], re.M).group(1)
+        assert set(line.split(", ")) == names(keys), ftype
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])

@@ -353,7 +353,6 @@ class TestConditionChecker:
         )
         report = check_condition_c(fam, grid_size=64)
         assert report.rescaled_residuals is None
-        assert report.modulus_residuals is None
 
     @pytest.mark.parametrize("kernel", [
         TimeKernel(3, np.array([0.7])),

@@ -307,6 +307,13 @@ class TestWindowedCoefficients:
         with pytest.raises(ValueError):
             windowed_coefficients(np.ones(6), w, 8)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_series(self, bad):
+        x = np.ones(30)
+        x[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            windowed_coefficients(x, make_bspline_window(4), 4)
+
 
 class TestSharedNoiseCovariance:
     def test_empirical_cross_covariance_matches_exact_sum(self):

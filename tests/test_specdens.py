@@ -19,7 +19,7 @@ from decilab.specdens import (
     estimate_f0,
     leakage_integral,
 )
-from decilab.windows import bspline_l2_norm_sq, bspline_value, make_bspline_window
+from decilab.windows import Window, bspline_l2_norm_sq, bspline_value, make_bspline_window
 
 from oracles import bspline_recursive, folded_window_response, validate_window
 
@@ -169,6 +169,13 @@ class TestEstimator:
         x = rng.standard_normal(512)
         assert estimate_f0(x, w, 8).f0_hat >= 0.0
 
+    def test_low_decay_window_rejected(self):
+        # the rate rules live in check_rate_condition, which the estimator always calls
+        w = make_bspline_window(4)
+        low = Window(name="low", evaluate=w.evaluate, transform=w.transform, decay=2.0, knots=w.knots, degree=w.degree)
+        with pytest.raises(ValueError, match="need window decay > 2"):
+            estimate_f0(np.ones(64), low, 8)
+
     def test_degenerate_flag(self):
         w = make_bspline_window(4)
         est = estimate_f0(np.ones(8), w, 8)
@@ -232,6 +239,11 @@ class TestRateCondition:
     def test_beta_gate(self):
         with pytest.raises(ValueError, match="outside estimator hypotheses"):
             check_rate_condition(1024, 8, 2.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+    def test_threshold_must_be_positive(self, threshold):
+        with pytest.raises(ValueError, match="need rate_threshold > 0"):
+            check_rate_condition(2 ** 20, 2 ** 6, 4.0, threshold=threshold)
 
     def test_threshold_configurable(self):
         assert not check_rate_condition(2 ** 20, 2 ** 6, 4.0, threshold=1e-12).ok
