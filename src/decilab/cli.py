@@ -28,7 +28,13 @@ unknown section or key, or a value of the wrong kind, is rejected:
   [tolerances]  rate_threshold
 
 A [family] key the chosen type does not read is rejected, as are [specdens]
-phi without synth = ar1 and [specdens] n with input.
+phi without synth = ar1 and [specdens] n with input. So is a key in a
+section the command never reads:
+
+  gamma                   [experiment] [family]
+  simulate, clt,          [experiment] [family] [noise] [run]
+  cov-check, sweep
+  specdens                [experiment] [specdens] [tolerances], and [noise] with synth only
 """
 
 import argparse
@@ -205,6 +211,8 @@ def _series_from_config(cfg, config_dir, seed):
     if input_path is not None:
         if "n" in spec:
             raise ConfigError("[specdens] n is not read with input: the series sets its length")
+        if cfg["noise"]:
+            raise ConfigError("[noise] is not read with input: the series is given")
         path = (config_dir / input_path).resolve()
         if not path.is_file():
             raise ConfigError(f"input series not found: {input_path}")
@@ -357,6 +365,16 @@ _COMMANDS = {
     "specdens": _cmd_specdens,
     "sweep": _cmd_sweep,
 }
+_FAMILY_RUN = {"experiment", "family", "noise", "run"}
+# {command: the sections its _cmd_* reads}; _series_from_config also rejects [noise] with input
+_SECTIONS = {
+    "gamma": {"experiment", "family"},
+    "simulate": _FAMILY_RUN,
+    "cov-check": _FAMILY_RUN,
+    "clt": _FAMILY_RUN,
+    "specdens": {"experiment", "specdens", "tolerances", "noise"},
+    "sweep": _FAMILY_RUN,
+}
 
 
 def main(argv=None):
@@ -377,6 +395,9 @@ def main(argv=None):
         declared = cfg["experiment"].get("command")
         if declared is not None and declared != args.command:
             raise ConfigError(f"config declares command {declared!r} but {args.command!r} was invoked")
+        for section, keys in cfg.items():
+            if keys and section not in _SECTIONS[args.command]:
+                raise ConfigError(f"[{section}] is not read by {args.command}")
         seed = args.seed if args.seed is not None else cfg["experiment"].get("seed", 0)
         out_dir = Path(args.out if args.out is not None else cfg["experiment"].get("out", "."))
         digest = config_digest(parser, args.command, seed)

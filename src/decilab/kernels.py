@@ -20,6 +20,10 @@ from .quadrature import TWO_PI
 
 INTEGER_TOL = 1e-9  # absolute tolerance for gamma*lambda / (2*pi) integrality
 RESCALED_HALFWIDTH = 20.0  # check_condition_c compares rescaled responses on [-20, 20]
+# _correlate's crossover from np.correlate to FFT blocks, measured on the direct multiply-add count
+_FFT_MIN_WORK = 1 << 20
+_FFT_MIN_SIDE = 128  # and on the fewer of outputs and taps
+_FFT_BATCH = 1 << 12  # values per rfft call; 2**14 ran faster but raised the peak memory
 
 
 def _as_readonly(a, dtype=float):
@@ -104,6 +108,62 @@ def eval_response(kernel, lam):
         acc += c
     out = acc * np.exp(-1j * kernel.support_start * lam_arr) / np.sqrt(TWO_PI)
     return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
+
+
+def _rows(x, starts, width):
+    """x[s : s + width] for each start s, one row each, zero past the end of x."""
+    rows = np.zeros((len(starts), width))
+    for row, s in zip(rows, starts):
+        part = x[s:s + width]
+        row[:part.size] = part
+    return rows
+
+
+def _correlate(x, h, mode="valid"):
+    """np.correlate(x, h, mode) for real 1-D x and h; mode "full", or "valid" with len(x) >= len(h).
+
+    Below the crossover (fewer than _FFT_MIN_WORK direct multiply-adds, or
+    fewer than _FFT_MIN_SIDE outputs or taps) it is np.correlate itself,
+    bit for bit. Above it, "full" is one rfft product at the least power of
+    two >= len(x) + len(h) - 1, and "valid" is overlap-save at an FFT size
+    F, the power of two covering the smaller of 4 * (the fewer of outputs
+    and taps) and the whole correlation:
+    - more outputs than taps: the outputs in blocks of F - L + 1, each block
+      one window of x against the one spectrum of h;
+    - more taps than outputs: the taps in parts of F - n_out + 1, each part
+      against its own window of x, the products summed before one inverse.
+    Each rfft call takes one row of F values, or as many rows as fit in
+    _FFT_BATCH, so memory is O(len(x) + len(h)) at any length.
+    """
+    if mode == "full":  # work: every pair of values meets once
+        n_out, work, short = x.size + h.size - 1, x.size * h.size, min(x.size, h.size)
+    else:
+        n_out, taps = x.size - h.size + 1, h.size
+        work, short = n_out * taps, min(n_out, taps)
+    if work < _FFT_MIN_WORK or short < _FFT_MIN_SIDE:
+        return np.correlate(x, h, mode)
+    if mode == "full":
+        size = 1 << (n_out - 1).bit_length()
+        return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h[::-1], size), size)[:n_out]
+    size = 1 << (min(4 * short, n_out + taps - 1) - 1).bit_length()
+    per_batch = max(1, _FFT_BATCH // size)
+    if n_out >= taps:
+        step = size - taps + 1
+        spectrum = np.fft.rfft(h[::-1], size)
+        out = np.empty(n_out)
+        for first in range(0, n_out, per_batch * step):
+            starts = range(first, min(first + per_batch * step, n_out), step)
+            blocks = np.fft.irfft(np.fft.rfft(_rows(x, starts, size)) * spectrum, size)[:, taps - 1:].ravel()
+            end = min(first + blocks.size, n_out)
+            out[first:end] = blocks[:end - first]
+        return out
+    step = size - n_out + 1
+    acc = np.zeros(size // 2 + 1, dtype=complex)
+    for first in range(0, taps, per_batch * step):
+        starts = range(first, min(first + per_batch * step, taps), step)
+        parts = np.fft.rfft(_rows(h, starts, step)[:, ::-1], size)
+        acc += np.sum(np.fft.rfft(_rows(x, starts, size)) * parts, axis=0)
+    return np.fft.irfft(acc, size)[step - 1:step - 1 + n_out]
 
 
 @dataclass(frozen=True)

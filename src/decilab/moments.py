@@ -5,6 +5,8 @@ the covariance of square-sums) are finite sums over kernel supports and are
 computed without quadrature. A(n) and B(n) are triangular-weighted samples,
 at the lags that are multiples of gamma, of one full cross-correlation: of
 the two kernels for A (squared after sampling), of their squares for B.
+That correlation is np.correlate for short kernels and one rfft product for
+long ones (kernels._correlate), within rounding of each other.
 
 The covariance identity at the center of the module: for branches i, i' at
 one level,
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _as_readonly, eval_response  # noqa: F401 (eval_response: bench/selftest.py traces it here)
+from .kernels import _as_readonly, _correlate
+from .kernels import eval_response  # noqa: F401 (bench/selftest.py traces it here)
 from .windows import EPS, _correlations
 
 PSD_TOL = 1e-8
@@ -123,8 +126,11 @@ def _decimated_lags(k1, k2, gamma, n, power):
     c(d) = sum_u v1(u)**power * v2(u + d)**power is one full correlation of
     the (powered) coefficients, whose entry j is the lag
     k2.support_start - k1.support_end + j; every gamma-th entry is kept.
+    Above the crossover of kernels._correlate the correlation is one rfft
+    product, O((L1 + L2) log) instead of L1*L2 multiply-adds, and each
+    entry moves by rounding only: about eps * |v1**power| * |v2**power|.
     """
-    corr = np.correlate(k2.coeffs ** power, k1.coeffs ** power, "full")
+    corr = _correlate(k2.coeffs ** power, k1.coeffs ** power, "full")
     lag0 = k2.support_start - k1.support_end
     j0 = (-lag0) % gamma
     sampled = corr[j0::gamma]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TimeKernel
+from .kernels import TimeKernel, _correlate
 
 _MASK64 = (1 << 64) - 1
 _T_OFFSET = 1 << 62  # shifts time indices into the nonnegative counter range
@@ -105,14 +105,20 @@ def _decimated_convolve(xi, lo, kernel, gamma, first, n):
 
     where X is the needed stretch of xi, zero-padded at the end and
     reshaped to n + Q - 1 rows of gamma consecutive values, and
-    Q = ceil(L / gamma). X is a view or one copy of that stretch, so memory
-    is O(len(xi)). The n*L multiply-adds loop over the shorter axis: Q
-    block matrix-vector products when Q <= gamma, else gamma valid-mode
-    correlations of a column of X with a column of the taps.
+    Q = ceil(L / gamma). X is a view or one copy of that stretch, and the
+    taps a view or one copy of the kernel, so memory is O(len(xi) + L).
+    When Q <= gamma the sum is Q block matrix-vector products; else it is
+    gamma valid-mode correlations of a column of X with a column of the
+    taps by kernels._correlate, which leaves np.correlate for blocked FFTs
+    above a measured size, so a kernel far longer than the output (gamma =
+    1, an AR(1) near the unit root) costs O((n + L) log) operations rather
+    than n*L.
     """
     q_len = -(-kernel.length // gamma)
-    taps = np.zeros(q_len * gamma)
-    taps[:kernel.length] = kernel.coeffs[::-1]
+    taps = kernel.coeffs[::-1]
+    # the products take contiguous rows (BLAS order); the correlations take the view when gamma divides L
+    if q_len <= gamma or taps.size < q_len * gamma:
+        taps = np.concatenate([taps, np.zeros(q_len * gamma - taps.size)])
     taps = taps.reshape(q_len, gamma)
     start = first - kernel.support_end - lo
     rows = n + q_len - 1
@@ -125,9 +131,9 @@ def _decimated_convolve(xi, lo, kernel, gamma, first, n):
         for q in range(1, q_len):
             out += x[q:q + n] @ taps[q]
     else:
-        out = np.correlate(x[:, 0], taps[:, 0], "valid")
+        out = _correlate(x[:, 0], taps[:, 0])
         for r in range(1, gamma):
-            out += np.correlate(x[:, r], taps[:, r], "valid")
+            out += _correlate(x[:, r], taps[:, r])
     return out
 
 
@@ -155,8 +161,10 @@ def simulate_linear_process(a, n, noise, seed):
     """X_u = sum_t a(u - t) xi_t for u = 1..n (undecimated convolution).
 
     The polyphase convolution at gamma = 1 is one valid-mode correlation of
-    the n + L - 1 noise values with the reversed kernel, so memory stays
-    O(n + L) at paper scale (n around 1e6, long AR kernels).
+    the n + L - 1 noise values with the reversed kernel. Long kernels take
+    the blocked-FFT path of kernels._correlate, whose FFT batches are
+    bounded, so memory stays O(n + L) at paper scale (n around 1e6, AR
+    kernels of millions of taps).
     """
     if n < 1:
         raise ValueError("need n >= 1")

@@ -7,7 +7,8 @@ eval_response, the alias structure of a scaled window, the unit L2 norm of
 a window transform, and the limit quantities (centering, Gamma, sigma^2)
 as truncated alias-fold and real-line quadratures of the limit responses;
 the two-term recursion is the reference for the B-spline values, and the
-step-by-step loop for the AR(1) truncation point. Imported as
+step-by-step loop for the AR(1) truncation point, and np.correlate at every
+size for the lag samples behind A(n) and B(n). Imported as
 `from oracles import ...`, like conftest; the file name keeps pytest from
 collecting it.
 
@@ -341,3 +342,16 @@ def ar1_truncation_loop(phi, tail):
     while abs(phi) ** (t_max + 1) / np.sqrt(1.0 - phi * phi) > tail:
         t_max += 1
     return t_max
+
+
+def direct_decimated_lags(k1, k2, gamma, n, power):
+    """Triangular weights 1 - |tau|/n and c(gamma*tau), |tau| < n, by np.correlate at any kernel length.
+
+    The direct path of moments._decimated_lags, which leaves it for one rfft
+    product above the crossover of kernels._correlate.
+    """
+    corr = np.correlate(k2.coeffs ** power, k1.coeffs ** power, "full")
+    lags = k2.support_start - k1.support_end + np.arange(corr.size)
+    tau, rem = np.divmod(lags, gamma)
+    keep = (rem == 0) & (np.abs(tau) < n)
+    return 1.0 - np.abs(tau[keep]) / n, corr[keep]

@@ -112,6 +112,14 @@ REJECTED = {
     "files_family_stray_level": ("simulate", with_family(FILES, **{"kernels.2": KERNEL})),
     "phi_with_white": ("specdens", specdens(phi=0.5)),
     "n_with_input": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": SERIES, "n": 64}}),
+    # a section the command, or the series source, never reads
+    "run_and_noise_with_gamma": ("gamma", {"family": FAMILY, "run": {"n": 40},
+                                           "noise": {"distribution": "rademacher"}}),
+    "noise_with_input": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": SERIES},
+                                      "noise": {"distribution": "cauchy"}}),
+    "family_with_specdens": ("specdens", {**specdens(), "family": FAMILY}),
+    "specdens_with_simulate": ("simulate", {**with_run(), "specdens": {"window_order": 4}}),
+    "tolerances_with_sweep": ("sweep", {**with_run(), "tolerances": {"rate_threshold": 0.5}}),
     # values are parsed on load, also where the command never reads them
     "unparsed_rate_threshold": ("simulate", {**with_run(), "tolerances": {"rate_threshold": "abc"}}),
     "nan_rate_threshold": ("specdens", {**specdens(), "tolerances": {"rate_threshold": "nan"}}),
@@ -211,6 +219,19 @@ def test_noise_free_runs_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0] []"
+
+
+def test_specdens_on_a_long_ar1_kernel_finishes(tmp_path):
+    # phi = 0.999999 gives 34 192 186 taps against 4096 outputs; n*L multiply-adds took minutes
+    cfg = tmp_path / "specdens.ini"
+    write_config(cfg, {"experiment": {"seed": 5},
+                       "specdens": {"window_order": 4, "gammas": "16 64", "synth": "ar1", "phi": 0.999999, "n": 4096}})
+    env = {**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "decilab", "specdens", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "out" / "specdens_sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 3 and all(math.isfinite(float(row.split(",")[1])) for row in rows[1:])
 
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))

@@ -5,13 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decilab.kernels import (
+    _FFT_MIN_SIDE,
+    _FFT_MIN_WORK,
     DecimatedFamily,
     FamilyLevel,
     TimeKernel,
+    _correlate,
     check_condition_c,
     eval_response,
     make_scaled_window_family,
@@ -31,6 +34,25 @@ TWO_PI = 2.0 * math.pi
 coeff_lists = st.lists(
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False), min_size=1, max_size=12
 )
+
+
+@st.composite
+def correlation_shapes(draw):
+    """(long, short) lengths, neither a power of two, with long * short <= 2**23 so np.correlate stays quick."""
+    not_power_of_two = st.integers(3, 1500).filter(lambda v: v & (v - 1))
+    short = draw(not_power_of_two)
+    long = draw(st.integers(short, max(short, min(200_000, 2 ** 23 // short))).filter(lambda v: v & (v - 1)))
+    return long, short
+
+
+def check_against_np_correlate(x, h, mode, work, short):
+    """Bit for bit below the crossover, within 1e-12 * |x| * |h| above it."""
+    got, want = _correlate(x, h, mode), np.correlate(x, h, mode)
+    assert got.shape == want.shape
+    if work < _FFT_MIN_WORK or short < _FFT_MIN_SIDE:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(h)
 
 
 def direct_response(kernel, lam):
@@ -111,6 +133,33 @@ class TestEvalResponse:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+class TestCorrelate:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=correlation_shapes(), more_outputs=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(shape=(100_000, 561), more_outputs=True, seed=1)  # the AR(1) phi = 0.95 series: output blocks
+    @example(shape=(60_001, 301), more_outputs=False, seed=2)  # a kernel far longer than the output: tap parts
+    @example(shape=(100_000, 127), more_outputs=True, seed=3)  # below the crossover on the short side
+    @example(shape=(1021, 1019), more_outputs=True, seed=4)  # below the crossover on the work
+    def test_valid_matches_np_correlate(self, shape, more_outputs, seed):
+        long, short = shape
+        n_out, taps = (long, short) if more_outputs else (short, long)
+        rng = np.random.default_rng(seed)
+        x, h = rng.standard_normal(n_out + taps - 1), rng.standard_normal(taps)
+        check_against_np_correlate(x, h, "valid", n_out * taps, short)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=correlation_shapes(), swap=st.booleans(), power=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(shape=(2945, 2945), swap=False, power=2, seed=5)  # AR(1) phi = 0.99, as B(n) correlates it
+    @example(shape=(1025, 1025), swap=False, power=1, seed=6)  # the two-frequency kernels at gamma 1024
+    @example(shape=(5000, 129), swap=True, power=1, seed=7)
+    def test_full_matches_np_correlate(self, shape, swap, power, seed):
+        # the two powered kernels of moments._decimated_lags, either one the longer
+        rng = np.random.default_rng(seed)
+        x, h = (rng.standard_normal(size) ** power for size in (shape[::-1] if swap else shape))
+        check_against_np_correlate(x, h, "full", x.size * h.size, min(shape))
 
 
 class TestParseval:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decilab.kernels import (
+    _FFT_MIN_WORK,
     DecimatedFamily,
     FamilyLevel,
     TimeKernel,
@@ -31,6 +32,7 @@ from decilab.windows import Window, make_bspline_window
 
 from conftest import random_trig_poly, single_level_family
 from oracles import (
+    direct_decimated_lags,
     fold,
     frequency_gamma_limit,
     frequency_limit_cross_cov,
@@ -136,14 +138,34 @@ class TestABTerms:
         assert a_term(fam, 0, 0, 1, n) == pytest.approx(brute_a_term(k1, k2, gamma, n), abs=1e-10)
         assert b_term(fam, 0, 0, 1, n) == pytest.approx(brute_b_term(k1, k2, gamma, n), abs=1e-10)
 
-    def test_a_matches_geometric_closed_form_on_long_ar1(self):
-        phi, gamma, n = 0.99, 2, 100_000
+    @pytest.mark.parametrize("gamma", [2, 4, 8, 16])
+    @pytest.mark.parametrize("phi,length", [(0.98, 1448), (0.99, 2945)])
+    def test_ar1_sums_on_the_fft_path(self, phi, length, gamma):
+        # A(n) against its geometric closed form and B(n) against np.correlate, on
+        # kernels long enough that the lag correlation is one rfft product
+        n = 100_000
         kern = ar1_kernel(phi)
-        assert kern.length == 2945
+        assert kern.length == length and length ** 2 >= _FFT_MIN_WORK
         fam = single_level_family([kern], gamma=gamma)
         tau = np.abs(np.arange(-(n - 1), n))
         closed = np.sum((1.0 - tau / n) * phi ** (2 * gamma * tau)) / (1.0 - phi * phi) ** 2
         assert a_term(fam, 0, 0, 0, n) == pytest.approx(closed, rel=1e-12, abs=0)
+        weights, corr = direct_decimated_lags(kern, kern, gamma, n, 2)
+        assert b_term(fam, 0, 0, 0, n) == pytest.approx(float(np.dot(weights, corr)), rel=1e-12, abs=0)
+
+    def test_tiny_cross_term_within_rounding_of_the_direct_path(self):
+        # the baseband and pi/2 kernels at gamma 1024 nearly cancel: A is about 4.7e-21, where both
+        # paths are about 1e-7 off in relative terms, so the comparison is on the rounding scale of A
+        fam = two_frequency_demo_family(make_bspline_window(4), [1024])
+        k1, k2 = fam.levels[0].kernels
+        assert k1.length * k2.length >= _FFT_MIN_WORK
+        n = 500
+        weights, corr = direct_decimated_lags(k1, k2, 1024, n, 1)
+        delta = np.finfo(float).eps * np.linalg.norm(k1.coeffs) * np.linalg.norm(k2.coeffs)
+        scale = float(np.sum(weights * (2.0 * np.abs(corr) * delta + delta * delta)))
+        a = a_term(fam, 0, 0, 1, n)
+        assert 4e-21 < a < 5e-21
+        assert abs(a - float(np.dot(weights, corr * corr))) <= scale
 
     @pytest.mark.parametrize("gamma,n", [(1, 150), (3, 40), (7, 9)])
     def test_long_kernels_truncate_at_n(self, rng, gamma, n):

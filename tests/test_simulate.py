@@ -139,6 +139,23 @@ class TestDecimatedConvolve:
                 acc += kern.value(first + gamma * k - t) * xi[t - lo]
             assert abs(acc - z[k]) < 1e-12
 
+    @pytest.mark.parametrize("gamma,length,n", [
+        (1, 561, 20_000),  # many more outputs than taps
+        (1, 50_001, 300),  # a kernel far longer than the output
+        (3, 9_000, 2_000),  # strided columns, Q = 3000 taps each
+        (4, 4_097, 1_500),  # gamma does not divide L: the taps are padded
+    ])
+    def test_long_kernels_match_direct_correlation(self, gamma, length, n):
+        # above the crossover of kernels._correlate, against one direct correlation sampled every gamma
+        rng = np.random.default_rng(length)
+        kern = TimeKernel(-7, rng.standard_normal(length))
+        lo, first = -length - 3, 2
+        xi = rng.standard_normal(first + gamma * (n - 1) - kern.support_start + 1 - lo)
+        start = first - kern.support_end - lo
+        want = np.correlate(xi[start:start + gamma * (n - 1) + length], kern.coeffs[::-1], "valid")[::gamma]
+        z = _decimated_convolve(xi, lo, kern, gamma, first, n)
+        assert np.max(np.abs(z - want)) <= 1e-12 * np.linalg.norm(xi) * np.linalg.norm(kern.coeffs)
+
 
 class TestSimulateDecimated:
     def test_identity_filter_reproduces_noise(self):
