@@ -43,7 +43,6 @@ from .montecarlo import (
 from .simulate import (
     NoiseSpec,
     ar1_kernel,
-    draw_noise,
     mix_seed,
     noise_values,
     simulate_decimated,

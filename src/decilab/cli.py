@@ -234,7 +234,7 @@ def _series_from_config(cfg, config_dir, seed):
     n = _need(cfg, "specdens", "n")
     noise = _noise_from_config(cfg)
     if synth == "white":
-        return simulate.draw_noise(noise, n, seed), 1.0 / (2.0 * np.pi)
+        return simulate.noise_values(noise, seed, 0, n), 1.0 / (2.0 * np.pi)
     if synth == "ar1":
         phi = spec.get("phi", 0.5)
         kernel = simulate.ar1_kernel(phi)

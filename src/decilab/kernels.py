@@ -20,6 +20,7 @@ from .quadrature import TWO_PI
 
 INTEGER_TOL = 1e-9  # absolute tolerance for gamma*lambda / (2*pi) integrality
 RESCALED_HALFWIDTH = 20.0  # check_condition_c compares rescaled responses on [-20, 20]
+GRID_SIZE = 512  # check_condition_c's grid: points on [0, pi) and on the rescaled interval
 # _correlate's crossover from np.correlate to FFT blocks, measured on the direct multiply-add count
 _FFT_MIN_WORK = 1 << 20
 _FFT_MIN_SIDE = 128  # and on the fewer of outputs and taps
@@ -310,7 +311,7 @@ class ConditionReport:
         return not self.failed
 
 
-def check_condition_c(family, grid_size=512):
+def check_condition_c(family):
     """Audit a family against the concentration conditions on finite grids.
 
     Checks (a) the arithmetic conditions on gammas and center frequencies
@@ -322,8 +323,6 @@ def check_condition_c(family, grid_size=512):
     """
     if family.n_levels < 2:
         raise ValueError("need at least two stored levels")
-    if grid_size < 16:
-        raise ValueError("need grid_size >= 16")
 
     n = family.n_branches
     nl = family.n_levels
@@ -331,22 +330,22 @@ def check_condition_c(family, grid_size=512):
     integer_res = np.array([integer_condition_residual(lv.gamma, lv.center_freqs) for lv in family.levels])
     failed = frozenset(name for j in range(family.threshold, nl) for name in _frequency_condition_failures(family, j))
 
-    # |v*| on the 2*grid_size-point DFT grid pi*m/grid_size, by one rfft of the wrapped taps
-    lam_grid = np.linspace(0.0, np.pi, grid_size, endpoint=False)
+    # |v*| on the 2*GRID_SIZE-point DFT grid pi*m/GRID_SIZE, by one rfft of the wrapped taps
+    lam_grid = np.linspace(0.0, np.pi, GRID_SIZE, endpoint=False)
     uniform = np.zeros((nl, n))
     for j, lv in enumerate(family.levels):
         g = lv.gamma
         for i in range(n):
             taps = lv.kernels[i].coeffs
-            wrapped = np.bincount(np.arange(taps.size) % (2 * grid_size), weights=taps, minlength=2 * grid_size)
-            resp = np.abs(np.fft.rfft(wrapped)[:grid_size]) / np.sqrt(TWO_PI)
+            wrapped = np.bincount(np.arange(taps.size) % (2 * GRID_SIZE), weights=taps, minlength=2 * GRID_SIZE)
+            resp = np.abs(np.fft.rfft(wrapped)[:GRID_SIZE]) / np.sqrt(TWO_PI)
             envelope = (1.0 + g * np.abs(lam_grid - lv.center_freqs[i])) ** family.decay
             uniform[j, i] = np.max(resp * envelope) / np.sqrt(g)
 
     rescaled = None
     responses = family.limit_responses
     if responses is not None:
-        xi = np.linspace(-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH, grid_size)
+        xi = np.linspace(-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH, GRID_SIZE)
         rescaled = np.zeros((nl, n))
         for j, lv in enumerate(family.levels):
             g = lv.gamma
@@ -370,20 +369,28 @@ def snapped_center_freq(gamma, target):
     return TWO_PI * q / gamma
 
 
+def _window_taps(window, gamma):
+    """W(t/gamma) on t = -gamma..0; a window with a knot outside [-1, 0] is rejected, as these taps would miss it."""
+    lo, hi = window.support
+    if lo < -1.0 or hi > 0.0:
+        raise ValueError("window support must be contained in [-1, 0]")
+    return window.evaluate(np.arange(-gamma, 1) / gamma)
+
+
 def _window_family(prototype, gammas, freqs, name):
     """One branch per limit frequency f, sampling the window at every scale gamma.
 
     Branch f at level gamma carries v(t) = gamma**-0.5 * W(t/gamma) * cos(c*t)
-    on t = -gamma..0, c = snapped_center_freq(gamma, f) (0 for f = 0). Its limit
-    kernel is (W, 1), or (W, 1/2) for f > 0 as the cosine splits the passband
-    across +-c. Inputs are checked before sampling; DecimatedFamily
-    enforces the family rules.
+    on t = -gamma..0 (the taps of _window_taps), c = snapped_center_freq(gamma, f)
+    (0 for f = 0). Its limit kernel is (W, 1), or (W, 1/2) for f > 0 as the
+    cosine splits the passband across +-c. Inputs are checked before sampling;
+    DecimatedFamily enforces the family rules.
     """
     _require_band(freqs, "limit")
     levels = []
     for g in map(_require_gamma, gammas):
         t = np.arange(-g, 1)
-        profile = prototype.evaluate(t / g) / np.sqrt(g)
+        profile = _window_taps(prototype, g) / np.sqrt(g)
         centers = np.array([snapped_center_freq(g, f) for f in freqs])
         kernels = tuple(TimeKernel(-g, profile * np.cos(c * t)) for c in centers)
         levels.append(FamilyLevel(gamma=g, kernels=kernels, center_freqs=centers))
@@ -416,13 +423,10 @@ def two_frequency_demo_family(prototype, gammas):
     return _window_family(prototype, gammas, (0.0, np.pi / 2), f"two-frequency:{prototype.name}")
 
 
-def read_kernel(path_or_file):
+def read_kernel(path):
     """Read the plain-text kernel exchange format."""
-    if hasattr(path_or_file, "read"):
-        lines = path_or_file.read().split()
-    else:
-        with open(path_or_file, "r", encoding="utf-8") as fh:
-            lines = fh.read().split()
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split()
     if len(lines) < 2:
         raise ValueError("kernel file needs a support line and at least one coefficient")
     return TimeKernel(int(lines[0]), np.array([float(v) for v in lines[1:]]))

@@ -120,8 +120,8 @@ def limit_cross_cov(family, i, ip, lag):
     return MomentReport(const * rho, const * bound)
 
 
-def _decimated_lags(k1, k2, gamma, n, power):
-    """Triangular weights 1 - |tau|/n and samples c(gamma*tau), |tau| < n.
+def _decimated_lags(family, level, i, ip, n, power):
+    """Triangular weights 1 - |tau|/n and samples c(gamma*tau), |tau| < n, for branches i, i' at one level.
 
     c(d) = sum_u v1(u)**power * v2(u + d)**power is one full correlation of
     the (powered) coefficients, whose entry j is the lag
@@ -130,6 +130,10 @@ def _decimated_lags(k1, k2, gamma, n, power):
     product, O((L1 + L2) log) instead of L1*L2 multiply-adds, and each
     entry moves by rounding only: about eps * |v1**power| * |v2**power|.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    lv = family.levels[level]
+    k1, k2, gamma = lv.kernels[i], lv.kernels[ip], lv.gamma
     corr = _correlate(k2.coeffs ** power, k1.coeffs ** power, "full")
     lag0 = k2.support_start - k1.support_end
     j0 = (-lag0) % gamma
@@ -146,11 +150,7 @@ def a_term(family, level, i, ip, n):
     c(d) = sum_u v_i(u) v_i'(u + d), the cross-correlation of the two
     kernels sampled at multiples of gamma.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    lv = family.levels[level]
-    k1, k2 = lv.kernels[i], lv.kernels[ip]
-    weights, corr = _decimated_lags(k1, k2, lv.gamma, n, 1)
+    weights, corr = _decimated_lags(family, level, i, ip, n, 1)
     return float(np.dot(weights, corr * corr))
 
 
@@ -161,11 +161,7 @@ def b_term(family, level, i, ip, n):
     i.e. the triangular-weighted sum of the cross-correlation of the squared
     kernels sampled at multiples of gamma.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    lv = family.levels[level]
-    k1, k2 = lv.kernels[i], lv.kernels[ip]
-    weights, corr = _decimated_lags(k1, k2, lv.gamma, n, 2)
+    weights, corr = _decimated_lags(family, level, i, ip, n, 2)
     return float(np.dot(weights, corr))
 
 

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TimeKernel, _correlate
+from .kernels import TimeKernel, _correlate, _window_taps
 
 _MASK64 = (1 << 64) - 1
 _T_OFFSET = 1 << 62  # shifts time indices into the nonnegative counter range
+AR1_TAIL = 1e-12  # ar1_kernel drops a tail of at most this l2 norm
 
 _KURTOSIS_EXCESS = {
     "gaussian": 0.0,
@@ -87,53 +88,41 @@ def noise_values(spec, seed, lo, hi):
     return np.sqrt(3.0) * (2.0 * u - 1.0)
 
 
-def draw_noise(spec, count, seed):
-    """count i.i.d. draws, the absolute-index stream started at t = 0."""
-    if count < 1:
-        raise ValueError("need count >= 1")
-    return noise_values(spec, seed, 0, count)
-
-
 def _decimated_convolve(xi, lo, kernel, gamma, first, n):
     """Z_k = sum_s v(s) * xi(first + gamma*k - s) for k = 0 .. n-1.
 
     xi holds the values at absolute indices lo, lo+1, ... and must cover
-    every index the sums touch. Polyphase form: with the taps reversed,
-    c[m] = v(support_end - m), and m split as gamma*q + r,
-
-        Z_k = sum_{q < Q, r < gamma} c[gamma*q + r] * X[k + q, r],
-
-    where X is the needed stretch of xi, zero-padded at the end and
-    reshaped to n + Q - 1 rows of gamma consecutive values, and
-    Q = ceil(L / gamma). X is a view or one copy of that stretch, and the
-    taps a view or one copy of the kernel, so memory is O(len(xi) + L).
-    When Q <= gamma the sum is Q block matrix-vector products; else it is
-    gamma valid-mode correlations of a column of X with a column of the
-    taps by kernels._correlate, which leaves np.correlate for blocked FFTs
-    above a measured size, so a kernel far longer than the output (gamma =
-    1, an AR(1) near the unit root) costs O((n + L) log) operations rather
-    than n*L.
+    every index the sums touch. With the taps reversed, c[m] =
+    v(support_end - m), Z_k is the correlation of c with the stretch of xi
+    from first + gamma*k - support_end on. Two paths, chosen by
+    Q = ceil(L / gamma):
+    - Q <= gamma (L <= gamma**2, as in every window family at gamma >= 2):
+      with m split as gamma*q + r,
+          Z_k = sum_{q < Q, r < gamma} c[gamma*q + r] * X[k + q, r],
+      where X is the stretch zero-padded at the end and reshaped to
+      n + Q - 1 rows of gamma consecutive values: Q block matrix-vector
+      products in BLAS order.
+    - Q > gamma: one valid-mode correlation of the stretch at the full rate,
+      gamma*(n - 1) + L values, by kernels._correlate, with every gamma-th
+      output kept. That is np.correlate below a measured size and blocked
+      FFTs above it, so a kernel far longer than the output (gamma = 1, an
+      AR(1) near the unit root) costs O((n + L) log) operations, not n*L.
+    Memory is O(len(xi) + L) on both.
     """
     q_len = -(-kernel.length // gamma)
     taps = kernel.coeffs[::-1]
-    # the products take contiguous rows (BLAS order); the correlations take the view when gamma divides L
-    if q_len <= gamma or taps.size < q_len * gamma:
-        taps = np.concatenate([taps, np.zeros(q_len * gamma - taps.size)])
-    taps = taps.reshape(q_len, gamma)
     start = first - kernel.support_end - lo
+    if q_len > gamma:
+        return _correlate(xi[start:start + gamma * (n - 1) + kernel.length], taps)[::gamma]
+    taps = np.concatenate([taps, np.zeros(q_len * gamma - taps.size)]).reshape(q_len, gamma)
     rows = n + q_len - 1
     stretch = xi[start:start + rows * gamma]
     if stretch.size < rows * gamma:  # the missing tail only meets zero taps
         stretch = np.concatenate([stretch, np.zeros(rows * gamma - stretch.size)])
     x = stretch.reshape(rows, gamma)
-    if q_len <= gamma:
-        out = x[:n] @ taps[0]
-        for q in range(1, q_len):
-            out += x[q:q + n] @ taps[q]
-    else:
-        out = _correlate(x[:, 0], taps[:, 0])
-        for r in range(1, gamma):
-            out += _correlate(x[:, r], taps[:, r])
+    out = x[:n] @ taps[0]
+    for q in range(1, q_len):
+        out += x[q:q + n] @ taps[q]
     return out
 
 
@@ -160,7 +149,7 @@ def simulate_decimated(family, level, n, noise, seed):
 def simulate_linear_process(a, n, noise, seed):
     """X_u = sum_t a(u - t) xi_t for u = 1..n (undecimated convolution).
 
-    The polyphase convolution at gamma = 1 is one valid-mode correlation of
+    The decimated convolution at gamma = 1 is one valid-mode correlation of
     the n + L - 1 noise values with the reversed kernel. Long kernels take
     the blocked-FFT path of kernels._correlate, whose FFT batches are
     bounded, so memory stays O(n + L) at paper scale (n around 1e6, AR
@@ -174,24 +163,22 @@ def simulate_linear_process(a, n, noise, seed):
     return _decimated_convolve(xi, t_lo, a, 1, 1, n)
 
 
-def ar1_kernel(phi, tail=1e-12):
+def ar1_kernel(phi):
     """Truncated AR(1) moving-average weights phi**t, t = 0..T.
 
     T is the least t >= 0 with the l2 norm of the dropped tail at most
-    `tail`: sum_{s>t} phi**(2s) = phi**(2(t+1)) / (1 - phi**2) <= tail**2.
+    AR1_TAIL: sum_{s>t} phi**(2s) = phi**(2(t+1)) / (1 - phi**2) <= AR1_TAIL**2.
     Solving for t gives a start that is off by rounding at most; stepping
     from it with the same floating-point predicate until it flips finds
     that least t in a few evaluations.
     """
     if not 0.0 < abs(phi) < 1.0:
         raise ValueError("need 0 < |phi| < 1")
-    if not tail > 0.0:
-        raise ValueError("need tail > 0")
 
     def kept(t):  # the tail beyond t is still above the target
-        return abs(phi) ** (t + 1) / np.sqrt(1.0 - phi * phi) > tail
+        return abs(phi) ** (t + 1) / np.sqrt(1.0 - phi * phi) > AR1_TAIL
 
-    t_max = max(0, math.ceil((math.log(tail) + 0.5 * math.log1p(-phi * phi)) / math.log(abs(phi))) - 1)
+    t_max = max(0, math.ceil((math.log(AR1_TAIL) + 0.5 * math.log1p(-phi * phi)) / math.log(abs(phi))) - 1)
     while kept(t_max):
         t_max += 1
     while t_max > 0 and not kept(t_max - 1):
@@ -212,9 +199,9 @@ def windowed_coefficients(x, window, gamma):
     if not (float(gamma).is_integer() and gamma >= 2 and gamma % 2 == 0):
         raise ValueError(f"need an even integer decimation factor gamma >= 2, got {gamma}")
     gamma = int(gamma)
-    lo, hi = window.support
-    if lo < -1.0 or hi > 0.0:
-        raise ValueError("window support must be contained in [-1, 0]")
+    # Z_k = sum_{r=0}^{gamma} W(-r/gamma) x_{gamma*k + r}: the decimated
+    # convolution with the kernel v(-r) = W(-r/gamma) on -gamma .. 0
+    kernel = TimeKernel(-gamma, _window_taps(window, gamma))
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("series has a non-finite value")
@@ -223,10 +210,6 @@ def windowed_coefficients(x, window, gamma):
     if n_j < 1:
         raise ValueError("series too short: floor((n+1)/gamma) coefficients would be zero")
 
-    # Z_k = sum_{r=0}^{gamma} W(-r/gamma) x_{gamma*k + r}: the decimated
-    # convolution with the kernel v(-r) = W(-r/gamma) on -gamma .. 0
-    taps = window.evaluate(-np.arange(gamma, -1, -1) / gamma)
     padded = np.zeros(n + 2)
     padded[1:n + 1] = x  # u = 0 and u = n+1 contribute nothing
-    kernel = TimeKernel(-gamma, taps)
     return _decimated_convolve(padded, 0, kernel, gamma, 0, n_j) / np.sqrt(gamma)

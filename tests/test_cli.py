@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -232,6 +233,36 @@ def test_specdens_on_a_long_ar1_kernel_finishes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = (tmp_path / "out" / "specdens_sweep.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 3 and all(math.isfinite(float(row.split(",")[1])) for row in rows[1:])
+
+
+# sha256 of every output file of CONFIGS at seed 5 with one BLAS thread, as the benchmark runs
+# the CLI; a refactor that leaves the arithmetic alone leaves these alone
+OUTPUT_SHA256 = {
+    "simulate/path.csv": "8f3746faa535fe9aea8fa9b2f8be98bde4bab7a9d1b7be1d903e94a4440af6bc",
+    "clt/normality.txt": "ccde4c96bce4034289b8d91e83870adc7bf55794c9aaba9eec8ffcac6327ba5e",
+    "clt/replicates.csv": "0fa0b991f10a948041c1cdb6e27b6a63756bac36bb695e576af07ac0afa6cef2",
+    "cov-check/cov_check.csv": "ab4d576bd0105fe401dc3f53a1bedbdf6bdd6f39226b62632ff555225fbb56ff",
+    "sweep/sweep.csv": "cc745e0921b3dd2ab8eba15b7f202ed8ddd7e9aac4d48758c741a84d593930eb",
+    "specdens/specdens_report.txt": "47af4a24dc600ea1ac330af7cd4dfda3bdc4c6b359619f88e30a8c713238dd87",
+    "specdens/specdens_sweep.csv": "ff74318cb79e03a72a552701d01c6bc0127d866526d3409384e992f4ab9db811",
+    "gamma/gamma_matrix.csv": "dc034d3a889965678fe02d14aee28c581f23d9af0430e2f19e2087029a3c15e1",
+}
+
+
+def test_outputs_match_pinned_hashes(tmp_path):
+    argvs = []
+    for command, sections in CONFIGS.items():
+        cfg = tmp_path / f"{command}.ini"
+        write_config(cfg, {"experiment": {"seed": 5}, **sections})
+        argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+    # a child process, as OPENBLAS_NUM_THREADS only acts before numpy loads
+    code = f"import sys; from decilab.cli import main; sys.exit(max(main(argv) for argv in {argvs!r}))"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    hashes = {f"{command}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+              for command in CONFIGS for f in sorted((tmp_path / command).iterdir())}
+    assert hashes == OUTPUT_SHA256
 
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))

@@ -1,5 +1,4 @@
 import cmath
-import io
 import math
 import tracemalloc
 
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from decilab.kernels import (
     _FFT_MIN_SIDE,
     _FFT_MIN_WORK,
+    GRID_SIZE,
     DecimatedFamily,
     FamilyLevel,
     TimeKernel,
@@ -24,7 +24,7 @@ from decilab.kernels import (
 )
 from decilab.quadrature import gauss_legendre_panels
 from decilab.simulate import ar1_kernel
-from decilab.windows import make_bspline_window
+from decilab.windows import Window, make_bspline_window
 
 from conftest import random_trig_poly
 from oracles import fold, parseval_gap
@@ -310,6 +310,14 @@ class TestScaledWindowFamily:
         with pytest.raises(ValueError, match=match):
             make_scaled_window_family(make_bspline_window(4), gammas)
 
+    def test_rejects_window_outside_the_sampled_support(self):
+        # the taps cover t/gamma in [-1, 0] only, so a window on [-2, 0] would lose its left half
+        w = make_bspline_window(4)
+        wide = Window("wide", evaluate=lambda t: w.evaluate(np.asarray(t, dtype=float) / 2.0),
+                      transform=w.transform, decay=w.decay, knots=(-2.0, 0.0), degree=w.degree)
+        with pytest.raises(ValueError, match=r"window support must be contained in \[-1, 0\]"):
+            make_scaled_window_family(wide, [8, 16])
+
     def test_two_frequency_needs_multiples_of_4(self):
         w = make_bspline_window(4)
         for gammas in ([8, 18], [6, 16], [16.9, 32], [math.nan, 32]):
@@ -348,7 +356,7 @@ class TestConditionChecker:
     def test_moving_average_family_passes(self):
         w = make_bspline_window(4)
         fam = make_scaled_window_family(w, [8, 16, 32])
-        report = check_condition_c(fam, grid_size=256)
+        report = check_condition_c(fam)
         assert report.frequency_conditions_ok
         assert report.rescaled_residuals is not None
         assert np.max(report.uniform_stats) < np.inf
@@ -371,7 +379,7 @@ class TestConditionChecker:
             decay=4.0,
             strict=False,
         )
-        report = check_condition_c(fam, grid_size=64)
+        report = check_condition_c(fam)
         assert "integer" in report.failed
         assert np.all(report.integer_residuals > 1e-9)
 
@@ -382,7 +390,7 @@ class TestConditionChecker:
         # before saturating, so no monotone-decrease assertion is made)
         w = make_bspline_window(4)
         fam = make_scaled_window_family(w, [16, 32, 64, 128, 256])
-        report = check_condition_c(fam, grid_size=512)
+        report = check_condition_c(fam)
         stats = report.uniform_stats[:, 0]
         ratios = stats[1:] / stats[:-1]
         assert np.all(stats < 1000.0)
@@ -400,24 +408,23 @@ class TestConditionChecker:
             limit_freqs=np.zeros(1),
             decay=1.0,
         )
-        report = check_condition_c(fam, grid_size=64)
+        report = check_condition_c(fam)
         assert report.rescaled_residuals is None
 
     @pytest.mark.parametrize("kernel", [
         TimeKernel(3, np.array([0.7])),
         TimeKernel(-2, np.array([1.0, -0.5, 2.0, 0.25, -1.5])),
         TimeKernel(-400, np.sin(np.arange(1000) / 37.0) / (1.0 + np.arange(1000) / 50.0)),
-        ar1_kernel(0.99),  # 2945 taps, more than 2 * grid_size
+        ar1_kernel(0.99),  # 2945 taps, more than 2 * GRID_SIZE
     ])
     def test_uniform_stats_match_eval_response(self, kernel):
-        grid_size = 512
         fam = DecimatedFamily(
             levels=tuple(FamilyLevel(gamma=g, kernels=(kernel,), center_freqs=np.zeros(1)) for g in (2, 4)),
             limit_freqs=np.zeros(1),
             decay=1.5,
         )
-        report = check_condition_c(fam, grid_size=grid_size)
-        lam = np.linspace(0.0, math.pi, grid_size, endpoint=False)
+        report = check_condition_c(fam)
+        lam = np.linspace(0.0, math.pi, GRID_SIZE, endpoint=False)
         for j, g in enumerate((2, 4)):
             direct = np.max(np.abs(eval_response(kernel, lam)) * (1.0 + g * lam) ** 1.5) / math.sqrt(g)
             assert report.uniform_stats[j, 0] == pytest.approx(direct, rel=1e-12, abs=0)
@@ -425,7 +432,7 @@ class TestConditionChecker:
     def test_two_frequency_demo(self):
         w = make_bspline_window(4)
         fam = two_frequency_demo_family(w, [8, 16, 32])
-        report = check_condition_c(fam, grid_size=128)
+        report = check_condition_c(fam)
         assert report.frequency_conditions_ok
         assert fam.limit_freqs[1] == math.pi / 2
 
@@ -439,12 +446,17 @@ class TestKernelIO:
         assert back.support_start == -3
         assert np.array_equal(back.coeffs, k.coeffs)
 
-    def test_roundtrip_via_streams(self):
+    def test_roundtrip_via_streams(self, tmp_path):
+        # the shortest repr of a float reads back to the same float
         k = TimeKernel(2, np.array([1.0 / 3.0]))
-        back = read_kernel(io.StringIO(f"2\n{float(k.coeffs[0])!r}\n"))
+        path = tmp_path / "kernel.txt"
+        path.write_text(f"2\n{float(k.coeffs[0])!r}\n", encoding="utf-8")
+        back = read_kernel(path)
         assert back.support_start == 2
         assert back.coeffs[0] == k.coeffs[0]
 
-    def test_rejects_empty(self):
+    def test_rejects_empty(self, tmp_path):
+        path = tmp_path / "kernel.txt"
+        path.write_text("0\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            read_kernel(io.StringIO("0\n"))
+            read_kernel(path)

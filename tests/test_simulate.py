@@ -16,10 +16,10 @@ import decilab
 from decilab.kernels import TimeKernel, make_scaled_window_family
 from decilab.moments import cov_exact
 from decilab.simulate import (
+    AR1_TAIL,
     NoiseSpec,
     _decimated_convolve,
     ar1_kernel,
-    draw_noise,
     mix_seed,
     noise_values,
     simulate_decimated,
@@ -47,11 +47,11 @@ class TestNoise:
             NoiseSpec("cauchy")
 
     def test_rademacher_support(self):
-        x = draw_noise(RADEMACHER, 4096, 11)
+        x = noise_values(RADEMACHER, 11, 0, 4096)
         assert set(np.unique(x)) == {-1.0, 1.0}
 
     def test_scaled_uniform_support_and_moments(self):
-        x = draw_noise(UNIFORM, 200_000, 12)
+        x = noise_values(UNIFORM, 12, 0, 200_000)
         assert np.all(np.abs(x) <= math.sqrt(3.0))
         assert abs(np.mean(x)) < 0.01
         assert abs(np.var(x) - 1.0) < 0.01
@@ -59,15 +59,15 @@ class TestNoise:
         assert abs(np.mean(x ** 4) - 1.8) < 0.02
 
     def test_gaussian_sample_kurtosis(self):
-        x = draw_noise(GAUSS, 1_000_000, 13)
+        x = noise_values(GAUSS, 13, 0, 1_000_000)
         kurt = np.mean(x ** 4) - 3.0 * np.var(x) ** 2
         assert abs(kurt) < 0.02
 
     def test_determinism(self):
-        a = draw_noise(GAUSS, 1000, 99)
-        b = draw_noise(GAUSS, 1000, 99)
+        a = noise_values(GAUSS, 99, 0, 1000)
+        b = noise_values(GAUSS, 99, 0, 1000)
         assert np.array_equal(a, b)
-        c = draw_noise(GAUSS, 1000, 100)
+        c = noise_values(GAUSS, 100, 0, 1000)
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", [0, 5, 2 ** 63 + 7])
@@ -107,10 +107,6 @@ class TestNoise:
         assert len(seeds) == 1000
         assert mix_seed(5, 1) != mix_seed(6, 1)
 
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            draw_noise(GAUSS, 0, 1)
-
 
 class TestDecimatedConvolve:
     @settings(max_examples=150, deadline=None)
@@ -142,8 +138,8 @@ class TestDecimatedConvolve:
     @pytest.mark.parametrize("gamma,length,n", [
         (1, 561, 20_000),  # many more outputs than taps
         (1, 50_001, 300),  # a kernel far longer than the output
-        (3, 9_000, 2_000),  # strided columns, Q = 3000 taps each
-        (4, 4_097, 1_500),  # gamma does not divide L: the taps are padded
+        (3, 9_000, 2_000),  # Q = 3000 > gamma: every third output of one full-rate correlation
+        (4, 4_097, 1_500),  # gamma does not divide L
     ])
     def test_long_kernels_match_direct_correlation(self, gamma, length, n):
         # above the crossover of kernels._correlate, against one direct correlation sampled every gamma
@@ -247,11 +243,11 @@ class TestLinearProcess:
 
 
 class TestAr1Truncation:
-    @pytest.mark.parametrize("tail", [1e-12, 1e-6])
+    @pytest.mark.parametrize("tail", [AR1_TAIL])
     @pytest.mark.parametrize("phi", [sign * p for p in (1e-3, 0.5, 0.95, 0.99, 0.999, 0.9999) for sign in (1, -1)])
     def test_matches_the_loop(self, phi, tail):
         t_max = ar1_truncation_loop(phi, tail)
-        kern = ar1_kernel(phi, tail)
+        kern = ar1_kernel(phi)
         assert kern.length == t_max + 1
         assert kern.coeffs.tobytes() == (phi ** np.arange(t_max + 1)).tobytes()
 
@@ -262,11 +258,6 @@ class TestAr1Truncation:
                               env={**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "34192186"  # the loop's count
-
-    def test_rejects_nonpositive_tail(self):
-        for tail in (0.0, -1e-12, math.nan):
-            with pytest.raises(ValueError, match="tail > 0"):
-                ar1_kernel(0.5, tail)
 
 
 class TestWindowedCoefficients:
@@ -316,7 +307,7 @@ class TestWindowedCoefficients:
             knots=(-2.0, 0.0),
             degree=0,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"contained in \[-1, 0\]"):
             windowed_coefficients(np.ones(30), bad, 4)
 
     def test_rejects_too_short_series(self):

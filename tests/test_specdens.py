@@ -12,7 +12,7 @@ import decilab
 from decilab.kernels import make_scaled_window_family
 from decilab.moments import cov_exact, gamma_limit
 from decilab.quadrature import gauss_legendre_panels
-from decilab.simulate import NoiseSpec, draw_noise, mix_seed, simulate_decimated
+from decilab.simulate import NoiseSpec, mix_seed, noise_values, simulate_decimated
 from decilab.specdens import (
     asymptotic_sigma2,
     check_rate_condition,
@@ -157,7 +157,7 @@ class TestEstimator:
 
     def test_white_noise_smoke(self):
         w = make_bspline_window(4)
-        x = draw_noise(GAUSS, 8192, 2024)
+        x = noise_values(GAUSS, 2024, 0, 8192)
         est = estimate_f0(x, w, 16)
         assert est.n_j == 512
         assert abs(est.f0_hat - 1.0 / TWO_PI) < 4.0 * est.se
