@@ -39,6 +39,7 @@ section the command never reads:
 
 import argparse
 import configparser
+import functools
 import hashlib
 import sys
 from dataclasses import asdict, astuple
@@ -377,7 +378,9 @@ _SECTIONS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _argument_parser():
+    """The command-line parser, built on the first main() call and reused by every later one."""
     ap = argparse.ArgumentParser(
         prog="decilab",
         description="experiments on decimated linear processes and spectral estimation",
@@ -388,7 +391,11 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None):
+    args = _argument_parser().parse_args(argv)
 
     try:
         parser, cfg = _parse_config_file(args.config)

@@ -132,11 +132,11 @@ def leakage_integral(family, level, epsilon, n_j=None, branch=0):
 
     I = int_0^pi 1{|lam - target| > epsilon} |v*(lam)|^2 dlam by panelwise
     quadrature on the (up to two) sub-intervals, so the indicator introduces
-    no discontinuity into any panel. v* comes from eval_response (Horner's
-    rule, O(nodes) memory), which keeps |v*|^2 accurate far below the
-    energy, where a closed form through the autocorrelation cancels to
-    rounding. When n_j is given, sqrt(n_j) * I is reported too; the local
-    CLT needs it to vanish.
+    no discontinuity into any panel. v* comes from eval_response (a
+    sqrt(L)-blocked direct sum, O(nodes) memory), which keeps |v*|^2
+    accurate far below the energy, where a closed form through the
+    autocorrelation cancels to rounding. When n_j is given, sqrt(n_j) * I is
+    reported too; the local CLT needs it to vanish.
     """
     if not epsilon > 0.0:  # NaN fails too
         raise ValueError("need epsilon > 0")

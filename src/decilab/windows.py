@@ -53,7 +53,9 @@ def _correlations(w1, w2):
     out = {}
     for k in range(math.floor(w2.knots[0] - w1.knots[-1]) + 1, math.ceil(w2.knots[-1] - w1.knots[0])):
         lo, hi = max(w1.knots[0], w2.knots[0] - k), min(w1.knots[-1], w2.knots[-1] - k)
-        edges = np.unique(np.clip(np.concatenate((w1.knots, np.subtract(w2.knots, k))), lo, hi))
+        # np.unique's edges, without its lazy import of numpy.ma
+        edges = np.sort(np.clip(np.concatenate((w1.knots, np.subtract(w2.knots, k))), lo, hi))
+        edges = edges[np.append(True, edges[1:] != edges[:-1])]
         x, w = _panel_rule(edges, (w1.degree + w2.degree) // 2 + 1)
         terms = w * w1.evaluate(x) * w2.evaluate(x + k)
         out[k] = float(np.sum(terms)), x.size * EPS * float(np.sum(np.abs(terms)))

@@ -222,6 +222,42 @@ def test_noise_free_runs_load_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[0, 0, 0] []"
 
 
+def test_gamma_sweep_and_audit_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, 10-40 ms of every process that reached it
+    runs = [("gamma", CONFIGS["gamma"]), ("sweep", {**CONFIGS["sweep"], "noise": {"distribution": "scaled_uniform"}})]
+    argvs = []
+    for command, sections in runs:
+        cfg = tmp_path / f"{command}.ini"
+        write_config(cfg, {"experiment": {"seed": 5}, **sections})
+        argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+    code = ("import sys, decilab; from decilab.cli import main; "
+            f"codes = [main(argv) for argv in {argvs!r}]; "
+            "decilab.check_condition_c(decilab.two_frequency_demo_family(decilab.make_bspline_window(4), [16, 32])); "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] False"
+
+
+def test_main_after_a_failed_call_matches_a_fresh_process(tmp_path):
+    # the argument parser is built once per process and reused, also after a call that exits 2
+    cfg = tmp_path / "simulate.ini"
+    write_config(cfg, {"experiment": {"seed": 5}, **CONFIGS["simulate"]})
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg), "--seed", "abc"])
+    assert exc.value.code == 2
+    assert main(["simulate", "--config", str(tmp_path / "missing.ini")]) == 2
+    assert main(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "again")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "decilab", "simulate", "--config", str(cfg), "--seed", "7",
+                           "--out", str(tmp_path / "fresh")], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    fresh = (tmp_path / "fresh" / "path.csv").read_bytes()
+    assert (tmp_path / "again" / "path.csv").read_bytes() == fresh
+    assert b"seed=7," in fresh
+
+
 def test_specdens_on_a_long_ar1_kernel_finishes(tmp_path):
     # phi = 0.999999 gives 34 192 186 taps against 4096 outputs; n*L multiply-adds took minutes
     cfg = tmp_path / "specdens.ini"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from decilab.kernels import (
     _FFT_MIN_SIDE,
     _FFT_MIN_WORK,
+    _RESPONSE_TABLE,
     GRID_SIZE,
     DecimatedFamily,
     FamilyLevel,
@@ -121,6 +122,35 @@ class TestEvalResponse:
         vec = eval_response(k, lams)
         for lam, v in zip(lams, vec):
             assert abs(v - eval_response(k, float(lam))) < 1e-15
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 15, 16, 17, 1025, 2945])
+    def test_matches_direct_summation_across_chunks(self, rng, length):
+        # squares and their neighbours change the block shape; 2945 taps is the AR(1) kernel at phi = 0.99
+        k = ar1_kernel(0.99) if length == 2945 else TimeKernel(-(length // 3), rng.standard_normal(length))
+        assert k.length == length
+        chunk = _RESPONSE_TABLE // (math.isqrt(length - 1) + 1)  # lam values per power table
+        lam = np.linspace(-4.0, 4.0, chunk + 2)  # the last two values fall in a second chunk
+        picks = np.unique(np.r_[0:chunk:max(1, chunk // 32), chunk - 1, chunk, chunk + 1])
+        got = eval_response(k, lam)[picks]
+        want = np.array([direct_response(k, x) for x in lam[picks]])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_shapes(self, rng):
+        k = TimeKernel(-2, rng.standard_normal(10))
+        assert isinstance(eval_response(k, 0.4), complex)
+        assert isinstance(eval_response(k, np.float64(0.4)), complex)
+        assert isinstance(eval_response(k, np.array(0.4)), complex)
+        assert eval_response(k, np.array([0.4])).shape == (1,)
+        assert eval_response(k, np.zeros(0)).shape == (0,)
+        grid = rng.uniform(-4.0, 4.0, (3, 5))
+        values = eval_response(k, grid)
+        assert values.shape == (3, 5) and values.dtype == complex
+        assert np.array_equal(values.ravel(), eval_response(k, grid.ravel()))
+
+    def test_two_pi_periodic(self, rng):
+        k = TimeKernel(5, rng.standard_normal(40))
+        lam = np.linspace(-math.pi, math.pi, 101)
+        assert np.max(np.abs(eval_response(k, lam + TWO_PI) - eval_response(k, lam))) <= 1e-12
 
     def test_memory_flat_in_kernel_length(self):
         # a 512 x 1025 phase matrix alone would take 8.4 MB
