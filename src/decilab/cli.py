@@ -9,8 +9,9 @@ for byte. Floats are emitted with 17 significant digits, UTF-8, LF line
 endings. This module is the only writer of output files.
 
 Exit codes: 0 success, 2 configuration error (including any value the
-library rejects), 3 hypothesis-gate rejection (a requested window whose
-decay cannot support the estimator theory).
+library rejects, and an input or output file that cannot be read or
+written), 3 hypothesis-gate rejection (a requested window whose decay
+cannot support the estimator theory).
 
 Config schema. Every value is parsed once, when the file is loaded; an
 unknown section or key, or a value of the wrong kind, is rejected:
@@ -144,16 +145,19 @@ def _need(cfg, section, key):
     return cfg[section][key]
 
 
-def _get_level(cfg, family):
-    """[run] level (default 0) and [run] levels (default all), each a level of the family."""
+def _get_run(cfg, family):
+    """[run] level (default 0), levels (default all), each a level of the family, and centering."""
     level = cfg["run"].get("level", 0)
     levels = cfg["run"].get("levels", list(range(family.n_levels)))
+    centering = cfg["run"].get("centering", "exact")
     if not levels:
         raise ConfigError("[run] levels is empty")
     for j in [level, *levels]:
         if not 0 <= j < family.n_levels:
             raise ConfigError(f"[run] level {j} is not in 0..{family.n_levels - 1}")
-    return level, levels
+    if centering not in montecarlo.CENTERINGS:
+        raise ConfigError(f"[run] centering {centering!r} is not one of {', '.join(montecarlo.CENTERINGS)}")
+    return level, levels, centering
 
 
 def _family_from_config(cfg, config_dir):
@@ -281,7 +285,7 @@ def _cmd_gamma(cfg, out_dir, seed, digest, config_dir):
 def _cmd_simulate(cfg, out_dir, seed, digest, config_dir):
     family = _family_from_config(cfg, config_dir)
     noise = _noise_from_config(cfg)
-    level, _ = _get_level(cfg, family)
+    level, _, _ = _get_run(cfg, family)
     n = _need(cfg, "run", "n")
     z = simulate.simulate_decimated(family, level, n, noise, seed)
     with _open_out(out_dir, "path.csv") as fh:
@@ -295,10 +299,9 @@ def _cmd_simulate(cfg, out_dir, seed, digest, config_dir):
 def _run_replicates(cfg, config_dir):
     family = _family_from_config(cfg, config_dir)
     noise = _noise_from_config(cfg)
-    level, levels = _get_level(cfg, family)
+    level, levels, centering = _get_run(cfg, family)
     n = _need(cfg, "run", "n")
     reps = _need(cfg, "run", "replicates")
-    centering = cfg["run"].get("centering", "exact")
     return family, noise, level, levels, n, reps, centering
 
 
@@ -410,7 +413,7 @@ def main(argv=None):
         digest = config_digest(parser, args.command, seed)
         config_dir = Path(args.config).resolve().parent
         return _COMMANDS[args.command](cfg, out_dir, seed, digest, config_dir)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"decilab: config error: {exc}", file=sys.stderr)
         return 2
     except HypothesisGateError as exc:

@@ -25,7 +25,7 @@ GRID_SIZE = 512  # check_condition_c's grid: points on [0, pi) and on the rescal
 # _correlate's crossover from np.correlate to FFT blocks, measured on the direct multiply-add count
 _FFT_MIN_WORK = 1 << 20
 _FFT_MIN_SIDE = 128  # and on the fewer of outputs and taps
-_FFT_BATCH = 1 << 12  # values per rfft call; 2**14 ran faster but raised the peak memory
+_FFT_BLOCK = 1 << 12  # least overlap-save block; 2**14 ran faster but raised the peak memory
 _RESPONSE_TABLE = 1 << 15  # entries per power table of eval_response (0.5 MiB of complex)
 
 
@@ -134,30 +134,22 @@ def eval_response(kernel, lam):
     return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
 
 
-def _rows(x, starts, width):
-    """x[s : s + width] for each start s, one row each, zero past the end of x."""
-    rows = np.zeros((len(starts), width))
-    for row, s in zip(rows, starts):
-        part = x[s:s + width]
-        row[:part.size] = part
-    return rows
-
-
 def _correlate(x, h, mode="valid"):
     """np.correlate(x, h, mode) for real 1-D x and h; mode "full", or "valid" with len(x) >= len(h).
 
     Below the crossover (fewer than _FFT_MIN_WORK direct multiply-adds, or
     fewer than _FFT_MIN_SIDE outputs or taps) it is np.correlate itself,
     bit for bit. Above it, "full" is one rfft product at the least power of
-    two >= len(x) + len(h) - 1, and "valid" is overlap-save at an FFT size
-    F, the power of two covering the smaller of 4 * (the fewer of outputs
-    and taps) and the whole correlation:
+    two >= len(x) + len(h) - 1, and "valid" is overlap-save (Stockham 1966)
+    at an FFT size F, the power of two covering the smaller of
+    max(4 * (the fewer of outputs and taps), _FFT_BLOCK) and the whole
+    correlation:
     - more outputs than taps: the outputs in blocks of F - L + 1, each block
       one window of x against the one spectrum of h;
     - more taps than outputs: the taps in parts of F - n_out + 1, each part
       against its own window of x, the products summed before one inverse.
-    Each rfft call takes one row of F values, or as many rows as fit in
-    _FFT_BATCH, so memory is O(len(x) + len(h)) at any length.
+    Each block is one rfft call of F values, so memory is O(len(x) + len(h))
+    at any length.
     """
     if mode == "full":  # work: every pair of values meets once
         n_out, work, short = x.size + h.size - 1, x.size * h.size, min(x.size, h.size)
@@ -169,24 +161,23 @@ def _correlate(x, h, mode="valid"):
     if mode == "full":
         size = 1 << (n_out - 1).bit_length()
         return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h[::-1], size), size)[:n_out]
-    size = 1 << (min(4 * short, n_out + taps - 1) - 1).bit_length()
-    per_batch = max(1, _FFT_BATCH // size)
+    size = 1 << (min(max(4 * short, _FFT_BLOCK), n_out + taps - 1) - 1).bit_length()
     if n_out >= taps:
         step = size - taps + 1
         spectrum = np.fft.rfft(h[::-1], size)
         out = np.empty(n_out)
-        for first in range(0, n_out, per_batch * step):
-            starts = range(first, min(first + per_batch * step, n_out), step)
-            blocks = np.fft.irfft(np.fft.rfft(_rows(x, starts, size)) * spectrum, size)[:, taps - 1:].ravel()
-            end = min(first + blocks.size, n_out)
-            out[first:end] = blocks[:end - first]
+        for first in range(0, n_out, step):  # rfft's n zero-pads the last window
+            block = np.fft.irfft(np.fft.rfft(x[first:first + size], size) * spectrum, size)
+            out[first:first + step] = block[taps - 1:taps - 1 + n_out - first]
         return out
     step = size - n_out + 1
     acc = np.zeros(size // 2 + 1, dtype=complex)
-    for first in range(0, taps, per_batch * step):
-        starts = range(first, min(first + per_batch * step, taps), step)
-        parts = np.fft.rfft(_rows(h, starts, step)[:, ::-1], size)
-        acc += np.sum(np.fft.rfft(_rows(x, starts, size)) * parts, axis=0)
+    part = np.empty(step)  # one part of the taps, reversed; the last, if short, front-padded with zeros
+    for first in range(0, taps, step):
+        piece = h[first:first + step]
+        part[:step - piece.size] = 0.0
+        part[step - piece.size:] = piece[::-1]
+        acc += np.fft.rfft(x[first:first + size], size) * np.fft.rfft(part, size)
     return np.fft.irfft(acc, size)[step - 1:step - 1 + n_out]
 
 
@@ -246,6 +237,8 @@ class DecimatedFamily:
             object.__setattr__(self, "limit_kernels", tuple((w, float(wt)) for w, wt in self.limit_kernels))
         if not self.levels:
             raise ValueError("need at least one level")
+        if not self.n_branches:
+            raise ValueError("need at least one branch")
         if not (float(self.threshold).is_integer() and 0 <= self.threshold <= self.n_levels):
             raise ValueError(f"threshold must be an integer in 0..{self.n_levels}, got {self.threshold}")
         object.__setattr__(self, "threshold", int(self.threshold))

@@ -20,6 +20,7 @@ from .moments import cov_exact, cov_of_square_sums, gamma_matrix, limit_cross_co
 from .simulate import mix_seed, simulate_decimated
 
 KS_99 = 1.63  # ~99% quantile scale of the one-sample KS statistic
+CENTERINGS = ("exact", "limit")  # the centerings replicate_sums subtracts (see _centers)
 
 
 def _worker_count(workers):
@@ -45,17 +46,12 @@ class ReplicateSet:
 
 
 def _centers(family, level, centering):
-    n_branches = family.n_branches
-    centers = np.empty(n_branches)
+    """Per branch, the level expectation of Z^2 ("exact") or its limit ("limit")."""
+    if centering not in CENTERINGS:
+        raise ValueError(f"centering must be one of {', '.join(CENTERINGS)}, got {centering!r}")
     if centering == "exact":
-        for i in range(n_branches):
-            centers[i] = cov_exact(family, level, i, i, 0, 0)
-    elif centering == "limit":
-        for i in range(n_branches):
-            centers[i] = limit_cross_cov(family, i, i, 0).value
-    else:
-        raise ValueError("centering must be 'exact' or 'limit'")
-    return centers
+        return np.array([cov_exact(family, level, i, i, 0, 0) for i in range(family.n_branches)])
+    return np.array([limit_cross_cov(family, i, i, 0).value for i in range(family.n_branches)])
 
 
 def replicate_sums(family, level, n, noise, n_replicates, base_seed,

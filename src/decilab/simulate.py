@@ -151,8 +151,8 @@ def simulate_linear_process(a, n, noise, seed):
 
     The decimated convolution at gamma = 1 is one valid-mode correlation of
     the n + L - 1 noise values with the reversed kernel. Long kernels take
-    the blocked-FFT path of kernels._correlate, whose FFT batches are
-    bounded, so memory stays O(n + L) at paper scale (n around 1e6, AR
+    the overlap-save path of kernels._correlate, one bounded FFT block at a
+    time, so memory stays O(n + L) at paper scale (n around 1e6, AR
     kernels of millions of taps).
     """
     if n < 1:

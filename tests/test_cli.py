@@ -86,6 +86,7 @@ REJECTED = {
     "negative_level": ("simulate", with_run(level=-1)),
     "levels_past_end": ("sweep", with_run(levels="0 7")),
     "unknown_centering": ("cov-check", with_run(centering="foo")),
+    "unknown_centering_simulate": ("simulate", with_run(centering="foo")),
     "odd_specdens_gamma": ("specdens", specdens(gamma=15)),
     "odd_specdens_sweep_gamma": ("specdens", specdens(gammas="16 15")),
     "explosive_phi": ("specdens", specdens(synth="ar1", phi=1.5)),
@@ -102,6 +103,8 @@ REJECTED = {
     "nan_limit_freq": ("simulate", with_family(FILES, limit_freqs="nan")),
     "nan_decay": ("simulate", with_family(FILES, decay="nan")),
     "negative_threshold": ("simulate", with_family(FILES, threshold=-1)),
+    "files_family_no_branches": ("simulate", with_family(FILES, limit_freqs="", **{
+        "kernels.0": "", "freqs.0": "", "kernels.1": "", "freqs.1": ""})),
     # a files family has no limit kernels, so nothing that needs a limit runs on it
     "files_family_gamma": ("gamma", {"family": FILES}),
     "files_family_limit_centering_clt": ("clt", {"family": FILES, "run": {**RUN, "centering": "limit"}}),
@@ -143,6 +146,18 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["out_is_a_file", "out_under_a_file"])
+def test_output_path_that_cannot_be_made_exits_2(tmp_path, capsys, sub):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n", encoding="utf-8")
+    cfg = tmp_path / "gamma.ini"
+    write_config(cfg, CONFIGS["gamma"])
+    assert main(["gamma", "--config", str(cfg), "--out", str(blocker / sub)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("decilab: config error: ") and len(err.splitlines()) == 1
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_files_family_runs(tmp_path):

@@ -172,12 +172,36 @@ class TestCorrelate:
     @example(shape=(60_001, 301), more_outputs=False, seed=2)  # a kernel far longer than the output: tap parts
     @example(shape=(100_000, 127), more_outputs=True, seed=3)  # below the crossover on the short side
     @example(shape=(1021, 1019), more_outputs=True, seed=4)  # below the crossover on the work
+    # the least block, _FFT_BLOCK points, where 4 * short is under it
+    @example(shape=(100_000, 130), more_outputs=True, seed=8)
+    @example(shape=(8418, 297), more_outputs=False, seed=9)
+    @example(shape=(50_001, 265), more_outputs=False, seed=10)
+    # 561 taps at F = 4096 leave 3536 outputs per block: whole blocks, and one output past them
+    @example(shape=(3 * 3536, 561), more_outputs=True, seed=11)
+    @example(shape=(3 * 3536 + 1, 561), more_outputs=True, seed=12)
+    # at F = 16384 each part holds 12289 taps, so the last of 24579 holds one
+    @example(shape=(24_579, 4096), more_outputs=False, seed=13)
     def test_valid_matches_np_correlate(self, shape, more_outputs, seed):
         long, short = shape
         n_out, taps = (long, short) if more_outputs else (short, long)
         rng = np.random.default_rng(seed)
         x, h = rng.standard_normal(n_out + taps - 1), rng.standard_normal(taps)
         check_against_np_correlate(x, h, "valid", n_out * taps, short)
+
+    @pytest.mark.parametrize("n_out,taps,bound", [
+        (100_000, 561, 2 * 2 ** 20),  # the output, 0.8 MB, and a few 4096-point blocks
+        (4096, 2_000_000, 2 ** 20),  # a few 16384-point blocks; the taps are never copied whole
+    ])
+    def test_valid_memory_is_the_output_and_a_few_blocks(self, n_out, taps, bound):
+        rng = np.random.default_rng(14)
+        x, h = rng.standard_normal(n_out + taps - 1), rng.standard_normal(taps)
+        tracemalloc.start()
+        try:
+            _correlate(x, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @settings(max_examples=40, deadline=None)
     @given(shape=correlation_shapes(), swap=st.booleans(), power=st.sampled_from([1, 2]),
@@ -281,6 +305,12 @@ class TestFamilyValidation:
         lv = FamilyLevel(gamma=2, kernels=(k,), center_freqs=np.zeros(1))
         with pytest.raises(ValueError, match="limit frequencies"):
             DecimatedFamily(levels=(lv,), limit_freqs=np.array([math.nan]), decay=1.0, strict=False)
+
+    def test_needs_a_branch(self):
+        # a files config with empty limit_freqs, kernels.<j> and freqs.<j> describes this family
+        lv = FamilyLevel(gamma=2, kernels=(), center_freqs=np.zeros(0))
+        with pytest.raises(ValueError, match="at least one branch"):
+            DecimatedFamily(levels=(lv,), limit_freqs=np.zeros(0), decay=1.0)
 
     def test_gamma_at_least_one(self):
         k = TimeKernel(0, np.array([1.0]))
