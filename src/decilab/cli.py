@@ -5,13 +5,16 @@ sections (configparser syntax); command-line flags override config keys.
 Every output carries a 12-hex digest of the effective configuration: a
 last column on each CSV row, a ``digest`` line in each report, and the
 comment line of path.csv; re-running a digest reproduces its outputs byte
-for byte. Floats are emitted with 17 significant digits, UTF-8, LF line
-endings. This module is the only writer of output files.
+for byte. The digest is the first 12 hex digits of SHA-256 over the
+effective configuration items. It comes from the interpreter's built-in
+SHA-256, so no run maps OpenSSL for it. Floats are emitted with 17
+significant digits, UTF-8, LF line endings. This module is the only
+writer of output files.
 
 Exit codes: 0 success, 2 configuration error (including any value the
-library rejects, and an input or output file that cannot be read or
-written), 3 hypothesis-gate rejection (a requested window whose decay
-cannot support the estimator theory).
+library rejects, an input or output file that cannot be read or written,
+and a size numpy refuses to allocate), 3 hypothesis-gate rejection (a
+requested window whose decay cannot support the estimator theory).
 
 Config schema. Every value is parsed once, when the file is loaded; an
 unknown section or key, or a value of the wrong kind, is rejected:
@@ -41,10 +44,17 @@ section the command never reads:
 import argparse
 import configparser
 import functools
-import hashlib
 import sys
 from dataclasses import asdict, astuple
 from pathlib import Path
+
+try:  # the built-in SHA-256: hashlib would map OpenSSL (about 3.7 MB of RSS) for one 12-hex digest
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
 
 import numpy as np
 
@@ -136,7 +146,7 @@ def _effective_items(parser, command, seed):
 
 def config_digest(parser, command, seed):
     text = "\n".join(f"{k}={v}" for k, v in _effective_items(parser, command, seed))
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return sha256(text.encode()).hexdigest()[:12]
 
 
 def _need(cfg, section, key):
@@ -413,7 +423,8 @@ def main(argv=None):
         digest = config_digest(parser, args.command, seed)
         config_dir = Path(args.config).resolve().parent
         return _COMMANDS[args.command](cfg, out_dir, seed, digest, config_dir)
-    except (ConfigError, ValueError, OSError) as exc:  # OSError: a file that cannot be read or written
+    # OSError: a file that cannot be read or written; MemoryError: a size numpy cannot allocate
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"decilab: config error: {exc}", file=sys.stderr)
         return 2
     except HypothesisGateError as exc:

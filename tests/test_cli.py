@@ -128,6 +128,10 @@ REJECTED = {
     "unparsed_rate_threshold": ("simulate", {**with_run(), "tolerances": {"rate_threshold": "abc"}}),
     "nan_rate_threshold": ("specdens", {**specdens(), "tolerances": {"rate_threshold": "nan"}}),
     "non_finite_input_series": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": INF_SERIES}}),
+    # sizes past the 2^47-byte address space: numpy refuses at once, whatever the overcommit setting
+    "unallocatable_synth_n": ("specdens", specdens(synth="ar1", phi=0.5, n=10**16)),
+    "unallocatable_n_sweep": ("sweep", with_run(n=10**16)),
+    "unallocatable_n_simulate": ("simulate", with_run(n=10**16)),
 }
 
 
@@ -219,7 +223,9 @@ def test_module_entry_point_exit_code(tmp_path):
 
 
 def test_noise_free_runs_load_no_scipy(tmp_path):
-    # scipy.special loads on the first Gaussian draw or KS distance, so these runs never import scipy
+    # scipy.special loads on the first Gaussian draw or KS distance, so these runs never import scipy.
+    # The config digest takes the built-in SHA-256, so gamma never maps OpenSSL (_hashlib); the noise
+    # runs still do, as numpy.random imports secrets, which imports hmac and with it _hashlib.
     runs = [("gamma", CONFIGS["gamma"]),
             ("simulate", {**CONFIGS["simulate"], "noise": {"distribution": "rademacher"}}),
             ("sweep", {**CONFIGS["sweep"], "noise": {"distribution": "scaled_uniform"}})]
@@ -229,12 +235,14 @@ def test_noise_free_runs_load_no_scipy(tmp_path):
         write_config(cfg, {"experiment": {"seed": 5}, **sections})
         argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / command)])
     code = ("import sys; from decilab.cli import main; "
-            f"codes = [main(argv) for argv in {argvs!r}]; "
-            "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+            f"argvs = {argvs!r}; "
+            "codes = [main(argvs[0])]; gamma_openssl = '_hashlib' in sys.modules; "
+            "codes += [main(argv) for argv in argvs[1:]]; "
+            "print(codes, gamma_openssl, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     env = {**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0] []"
+    assert proc.stdout.strip() == "[0, 0, 0] False []"
 
 
 def test_gamma_sweep_and_audit_load_no_numpy_ma(tmp_path):
@@ -353,3 +361,15 @@ def test_reports_lead_with_digest(outputs):
     for path in (outputs["clt"] / "normality.txt", outputs["specdens"] / "specdens_report.txt"):
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert re.fullmatch("digest = [0-9a-f]{12}", first)
+
+
+@pytest.mark.parametrize("command,sections", [*sorted(CONFIGS.items()),
+                                              ("simulate", with_family(FILES, **{"kernels.1": "kernël α.txt"}))],
+                         ids=[*sorted(CONFIGS), "non_ascii_kernel_path"])
+def test_config_digest_matches_stdlib_sha256(tmp_path, command, sections):
+    # the digest takes the interpreter's built-in SHA-256; it must stay hashlib's, over the UTF-8 text
+    cfg = tmp_path / f"{command}.ini"
+    write_config(cfg, {"experiment": {"seed": 5}, **sections})
+    parser, _ = cli._parse_config_file(cfg)
+    text = "\n".join(f"{k}={v}" for k, v in cli._effective_items(parser, command, 5))
+    assert cli.config_digest(parser, command, 5) == hashlib.sha256(text.encode()).hexdigest()[:12]
