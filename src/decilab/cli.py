@@ -2,6 +2,8 @@
 
 Experiments are described by a line-oriented ``key = value`` file with
 sections (configparser syntax); command-line flags override config keys.
+Values are literal (``%`` is not interpolated). Config, kernel and input
+series files are UTF-8 and may start with a byte-order mark.
 Every output carries a 12-hex digest of the effective configuration: a
 last column on each CSV row, a ``digest`` line in each report, and the
 comment line of path.csv; re-running a digest reproduces its outputs byte
@@ -110,12 +112,12 @@ def _stem(key):
 
 def _parse_config_file(path):
     """The raw parser, which the digest reads, and {section: {key: value}} with each value parsed."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     cfg_path = Path(path)
     if not cfg_path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(cfg_path, "r", encoding="utf-8") as fh:
+        with open(cfg_path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
@@ -232,7 +234,7 @@ def _series_from_config(cfg, config_dir, seed):
         if not path.is_file():
             raise ConfigError(f"input series not found: {input_path}")
         rows = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, 1):
                 tok = line.strip()
                 if not tok:
@@ -371,23 +373,15 @@ def _cmd_specdens(cfg, out_dir, seed, digest, config_dir):
     return 0
 
 
-_COMMANDS = {
-    "gamma": _cmd_gamma,
-    "simulate": _cmd_simulate,
-    "cov-check": _cmd_cov_check,
-    "clt": _cmd_clt,
-    "specdens": _cmd_specdens,
-    "sweep": _cmd_sweep,
-}
 _FAMILY_RUN = {"experiment", "family", "noise", "run"}
-# {command: the sections its _cmd_* reads}; _series_from_config also rejects [noise] with input
-_SECTIONS = {
-    "gamma": {"experiment", "family"},
-    "simulate": _FAMILY_RUN,
-    "cov-check": _FAMILY_RUN,
-    "clt": _FAMILY_RUN,
-    "specdens": {"experiment", "specdens", "tolerances", "noise"},
-    "sweep": _FAMILY_RUN,
+# {command: (its handler, the sections it reads)}; _series_from_config also rejects [noise] with input
+_COMMANDS = {
+    "gamma": (_cmd_gamma, {"experiment", "family"}),
+    "simulate": (_cmd_simulate, _FAMILY_RUN),
+    "cov-check": (_cmd_cov_check, _FAMILY_RUN),
+    "clt": (_cmd_clt, _FAMILY_RUN),
+    "specdens": (_cmd_specdens, {"experiment", "specdens", "tolerances", "noise"}),
+    "sweep": (_cmd_sweep, _FAMILY_RUN),
 }
 
 
@@ -409,6 +403,7 @@ def _argument_parser():
 
 def main(argv=None):
     args = _argument_parser().parse_args(argv)
+    handler, sections = _COMMANDS[args.command]
 
     try:
         parser, cfg = _parse_config_file(args.config)
@@ -416,16 +411,17 @@ def main(argv=None):
         if declared is not None and declared != args.command:
             raise ConfigError(f"config declares command {declared!r} but {args.command!r} was invoked")
         for section, keys in cfg.items():
-            if keys and section not in _SECTIONS[args.command]:
+            if keys and section not in sections:
                 raise ConfigError(f"[{section}] is not read by {args.command}")
         seed = args.seed if args.seed is not None else cfg["experiment"].get("seed", 0)
         out_dir = Path(args.out if args.out is not None else cfg["experiment"].get("out", "."))
         digest = config_digest(parser, args.command, seed)
         config_dir = Path(args.config).resolve().parent
-        return _COMMANDS[args.command](cfg, out_dir, seed, digest, config_dir)
+        return handler(cfg, out_dir, seed, digest, config_dir)
     # OSError: a file that cannot be read or written; MemoryError: a size numpy cannot allocate
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
-        print(f"decilab: config error: {exc}", file=sys.stderr)
+        # one line, also where a configparser message spans several
+        print("decilab: config error:", *map(str.strip, str(exc).splitlines()), file=sys.stderr)
         return 2
     except HypothesisGateError as exc:
         print(f"decilab: rejected: {exc}", file=sys.stderr)
@@ -434,7 +430,3 @@ def main(argv=None):
 
 def console_main():
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    console_main()

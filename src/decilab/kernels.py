@@ -75,24 +75,6 @@ class TimeKernel:
         """Index of the last coefficient (inclusive)."""
         return self.support_start + self.coeffs.size - 1
 
-    @property
-    def support(self):
-        return np.arange(self.support_start, self.support_end + 1)
-
-    @property
-    def energy(self):
-        """Sum of squared coefficients, computed exactly."""
-        return float(np.dot(self.coeffs, self.coeffs))
-
-    def value(self, t):
-        """v(t) for integer t (vectorized), zero off the support."""
-        t = np.asarray(t)
-        idx = t - self.support_start
-        inside = (idx >= 0) & (idx < self.coeffs.size)
-        out = np.zeros(t.shape, dtype=float)
-        out[inside] = self.coeffs[idx[inside]]
-        return out if out.ndim else float(out)
-
 
 def _powers(z, count):
     """z**0 .. z**(count-1) as the rows of a (count, len(z)) table, by a cumulative product."""
@@ -218,8 +200,7 @@ class DecimatedFamily:
     The constructor is the one place the family rules are checked. The
     frequency conditions (even gamma, integer condition, zero frequency,
     coincidence) bind from level `threshold` on, an integer in 0..n_levels
-    (n_levels binds none); strict=False skips them to build violating
-    families for check_condition_c to report.
+    (n_levels binds none).
     """
 
     levels: tuple
@@ -228,7 +209,6 @@ class DecimatedFamily:
     limit_kernels: Optional[tuple] = None
     threshold: int = 0
     name: str = ""
-    strict: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -251,11 +231,10 @@ class DecimatedFamily:
         _require_band(self.limit_freqs, "limit")
         if self.limit_kernels is not None and len(self.limit_kernels) != self.n_branches:
             raise ValueError("one limit kernel per branch required")
-        if self.strict:
-            for j in range(self.threshold, self.n_levels):
-                failures = _frequency_condition_failures(self, j)
-                if failures:
-                    raise ValueError(next(iter(failures.values())))
+        for j in range(self.threshold, self.n_levels):
+            failures = _frequency_condition_failures(self, j)
+            if failures:
+                raise ValueError(next(iter(failures.values())))
 
     @property
     def n_branches(self):
@@ -308,10 +287,12 @@ class ConditionReport:
     """Numerical audit of the concentration conditions for a family.
 
     failed names the frequency conditions ("even", "integer", "zero_freq",
-    "coincidence") that some level from the family threshold on breaks;
+    "coincidence") that some level from the family threshold on breaks; it
+    re-checks what DecimatedFamily enforces, so it is empty.
     integer_residuals[j, i] is the distance of gamma*center / (2*pi) from
-    the nearest integer. uniform_stats[j, i] is the grid sup of
-    gamma**(-1/2) |v*_{i,j}(lam)| (1 + gamma*|lam - center|)**decay on [0, pi);
+    the nearest integer, at every level. uniform_stats[j, i] is the grid
+    sup of gamma**(-1/2) |v*_{i,j}(lam)| (1 + gamma*|lam - center|)**decay
+    on [0, pi);
     rescaled_residuals[j, i] the grid sup of
     |gamma**(-1/2) v*_{i,j}(lam/gamma + center) - limit_i(lam)|
     (None when the family has no limit kernels).
@@ -446,7 +427,7 @@ def two_frequency_demo_family(prototype, gammas):
 
 def read_kernel(path):
     """Read the plain-text kernel exchange format."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # utf-8-sig: a leading BOM is dropped
         lines = fh.read().split()
     if len(lines) < 2:
         raise ValueError("kernel file needs a support line and at least one coefficient")

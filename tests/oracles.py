@@ -259,7 +259,7 @@ def parseval_gap(kernel):
     """
     x, w = periodic_rule(kernel.length - 1)
     integral = float(np.sum(w * np.abs(eval_response(kernel, x)) ** 2))
-    return abs(integral - kernel.energy)
+    return abs(integral - float(np.dot(kernel.coeffs, kernel.coeffs)))
 
 
 def m_n_functional(g, n):

@@ -1,3 +1,5 @@
+import argparse
+import codecs
 import hashlib
 import math
 import os
@@ -87,6 +89,7 @@ REJECTED = {
     "levels_past_end": ("sweep", with_run(levels="0 7")),
     "unknown_centering": ("cov-check", with_run(centering="foo")),
     "unknown_centering_simulate": ("simulate", with_run(centering="foo")),
+    "stray_percent": ("simulate", with_run(centering="exact%")),  # values are literal, not interpolated
     "odd_specdens_gamma": ("specdens", specdens(gamma=15)),
     "odd_specdens_sweep_gamma": ("specdens", specdens(gammas="16 15")),
     "explosive_phi": ("specdens", specdens(synth="ar1", phi=1.5)),
@@ -150,6 +153,67 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# config text configparser cannot parse; several of its messages span two or three lines
+UNPARSABLE = {
+    "no_section_header": "gammas = 16 32\n",
+    "unclosed_section_header": "[family\ntype = two_frequency\n",
+    "key_without_value": "[family]\ngammas\n",
+    "value_without_key": "[family]\n= 5\n",
+    "leading_continuation_line": "[family]\n  continued\n",
+    "duplicate_section": "[family]\ntype = two_frequency\n[family]\n",
+    "duplicate_key": "[family]\ntype = two_frequency\ntype = bspline_ma\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPARSABLE))
+def test_unparsable_config_exits_2_on_one_line(tmp_path, capsys, case):
+    cfg = tmp_path / "gamma.ini"
+    cfg.write_text(UNPARSABLE[case], encoding="utf-8")
+    assert main(["gamma", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("decilab: config error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_percent_in_out_is_literal(tmp_path, via):
+    out = tmp_path / "res%1" / "%(x)s"
+    cfg = tmp_path / "gamma.ini"
+    write_config(cfg, {"experiment": {"seed": 5, **({"out": out} if via == "config" else {})}, **CONFIGS["gamma"]})
+    assert main(["gamma", "--config", str(cfg), *(["--out", str(out)] if via == "flag" else [])]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gamma.ini", "res%1"]
+    assert [p.name for p in out.iterdir()] == ["gamma_matrix.csv"]
+
+
+@pytest.mark.parametrize("marked", ["config", "series", "kernel"])
+def test_byte_order_mark_changes_no_output(tmp_path, marked):
+    # a file that starts with a UTF-8 BOM reads as the file without it; a series with no header keeps its first value
+    write_kernel(tmp_path)
+    (tmp_path / "bare.txt").write_text("".join(f"{math.sin(0.7 * u):.17g}\n" for u in range(64)), encoding="utf-8")
+    command, sections = ("simulate", with_family(FILES)) if marked == "kernel" else (
+        "specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": "bare.txt"}})
+    cfg = tmp_path / f"{command}.ini"
+    write_config(cfg, {"experiment": {"seed": 5}, **sections})
+    path = {"config": cfg, "series": tmp_path / "bare.txt", "kernel": tmp_path / KERNEL}[marked]
+    outputs = []
+    for tag in ("plain", "bom"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / tag)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted((tmp_path / tag).iterdir())})
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert outputs[0] and outputs[0] == outputs[1]
+    if command == "specdens":
+        assert b"\nn = 64\n" in outputs[1]["specdens_report.txt"]
+
+
+def test_one_command_table():
+    # the subcommands are the keys of _COMMANDS; each reads [experiment] and only sections of the schema
+    sub = next(a for a in cli._argument_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli._COMMANDS)
+    for command, (handler, sections) in cli._COMMANDS.items():
+        assert handler.__name__ == "_cmd_" + command.replace("-", "_")
+        assert "experiment" in sections and sections <= cli._SCHEMA.keys(), command
 
 
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["out_is_a_file", "out_under_a_file"])
@@ -364,12 +428,16 @@ def test_reports_lead_with_digest(outputs):
 
 
 @pytest.mark.parametrize("command,sections", [*sorted(CONFIGS.items()),
-                                              ("simulate", with_family(FILES, **{"kernels.1": "kernël α.txt"}))],
-                         ids=[*sorted(CONFIGS), "non_ascii_kernel_path"])
+                                              ("simulate", with_family(FILES, **{"kernels.1": "kernël α.txt"})),
+                                              ("simulate", with_family(FILES, **{"kernels.1": "k%1 %(x)s.txt"}))],
+                         ids=[*sorted(CONFIGS), "non_ascii_kernel_path", "percent_kernel_path"])
 def test_config_digest_matches_stdlib_sha256(tmp_path, command, sections):
     # the digest takes the interpreter's built-in SHA-256; it must stay hashlib's, over the UTF-8 text
     cfg = tmp_path / f"{command}.ini"
     write_config(cfg, {"experiment": {"seed": 5}, **sections})
     parser, _ = cli._parse_config_file(cfg)
-    text = "\n".join(f"{k}={v}" for k, v in cli._effective_items(parser, command, 5))
+    lines = [f"{k}={v}" for k, v in cli._effective_items(parser, command, 5)]
+    written = {f"{section}.{key}={value}" for section, items in sections.items() for key, value in items.items()}
+    assert written <= set(lines)  # every value is digested as written
+    text = "\n".join(lines)
     assert cli.config_digest(parser, command, 5) == hashlib.sha256(text.encode()).hexdigest()[:12]

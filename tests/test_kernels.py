@@ -59,7 +59,7 @@ def check_against_np_correlate(x, h, mode, work, short):
 def direct_response(kernel, lam):
     """Independent term-by-term complex summation oracle."""
     total = 0.0 + 0.0j
-    for t, v in zip(kernel.support, kernel.coeffs):
+    for t, v in enumerate(kernel.coeffs, kernel.support_start):
         total += v * cmath.exp(-1j * lam * t)
     return total / math.sqrt(TWO_PI)
 
@@ -77,16 +77,10 @@ class TestTimeKernel:
         with pytest.raises(ValueError, match="support start must be an integer"):
             TimeKernel(start, np.array([1.0]))
 
-    def test_energy_exact(self):
+    def test_length_and_support_end(self):
         k = TimeKernel(-2, np.array([1.0, 2.0, -3.0]))
-        assert k.energy == 14.0
+        assert k.length == 3
         assert k.support_end == 0
-
-    def test_value_off_support_is_zero(self):
-        k = TimeKernel(1, np.array([5.0]))
-        assert k.value(0) == 0.0
-        assert k.value(1) == 5.0
-        assert k.value(2) == 0.0
 
     def test_coeffs_immutable(self):
         k = TimeKernel(0, np.array([1.0, 2.0]))
@@ -269,6 +263,12 @@ class TestFamilyValidation:
         # threshold beyond the stored levels disables the check
         fam = DecimatedFamily(levels=(lv,), limit_freqs=np.zeros(1), decay=1.0, threshold=1)
         assert fam.n_levels == 1
+        # odd gammas below the threshold are allowed, one at or past it is not
+        at = {g: FamilyLevel(gamma=g, kernels=(k,), center_freqs=np.zeros(1)) for g in (3, 5, 8, 9)}
+        fam = DecimatedFamily(levels=(at[3], at[5], at[8]), limit_freqs=np.zeros(1), decay=1.0, threshold=2)
+        assert check_condition_c(fam).frequency_conditions_ok
+        with pytest.raises(ValueError, match=r"even from level 1 on \(level 2\)"):
+            DecimatedFamily(levels=(at[3], at[8], at[9]), limit_freqs=np.zeros(1), decay=1.0, threshold=1)
 
     @pytest.mark.parametrize("threshold", [-1, 2, 0.5, math.nan])
     def test_threshold_within_the_levels(self, threshold):
@@ -304,7 +304,7 @@ class TestFamilyValidation:
             FamilyLevel(gamma=2, kernels=(k,), center_freqs=np.array([math.nan]))
         lv = FamilyLevel(gamma=2, kernels=(k,), center_freqs=np.zeros(1))
         with pytest.raises(ValueError, match="limit frequencies"):
-            DecimatedFamily(levels=(lv,), limit_freqs=np.array([math.nan]), decay=1.0, strict=False)
+            DecimatedFamily(levels=(lv,), limit_freqs=np.array([math.nan]), decay=1.0)
 
     def test_needs_a_branch(self):
         # a files config with empty limit_freqs, kernels.<j> and freqs.<j> describes this family
@@ -433,14 +433,12 @@ class TestConditionChecker:
             FamilyLevel(gamma=lv.gamma, kernels=lv.kernels, center_freqs=np.array([math.pi / 3]))
             for lv in base.levels
         )
-        fam = DecimatedFamily(
-            levels=levels,
-            limit_freqs=np.array([math.pi / 3]),
-            decay=4.0,
-            strict=False,
-        )
+        with pytest.raises(ValueError, match=r"gamma\*lambda not in 2\*pi\*Z at level 0"):
+            DecimatedFamily(levels=levels, limit_freqs=np.array([math.pi / 3]), decay=4.0)
+        # a threshold past the last level binds no condition; the residuals are reported all the same
+        fam = DecimatedFamily(levels=levels, limit_freqs=np.array([math.pi / 3]), decay=4.0, threshold=3)
         report = check_condition_c(fam)
-        assert "integer" in report.failed
+        assert report.frequency_conditions_ok
         assert np.all(report.integer_residuals > 1e-9)
 
     def test_uniform_bound_statistic_saturates_across_levels(self):

@@ -49,7 +49,7 @@ UNIFORM = NoiseSpec("scaled_uniform")
 
 
 def kernel_dict(kernel):
-    return {t: v for t, v in zip(kernel.support, kernel.coeffs)}
+    return dict(enumerate(kernel.coeffs, kernel.support_start))
 
 
 def brute_a_term(k1, k2, gamma, n):
