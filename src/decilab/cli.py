@@ -2,8 +2,10 @@
 
 Experiments are described by a line-oriented ``key = value`` file with
 sections (configparser syntax); command-line flags override config keys.
-Values are literal (``%`` is not interpolated). Config, kernel and input
-series files are UTF-8 and may start with a byte-order mark.
+Values are literal (no ``%`` interpolation); ``[DEFAULT]`` is an unknown
+section. Config, kernel and input series files are UTF-8 and may start with
+a byte-order mark; line 1 of a series is a header unless it starts with a
+digit, a sign or a point.
 Every output carries a 12-hex digest of the effective configuration: a
 last column on each CSV row, a ``digest`` line in each report, and the
 comment line of path.csv; re-running a digest reproduces its outputs byte
@@ -112,7 +114,7 @@ def _stem(key):
 
 def _parse_config_file(path):
     """The raw parser, which the digest reads, and {section: {key: value}} with each value parsed."""
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"), default_section="")
     cfg_path = Path(path)
     if not cfg_path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -201,7 +203,10 @@ def _family_from_config(cfg, config_dir):
             kpath = (config_dir / rel).resolve()
             if not kpath.is_file():
                 raise ConfigError(f"kernel file not found: {rel}")
-            kernels.append(read_kernel(kpath))
+            try:
+                kernels.append(read_kernel(kpath))
+            except ValueError as exc:
+                raise ConfigError(f"{rel}: {exc}") from exc
         levels.append(FamilyLevel(gamma=gamma, kernels=tuple(kernels), center_freqs=np.array(freqs)))
     return DecimatedFamily(levels=tuple(levels), limit_freqs=np.array(limit_freqs), decay=decay,
                            threshold=fam.get("threshold", 0), name="files")
@@ -242,8 +247,8 @@ def _series_from_config(cfg, config_dir, seed):
                 try:
                     rows.append(float(tok))
                 except ValueError:
-                    if line_no == 1:
-                        continue  # tolerate a header line
+                    if line_no == 1 and tok[0] not in "0123456789+-.":
+                        continue  # a header line
                     raise ConfigError(f"{input_path}:{line_no}: not a number: {tok!r}")
         if not rows:
             raise ConfigError(f"input series is empty: {input_path}")

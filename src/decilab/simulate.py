@@ -88,21 +88,19 @@ def noise_values(spec, seed, lo, hi):
     return np.sqrt(3.0) * (2.0 * u - 1.0)
 
 
-def _decimated_convolve(xi, lo, kernel, gamma, first, n):
-    """Z_k = sum_s v(s) * xi(first + gamma*k - s) for k = 0 .. n-1.
+def _decimated_convolve(xi, kernel, gamma, n):
+    """Z_k = sum_s v(s) * xi[gamma*k + support_end - s] for k = 0 .. n-1.
 
-    xi holds the values at absolute indices lo, lo+1, ... and must cover
-    every index the sums touch. With the taps reversed, c[m] =
-    v(support_end - m), Z_k is the correlation of c with the stretch of xi
-    from first + gamma*k - support_end on. Two paths, chosen by
-    Q = ceil(L / gamma):
+    xi[0] is the value v(support_end) weighs in Z_0, and xi must cover
+    every value the sums touch. With the taps reversed, c[m] =
+    v(support_end - m), Z_k is the correlation of c with xi from
+    gamma*k on. Two paths, chosen by Q = ceil(L / gamma):
     - Q <= gamma (L <= gamma**2, as in every window family at gamma >= 2):
       with m split as gamma*q + r,
           Z_k = sum_{q < Q, r < gamma} c[gamma*q + r] * X[k + q, r],
-      where X is the stretch zero-padded at the end and reshaped to
-      n + Q - 1 rows of gamma consecutive values: Q block matrix-vector
-      products in BLAS order.
-    - Q > gamma: one valid-mode correlation of the stretch at the full rate,
+      where X is xi, zero-padded at the end, as n + Q - 1 rows of gamma
+      consecutive values: Q block matrix-vector products in BLAS order.
+    - Q > gamma: one valid-mode correlation of xi at the full rate,
       gamma*(n - 1) + L values, by kernels._correlate, with every gamma-th
       output kept. That is np.correlate below a measured size and blocked
       FFTs above it, so a kernel far longer than the output (gamma = 1, an
@@ -111,12 +109,11 @@ def _decimated_convolve(xi, lo, kernel, gamma, first, n):
     """
     q_len = -(-kernel.length // gamma)
     taps = kernel.coeffs[::-1]
-    start = first - kernel.support_end - lo
     if q_len > gamma:
-        return _correlate(xi[start:start + gamma * (n - 1) + kernel.length], taps)[::gamma]
+        return _correlate(xi[:gamma * (n - 1) + kernel.length], taps)[::gamma]
     taps = np.concatenate([taps, np.zeros(q_len * gamma - taps.size)]).reshape(q_len, gamma)
     rows = n + q_len - 1
-    stretch = xi[start:start + rows * gamma]
+    stretch = xi[:rows * gamma]
     if stretch.size < rows * gamma:  # the missing tail only meets zero taps
         stretch = np.concatenate([stretch, np.zeros(rows * gamma - stretch.size)])
     x = stretch.reshape(rows, gamma)
@@ -140,10 +137,7 @@ def simulate_decimated(family, level, n, noise, seed):
     t_lo = min(-k.support_end for k in lv.kernels)
     t_hi = max(g * (n - 1) - k.support_start for k in lv.kernels) + 1
     xi = noise_values(noise, seed, t_lo, t_hi)
-    values = np.empty((family.n_branches, n), dtype=float)
-    for i, kern in enumerate(lv.kernels):
-        values[i] = _decimated_convolve(xi, t_lo, kern, g, 0, n)
-    return values
+    return np.array([_decimated_convolve(xi[-k.support_end - t_lo:], k, g, n) for k in lv.kernels])
 
 
 def simulate_linear_process(a, n, noise, seed):
@@ -160,7 +154,7 @@ def simulate_linear_process(a, n, noise, seed):
     t_lo = 1 - a.support_end
     t_hi = n - a.support_start + 1
     xi = noise_values(noise, seed, t_lo, t_hi)
-    return _decimated_convolve(xi, t_lo, a, 1, 1, n)
+    return _decimated_convolve(xi, a, 1, n)
 
 
 def ar1_kernel(phi):
@@ -212,4 +206,4 @@ def windowed_coefficients(x, window, gamma):
 
     padded = np.zeros(n + 2)
     padded[1:n + 1] = x  # u = 0 and u = n+1 contribute nothing
-    return _decimated_convolve(padded, 0, kernel, gamma, 0, n_j) / np.sqrt(gamma)
+    return _decimated_convolve(padded, kernel, gamma, n_j) / np.sqrt(gamma)

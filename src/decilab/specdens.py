@@ -20,7 +20,6 @@ one, unit L2 transform) only R_W(0) = 1/(2*pi) remains: sigma^2 = 2*f(0)^2.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -52,16 +51,6 @@ class SpecEstimate:
 class RateCheck:
     value: float
     ok: bool
-    threshold: float
-
-
-@dataclass(frozen=True)
-class LeakageReport:
-    """Spectral mass of a level response outside a band around its target."""
-
-    value: float
-    epsilon: float
-    scaled: Optional[float] = None  # sqrt(n_j) * value when n_j was given
 
 
 def asymptotic_sigma2(window, f0):
@@ -91,7 +80,7 @@ def check_rate_condition(n, gamma, beta, threshold=DEFAULT_RATE_THRESHOLD):
     if not threshold > 0.0:  # NaN fails too
         raise ValueError(f"need rate_threshold > 0, got {threshold}")
     value = math.sqrt(n) * float(gamma) ** (0.5 - 2.0 * beta)
-    return RateCheck(value=value, ok=bool(value < threshold), threshold=threshold)
+    return RateCheck(value=value, ok=bool(value < threshold))
 
 
 def estimate_f0(x, window, gamma, rate_threshold=DEFAULT_RATE_THRESHOLD):
@@ -127,21 +116,20 @@ def estimate_f0(x, window, gamma, rate_threshold=DEFAULT_RATE_THRESHOLD):
     )
 
 
-def leakage_integral(family, level, epsilon, n_j=None, branch=0):
-    """Spectral energy of a level response outside the band |lam - target| <= epsilon.
+def leakage_integral(family, level, epsilon):
+    """Spectral energy of branch 0 of a level outside the band |lam - target| <= epsilon.
 
     I = int_0^pi 1{|lam - target| > epsilon} |v*(lam)|^2 dlam by panelwise
     quadrature on the (up to two) sub-intervals, so the indicator introduces
     no discontinuity into any panel. v* comes from eval_response (a
     sqrt(L)-blocked direct sum, O(nodes) memory), which keeps |v*|^2
     accurate far below the energy, where a closed form through the
-    autocorrelation cancels to rounding. When n_j is given, sqrt(n_j) * I is
-    reported too; the local CLT needs it to vanish.
+    autocorrelation cancels to rounding. The local CLT needs sqrt(n_j) * I -> 0.
     """
     if not epsilon > 0.0:  # NaN fails too
         raise ValueError("need epsilon > 0")
-    kernel = family.levels[level].kernels[branch]
-    target = family.limit_freqs[branch]
+    kernel = family.levels[level].kernels[0]
+    target = family.limit_freqs[0]
     segments = []
     if target - epsilon > 0.0:
         segments.append((0.0, target - epsilon))
@@ -152,8 +140,4 @@ def leakage_integral(family, level, epsilon, n_j=None, branch=0):
         # |v*|^2 has degree L - 1: panels of width pi/(2L) hold a quarter period of its top frequency
         x, w = gauss_legendre_panels(a, b, panels=max(8, int(2 * kernel.length * (b - a) / np.pi)))
         total += float(np.sum(w * np.abs(eval_response(kernel, x)) ** 2))
-    return LeakageReport(
-        value=total,
-        epsilon=float(epsilon),
-        scaled=None if n_j is None else math.sqrt(n_j) * total,
-    )
+    return total

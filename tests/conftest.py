@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decilab.kernels import DecimatedFamily, FamilyLevel, TimeKernel
+from decilab.kernels import DecimatedFamily, FamilyLevel
 
 
 def single_level_family(kernels, gamma, limit_freqs=None, decay=1.0, name="test"):
@@ -21,12 +21,6 @@ def single_level_family(kernels, gamma, limit_freqs=None, decay=1.0, name="test"
         threshold=1,
         name=name,
     )
-
-
-def random_kernel(rng, max_len=12, max_offset=6, scale=1.0):
-    length = int(rng.integers(1, max_len + 1))
-    start = int(rng.integers(-max_offset, max_offset + 1))
-    return TimeKernel(start, scale * rng.standard_normal(length))
 
 
 def random_trig_poly(rng, max_degree=6, scale=1.0):

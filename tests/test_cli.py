@@ -18,7 +18,8 @@ from decilab.cli import main
 FAMILY = {"type": "two_frequency", "order": 4, "gammas": "16 32"}
 SCALED = {"type": "bspline_ma", "order": 4, "gammas": "16 32"}
 KERNEL = "kernel.txt"  # written next to every test config by write_kernel
-SERIES, INF_SERIES = "series.txt", "inf_series.txt"  # written next to every test config by write_series
+# written next to every test config by write_series
+SERIES, INF_SERIES, BAD_FIRST_SERIES = "series.txt", "inf_series.txt", "bad_first_series.txt"
 FILES = {"type": "files", "decay": 1.0, "limit_freqs": "0",
          "gamma.0": 2, "kernels.0": KERNEL, "freqs.0": 0,
          "gamma.1": 4, "kernels.1": KERNEL, "freqs.1": 0}
@@ -63,6 +64,7 @@ def write_series(tmp_path):
     values = [f"{math.sin(0.7 * u):.17g}" for u in range(64)]
     (tmp_path / SERIES).write_text("\n".join(["x", *values]) + "\n", encoding="utf-8")
     (tmp_path / INF_SERIES).write_text("\n".join(["x", *values[:40], "inf", *values[41:]]) + "\n", encoding="utf-8")
+    (tmp_path / BAD_FIRST_SERIES).write_text("\n".join(["0,5", *values[1:]]) + "\n", encoding="utf-8")
 
 
 def with_run(**changes):
@@ -131,6 +133,12 @@ REJECTED = {
     "unparsed_rate_threshold": ("simulate", {**with_run(), "tolerances": {"rate_threshold": "abc"}}),
     "nan_rate_threshold": ("specdens", {**specdens(), "tolerances": {"rate_threshold": "nan"}}),
     "non_finite_input_series": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": INF_SERIES}}),
+    # a line 1 that starts like a number is a value, not a header
+    "malformed_first_value": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": BAD_FIRST_SERIES}}),
+    # [DEFAULT] is a section like any other, not copied into each
+    "default_section_keys": ("gamma", {"DEFAULT": {"gammas": "16 32"}, "family": {"type": "two_frequency"}}),
+    "default_section_only": ("gamma", {"DEFAULT": {"foo": 1}}),
+    "command_mismatch": ("simulate", {**with_run(), "experiment": {"seed": 5, "command": "clt"}}),
     # sizes past the 2^47-byte address space: numpy refuses at once, whatever the overcommit setting
     "unallocatable_synth_n": ("specdens", specdens(synth="ar1", phi=0.5, n=10**16)),
     "unallocatable_n_sweep": ("sweep", with_run(n=10**16)),
@@ -153,6 +161,41 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["default_section_keys", "default_section_only"])
+def test_default_section_is_an_unknown_section(tmp_path, capsys, case):
+    # configparser would copy its keys into every section, where no schema check sees them
+    command, sections = REJECTED[case]
+    assert run(tmp_path, command, sections)[0] == 2
+    assert capsys.readouterr().err == "decilab: config error: unknown config section [DEFAULT]\n"
+
+
+@pytest.mark.parametrize("text", ["-1\n0.5\nabc\n", "1.5\n0.5\n"], ids=["bad_coefficient", "non_integer_support"])
+def test_kernel_file_error_names_the_file(tmp_path, capsys, text):
+    write_kernel(tmp_path)
+    (tmp_path / "bad_kernel.txt").write_text(text, encoding="utf-8")
+    code, out = run(tmp_path, "simulate", with_family(FILES, **{"kernels.1": "bad_kernel.txt"}))
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("decilab: config error: bad_kernel.txt: ") and len(err.splitlines()) == 1
+
+
+def test_declared_command_that_matches_runs(tmp_path):
+    # the control for command_mismatch
+    code, out = run(tmp_path, "gamma", {"experiment": {"seed": 5, "command": "gamma"}, **CONFIGS["gamma"]})
+    assert code == 0 and (out / "gamma_matrix.csv").is_file()
+
+
+@pytest.mark.parametrize("family,want", [(FAMILY, 0), ({**FAMILY, "type": "foo"}, 2)], ids=["valid", "bad"])
+def test_console_main_exit_code(tmp_path, monkeypatch, family, want):
+    # the target of the decilab script: main's return value becomes the process exit code
+    cfg = tmp_path / "gamma.ini"
+    write_config(cfg, {"experiment": {"seed": 5}, "family": family})
+    monkeypatch.setattr(sys, "argv", ["decilab", "gamma", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == want
 
 
 # config text configparser cannot parse; several of its messages span two or three lines

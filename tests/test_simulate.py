@@ -127,7 +127,8 @@ class TestDecimatedConvolve:
         lo = first - kern.support_end - slack
         hi = first + gamma * (n - 1) - kern.support_start + 1 + slack
         xi = np.random.default_rng(seed).standard_normal(hi - lo)
-        z = _decimated_convolve(xi, lo, kern, gamma, first, n)
+        # the view starts at the index v(support_end) weighs in Z_0
+        z = _decimated_convolve(xi[first - kern.support_end - lo:], kern, gamma, n)
         assert z.shape == (n,)
         for k in range(n):
             acc = 0.0
@@ -147,11 +148,9 @@ class TestDecimatedConvolve:
         # above the crossover of kernels._correlate, against one direct correlation sampled every gamma
         rng = np.random.default_rng(length)
         kern = TimeKernel(-7, rng.standard_normal(length))
-        lo, first = -length - 3, 2
-        xi = rng.standard_normal(first + gamma * (n - 1) - kern.support_start + 1 - lo)
-        start = first - kern.support_end - lo
-        want = np.correlate(xi[start:start + gamma * (n - 1) + length], kern.coeffs[::-1], "valid")[::gamma]
-        z = _decimated_convolve(xi, lo, kern, gamma, first, n)
+        xi = rng.standard_normal(gamma * (n - 1) + length + 3)
+        want = np.correlate(xi[:gamma * (n - 1) + length], kern.coeffs[::-1], "valid")[::gamma]
+        z = _decimated_convolve(xi, kern, gamma, n)
         assert np.max(np.abs(z - want)) <= 1e-12 * np.linalg.norm(xi) * np.linalg.norm(kern.coeffs)
 
 
