@@ -28,6 +28,8 @@ unknown section or key, or a value of the wrong kind, is rejected:
                   bspline_ma     order, gammas, modulation
                   two_frequency  order, gammas
                   files          decay, limit_freqs, threshold, gamma.<j>, kernels.<j>, freqs.<j>
+                kernels.<j>: kernel file paths, relative to the config file, split on
+                  whitespace; quote a path ('...' or "...") that holds a space
                 built-in gammas: increasing, even, >= 1; multiples of 4 for two_frequency;
                 files: threshold in 0 .. number of levels, levels j = 0, 1, ... without gaps
   [noise]       distribution = gaussian | rademacher | scaled_uniform
@@ -48,6 +50,7 @@ section the command never reads:
 import argparse
 import configparser
 import functools
+import shlex
 import sys
 from dataclasses import asdict, astuple
 from pathlib import Path
@@ -78,11 +81,18 @@ def _floats(raw):
     return [float(tok) for tok in raw.split()]
 
 
+def _paths(raw):
+    """Whitespace-separated paths; a path in single or double quotes may hold spaces. Backslashes are literal."""
+    lexer = shlex.shlex(raw, posix=True)
+    lexer.whitespace_split, lexer.commenters, lexer.escape = True, "", ""
+    return list(lexer)
+
+
 # {section: {key: parser of its value}}; a stem ending in "." stands for the per-level keys <stem><j>
 _SCHEMA = {
     "experiment": {"command": str, "seed": int, "out": str},
     "family": {"type": str, "order": int, "gammas": _ints, "modulation": float, "decay": float,
-               "limit_freqs": _floats, "threshold": int, "gamma.": int, "kernels.": str, "freqs.": _floats},
+               "limit_freqs": _floats, "threshold": int, "gamma.": int, "kernels.": _paths, "freqs.": _floats},
     "noise": {"distribution": str},
     "run": {"level": int, "n": int, "replicates": int, "centering": str, "levels": _ints},
     "specdens": {"window_order": int, "gamma": int, "gammas": _ints, "input": str, "synth": str,
@@ -95,7 +105,8 @@ _FAMILY_KEYS = {
     "two_frequency": {"order", "gammas"},
     "files": {"decay", "limit_freqs", "threshold", "gamma.", "kernels.", "freqs."},
 }
-_KIND = {int: "an integer", float: "a number", _ints: "a list of int", _floats: "a list of float"}
+_KIND = {int: "an integer", float: "a number", _ints: "a list of int", _floats: "a list of float",
+         _paths: "a list of paths (a quote is not closed)"}
 
 
 class ConfigError(Exception):
@@ -196,7 +207,7 @@ def _family_from_config(cfg, config_dir):
     levels = []
     for j in range(n_levels):
         gamma = _need(cfg, "family", f"gamma.{j}")
-        paths = _need(cfg, "family", f"kernels.{j}").split()
+        paths = _need(cfg, "family", f"kernels.{j}")
         freqs = _need(cfg, "family", f"freqs.{j}")
         kernels = []
         for rel in paths:

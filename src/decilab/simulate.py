@@ -10,6 +10,9 @@ Philox, numpy's Generator.random computes exactly (w >> 11) * 2**-53 from
 the same words, in one pass in C. Kernels with different supports, or
 overlapping output indices, therefore consume consistent noise values, and
 results do not depend on chunking or on how work is spread across workers.
+simulate_decimated draws a replicate's n*gamma values block by block into
+one reused buffer (noise_values with out=), so its memory does not grow
+with n*gamma.
 
 ndtri is scipy.special.ndtri, imported on the first Gaussian draw, not with
 this module, so runs that draw no Gaussian noise never load scipy.
@@ -25,6 +28,7 @@ from .kernels import TimeKernel, _correlate, _window_taps
 _MASK64 = (1 << 64) - 1
 _T_OFFSET = 1 << 62  # shifts time indices into the nonnegative counter range
 AR1_TAIL = 1e-12  # ar1_kernel drops a tail of at most this l2 norm
+_NOISE_BLOCK = 1 << 15  # noise values per simulate_decimated block (256 KiB); 2**16 peaked higher on mc_ladder
 
 _KURTOSIS_EXCESS = {
     "gaussian": 0.0,
@@ -71,52 +75,61 @@ def _stream_at(seed, lo):
     return bg, i0 & 3
 
 
-def noise_values(spec, seed, lo, hi):
-    """xi_t for t = lo .. hi-1; deterministic per (spec, seed, t)."""
-    if hi <= lo:
-        return np.empty(0, dtype=float)
+def noise_values(spec, seed, lo, hi, out=None):
+    """xi_t for t = lo .. hi-1; deterministic per (spec, seed, t).
+
+    With out, a float64 array of hi - lo values, they are written into it in
+    place and out is returned.
+    """
+    count = max(0, int(hi) - int(lo))
+    if out is None:
+        out = np.empty(count)
+    if not count:
+        return out
     bg, lane = _stream_at(seed, lo)
-    n_words = lane + int(hi) - int(lo)
+    bg.random_raw(lane)  # the words of the block that precede w_lo
     if spec.distribution == "rademacher":
-        raw = bg.random_raw(n_words)[lane:]
-        return 2.0 * ((raw >> np.uint64(63)).astype(float)) - 1.0
-    u = np.random.Generator(bg).random(n_words)[lane:]
-    u += 2.0 ** -54  # uniform in (0, 1)
+        raw = bg.random_raw(count)
+        np.multiply(raw >> np.uint64(63), 2.0, out=out)
+        out -= 1.0
+        return out
+    np.random.Generator(bg).random(out=out)
+    out += 2.0 ** -54  # uniform in (0, 1)
     if spec.distribution == "gaussian":
         from scipy.special import ndtri  # loaded on the first Gaussian draw
-        return ndtri(u, out=u)
-    return np.sqrt(3.0) * (2.0 * u - 1.0)
+        return ndtri(out, out=out)
+    out *= 2.0
+    out -= 1.0
+    out *= np.sqrt(3.0)
+    return out
 
 
 def _decimated_convolve(xi, kernel, gamma, n):
     """Z_k = sum_s v(s) * xi[gamma*k + support_end - s] for k = 0 .. n-1.
 
-    xi[0] is the value v(support_end) weighs in Z_0, and xi must cover
-    every value the sums touch. With the taps reversed, c[m] =
-    v(support_end - m), Z_k is the correlation of c with xi from
-    gamma*k on. Two paths, chosen by Q = ceil(L / gamma):
+    xi[0] is the value v(support_end) weighs in Z_0, and xi must hold at
+    least (n + Q - 1)*gamma values, Q = ceil(L / gamma): every value the
+    sums touch, and up to gamma - 1 past them that meet only zero taps.
+    With the taps reversed, c[m] = v(support_end - m), Z_k is the
+    correlation of c with xi from gamma*k on. Two paths, chosen by Q:
     - Q <= gamma (L <= gamma**2, as in every window family at gamma >= 2):
       with m split as gamma*q + r,
           Z_k = sum_{q < Q, r < gamma} c[gamma*q + r] * X[k + q, r],
-      where X is xi, zero-padded at the end, as n + Q - 1 rows of gamma
-      consecutive values: Q block matrix-vector products in BLAS order.
+      where X is the first n + Q - 1 rows of gamma consecutive values of
+      xi: Q block matrix-vector products in BLAS order.
     - Q > gamma: one valid-mode correlation of xi at the full rate,
       gamma*(n - 1) + L values, by kernels._correlate, with every gamma-th
       output kept. That is np.correlate below a measured size and blocked
       FFTs above it, so a kernel far longer than the output (gamma = 1, an
       AR(1) near the unit root) costs O((n + L) log) operations, not n*L.
-    Memory is O(len(xi) + L) on both.
+    Memory is O(n + L) beyond xi on both.
     """
     q_len = -(-kernel.length // gamma)
     taps = kernel.coeffs[::-1]
     if q_len > gamma:
         return _correlate(xi[:gamma * (n - 1) + kernel.length], taps)[::gamma]
     taps = np.concatenate([taps, np.zeros(q_len * gamma - taps.size)]).reshape(q_len, gamma)
-    rows = n + q_len - 1
-    stretch = xi[:rows * gamma]
-    if stretch.size < rows * gamma:  # the missing tail only meets zero taps
-        stretch = np.concatenate([stretch, np.zeros(rows * gamma - stretch.size)])
-    x = stretch.reshape(rows, gamma)
+    x = xi[:(n + q_len - 1) * gamma].reshape(-1, gamma)
     out = x[:n] @ taps[0]
     for q in range(1, q_len):
         out += x[q:q + n] @ taps[q]
@@ -126,18 +139,37 @@ def _decimated_convolve(xi, kernel, gamma, n):
 def simulate_decimated(family, level, n, noise, seed):
     """Exact realization Z[i, k] = sum_t v_{i,j}(gamma*k - t) xi_t, k < n: an (N, n) array.
 
-    All branches share one noise stream; exactly the indices needed for the
-    union of the branch supports are drawn, and each branch is one
-    polyphase convolution of that stream (memory O(n*gamma + L)).
+    All branches share one noise stream, read in blocks of about
+    _NOISE_BLOCK values: each block is one noise_values draw into a reused
+    buffer, and each branch fills the outputs of the block's rows of gamma
+    values with one polyphase convolution. The buffer carries to the next
+    block the values both read, so each index is drawn once and holds the
+    same xi_t for any block size; an output can move by rounding only, as
+    BLAS may sum a row in another order where it falls elsewhere in a block.
+    Memory is O(_NOISE_BLOCK + N*n + L), not O(n*gamma).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     lv = family.levels[level]
     g = lv.gamma
     t_lo = min(-k.support_end for k in lv.kernels)
-    t_hi = max(g * (n - 1) - k.support_start for k in lv.kernels) + 1
-    xi = noise_values(noise, seed, t_lo, t_hi)
-    return np.array([_decimated_convolve(xi[-k.support_end - t_lo:], k, g, n) for k in lv.kernels])
+    offsets = [-k.support_end - t_lo for k in lv.kernels]
+    # past gamma*k, the furthest value a branch reads: its offset plus Q whole rows of gamma
+    reach = max(o + -(-k.length // g) * g for o, k in zip(offsets, lv.kernels))
+    carry = reach - g  # the values one block shares with the next
+    # a block draws at least as many values as it carries, so a long kernel adds O(L) per O(L) outputs at most
+    rows = max(1, min(n, max(_NOISE_BLOCK, carry) // g))
+    z = np.empty((len(lv.kernels), n))
+    buf = np.empty((rows - 1) * g + reach)
+    for k0 in range(0, n, rows):
+        m = min(rows, n - k0)
+        end = (m - 1) * g + reach
+        fresh = carry if k0 else 0
+        noise_values(noise, seed, t_lo + g * k0 + fresh, t_lo + g * k0 + end, out=buf[fresh:end])
+        for row, o, k in zip(z, offsets, lv.kernels):
+            row[k0:k0 + m] = _decimated_convolve(buf[o:end], k, g, m)
+        buf[:carry] = buf[m * g:end]
+    return z
 
 
 def simulate_linear_process(a, n, noise, seed):
@@ -204,6 +236,7 @@ def windowed_coefficients(x, window, gamma):
     if n_j < 1:
         raise ValueError("series too short: floor((n+1)/gamma) coefficients would be zero")
 
-    padded = np.zeros(n + 2)
-    padded[1:n + 1] = x  # u = 0 and u = n+1 contribute nothing
+    # x_u at index u; u = 0, u = n+1 and the rest of the (n_j + 1)*gamma values read are zero
+    padded = np.zeros(max(n + 2, (n_j + 1) * gamma))
+    padded[1:n + 1] = x
     return _decimated_convolve(padded, kernel, gamma, n_j) / np.sqrt(gamma)

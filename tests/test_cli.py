@@ -119,6 +119,7 @@ REJECTED = {
     "modulation_with_two_frequency": ("simulate", with_family(modulation=0.5)),
     "order_with_files": ("simulate", with_family(FILES, order=4)),
     "files_family_stray_level": ("simulate", with_family(FILES, **{"kernels.2": KERNEL})),
+    "unclosed_quote_kernel_path": ("simulate", with_family(FILES, **{"kernels.1": f'"{KERNEL}'})),
     "phi_with_white": ("specdens", specdens(phi=0.5)),
     "n_with_input": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": SERIES, "n": 64}}),
     # a section the command, or the series source, never reads
@@ -179,6 +180,25 @@ def test_kernel_file_error_names_the_file(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert code == 2 and not out.exists()
     assert err.startswith("decilab: config error: bad_kernel.txt: ") and len(err.splitlines()) == 1
+
+
+def test_quoted_kernel_path_with_space_loads(tmp_path):
+    write_kernel(tmp_path)
+    (tmp_path / "kernël α.txt").write_text("-2\n0.25\n-1.0\n0.5\n", encoding="utf-8")
+    sections = with_family(FILES, limit_freqs="0 0", **{"kernels.0": f"{KERNEL} {KERNEL}", "freqs.0": "0 0",
+                                                        "kernels.1": f'"kernël α.txt" {KERNEL}', "freqs.1": "0 0"})
+    code, out = run(tmp_path, "simulate", sections)
+    assert code == 0 and (out / "path.csv").is_file()
+    _, cfg = cli._parse_config_file(tmp_path / "simulate.ini")
+    assert cfg["family"]["kernels.1"] == ["kernël α.txt", KERNEL]
+    kernels = cli._family_from_config(cfg, tmp_path).levels[1].kernels
+    assert [(k.support_start, k.coeffs.tolist()) for k in kernels] == [(-2, [0.25, -1.0, 0.5]), (-1, [0.5, 1.0, 0.5])]
+
+
+@pytest.mark.parametrize("raw", ["kernel.txt", "a.txt  b.txt", "\tdir\\k.txt\n  c%1.txt ", ""])
+def test_unquoted_kernel_paths_split_on_whitespace(raw):
+    # as before quoting was read: backslashes stay literal
+    assert cli._paths(raw) == raw.split()
 
 
 def test_declared_command_that_matches_runs(tmp_path):

@@ -13,7 +13,8 @@ from scipy import signal
 from scipy.special import ndtri
 
 import decilab
-from decilab.kernels import TimeKernel, make_scaled_window_family
+from decilab import simulate
+from decilab.kernels import TimeKernel, make_scaled_window_family, two_frequency_demo_family
 from decilab.moments import cov_exact
 from decilab.simulate import (
     AR1_TAIL,
@@ -34,6 +35,37 @@ from oracles import ar1_truncation_loop
 GAUSS = NoiseSpec("gaussian")
 RADEMACHER = NoiseSpec("rademacher")
 UNIFORM = NoiseSpec("scaled_uniform")
+
+
+def bruteforce_decimated(family, level, n, noise, seed):
+    """Z[i, k] = sum_t v_i(gamma*k - t) xi_t as a sum over t of every noise value a branch touches."""
+    lv = family.levels[level]
+    g = lv.gamma
+    z = np.empty((len(lv.kernels), n))
+    for i, kern in enumerate(lv.kernels):
+        lo = -kern.support_end
+        xi = noise_values(noise, seed, lo, g * (n - 1) - kern.support_start + 1)
+        for k in range(n):
+            acc = []
+            for t in range(g * k - kern.support_end, g * k - kern.support_start + 1):
+                acc.append(kern.coeffs[g * k - t - kern.support_start] * xi[t - lo])
+            z[i, k] = math.fsum(acc)
+    return z
+
+
+_LONG = np.random.default_rng(3).standard_normal(600)
+# (family, n) for the block-size test: rows per block 1 .. 3 around the default, n past and below them
+BLOCK_CASES = {
+    "two_frequency_g4": (two_frequency_demo_family(make_bspline_window(4), [4]), 37),
+    "two_frequency_g16": (two_frequency_demo_family(make_bspline_window(4), [16]), 23),
+    "two_frequency_g16_n1": (two_frequency_demo_family(make_bspline_window(4), [16]), 1),
+    # support ends 1 and 12, lengths 7 and 11, Q = 2 and 3 at gamma 4
+    "unequal_branches": (single_level_family([TimeKernel(-5, np.linspace(-1.0, 1.0, 7)),
+                                              TimeKernel(2, np.cos(np.arange(11.0)))], gamma=4), 29),
+    # L > gamma**2: the full-rate correlation path, below and (at the default block) above its FFT crossover
+    "long_kernel": (single_level_family([TimeKernel(-3, _LONG[:40] / np.linalg.norm(_LONG[:40]))], gamma=4), 31),
+    "long_kernel_fft": (single_level_family([TimeKernel(5, _LONG / np.linalg.norm(_LONG))], gamma=2), 900),
+}
 
 
 class TestNoise:
@@ -123,9 +155,11 @@ class TestDecimatedConvolve:
     @example(gamma=3, start=2, coeffs=[0.5] * 40, first=1, n=7, slack=0, seed=2)  # L > gamma
     def test_matches_double_loop_oracle(self, gamma, start, coeffs, first, n, slack, seed):
         kern = TimeKernel(start, np.array(coeffs))
-        # every index first + gamma*k - s touches, plus slack values either side
+        q_len = -(-kern.length // gamma)
+        # every index first + gamma*k - s touches, plus slack values either side; the view holds the
+        # (n + Q - 1)*gamma values _decimated_convolve reads, the last gamma*Q - L of them on zero taps
         lo = first - kern.support_end - slack
-        hi = first + gamma * (n - 1) - kern.support_start + 1 + slack
+        hi = first - kern.support_end + gamma * (n + q_len - 1) + slack
         xi = np.random.default_rng(seed).standard_normal(hi - lo)
         # the view starts at the index v(support_end) weighs in Z_0
         z = _decimated_convolve(xi[first - kern.support_end - lo:], kern, gamma, n)
@@ -171,17 +205,40 @@ class TestSimulateDecimated:
         w = make_bspline_window(4)
         fam = make_scaled_window_family(w, [8])
         z = simulate_decimated(fam, 0, 4, GAUSS, 23)
-        k = fam.levels[0].kernels[0]
-        lo = -k.support_end
-        hi = 8 * 3 - k.support_start + 1
-        xi = noise_values(GAUSS, 23, lo, hi)
-        for kk in range(4):
-            acc = 0.0
-            for t in range(lo, hi):
-                u = 8 * kk - t
-                if k.support_start <= u <= k.support_end:
-                    acc += k.coeffs[u - k.support_start] * xi[t - lo]
-            assert abs(acc - z[0, kk]) < 1e-12
+        assert np.max(np.abs(z - bruteforce_decimated(fam, 0, 4, GAUSS, 23))) < 1e-12
+
+    @pytest.mark.parametrize("spec", [GAUSS, RADEMACHER, UNIFORM], ids=lambda s: s.distribution)
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_block_size_moves_outputs_by_rounding_only(self, monkeypatch, case, spec):
+        fam, n = BLOCK_CASES[case]
+        g = fam.levels[0].gamma
+        default = simulate_decimated(fam, 0, n, spec, 61)
+        oracle = bruteforce_decimated(fam, 0, n, spec, 61)
+        assert default.shape == (len(fam.levels[0].kernels), n)
+        assert np.max(np.abs(default - oracle)) < 1e-12
+        for block in (1, g - 1, g, g + 1, 3 * g + 1):
+            monkeypatch.setattr(simulate, "_NOISE_BLOCK", block)
+            z = simulate_decimated(fam, 0, n, spec, 61)
+            # BLAS may sum a row in another order where it falls elsewhere in a block
+            assert np.max(np.abs(z - default)) < 1e-12, block
+            assert np.max(np.abs(z - oracle)) < 1e-12, block
+
+    def test_paper_scale_memory(self):
+        # 4000 * 1024 noise values (33 MB) pass through a buffer of about _NOISE_BLOCK values
+        fam = two_frequency_demo_family(make_bspline_window(4), [1024])
+        n = 4000
+        tracemalloc.start()
+        try:
+            z = simulate_decimated(fam, 0, n, GAUSS, 43)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.shape == (2, n)
+        assert peak < 2 ** 20 + z.nbytes
+        for k in (0, n - 1):  # Z[i, k] = sum_t v_i(gamma*k - t) xi_t at both ends of the range
+            for i, kern in enumerate(fam.levels[0].kernels):
+                xi = noise_values(GAUSS, 43, 1024 * k - kern.support_end, 1024 * k - kern.support_start + 1)
+                assert abs(z[i, k] - np.dot(kern.coeffs[::-1], xi)) < 1e-12
 
     def test_determinism_and_shape(self):
         k = TimeKernel(0, np.array([1.0, -1.0]))
