@@ -10,7 +10,8 @@ Every output carries a 12-hex digest of the effective configuration: a
 last column on each CSV row, a ``digest`` line in each report, and the
 comment line of path.csv; re-running a digest reproduces its outputs byte
 for byte. The digest is the first 12 hex digits of SHA-256 over the
-effective configuration items. It comes from the interpreter's built-in
+effective configuration items and the bytes of each kernel file and
+input series they name. It comes from the interpreter's built-in
 SHA-256, so no run maps OpenSSL for it. Floats are emitted with 17
 significant digits, UTF-8, LF line endings. This module is the only
 writer of output files.
@@ -48,6 +49,7 @@ section the command never reads:
 """
 
 import argparse
+import codecs
 import configparser
 import functools
 import shlex
@@ -149,18 +151,25 @@ def _parse_config_file(path):
     return parser, cfg
 
 
-def _effective_items(parser, command, seed):
+def _effective_items(parser, cfg, command, seed, config_dir):
+    """The raw config items, then the SHA-256 of each kernel file and input series they name, as read."""
     items = [("experiment.command", command), ("experiment.seed", str(seed))]
     for section in sorted(parser.sections()):
         for key in sorted(parser[section]):
             if (section, key) in (("experiment", "seed"), ("experiment", "out"), ("experiment", "command")):
                 continue
             items.append((f"{section}.{key}", parser[section][key]))
+    files = [rel for key in sorted(cfg["family"]) if key.startswith("kernels.") for rel in cfg["family"][key]]
+    files += [cfg["specdens"]["input"]] if "input" in cfg["specdens"] else []
+    for rel in files:
+        path = config_dir / rel
+        if path.is_file():  # a missing file is left for its handler to report; a BOM is dropped, as when read
+            items.append((f"file:{rel}", sha256(path.read_bytes().removeprefix(codecs.BOM_UTF8)).hexdigest()))
     return items
 
 
-def config_digest(parser, command, seed):
-    text = "\n".join(f"{k}={v}" for k, v in _effective_items(parser, command, seed))
+def config_digest(parser, cfg, command, seed, config_dir):
+    text = "\n".join(f"{k}={v}" for k, v in _effective_items(parser, cfg, command, seed, config_dir))
     return sha256(text.encode()).hexdigest()[:12]
 
 
@@ -431,8 +440,8 @@ def main(argv=None):
                 raise ConfigError(f"[{section}] is not read by {args.command}")
         seed = args.seed if args.seed is not None else cfg["experiment"].get("seed", 0)
         out_dir = Path(args.out if args.out is not None else cfg["experiment"].get("out", "."))
-        digest = config_digest(parser, args.command, seed)
         config_dir = Path(args.config).resolve().parent
+        digest = config_digest(parser, cfg, args.command, seed, config_dir)
         return handler(cfg, out_dir, seed, digest, config_dir)
     # OSError: a file that cannot be read or written; MemoryError: a size numpy cannot allocate
     except (ConfigError, ValueError, OSError, MemoryError) as exc:

@@ -29,10 +29,10 @@ def _worker_count(workers):
     else:
         source, value = "workers", workers
     try:
-        count = int(value)
-        if count < 1:
+        count = int(value)  # the text of DECILAB_THREADS, or a number whose int must equal it
+        if count < 1 or isinstance(value, bool) or (workers is not None and count != value):
             raise ValueError
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{source} must be an integer >= 1, got {value!r}") from None
     return count
 

@@ -5,7 +5,7 @@ word at position t + 2**62 of the Philox stream keyed by the seed, and with
 u_t = (w_t >> 11) * 2**-53 + 2**-54 in (0, 1), Gaussian xi_t = ndtri(u_t),
 scaled uniform xi_t = sqrt(3) * (2 * u_t - 1), Rademacher xi_t =
 2 * (w_t >> 63) - 1. Philox is counter-based, so a range is read by
-advancing the counter to the 4-word block holding its first index; for
+opening the stream at the 4-word block holding its first index; for
 Philox, numpy's Generator.random computes exactly (w >> 11) * 2**-53 from
 the same words, in one pass in C. Kernels with different supports, or
 overlapping output indices, therefore consume consistent noise values, and
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TimeKernel, _correlate, _window_taps
+from .kernels import TimeKernel, _correlate, make_scaled_window_family
 
 _MASK64 = (1 << 64) - 1
 _T_OFFSET = 1 << 62  # shifts time indices into the nonnegative counter range
@@ -61,33 +61,24 @@ def mix_seed(base_seed, index):
     return (x ^ (x >> 31)) & _MASK64
 
 
-def _stream_at(seed, lo):
-    """Philox keyed by seed at the 4-word block holding w_lo, and lo's lane in that block.
-
-    advance() moves the counter one block per unit; the first lane words
-    read from it precede w_lo.
-    """
-    i0 = int(lo) + _T_OFFSET
-    if i0 < 0:
-        raise ValueError("time index below supported range")
-    bg = np.random.Philox(key=int(seed) & _MASK64)
-    bg.advance(i0 >> 2)
-    return bg, i0 & 3
-
-
 def noise_values(spec, seed, lo, hi, out=None):
     """xi_t for t = lo .. hi-1; deterministic per (spec, seed, t).
 
     With out, a float64 array of hi - lo values, they are written into it in
-    place and out is returned.
+    place and out is returned; an out of another length is rejected.
     """
     count = max(0, int(hi) - int(lo))
     if out is None:
         out = np.empty(count)
+    elif out.shape != (count,):
+        raise ValueError(f"out holds {out.size} values, not hi - lo = {count}")
     if not count:
         return out
-    bg, lane = _stream_at(seed, lo)
-    bg.random_raw(lane)  # the words of the block that precede w_lo
+    i0 = int(lo) + _T_OFFSET
+    if i0 < 0:
+        raise ValueError("time index below supported range")
+    bg = np.random.Philox(counter=i0 >> 2, key=int(seed) & _MASK64)  # the 4-word block holding w_lo
+    bg.random_raw(i0 & 3)  # the words of the block that precede w_lo
     if spec.distribution == "rademacher":
         raw = bg.random_raw(count)
         np.multiply(raw >> np.uint64(63), 2.0, out=out)
@@ -216,27 +207,24 @@ def windowed_coefficients(x, window, gamma):
     """Multiscale coefficients of an observed series through a window.
 
     Z_k = gamma**-0.5 * sum_{u=1}^{n} W(k - u/gamma) * x_u for
-    k = 0 .. n_j - 1 with n_j = floor((n+1)/gamma). The window is sampled
-    pointwise at the real arguments k - u/gamma (no interpolation); its
-    support must be contained in [-1, 0] and gamma must be even, so each
-    coefficient touches only the block gamma*k <= u <= gamma*(k+1). A
-    series with a non-finite value is rejected.
+    k = 0 .. n_j - 1 with n_j = floor((n+1)/gamma): the decimated
+    convolution of the series with the kernel of
+    make_scaled_window_family(window, [gamma]), the array simulate_decimated
+    applies to noise. That family rejects a gamma that is not even and a
+    window whose support leaves [-1, 0], so each coefficient touches only
+    the block gamma*k <= u <= gamma*(k+1). A series with a non-finite value
+    is rejected.
     """
-    if not (float(gamma).is_integer() and gamma >= 2 and gamma % 2 == 0):
-        raise ValueError(f"need an even integer decimation factor gamma >= 2, got {gamma}")
-    gamma = int(gamma)
-    # Z_k = sum_{r=0}^{gamma} W(-r/gamma) x_{gamma*k + r}: the decimated
-    # convolution with the kernel v(-r) = W(-r/gamma) on -gamma .. 0
-    kernel = TimeKernel(-gamma, _window_taps(window, gamma))
+    level = make_scaled_window_family(window, [gamma]).levels[0]
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("series has a non-finite value")
     n = x.size
-    n_j = (n + 1) // gamma
+    n_j = (n + 1) // level.gamma
     if n_j < 1:
         raise ValueError("series too short: floor((n+1)/gamma) coefficients would be zero")
 
     # x_u at index u; u = 0, u = n+1 and the rest of the (n_j + 1)*gamma values read are zero
-    padded = np.zeros(max(n + 2, (n_j + 1) * gamma))
+    padded = np.zeros(max(n + 2, (n_j + 1) * level.gamma))
     padded[1:n + 1] = x
-    return _decimated_convolve(padded, kernel, gamma, n_j) / np.sqrt(gamma)
+    return _decimated_convolve(padded, level.kernels[0], level.gamma, n_j)

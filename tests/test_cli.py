@@ -498,9 +498,30 @@ def test_config_digest_matches_stdlib_sha256(tmp_path, command, sections):
     # the digest takes the interpreter's built-in SHA-256; it must stay hashlib's, over the UTF-8 text
     cfg = tmp_path / f"{command}.ini"
     write_config(cfg, {"experiment": {"seed": 5}, **sections})
-    parser, _ = cli._parse_config_file(cfg)
-    lines = [f"{k}={v}" for k, v in cli._effective_items(parser, command, 5)]
+    parser, parsed = cli._parse_config_file(cfg)
+    lines = [f"{k}={v}" for k, v in cli._effective_items(parser, parsed, command, 5, tmp_path)]
     written = {f"{section}.{key}={value}" for section, items in sections.items() for key, value in items.items()}
     assert written <= set(lines)  # every value is digested as written
     text = "\n".join(lines)
-    assert cli.config_digest(parser, command, 5) == hashlib.sha256(text.encode()).hexdigest()[:12]
+    assert cli.config_digest(parser, parsed, command, 5, tmp_path) == hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("command,sections,name,edited", [
+    ("simulate", with_family(FILES), KERNEL, "-1\n0.5\n1.0\n0.25\n"),
+    ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": SERIES}}, SERIES,
+     "\n".join(["x", *(f"{0.5 * u}" for u in range(64))]) + "\n"),
+], ids=["kernel", "series"])
+def test_digest_covers_the_bytes_of_the_files_a_run_reads(tmp_path, command, sections, name, edited):
+    write_kernel(tmp_path)
+    write_series(tmp_path)
+
+    def digest(tag):
+        code, out = run(tmp_path, command, sections, tag)
+        assert code == 0
+        first_line = sorted(out.iterdir())[0].read_text(encoding="utf-8").splitlines()[0]
+        return re.search("[0-9a-f]{12}", first_line).group()
+
+    before = digest("a")
+    assert digest("b") == before  # an unchanged rerun
+    (tmp_path / name).write_text(edited, encoding="utf-8")
+    assert digest("c") != before

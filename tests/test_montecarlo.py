@@ -75,9 +75,9 @@ class TestReplicateRunner:
         runs = [replicate_sums(two_freq, 1, 20, GAUSS, 301, 77, workers=w).samples for w in (1, 2, 3)]
         assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, 1.9, True])  # not truncated to 2, 1, 1
     def test_rejects_workers_below_one(self, two_freq, workers):
-        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {workers}"):
+        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {workers}$"):
             replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=workers)
 
     def test_threads_capped_by_replicates(self, two_freq, monkeypatch):

@@ -134,6 +134,14 @@ class TestNoise:
         window = noise_values(GAUSS, 7, 3, 17)
         assert np.array_equal(full[53:67], window)
 
+    @pytest.mark.parametrize("spec", [GAUSS, RADEMACHER, UNIFORM], ids=lambda s: s.distribution)
+    @pytest.mark.parametrize("size,lo,hi", [(5, 0, 10), (10, 0, 5), (5, 3, 3)], ids=["short", "long", "empty_range"])
+    def test_out_of_another_length_is_rejected(self, spec, size, lo, hi):
+        out = np.full(size, 7.0)
+        with pytest.raises(ValueError, match=f"out holds {size} values, not hi - lo = {hi - lo}"):
+            noise_values(spec, 3, lo, hi, out=out)
+        assert np.all(out == 7.0)  # rejected before drawing
+
     def test_mix_seed_spreads(self):
         seeds = {mix_seed(5, r) for r in range(1000)}
         assert len(seeds) == 1000
@@ -355,7 +363,7 @@ class TestWindowedCoefficients:
         w = make_bspline_window(4)
         with pytest.raises(ValueError):
             windowed_coefficients(np.ones(30), w, 5)
-        with pytest.raises(ValueError, match="even integer"):  # not truncated to 4
+        with pytest.raises(ValueError, match="need an integer gamma >= 1, got 4.5"):  # not truncated to 4
             windowed_coefficients(np.ones(30), w, 4.5)
 
     def test_rejects_bad_support(self):
@@ -369,6 +377,18 @@ class TestWindowedCoefficients:
         )
         with pytest.raises(ValueError, match=r"contained in \[-1, 0\]"):
             windowed_coefficients(np.ones(30), bad, 4)
+
+    @pytest.mark.parametrize("gamma", [8, 16, 64])
+    @pytest.mark.parametrize("spec", [GAUSS, RADEMACHER], ids=lambda s: s.distribution)
+    def test_is_the_window_family_applied_to_the_series(self, spec, gamma):
+        # x_u = xi_u for u = 1 .. n; rows 0 and n_j - 1 may read the zero padding in place of xi_0, xi_{n+1}
+        w = make_bspline_window(4)
+        n_j = 12
+        n = n_j * gamma - 1
+        z = simulate_decimated(make_scaled_window_family(w, [gamma]), 0, n_j, spec, 41)[0]
+        coeffs = windowed_coefficients(noise_values(spec, 41, 1, n + 1), w, gamma)
+        assert coeffs.size == n_j
+        assert coeffs[1:-1].tobytes() == z[1:-1].tobytes()
 
     def test_rejects_too_short_series(self):
         w = make_bspline_window(4)
