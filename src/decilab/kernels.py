@@ -13,6 +13,7 @@ Indices: branches and levels are 0-based throughout the Python API.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -77,10 +78,11 @@ class TimeKernel:
 
 
 def _powers(z, count):
-    """z**0 .. z**(count-1) as the rows of a (count, len(z)) table, by a cumulative product."""
+    """z**0 .. z**(count-1) as the rows of a (count, len(z)) table; rows k .. 2k-1 are rows 0 .. k-1 times z**k."""
     table = np.empty((count, z.size), dtype=complex)
     table[0] = 1.0
-    np.cumprod(np.broadcast_to(z, (count - 1, z.size)), axis=0, out=table[1:])
+    for k in (1 << b for b in range((count - 1).bit_length())):  # k = 1, 2, 4, ... below count
+        np.multiply(table[:count - k][:k], table[k - 1] * z, out=table[k:2 * k])
     return table
 
 
@@ -92,11 +94,11 @@ def eval_response(kernel, lam):
     reshaped to ceil(L/B) rows of B, times the table z**0 .. z**(B-1), give
     every block sum in one matrix product; the block sums, weighted by the
     table of (z**B)**b and added, give the response, times one
-    exp(-i*lam*support_start) factor. lam goes through in chunks that keep
-    each table under _RESPONSE_TABLE entries, so memory is O(len(lam)) at
-    any kernel length. 2*pi periodic in lam and conjugate-symmetric since
-    the kernel is real. Scalar lam gives a complex scalar, an array an
-    array of the same shape.
+    exp(-i*lam*support_start) factor; each table is built by doubling
+    (_powers). lam goes through in chunks that keep each table under
+    _RESPONSE_TABLE entries, so memory is O(len(lam)) at any kernel length.
+    2*pi periodic in lam and conjugate-symmetric since the kernel is real.
+    Scalar lam gives a complex scalar, an array an array of the same shape.
     """
     lam_arr = np.asarray(lam, dtype=float).ravel()
     taps = kernel.coeffs
@@ -116,15 +118,24 @@ def eval_response(kernel, lam):
     return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
 
 
+@lru_cache
+def _fft_size(n):
+    """The least 2**a * 3**b * 5**c >= n: each odd part 3**b * 5**c times the least power of two reaching n."""
+    bits = range(n.bit_length())
+    return min(f << (-(-n // f) - 1).bit_length() for f in (3 ** b * 5 ** c for b in bits for c in bits))
+
+
 def _correlate(x, h, mode="valid"):
     """np.correlate(x, h, mode) for real 1-D x and h; mode "full", or "valid" with len(x) >= len(h).
 
     Below the crossover (fewer than _FFT_MIN_WORK direct multiply-adds, or
     fewer than _FFT_MIN_SIDE outputs or taps) it is np.correlate itself,
-    bit for bit. Above it, "full" is one rfft product at the least power of
-    two >= len(x) + len(h) - 1, and "valid" is overlap-save (Stockham 1966)
-    at an FFT size F, the power of two covering the smaller of
-    max(4 * (the fewer of outputs and taps), _FFT_BLOCK) and the whole
+    bit for bit. Above it, "full" is one rfft product at the least
+    2**a * 3**b * 5**c >= len(x) + len(h) - 1 or, when x is h (an
+    autocorrelation), irfft(|rfft(x)|**2) mirrored into the lags
+    -(L-1) .. L-1: two transforms, not three. "valid" is overlap-save
+    (Stockham 1966) at an FFT size F, the power of two covering the smaller
+    of max(4 * (the fewer of outputs and taps), _FFT_BLOCK) and the whole
     correlation:
     - more outputs than taps: the outputs in blocks of F - L + 1, each block
       one window of x against the one spectrum of h;
@@ -141,7 +152,10 @@ def _correlate(x, h, mode="valid"):
     if work < _FFT_MIN_WORK or short < _FFT_MIN_SIDE:
         return np.correlate(x, h, mode)
     if mode == "full":
-        size = 1 << (n_out - 1).bit_length()
+        size = _fft_size(n_out)
+        if x is h:  # an autocorrelation, whose lags 0 .. L-1 lead the inverse
+            lags = np.fft.irfft(np.abs(np.fft.rfft(x, size)) ** 2, size)[:x.size]
+            return np.concatenate((lags[:0:-1], lags))
         return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h[::-1], size), size)[:n_out]
     size = 1 << (min(max(4 * short, _FFT_BLOCK), n_out + taps - 1) - 1).bit_length()
     if n_out >= taps:

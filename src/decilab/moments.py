@@ -4,9 +4,9 @@ Exact quantities (cross-covariances, the triangular-weighted sums entering
 the covariance of square-sums) are finite sums over kernel supports and are
 computed without quadrature. A(n) and B(n) are triangular-weighted samples,
 at the lags that are multiples of gamma, of one full cross-correlation: of
-the two kernels for A (squared after sampling), of their squares for B.
-That correlation is np.correlate for short kernels and one rfft product for
-long ones (kernels._correlate), within rounding of each other.
+the two kernels for A (squared after sampling), of their squares for B. It
+is np.correlate for short kernels and an rfft product for long ones, from
+one spectrum when the taps are equal (kernels._correlate), within rounding.
 
 The covariance identity at the center of the module: for branches i, i' at
 one level,
@@ -129,12 +129,14 @@ def _decimated_lags(family, level, i, ip, n, power):
     Above the crossover of kernels._correlate the correlation is one rfft
     product, O((L1 + L2) log) instead of L1*L2 multiply-adds, and each
     entry moves by rounding only: about eps * |v1**power| * |v2**power|.
+    Equal taps go in as one array, so _correlate takes one spectrum.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     lv = family.levels[level]
     k1, k2, gamma = lv.kernels[i], lv.kernels[ip], lv.gamma
-    corr = _correlate(k2.coeffs ** power, k1.coeffs ** power, "full")
+    x1 = k1.coeffs ** power
+    corr = _correlate(x1 if np.array_equal(k1.coeffs, k2.coeffs) else k2.coeffs ** power, x1, "full")
     lag0 = k2.support_start - k1.support_end
     j0 = (-lag0) % gamma
     sampled = corr[j0::gamma]

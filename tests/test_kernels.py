@@ -16,6 +16,8 @@ from decilab.kernels import (
     FamilyLevel,
     TimeKernel,
     _correlate,
+    _fft_size,
+    _powers,
     check_condition_c,
     eval_response,
     make_scaled_window_family,
@@ -158,6 +160,31 @@ class TestEvalResponse:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_memory_is_one_copy_of_the_taps_at_a_million_taps(self):
+        # the padded block copy of the taps, 8 MB, and two 1000 x 8 power tables; an 8 x 10**6 phase
+        # matrix would take 128 MB
+        k = TimeKernel(0, np.ones(10 ** 6))
+        lam = np.linspace(0.1, 3.0, 8)
+        tracemalloc.start()
+        try:
+            values = eval_response(k, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (8,) and np.all(np.isfinite(values))
+        assert peak < k.coeffs.nbytes + 2 ** 20
+
+
+class TestPowers:
+    @pytest.mark.parametrize("count", [1, 2, 3, 33, 1025])
+    def test_rows_match_exp_within_k_eps(self, count):
+        # theta on a grid of 1/64, so k * theta is exact and np.exp rounds only once
+        theta = np.arange(-256, 257) / 64.0
+        table = _powers(np.exp(-1j * theta), count)
+        k = np.arange(count)[:, None]
+        assert table.shape == (count, theta.size)
+        assert np.all(np.abs(table - np.exp(-1j * k * theta)) <= k * np.finfo(float).eps)
+
 
 class TestCorrelate:
     @settings(max_examples=60, deadline=None)
@@ -208,6 +235,25 @@ class TestCorrelate:
         rng = np.random.default_rng(seed)
         x, h = (rng.standard_normal(size) ** power for size in (shape[::-1] if swap else shape))
         check_against_np_correlate(x, h, "full", x.size * h.size, min(shape))
+
+    @settings(max_examples=40, deadline=None)
+    @given(length=st.integers(1, 3000), power=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1))
+    # the AR(1) kernels at phi 0.98 and 0.99, as A(n) and B(n) correlate them on the diagonal
+    @example(length=1448, power=1, seed=15)
+    @example(length=1448, power=2, seed=16)
+    @example(length=2945, power=1, seed=17)
+    @example(length=2945, power=2, seed=18)
+    def test_autocorrelation_matches_np_correlate(self, length, power, seed):
+        # one array object for both sides: above the crossover (length >= 1024) one spectrum, mirrored
+        x = np.random.default_rng(seed).standard_normal(length) ** power
+        check_against_np_correlate(x, x, "full", length * length, length)
+
+    def test_fft_size_is_the_least_5_smooth_length(self):
+        limit = 10 ** 4
+        smooth = np.array(sorted(2 ** a * 3 ** b * 5 ** c for a in range(16) for b in range(10) for c in range(7)))
+        least = smooth[np.searchsorted(smooth, np.arange(1, limit + 1))]
+        assert [_fft_size(n) for n in range(1, limit + 1)] == least.tolist()
+        assert _fft_size(2 * 2945 - 1) == 6000 and _fft_size(2 * 1448 - 1) == 2916
 
 
 class TestParseval:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decilab import moments
 from decilab.kernels import (
     _FFT_MIN_WORK,
     DecimatedFamily,
     FamilyLevel,
     TimeKernel,
+    _correlate,
     eval_response,
     make_scaled_window_family,
     two_frequency_demo_family,
@@ -142,7 +144,7 @@ class TestABTerms:
     @pytest.mark.parametrize("phi,length", [(0.98, 1448), (0.99, 2945)])
     def test_ar1_sums_on_the_fft_path(self, phi, length, gamma):
         # A(n) against its geometric closed form and B(n) against np.correlate, on
-        # kernels long enough that the lag correlation is one rfft product
+        # kernels long enough that the lag correlation is on the FFT path, from one spectrum
         n = 100_000
         kern = ar1_kernel(phi)
         assert kern.length == length and length ** 2 >= _FFT_MIN_WORK
@@ -152,6 +154,29 @@ class TestABTerms:
         assert a_term(fam, 0, 0, 0, n) == pytest.approx(closed, rel=1e-12, abs=0)
         weights, corr = direct_decimated_lags(kern, kern, gamma, n, 2)
         assert b_term(fam, 0, 0, 0, n) == pytest.approx(float(np.dot(weights, corr)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("gamma,n", [(1, 100_000), (3, 40), (16, 500)])
+    def test_equal_taps_in_distinct_kernels_take_one_spectrum(self, rng, monkeypatch, gamma, n):
+        # two branches with the same 1500 taps at different support starts: every pair, the
+        # diagonal and both off-diagonal orders, is an autocorrelation on the FFT path
+        taps = rng.standard_normal(1500)
+        k1, k2 = TimeKernel(-1500, taps), TimeKernel(-1377, taps.copy())
+        assert k1.length ** 2 >= _FFT_MIN_WORK
+        fam = single_level_family([k1, k2], gamma=gamma)
+        same = []
+
+        def spy(x, h, mode="valid"):
+            same.append(x is h)
+            return _correlate(x, h, mode)
+
+        monkeypatch.setattr(moments, "_correlate", spy)
+        for i, ip in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            ka, kb = fam.levels[0].kernels[i], fam.levels[0].kernels[ip]
+            weights, corr = direct_decimated_lags(ka, kb, gamma, n, 1)
+            assert a_term(fam, 0, i, ip, n) == pytest.approx(float(np.dot(weights, corr * corr)), rel=1e-12, abs=0)
+            weights, corr = direct_decimated_lags(ka, kb, gamma, n, 2)
+            assert b_term(fam, 0, i, ip, n) == pytest.approx(float(np.dot(weights, corr)), rel=1e-12, abs=0)
+        assert same == [True] * 8
 
     def test_tiny_cross_term_within_rounding_of_the_direct_path(self):
         # the baseband and pi/2 kernels at gamma 1024 nearly cancel: A is about 4.7e-21, where both
