@@ -22,7 +22,8 @@ and a size numpy refuses to allocate), 3 hypothesis-gate rejection (a
 requested window whose decay cannot support the estimator theory).
 
 Config schema. Every value is parsed once, when the file is loaded; an
-unknown section or key, or a value of the wrong kind, is rejected:
+unknown section or key, or a value of the wrong kind, is rejected. An
+integer, here or on a kernel file's support line, lies in (-2**64, 2**64):
 
   [experiment]  command (optional, must match the subcommand), seed, out
   [family]      type = bspline_ma | two_frequency | files; each type reads only these keys:
@@ -68,7 +69,8 @@ except ImportError:
 import numpy as np
 
 from . import montecarlo, moments, simulate, specdens
-from .kernels import DecimatedFamily, FamilyLevel, make_scaled_window_family, read_kernel, two_frequency_demo_family
+from .kernels import (DecimatedFamily, FamilyLevel, _int, make_scaled_window_family, read_kernel,
+                      two_frequency_demo_family)
 from .windows import make_bspline_window
 
 FLOAT_FMT = "%.17g"
@@ -76,7 +78,7 @@ SWEEP_HEADER = "gamma,n,entry_i,entry_ip,empirical,analytic_n,gamma_limit,se"
 
 
 def _ints(raw):
-    return [int(tok) for tok in raw.split()]
+    return [_int(tok) for tok in raw.split()]
 
 
 def _floats(raw):
@@ -92,13 +94,13 @@ def _paths(raw):
 
 # {section: {key: parser of its value}}; a stem ending in "." stands for the per-level keys <stem><j>
 _SCHEMA = {
-    "experiment": {"command": str, "seed": int, "out": str},
-    "family": {"type": str, "order": int, "gammas": _ints, "modulation": float, "decay": float,
-               "limit_freqs": _floats, "threshold": int, "gamma.": int, "kernels.": _paths, "freqs.": _floats},
+    "experiment": {"command": str, "seed": _int, "out": str},
+    "family": {"type": str, "order": _int, "gammas": _ints, "modulation": float, "decay": float,
+               "limit_freqs": _floats, "threshold": _int, "gamma.": _int, "kernels.": _paths, "freqs.": _floats},
     "noise": {"distribution": str},
-    "run": {"level": int, "n": int, "replicates": int, "centering": str, "levels": _ints},
-    "specdens": {"window_order": int, "gamma": int, "gammas": _ints, "input": str, "synth": str,
-                 "phi": float, "n": int},
+    "run": {"level": _int, "n": _int, "replicates": _int, "centering": str, "levels": _ints},
+    "specdens": {"window_order": _int, "gamma": _int, "gammas": _ints, "input": str, "synth": str,
+                 "phi": float, "n": _int},
     "tolerances": {"rate_threshold": float},
 }
 # {family type: the [family] keys it reads besides type}
@@ -107,8 +109,8 @@ _FAMILY_KEYS = {
     "two_frequency": {"order", "gammas"},
     "files": {"decay", "limit_freqs", "threshold", "gamma.", "kernels.", "freqs."},
 }
-_KIND = {int: "an integer", float: "a number", _ints: "a list of int", _floats: "a list of float",
-         _paths: "a list of paths (a quote is not closed)"}
+_KIND = {_int: "an integer in (-2**64, 2**64)", _ints: "a list of int in (-2**64, 2**64)", float: "a number",
+         _floats: "a list of float", _paths: "a list of paths (a quote is not closed)"}
 
 
 class ConfigError(Exception):
@@ -421,7 +423,7 @@ def _argument_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
     return ap
 

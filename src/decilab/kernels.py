@@ -130,13 +130,13 @@ def _correlate(x, h, mode="valid"):
 
     Below the crossover (fewer than _FFT_MIN_WORK direct multiply-adds, or
     fewer than _FFT_MIN_SIDE outputs or taps) it is np.correlate itself,
-    bit for bit. Above it, "full" is one rfft product at the least
-    2**a * 3**b * 5**c >= len(x) + len(h) - 1 or, when x is h (an
-    autocorrelation), irfft(|rfft(x)|**2) mirrored into the lags
-    -(L-1) .. L-1: two transforms, not three. "valid" is overlap-save
-    (Stockham 1966) at an FFT size F, the power of two covering the smaller
-    of max(4 * (the fewer of outputs and taps), _FFT_BLOCK) and the whole
-    correlation:
+    bit for bit. Above it every path rests on one identity: at FFT size F,
+    lag d of x against h, sum_u x[u + d] * h[u], is entry d (mod F) of
+    irfft(rfft(x) * conj(rfft(h))) while no lag wraps. "full" takes F the
+    least 2**a * 3**b * 5**c >= len(x) + len(h) - 1, and one spectrum when
+    x and h hold equal values. "valid" is overlap-save (Stockham 1966) at F
+    the power of two covering the smaller of max(4 * (the fewer of outputs
+    and taps), _FFT_BLOCK) and the whole correlation, blocked two ways:
     - more outputs than taps: the outputs in blocks of F - L + 1, each block
       one window of x against the one spectrum of h;
     - more taps than outputs: the taps in parts of F - n_out + 1, each part
@@ -151,30 +151,25 @@ def _correlate(x, h, mode="valid"):
         work, short = n_out * taps, min(n_out, taps)
     if work < _FFT_MIN_WORK or short < _FFT_MIN_SIDE:
         return np.correlate(x, h, mode)
-    if mode == "full":
+    if mode == "full":  # the lags -(len(h) - 1) .. len(x) - 1
         size = _fft_size(n_out)
-        if x is h:  # an autocorrelation, whose lags 0 .. L-1 lead the inverse
-            lags = np.fft.irfft(np.abs(np.fft.rfft(x, size)) ** 2, size)[:x.size]
-            return np.concatenate((lags[:0:-1], lags))
-        return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h[::-1], size), size)[:n_out]
+        spectrum = np.fft.rfft(x, size)
+        lags = np.fft.irfft(spectrum * np.conj(spectrum if np.array_equal(x, h) else np.fft.rfft(h, size)), size)
+        return np.concatenate((lags[size - h.size + 1:], lags[:x.size]))
     size = 1 << (min(max(4 * short, _FFT_BLOCK), n_out + taps - 1) - 1).bit_length()
     if n_out >= taps:
         step = size - taps + 1
-        spectrum = np.fft.rfft(h[::-1], size)
+        spectrum = np.conj(np.fft.rfft(h, size))
         out = np.empty(n_out)
         for first in range(0, n_out, step):  # rfft's n zero-pads the last window
             block = np.fft.irfft(np.fft.rfft(x[first:first + size], size) * spectrum, size)
-            out[first:first + step] = block[taps - 1:taps - 1 + n_out - first]
+            out[first:first + step] = block[:min(step, n_out - first)]
         return out
     step = size - n_out + 1
     acc = np.zeros(size // 2 + 1, dtype=complex)
-    part = np.empty(step)  # one part of the taps, reversed; the last, if short, front-padded with zeros
-    for first in range(0, taps, step):
-        piece = h[first:first + step]
-        part[:step - piece.size] = 0.0
-        part[step - piece.size:] = piece[::-1]
-        acc += np.fft.rfft(x[first:first + size], size) * np.fft.rfft(part, size)
-    return np.fft.irfft(acc, size)[step - 1:step - 1 + n_out]
+    for first in range(0, taps, step):  # rfft's n zero-pads each part, and the last window
+        acc += np.fft.rfft(x[first:first + size], size) * np.conj(np.fft.rfft(h[first:first + step], size))
+    return np.fft.irfft(acc, size)[:n_out]
 
 
 @dataclass(frozen=True)
@@ -439,10 +434,18 @@ def two_frequency_demo_family(prototype, gammas):
     return _window_family(prototype, gammas, (0.0, np.pi / 2), f"two-frequency:{prototype.name}")
 
 
+def _int(token):
+    """An integer read from text, in (-2**64, 2**64) (every 64-bit seed), so numpy never meets one it overflows on."""
+    value = int(token)
+    if abs(value) >= 1 << 64:
+        raise ValueError(f"{token} is not an integer in (-2**64, 2**64)")
+    return value
+
+
 def read_kernel(path):
     """Read the plain-text kernel exchange format."""
     with open(path, "r", encoding="utf-8-sig") as fh:  # utf-8-sig: a leading BOM is dropped
         lines = fh.read().split()
     if len(lines) < 2:
         raise ValueError("kernel file needs a support line and at least one coefficient")
-    return TimeKernel(int(lines[0]), np.array([float(v) for v in lines[1:]]))
+    return TimeKernel(_int(lines[0]), np.array([float(v) for v in lines[1:]]))

@@ -164,6 +164,57 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# every integer key of the schema: a command that loads it, and the sections that set it to a value
+OVERSIZED = {
+    "experiment.seed": ("gamma", lambda v: {"experiment": {"seed": v}, "family": FAMILY}),
+    "family.order": ("gamma", lambda v: {"family": {**FAMILY, "order": v}}),
+    "family.gammas": ("gamma", lambda v: {"family": {**FAMILY, "gammas": f"16 {v}"}}),
+    "family.threshold": ("simulate", lambda v: with_family(FILES, threshold=v)),
+    "family.gamma.": ("simulate", lambda v: with_family(FILES, **{"gamma.1": v})),
+    "run.level": ("simulate", lambda v: with_run(level=v)),
+    "run.n": ("simulate", lambda v: with_run(n=v)),
+    "run.n/clt": ("clt", lambda v: with_run(n=v)),
+    "run.n/cov-check": ("cov-check", lambda v: with_run(n=v)),
+    "run.n/sweep": ("sweep", lambda v: with_run(n=v)),
+    "run.replicates": ("clt", lambda v: with_run(replicates=v)),
+    "run.levels": ("sweep", lambda v: with_run(levels=f"0 {v}")),
+    "specdens.window_order": ("specdens", lambda v: specdens(window_order=v)),
+    "specdens.gamma": ("specdens", lambda v: specdens(gamma=v)),
+    "specdens.gammas": ("specdens", lambda v: specdens(gammas=f"16 {v}")),
+    "specdens.n": ("specdens", lambda v: specdens(n=v)),
+}
+
+
+def test_oversized_cases_cover_every_integer_key():
+    keys = {f"{section}.{key}" for section, parsers in cli._SCHEMA.items()
+            for key, parse in parsers.items() if parse in (cli._int, cli._ints)}
+    assert {case.partition("/")[0] for case in OVERSIZED} == keys
+
+
+@pytest.mark.parametrize("value", [2 ** 64, -(2 ** 64), 10 ** 400], ids=["2_64", "minus_2_64", "10_400"])
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_integer_exits_2_without_traceback(tmp_path, capsys, case, value):
+    # an integer past 64 bits is rejected on load, before numpy raises OverflowError or TypeError on it
+    command, sections = OVERSIZED[case]
+    write_kernel(tmp_path)
+    code, out = run(tmp_path, command, sections(value))
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("decilab: config error: [") and "(-2**64, 2**64)" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_largest_seed_runs_and_the_seed_flag_is_bounded(tmp_path):
+    # the bound keeps every 64-bit seed, in the config and under --seed
+    code, out = run(tmp_path, "gamma", CONFIGS["gamma"], seed=2 ** 64 - 1)
+    assert code == 0 and (out / "gamma_matrix.csv").is_file()
+    cfg = tmp_path / "gamma.ini"
+    assert main(["gamma", "--config", str(cfg), "--seed", str(2 ** 64 - 1), "--out", str(tmp_path / "flag")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", "--config", str(cfg), "--seed", str(2 ** 64)])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("case", ["default_section_keys", "default_section_only"])
 def test_default_section_is_an_unknown_section(tmp_path, capsys, case):
     # configparser would copy its keys into every section, where no schema check sees them
@@ -172,7 +223,8 @@ def test_default_section_is_an_unknown_section(tmp_path, capsys, case):
     assert capsys.readouterr().err == "decilab: config error: unknown config section [DEFAULT]\n"
 
 
-@pytest.mark.parametrize("text", ["-1\n0.5\nabc\n", "1.5\n0.5\n"], ids=["bad_coefficient", "non_integer_support"])
+@pytest.mark.parametrize("text", ["-1\n0.5\nabc\n", "1.5\n0.5\n", f"{2 ** 64}\n0.5\n", f"{10 ** 400}\n0.5\n"],
+                         ids=["bad_coefficient", "non_integer_support", "support_2_64", "support_10_400"])
 def test_kernel_file_error_names_the_file(tmp_path, capsys, text):
     write_kernel(tmp_path)
     (tmp_path / "bad_kernel.txt").write_text(text, encoding="utf-8")
@@ -309,7 +361,8 @@ def test_config_seed_is_parsed_under_seed_flag(tmp_path, capsys):
     cfg = tmp_path / "simulate.ini"
     write_config(cfg, {"experiment": {"seed": "abc"}, **with_run()})
     assert main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "decilab: config error: [experiment] seed = 'abc' is not an integer\n"
+    want = "decilab: config error: [experiment] seed = 'abc' is not an integer in (-2**64, 2**64)\n"
+    assert capsys.readouterr().err == want
 
 
 def test_docstring_names_the_whole_schema():

@@ -244,9 +244,17 @@ class TestCorrelate:
     @example(length=2945, power=1, seed=17)
     @example(length=2945, power=2, seed=18)
     def test_autocorrelation_matches_np_correlate(self, length, power, seed):
-        # one array object for both sides: above the crossover (length >= 1024) one spectrum, mirrored
+        # one array for both sides: above the crossover (length >= 1024) one spectrum
         x = np.random.default_rng(seed).standard_normal(length) ** power
         check_against_np_correlate(x, x, "full", length * length, length)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("length", [1448, 2945])
+    def test_autocorrelation_depends_on_values_not_on_the_object(self, length, power):
+        # the AR(1) kernels at phi 0.98 and 0.99, above the crossover: one array twice, or a copy
+        x = np.random.default_rng(length + power).standard_normal(length) ** power
+        assert length ** 2 >= _FFT_MIN_WORK
+        assert _correlate(x, x, "full").tobytes() == _correlate(x, x.copy(), "full").tobytes()
 
     def test_fft_size_is_the_least_5_smooth_length(self):
         limit = 10 ** 4

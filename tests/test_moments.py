@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decilab import moments
 from decilab.kernels import (
     _FFT_MIN_WORK,
     DecimatedFamily,
     FamilyLevel,
     TimeKernel,
-    _correlate,
     eval_response,
     make_scaled_window_family,
     two_frequency_demo_family,
@@ -157,26 +155,28 @@ class TestABTerms:
 
     @pytest.mark.parametrize("gamma,n", [(1, 100_000), (3, 40), (16, 500)])
     def test_equal_taps_in_distinct_kernels_take_one_spectrum(self, rng, monkeypatch, gamma, n):
-        # two branches with the same 1500 taps at different support starts: every pair, the
-        # diagonal and both off-diagonal orders, is an autocorrelation on the FFT path
+        # branches 0 and 1 hold the same 1500 taps at different support starts, branch 2 other taps:
+        # every pair is on the FFT path, one forward transform where the values are equal, two elsewhere
         taps = rng.standard_normal(1500)
-        k1, k2 = TimeKernel(-1500, taps), TimeKernel(-1377, taps.copy())
-        assert k1.length ** 2 >= _FFT_MIN_WORK
-        fam = single_level_family([k1, k2], gamma=gamma)
-        same = []
+        kernels = [TimeKernel(-1500, taps), TimeKernel(-1377, taps.copy()),
+                   TimeKernel(-1500, rng.standard_normal(1500))]
+        assert kernels[0].length ** 2 >= _FFT_MIN_WORK
+        fam = single_level_family(kernels, gamma=gamma)
+        rfft, calls = np.fft.rfft, []
 
-        def spy(x, h, mode="valid"):
-            same.append(x is h)
-            return _correlate(x, h, mode)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rfft(*args, **kwargs)
 
-        monkeypatch.setattr(moments, "_correlate", spy)
-        for i, ip in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        for i, ip in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 1)):
             ka, kb = fam.levels[0].kernels[i], fam.levels[0].kernels[ip]
+            calls.clear()
             weights, corr = direct_decimated_lags(ka, kb, gamma, n, 1)
             assert a_term(fam, 0, i, ip, n) == pytest.approx(float(np.dot(weights, corr * corr)), rel=1e-12, abs=0)
             weights, corr = direct_decimated_lags(ka, kb, gamma, n, 2)
             assert b_term(fam, 0, i, ip, n) == pytest.approx(float(np.dot(weights, corr)), rel=1e-12, abs=0)
-        assert same == [True] * 8
+            assert len(calls) == (4 if 2 in (i, ip) else 2), (i, ip)  # A and B: one correlation each
 
     def test_tiny_cross_term_within_rounding_of_the_direct_path(self):
         # the baseband and pi/2 kernels at gamma 1024 nearly cancel: A is about 4.7e-21, where both
