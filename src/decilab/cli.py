@@ -5,7 +5,8 @@ sections (configparser syntax); command-line flags override config keys.
 Values are literal (no ``%`` interpolation); ``[DEFAULT]`` is an unknown
 section. Config, kernel and input series files are UTF-8 and may start with
 a byte-order mark; line 1 of a series is a header unless it starts with a
-digit, a sign or a point.
+digit, a sign or a point. An error reading a kernel file or series names
+its path as the config gives it.
 Every output carries a 12-hex digest of the effective configuration: a
 last column on each CSV row, a ``digest`` line in each report, and the
 comment line of path.csv; re-running a digest reproduces its outputs byte
@@ -130,11 +131,8 @@ def _stem(key):
 def _parse_config_file(path):
     """The raw parser, which the digest reads, and {section: {key: value}} with each value parsed."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"), default_section="")
-    cfg_path = Path(path)
-    if not cfg_path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        with open(cfg_path, "r", encoding="utf-8-sig") as fh:
+    try:  # an OSError names the path and is main's to report
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
@@ -189,8 +187,7 @@ def _get_run(cfg, family):
     if not levels:
         raise ConfigError("[run] levels is empty")
     for j in [level, *levels]:
-        if not 0 <= j < family.n_levels:
-            raise ConfigError(f"[run] level {j} is not in 0..{family.n_levels - 1}")
+        family.level(j)
     if centering not in montecarlo.CENTERINGS:
         raise ConfigError(f"[run] centering {centering!r} is not one of {', '.join(montecarlo.CENTERINGS)}")
     return level, levels, centering
@@ -222,12 +219,9 @@ def _family_from_config(cfg, config_dir):
         freqs = _need(cfg, "family", f"freqs.{j}")
         kernels = []
         for rel in paths:
-            kpath = (config_dir / rel).resolve()
-            if not kpath.is_file():
-                raise ConfigError(f"kernel file not found: {rel}")
             try:
-                kernels.append(read_kernel(kpath))
-            except ValueError as exc:
+                kernels.append(read_kernel(config_dir / rel))
+            except (OSError, ValueError) as exc:
                 raise ConfigError(f"{rel}: {exc}") from exc
         levels.append(FamilyLevel(gamma=gamma, kernels=tuple(kernels), center_freqs=np.array(freqs)))
     return DecimatedFamily(levels=tuple(levels), limit_freqs=np.array(limit_freqs), decay=decay,
@@ -257,21 +251,21 @@ def _series_from_config(cfg, config_dir, seed):
             raise ConfigError("[specdens] n is not read with input: the series sets its length")
         if cfg["noise"]:
             raise ConfigError("[noise] is not read with input: the series is given")
-        path = (config_dir / input_path).resolve()
-        if not path.is_file():
-            raise ConfigError(f"input series not found: {input_path}")
         rows = []
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            for line_no, line in enumerate(fh, 1):
-                tok = line.strip()
-                if not tok:
-                    continue
-                try:
-                    rows.append(float(tok))
-                except ValueError:
-                    if line_no == 1 and tok[0] not in "0123456789+-.":
-                        continue  # a header line
-                    raise ConfigError(f"{input_path}:{line_no}: not a number: {tok!r}")
+        try:
+            with open(config_dir / input_path, "r", encoding="utf-8-sig") as fh:
+                for line_no, line in enumerate(fh, 1):
+                    tok = line.strip()
+                    if not tok:
+                        continue
+                    try:
+                        rows.append(float(tok))
+                    except ValueError:
+                        if line_no == 1 and tok[0] not in "0123456789+-.":
+                            continue  # a header line
+                        raise ConfigError(f"{input_path}:{line_no}: not a number: {tok!r}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{input_path}: {exc}") from exc
         if not rows:
             raise ConfigError(f"input series is empty: {input_path}")
         return np.asarray(rows), None
@@ -312,8 +306,6 @@ def _write_csv(out_dir, name, header, rows, digest):
 
 def _cmd_gamma(cfg, out_dir, seed, digest, config_dir):
     family = _family_from_config(cfg, config_dir)
-    if family.limit_kernels is None:
-        raise ConfigError("gamma command needs a family with limit kernels (built-in types)")
     gm = moments.gamma_matrix(family)
     cells = [(i, ip) for i in range(family.n_branches) for ip in range(family.n_branches)]
     _write_csv(out_dir, "gamma_matrix.csv", "entry_i,entry_ip,constant,value",
@@ -328,7 +320,7 @@ def _cmd_simulate(cfg, out_dir, seed, digest, config_dir):
     n = _need(cfg, "run", "n")
     z = simulate.simulate_decimated(family, level, n, noise, seed)
     with _open_out(out_dir, "path.csv") as fh:
-        fh.write(f"# level={level},gamma={family.levels[level].gamma},seed={seed},digest={digest}\n")
+        fh.write(f"# level={level},gamma={family.level(level).gamma},seed={seed},digest={digest}\n")
         fh.write("k," + ",".join(f"Z_{i + 1}" for i in range(z.shape[0])) + "\n")
         for k, column in enumerate(z.T):
             fh.write(f"{k}," + ",".join(map(_fmt, column)) + "\n")
@@ -382,11 +374,11 @@ def _cmd_sweep(cfg, out_dir, seed, digest, config_dir):
 def _cmd_specdens(cfg, out_dir, seed, digest, config_dir):
     window = _window_from_config(cfg)
     threshold = cfg["tolerances"].get("rate_threshold", specdens.DEFAULT_RATE_THRESHOLD)
-    series, target = _series_from_config(cfg, config_dir, seed)
     gammas = cfg["specdens"].get("gammas")
     if gammas == []:
         raise ConfigError("[specdens] gammas is empty")
     gamma = cfg["specdens"].get("gamma", gammas[-1]) if gammas else _need(cfg, "specdens", "gamma")
+    series, target = _series_from_config(cfg, config_dir, seed)
     sweep = [specdens.estimate_f0(series, window, g, rate_threshold=threshold) for g in gammas or ()]
     est = next((e for e in sweep if e.gamma == gamma), None) or specdens.estimate_f0(
         series, window, gamma, rate_threshold=threshold)

@@ -206,10 +206,11 @@ class DecimatedFamily:
     weight * What / sqrt(2*pi), and the limit quantities are finite sums
     over the lags where two limit kernels overlap (see moments).
 
-    The constructor is the one place the family rules are checked. The
-    frequency conditions (even gamma, integer condition, zero frequency,
-    coincidence) bind from level `threshold` on, an integer in 0..n_levels
-    (n_levels binds none).
+    The family is the one home of the family rules, the level index among
+    them: the constructor checks the rules, and level(j) rejects a j outside
+    0..n_levels-1. The frequency conditions (even gamma, integer condition,
+    zero frequency, coincidence) bind from level `threshold` on, an integer
+    in 0..n_levels (n_levels binds none).
     """
 
     levels: tuple
@@ -241,9 +242,13 @@ class DecimatedFamily:
         if self.limit_kernels is not None and len(self.limit_kernels) != self.n_branches:
             raise ValueError("one limit kernel per branch required")
         for j in range(self.threshold, self.n_levels):
-            failures = _frequency_condition_failures(self, j)
-            if failures:
-                raise ValueError(next(iter(failures.values())))
+            _require_frequency_conditions(self, j)
+
+    def level(self, j):
+        """Level j; a j outside 0..n_levels-1 is rejected."""
+        if not 0 <= j < self.n_levels:
+            raise ValueError(f"level {j} is not in 0..{self.n_levels - 1}")
+        return self.levels[j]
 
     @property
     def n_branches(self):
@@ -266,38 +271,31 @@ class DecimatedFamily:
                      for w, wt in self.limit_kernels)
 
 
-def _frequency_condition_failures(family, j):
-    """The frequency conditions level j breaks, as {condition: message}.
-
-    Conditions, checked in this order: "even" (gamma is even), "integer"
-    (gamma*center lies in 2*pi*Z), "zero_freq" (a branch with zero limit
-    frequency has zero center), "coincidence" (branches sharing a limit
-    frequency share the center). An empty dict means level j meets them all.
-    """
+def _require_frequency_conditions(family, j):
+    """Raise the first frequency condition level j breaks, in this order: gamma even, gamma*center
+    in 2*pi*Z, zero center where the limit frequency is zero, one center per shared limit frequency."""
     lv = family.levels[j]
     lim, center = family.limit_freqs, lv.center_freqs
-    failures = {}
     if lv.gamma % 2 != 0:
-        failures["even"] = f"gamma must be even from level {family.threshold} on (level {j})"
+        raise ValueError(f"gamma must be even from level {family.threshold} on (level {j})")
     if not np.all(integer_condition_residual(lv.gamma, center) <= INTEGER_TOL):
-        failures["integer"] = f"gamma*lambda not in 2*pi*Z at level {j}"
+        raise ValueError(f"gamma*lambda not in 2*pi*Z at level {j}")
     zero = np.flatnonzero((lim == 0.0) & (center != 0.0))
     if zero.size:
-        failures["zero_freq"] = f"branch {zero[0]} has zero limit frequency but nonzero center at level {j}"
+        raise ValueError(f"branch {zero[0]} has zero limit frequency but nonzero center at level {j}")
     split = np.argwhere(np.triu((lim[:, None] == lim[None, :]) & (center[:, None] != center[None, :]), 1))
     if split.size:
         i, ip = split[0]
-        failures["coincidence"] = f"branches {i},{ip} share a limit frequency but split at level {j}"
-    return failures
+        raise ValueError(f"branches {i},{ip} share a limit frequency but split at level {j}")
 
 
 @dataclass(frozen=True)
 class ConditionReport:
     """Numerical audit of the concentration conditions for a family.
 
-    failed names the frequency conditions ("even", "integer", "zero_freq",
-    "coincidence") that some level from the family threshold on breaks; it
-    re-checks what DecimatedFamily enforces, so it is empty.
+    failed is always empty, as the DecimatedFamily constructor raises on a
+    broken frequency condition; it and frequency_conditions_ok stay only
+    because bench/workloads.py reads them.
     integer_residuals[j, i] is the distance of gamma*center / (2*pi) from
     the nearest integer, at every level. uniform_stats[j, i] is the grid
     sup of gamma**(-1/2) |v*_{i,j}(lam)| (1 + gamma*|lam - center|)**decay
@@ -320,12 +318,12 @@ class ConditionReport:
 def check_condition_c(family):
     """Audit a family against the concentration conditions on finite grids.
 
-    Checks (a) the arithmetic conditions on gammas and center frequencies
-    from the family threshold on, (b) the uniform envelope statistic per
-    level and branch over a [0, pi) grid, (c) when limit kernels are
-    present, the sup-norm residual of the rescaled response against its
-    limit over [-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH]. Missing limit
-    kernels mark the residuals as unavailable instead of failing.
+    Reports (a) the integer-condition residuals (the constructor enforces
+    the conditions), (b) the uniform envelope statistic per level and
+    branch over a [0, pi) grid, (c) when limit kernels are present, the
+    sup-norm residual of the rescaled response against its limit over
+    [-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH]. Missing limit kernels mark
+    the residuals as unavailable instead of failing.
 
     The uniform statistic takes |v*| from one rfft of the wrapped taps; the
     rescaled responses come from eval_response, and each branch's limit is
@@ -338,7 +336,6 @@ def check_condition_c(family):
     nl = family.n_levels
 
     integer_res = np.array([integer_condition_residual(lv.gamma, lv.center_freqs) for lv in family.levels])
-    failed = frozenset(name for j in range(family.threshold, nl) for name in _frequency_condition_failures(family, j))
 
     # |v*| on the 2*GRID_SIZE-point DFT grid pi*m/GRID_SIZE, by one rfft of the wrapped taps
     lam_grid = np.linspace(0.0, np.pi, GRID_SIZE, endpoint=False)
@@ -365,7 +362,7 @@ def check_condition_c(family):
                 rescaled[j, i] = np.max(np.abs(scaled - limits[i]))
 
     return ConditionReport(
-        failed=failed,
+        failed=frozenset(),
         integer_residuals=integer_res,
         uniform_stats=uniform,
         rescaled_residuals=rescaled,

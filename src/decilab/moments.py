@@ -81,7 +81,7 @@ def _corr_sum(k1, k2, shift):
 
 def cov_exact(family, level, i, ip, k, kp):
     """Cov(Z_{i,k}, Z_{i',k'}) at one level: sum_t v_i(gamma*k - t) v_i'(gamma*k' - t), exact."""
-    lv = family.levels[level]
+    lv = family.level(level)
     return _corr_sum(lv.kernels[i], lv.kernels[ip], lv.gamma * (kp - k))
 
 
@@ -132,7 +132,7 @@ def _decimated_lags(family, level, i, ip, n, power):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    lv = family.levels[level]
+    lv = family.level(level)
     k1, k2, gamma = lv.kernels[i], lv.kernels[ip], lv.gamma
     corr = _correlate(k2.coeffs ** power, k1.coeffs ** power, "full")
     lag0 = k2.support_start - k1.support_end

@@ -178,17 +178,18 @@ def convergence_sweep(family, levels, n, noise, n_replicates, base_seed,
     The same n is used at every level. gamma_limit columns are NaN when the
     family carries no limit kernels.
     """
+    gammas = [family.level(level).gamma for level in levels]  # every level is checked before the first replicate
     have_limits = family.limit_kernels is not None
     gm = gamma_matrix(family) if have_limits else None
     rows = []
-    for level in levels:
+    for level, gamma in zip(levels, gammas):
         rs = replicate_sums(family, level, n, noise, n_replicates,
                             mix_seed(base_seed, 1000 + level), centering, workers)
         emp = empirical_cov(rs.samples)
         for i in range(family.n_branches):
             for ip in range(i, family.n_branches):
                 rows.append(SweepRow(
-                    gamma=family.levels[level].gamma,
+                    gamma=gamma,
                     n=int(n),
                     branch_i=i + 1,
                     branch_ip=ip + 1,

@@ -53,20 +53,29 @@ class NoiseSpec:
         return _KURTOSIS_EXCESS[self.distribution]
 
 
+def _require_seed(seed):
+    """seed as an int; one outside [0, 2**64) is rejected, not wrapped onto the stream of another seed."""
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def mix_seed(base_seed, index):
-    """64-bit mix of (base_seed, index); used to derive replicate seeds."""
-    x = (int(base_seed) ^ (int(index) * 0x9E3779B97F4A7C15)) & _MASK64
+    """64-bit mix of (base_seed, index), base_seed in [0, 2**64); used to derive replicate seeds."""
+    x = (_require_seed(base_seed) ^ (int(index) * 0x9E3779B97F4A7C15)) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
 
 
 def noise_values(spec, seed, lo, hi, out=None):
-    """xi_t for t = lo .. hi-1; deterministic per (spec, seed, t).
+    """xi_t for t = lo .. hi-1; deterministic per (spec, seed, t), seed in [0, 2**64).
 
     With out, a float64 array of hi - lo values, they are written into it in
     place and out is returned; an out of another length is rejected.
     """
+    seed = _require_seed(seed)
     count = max(0, int(hi) - int(lo))
     if out is None:
         out = np.empty(count)
@@ -77,7 +86,7 @@ def noise_values(spec, seed, lo, hi, out=None):
     i0 = int(lo) + _T_OFFSET
     if i0 < 0:
         raise ValueError("time index below supported range")
-    bg = np.random.Philox(counter=i0 >> 2, key=int(seed) & _MASK64)  # the 4-word block holding w_lo
+    bg = np.random.Philox(counter=i0 >> 2, key=seed)  # the 4-word block holding w_lo
     bg.random_raw(i0 & 3)  # the words of the block that precede w_lo
     if spec.distribution == "rademacher":
         raw = bg.random_raw(count)
@@ -141,7 +150,7 @@ def simulate_decimated(family, level, n, noise, seed):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    lv = family.levels[level]
+    lv = family.level(level)
     g = lv.gamma
     t_lo = min(-k.support_end for k in lv.kernels)
     offsets = [-k.support_end - t_lo for k in lv.kernels]

@@ -128,7 +128,7 @@ def leakage_integral(family, level, epsilon):
     """
     if not epsilon > 0.0:  # NaN fails too
         raise ValueError("need epsilon > 0")
-    kernel = family.levels[level].kernels[0]
+    kernel = family.level(level).kernels[0]
     target = family.limit_freqs[0]
     segments = []
     if target - epsilon > 0.0:

@@ -144,7 +144,15 @@ REJECTED = {
     "unallocatable_synth_n": ("specdens", specdens(synth="ar1", phi=0.5, n=10**16)),
     "unallocatable_n_sweep": ("sweep", with_run(n=10**16)),
     "unallocatable_n_simulate": ("simulate", with_run(n=10**16)),
+    # a kernel file or input series that cannot be read; "." is the directory of the config
+    "missing_kernel_file": ("simulate", with_family(FILES, **{"kernels.1": "missing.txt"})),
+    "kernel_path_is_a_directory": ("simulate", with_family(FILES, **{"kernels.1": "."})),
+    "missing_input_series": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": "missing.txt"}}),
+    "input_series_is_a_directory": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": "."}}),
 }
+# the REJECTED cases of a file that cannot be read, and the path the config gives it
+FILE_ERRORS = {"missing_kernel_file": "missing.txt", "kernel_path_is_a_directory": ".",
+               "missing_input_series": "missing.txt", "input_series_is_a_directory": "."}
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
@@ -162,6 +170,48 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(FILE_ERRORS))
+def test_file_error_names_the_configured_path(tmp_path, capsys, case):
+    command, sections = REJECTED[case]
+    write_kernel(tmp_path)
+    assert run(tmp_path, command, sections)[0] == 2
+    assert capsys.readouterr().err.startswith(f"decilab: config error: {FILE_ERRORS[case]}: ")
+
+
+def test_undecodable_series_names_its_path(tmp_path, capsys):
+    (tmp_path / "latin1.txt").write_bytes(b"x\n0.5\n\xff\n")
+    sections = {"specdens": {"window_order": 4, "gamma": 16, "input": "latin1.txt"}}
+    assert run(tmp_path, "specdens", sections)[0] == 2
+    assert capsys.readouterr().err.startswith("decilab: config error: latin1.txt: 'utf-8' codec can't decode")
+
+
+def test_specdens_reads_its_gammas_before_drawing_the_series(tmp_path, capsys):
+    # the series would need 71.1 PiB, so an empty gammas must be seen first
+    sections = {"specdens": {"window_order": 4, "gammas": "", "synth": "ar1", "n": 10 ** 16}}
+    assert run(tmp_path, "specdens", sections)[0] == 2
+    assert capsys.readouterr().err == "decilab: config error: [specdens] gammas is empty\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "clt", "cov-check", "sweep", "specdens"])
+def test_negative_seed_exits_2_where_noise_is_drawn(tmp_path, capsys, command):
+    # -1 was masked onto the stream of 2**64 - 1
+    cfg = tmp_path / f"{command}.ini"
+    write_config(cfg, CONFIGS[command])
+    assert main([command, "--config", str(cfg), "--seed=-1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "decilab: config error: seed must be in [0, 2**64), got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,sections", [("gamma", CONFIGS["gamma"]),
+                                              ("specdens", {"specdens": {"window_order": 4, "gamma": 16,
+                                                                         "input": SERIES}})],
+                         ids=["gamma", "specdens_input"])
+def test_negative_seed_runs_where_no_noise_is_drawn(tmp_path, command, sections):
+    # the seed only enters the digest
+    write_series(tmp_path)
+    assert run(tmp_path, command, sections, seed=-1)[0] == 0
 
 
 # every integer key of the schema: a command that loads it, and the sections that set it to a value
@@ -399,7 +449,7 @@ def test_module_entry_point_exit_code(tmp_path):
                            "--out", str(tmp_path / "out")], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": env_src})
     assert proc.returncode == 2
-    assert proc.stderr == "decilab: config error: [run] level -1 is not in 0..1\n"
+    assert proc.stderr == "decilab: config error: level -1 is not in 0..1\n"
 
 
 def test_noise_free_runs_load_no_scipy(tmp_path):

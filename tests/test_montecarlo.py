@@ -9,8 +9,10 @@ from scipy import stats
 
 import decilab
 from decilab import montecarlo
+from decilab.moments import a_term, b_term, cov_exact, cov_of_square_sums
 from decilab.montecarlo import convergence_sweep, empirical_cov, normality_report, replicate_sums
-from decilab.simulate import NoiseSpec
+from decilab.simulate import NoiseSpec, simulate_decimated
+from decilab.specdens import leakage_integral
 
 GAUSS = NoiseSpec("gaussian")
 
@@ -126,3 +128,33 @@ class TestReplicateRunner:
         for row in rows:
             assert row.se > 0.0
             assert abs(row.empirical - row.analytic_n) <= 5.0 * row.se
+
+
+# every library entry that takes a level, called at level j of a family
+LEVEL_ENTRIES = {
+    "simulate_decimated": lambda fam, j: simulate_decimated(fam, j, 4, GAUSS, 3),
+    "cov_exact": lambda fam, j: cov_exact(fam, j, 0, 1, 0, 1),
+    "a_term": lambda fam, j: a_term(fam, j, 0, 1, 4),
+    "b_term": lambda fam, j: b_term(fam, j, 0, 1, 4),
+    "cov_of_square_sums": lambda fam, j: cov_of_square_sums(fam, j, 0, 1, 4, GAUSS),
+    "replicate_sums": lambda fam, j: replicate_sums(fam, j, 4, GAUSS, 100, 3),
+    "convergence_sweep": lambda fam, j: convergence_sweep(fam, [0, j], 4, GAUSS, 100, 3),
+    "leakage_integral": lambda fam, j: leakage_integral(fam, j, 0.1),
+}
+
+
+@pytest.mark.parametrize("level", [-1, 2])
+@pytest.mark.parametrize("entry", sorted(LEVEL_ENTRIES))
+def test_level_outside_the_ladder_is_rejected(two_freq, entry, level):
+    # level -1 is not read as the last level
+    with pytest.raises(ValueError, match=rf"^level {level} is not in 0\.\.1$"):
+        LEVEL_ENTRIES[entry](two_freq, level)
+
+
+def test_sweep_checks_every_level_before_its_first_replicate(two_freq, monkeypatch):
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(montecarlo, "replicate_sums", no_replicates)
+    with pytest.raises(ValueError, match="level 2 is not in 0..1"):
+        convergence_sweep(two_freq, [0, 1, 2], 4, GAUSS, 100, 3)

@@ -142,6 +142,20 @@ class TestNoise:
             noise_values(spec, 3, lo, hi, out=out)
         assert np.all(out == 7.0)  # rejected before drawing
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        # -1 was masked onto the stream of 2**64 - 1
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
+            noise_values(GAUSS, seed, 0, 10)
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
+            mix_seed(seed, 1)
+
+    def test_largest_seed_keys_philox_with_itself(self):
+        raw = np.random.Philox(key=2 ** 64 - 1, counter=2 ** 60).random_raw(8)
+        assert noise_values(RADEMACHER, 2 ** 64 - 1, 0, 8).tobytes() == (
+            2.0 * (raw >> np.uint64(63)).astype(float) - 1.0).tobytes()
+        assert 0 <= mix_seed(2 ** 64 - 1, 1) < 2 ** 64
+
     def test_mix_seed_spreads(self):
         seeds = {mix_seed(5, r) for r in range(1000)}
         assert len(seeds) == 1000
