@@ -34,7 +34,6 @@ from .moments import (
 )
 from .montecarlo import (
     NormalityReport,
-    ReplicateSet,
     convergence_sweep,
     empirical_cov,
     normality_report,

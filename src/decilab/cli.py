@@ -36,7 +36,7 @@ integer, here or on a kernel file's support line, lies in (-2**64, 2**64):
                 built-in gammas: increasing, even, >= 1; multiples of 4 for two_frequency;
                 files: threshold in 0 .. number of levels, levels j = 0, 1, ... without gaps
   [noise]       distribution = gaussian | rademacher | scaled_uniform
-  [run]         level, n, replicates, centering, levels
+  [run]         level, n, replicates, levels
   [specdens]    window_order, gamma, gammas, input | synth = white | ar1, phi (ar1), n (synth)
   [tolerances]  rate_threshold
 
@@ -99,7 +99,7 @@ _SCHEMA = {
     "family": {"type": str, "order": _int, "gammas": _ints, "modulation": float, "decay": float,
                "limit_freqs": _floats, "threshold": _int, "gamma.": _int, "kernels.": _paths, "freqs.": _floats},
     "noise": {"distribution": str},
-    "run": {"level": _int, "n": _int, "replicates": _int, "centering": str, "levels": _ints},
+    "run": {"level": _int, "n": _int, "replicates": _int, "levels": _ints},
     "specdens": {"window_order": _int, "gamma": _int, "gammas": _ints, "input": str, "synth": str,
                  "phi": float, "n": _int},
     "tolerances": {"rate_threshold": float},
@@ -180,17 +180,14 @@ def _need(cfg, section, key):
 
 
 def _get_run(cfg, family):
-    """[run] level (default 0), levels (default all), each a level of the family, and centering."""
+    """[run] level (default 0) and levels (default all), each a level of the family."""
     level = cfg["run"].get("level", 0)
     levels = cfg["run"].get("levels", list(range(family.n_levels)))
-    centering = cfg["run"].get("centering", "exact")
     if not levels:
         raise ConfigError("[run] levels is empty")
     for j in [level, *levels]:
         family.level(j)
-    if centering not in montecarlo.CENTERINGS:
-        raise ConfigError(f"[run] centering {centering!r} is not one of {', '.join(montecarlo.CENTERINGS)}")
-    return level, levels, centering
+    return level, levels
 
 
 def _family_from_config(cfg, config_dir):
@@ -316,7 +313,7 @@ def _cmd_gamma(cfg, out_dir, seed, digest, config_dir):
 def _cmd_simulate(cfg, out_dir, seed, digest, config_dir):
     family = _family_from_config(cfg, config_dir)
     noise = _noise_from_config(cfg)
-    level, _, _ = _get_run(cfg, family)
+    level, _ = _get_run(cfg, family)
     n = _need(cfg, "run", "n")
     z = simulate.simulate_decimated(family, level, n, noise, seed)
     with _open_out(out_dir, "path.csv") as fh:
@@ -330,22 +327,22 @@ def _cmd_simulate(cfg, out_dir, seed, digest, config_dir):
 def _run_replicates(cfg, config_dir):
     family = _family_from_config(cfg, config_dir)
     noise = _noise_from_config(cfg)
-    level, levels, centering = _get_run(cfg, family)
+    level, levels = _get_run(cfg, family)
     n = _need(cfg, "run", "n")
     reps = _need(cfg, "run", "replicates")
-    return family, noise, level, levels, n, reps, centering
+    return family, noise, level, levels, n, reps
 
 
 def _cmd_clt(cfg, out_dir, seed, digest, config_dir):
-    family, noise, level, _, n, reps, centering = _run_replicates(cfg, config_dir)
-    rs = montecarlo.replicate_sums(family, level, n, noise, reps, seed, centering)
-    n_replicates, n_branches = rs.samples.shape
+    family, noise, level, _, n, reps = _run_replicates(cfg, config_dir)
+    samples = montecarlo.replicate_sums(family, level, n, noise, reps, seed)
+    n_replicates, n_branches = samples.shape
     coords = ",".join(f"coord_{i + 1}" for i in range(n_branches))
     _write_csv(out_dir, "replicates.csv", f"replicate,{coords}",
-               ((r, *rs.samples[r]) for r in range(n_replicates)), digest)
-    pairs = [("digest", digest), ("replicates", n_replicates), ("centering", centering)]
+               ((r, *samples[r]) for r in range(n_replicates)), digest)
+    pairs = [("digest", digest), ("replicates", n_replicates)]
     for i in range(n_branches):
-        rep = montecarlo.normality_report(rs.samples[:, i])
+        rep = montecarlo.normality_report(samples[:, i])
         prefix = f"coord_{i + 1}"
         pairs += [
             (f"{prefix}.skewness", rep.skewness),
@@ -358,15 +355,15 @@ def _cmd_clt(cfg, out_dir, seed, digest, config_dir):
 
 
 def _cmd_cov_check(cfg, out_dir, seed, digest, config_dir):
-    family, noise, level, _, n, reps, centering = _run_replicates(cfg, config_dir)
-    rows = montecarlo.convergence_sweep(family, [level], n, noise, reps, seed, centering)
+    family, noise, level, _, n, reps = _run_replicates(cfg, config_dir)
+    rows = montecarlo.convergence_sweep(family, [level], n, noise, reps, seed)
     _write_csv(out_dir, "cov_check.csv", SWEEP_HEADER, map(astuple, rows), digest)
     return 0
 
 
 def _cmd_sweep(cfg, out_dir, seed, digest, config_dir):
-    family, noise, _, levels, n, reps, centering = _run_replicates(cfg, config_dir)
-    rows = montecarlo.convergence_sweep(family, levels, n, noise, reps, seed, centering)
+    family, noise, _, levels, n, reps = _run_replicates(cfg, config_dir)
+    rows = montecarlo.convergence_sweep(family, levels, n, noise, reps, seed)
     _write_csv(out_dir, "sweep.csv", SWEEP_HEADER, map(astuple, rows), digest)
     return 0
 

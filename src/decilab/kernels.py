@@ -206,11 +206,12 @@ class DecimatedFamily:
     weight * What / sqrt(2*pi), and the limit quantities are finite sums
     over the lags where two limit kernels overlap (see moments).
 
-    The family is the one home of the family rules, the level index among
-    them: the constructor checks the rules, and level(j) rejects a j outside
-    0..n_levels-1. The frequency conditions (even gamma, integer condition,
-    zero frequency, coincidence) bind from level `threshold` on, an integer
-    in 0..n_levels (n_levels binds none).
+    The family is the one home of the family rules, the level and branch
+    indices among them: the constructor checks the rules, level(j) rejects a
+    j outside 0..n_levels-1 and branch(i) an i outside 0..n_branches-1. The
+    frequency conditions (even gamma, integer condition, zero frequency,
+    coincidence) bind from level `threshold` on, an integer in 0..n_levels
+    (n_levels binds none).
     """
 
     levels: tuple
@@ -249,6 +250,12 @@ class DecimatedFamily:
         if not 0 <= j < self.n_levels:
             raise ValueError(f"level {j} is not in 0..{self.n_levels - 1}")
         return self.levels[j]
+
+    def branch(self, i):
+        """Branch index i; an i outside 0..n_branches-1 is rejected, not wrapped."""
+        if not 0 <= i < self.n_branches:
+            raise ValueError(f"branch {i} is not in 0..{self.n_branches - 1}")
+        return i
 
     @property
     def n_branches(self):

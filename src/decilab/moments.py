@@ -24,7 +24,7 @@ and C the 0/1/2 case constant of the limit frequencies (entering squared:
 the +-passband copies double the folded sum for a positive shared
 frequency). The second form is Poisson summation and Parseval; its sum runs
 over the integer lags where the kernels overlap, each rho(k) exact by
-per-knot Gauss-Legendre. The limit centering is C * rho(0), and each limit
+per-knot Gauss-Legendre. The limit of E Z^2 is C * rho(0), and each limit
 value comes with the rounding bound of its finite sum.
 """
 
@@ -82,13 +82,13 @@ def _corr_sum(k1, k2, shift):
 def cov_exact(family, level, i, ip, k, kp):
     """Cov(Z_{i,k}, Z_{i',k'}) at one level: sum_t v_i(gamma*k - t) v_i'(gamma*k' - t), exact."""
     lv = family.level(level)
-    return _corr_sum(lv.kernels[i], lv.kernels[ip], lv.gamma * (kp - k))
+    return _corr_sum(lv.kernels[family.branch(i)], lv.kernels[family.branch(ip)], lv.gamma * (kp - k))
 
 
 def case_constant(family, i, ip):
     """The 0/1/2 constant for a branch pair, from exact limit-frequency equality."""
-    fi = family.limit_freqs[i]
-    fip = family.limit_freqs[ip]
+    fi = family.limit_freqs[family.branch(i)]
+    fip = family.limit_freqs[family.branch(ip)]
     if fi != fip:
         return 0
     return 1 if fi == 0.0 else 2
@@ -133,7 +133,7 @@ def _decimated_lags(family, level, i, ip, n, power):
     if n < 1:
         raise ValueError("need n >= 1")
     lv = family.level(level)
-    k1, k2, gamma = lv.kernels[i], lv.kernels[ip], lv.gamma
+    k1, k2, gamma = lv.kernels[family.branch(i)], lv.kernels[family.branch(ip)], lv.gamma
     corr = _correlate(k2.coeffs ** power, k1.coeffs ** power, "full")
     lag0 = k2.support_start - k1.support_end
     j0 = (-lag0) % gamma

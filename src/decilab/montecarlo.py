@@ -1,5 +1,8 @@
 """Seeded replication harness for the distributional claims.
 
+A replicate centers each square-sum by its exact expectation at the level,
+as the paper's CLTs do (replicate_sums).
+
 Replicate r always uses the seed mix(base_seed, r), and replicates are
 assembled by index, so results are identical for any worker count or
 scheduling. Parallelism is thread-based: with w = min(workers, R) threads,
@@ -16,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import cov_exact, cov_of_square_sums, gamma_matrix, limit_cross_cov
+from .moments import cov_exact, cov_of_square_sums, gamma_matrix
 from .simulate import mix_seed, simulate_decimated
 
 KS_99 = 1.63  # ~99% quantile scale of the one-sample KS statistic
-CENTERINGS = ("exact", "limit")  # the centerings replicate_sums subtracts (see _centers)
 
 
 def _worker_count(workers):
@@ -37,35 +39,16 @@ def _worker_count(workers):
     return count
 
 
-@dataclass(frozen=True)
-class ReplicateSet:
-    """Normalized centered square-sum vectors, one row per replicate."""
+def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=None):
+    """The (R, N) array of R replicates of n**-0.5 * sum_{k<n} (Z_{i,k}^2 - E Z_{i,k}^2).
 
-    samples: np.ndarray  # shape (R, N)
-    centers: np.ndarray  # the per-branch center subtracted from each Z^2
-
-
-def _centers(family, level, centering):
-    """Per branch, the level expectation of Z^2 ("exact") or its limit ("limit")."""
-    if centering not in CENTERINGS:
-        raise ValueError(f"centering must be one of {', '.join(CENTERINGS)}, got {centering!r}")
-    if centering == "exact":
-        return np.array([cov_exact(family, level, i, i, 0, 0) for i in range(family.n_branches)])
-    return np.array([limit_cross_cov(family, i, i, 0).value for i in range(family.n_branches)])
-
-
-def replicate_sums(family, level, n, noise, n_replicates, base_seed,
-                   centering="exact", workers=None):
-    """R replicates of n**-0.5 * sum_{k<n} (Z_{i,k}^2 - center_i).
-
-    Centering is the exact level expectation of Z^2 (per-branch, lag zero)
-    or its level limit; the centers used are returned with the samples.
+    E Z_{i,k}^2 is the exact level expectation, cov_exact(family, level, i, i, 0, 0).
     """
     if n_replicates < 100:
         raise ValueError("need at least 100 replicates")
     if n < 1:
         raise ValueError("need n >= 1")
-    centers = _centers(family, level, centering)
+    centers = np.array([cov_exact(family, level, i, i, 0, 0) for i in range(family.n_branches)])
     samples = np.empty((n_replicates, family.n_branches))
     scale = 1.0 / np.sqrt(n)
 
@@ -78,7 +61,7 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed,
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         list(pool.map(run_share, range(n_workers)))
-    return ReplicateSet(samples, centers)
+    return samples
 
 
 @dataclass(frozen=True)
@@ -171,8 +154,7 @@ class SweepRow:
     se: float
 
 
-def convergence_sweep(family, levels, n, noise, n_replicates, base_seed,
-                      centering="exact", workers=None):
+def convergence_sweep(family, levels, n, noise, n_replicates, base_seed, workers=None):
     """Per level and branch pair: empirical covariance vs exact and limiting values.
 
     The same n is used at every level. gamma_limit columns are NaN when the
@@ -183,9 +165,8 @@ def convergence_sweep(family, levels, n, noise, n_replicates, base_seed,
     gm = gamma_matrix(family) if have_limits else None
     rows = []
     for level, gamma in zip(levels, gammas):
-        rs = replicate_sums(family, level, n, noise, n_replicates,
-                            mix_seed(base_seed, 1000 + level), centering, workers)
-        emp = empirical_cov(rs.samples)
+        samples = replicate_sums(family, level, n, noise, n_replicates, mix_seed(base_seed, 1000 + level), workers)
+        emp = empirical_cov(samples)
         for i in range(family.n_branches):
             for ip in range(i, family.n_branches):
                 rows.append(SweepRow(

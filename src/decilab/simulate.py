@@ -72,10 +72,13 @@ def mix_seed(base_seed, index):
 def noise_values(spec, seed, lo, hi, out=None):
     """xi_t for t = lo .. hi-1; deterministic per (spec, seed, t), seed in [0, 2**64).
 
+    A bound that is not an integer (2.5, NaN) is rejected, not truncated.
     With out, a float64 array of hi - lo values, they are written into it in
     place and out is returned; an out of another length is rejected.
     """
     seed = _require_seed(seed)
+    if not (float(lo).is_integer() and float(hi).is_integer()):
+        raise ValueError(f"need integer bounds lo, hi, got {lo}, {hi}")
     count = max(0, int(hi) - int(lo))
     if out is None:
         out = np.empty(count)

@@ -4,11 +4,11 @@ They check identities of the library's exact time-domain sums: the
 covariance of two coefficients as an integral of their responses, A(n) =
 M_n(g)**2 for the folded product of two responses, Parseval for
 eval_response, the alias structure of a scaled window, the unit L2 norm of
-a window transform, and the limit quantities (centering, Gamma, sigma^2)
-as truncated alias-fold and real-line quadratures of the limit responses;
-the two-term recursion is the reference for the B-spline values, and the
-step-by-step loop for the AR(1) truncation point, and np.correlate at every
-size for the lag samples behind A(n) and B(n). Imported as
+a window transform, and the limit quantities (the limit of E Z^2, Gamma,
+sigma^2) as truncated alias-fold and real-line quadratures of the limit
+responses; the two-term recursion is the reference for the B-spline values,
+and the step-by-step loop for the AR(1) truncation point, and np.correlate
+at every size for the lag samples behind A(n) and B(n). Imported as
 `from oracles import ...`, like conftest; the file name keeps pytest from
 collecting it.
 

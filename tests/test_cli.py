@@ -89,9 +89,8 @@ REJECTED = {
     "level_past_end": ("simulate", with_run(level=5)),
     "negative_level": ("simulate", with_run(level=-1)),
     "levels_past_end": ("sweep", with_run(levels="0 7")),
-    "unknown_centering": ("cov-check", with_run(centering="foo")),
-    "unknown_centering_simulate": ("simulate", with_run(centering="foo")),
-    "stray_percent": ("simulate", with_run(centering="exact%")),  # values are literal, not interpolated
+    "centering_is_an_unknown_key": ("clt", with_run(centering="limit")),  # every run centers by E Z^2
+    "stray_percent": ("simulate", {**with_run(), "noise": {"distribution": "gaussian%"}}),  # literal, not interpolated
     "odd_specdens_gamma": ("specdens", specdens(gamma=15)),
     "odd_specdens_sweep_gamma": ("specdens", specdens(gammas="16 15")),
     "explosive_phi": ("specdens", specdens(synth="ar1", phi=1.5)),
@@ -112,8 +111,6 @@ REJECTED = {
         "kernels.0": "", "freqs.0": "", "kernels.1": "", "freqs.1": ""})),
     # a files family has no limit kernels, so nothing that needs a limit runs on it
     "files_family_gamma": ("gamma", {"family": FILES}),
-    "files_family_limit_centering_clt": ("clt", {"family": FILES, "run": {**RUN, "centering": "limit"}}),
-    "files_family_limit_centering_sweep": ("sweep", {"family": FILES, "run": {**RUN, "centering": "limit"}}),
     # a [family] key the chosen type does not read, and [specdens] keys the chosen source does not read
     "decay_with_bspline_ma": ("simulate", with_family(SCALED, decay=9)),
     "modulation_with_two_frequency": ("simulate", with_family(modulation=0.5)),
@@ -153,6 +150,8 @@ REJECTED = {
 # the REJECTED cases of a file that cannot be read, and the path the config gives it
 FILE_ERRORS = {"missing_kernel_file": "missing.txt", "kernel_path_is_a_directory": ".",
                "missing_input_series": "missing.txt", "input_series_is_a_directory": "."}
+# REJECTED cases and what their message must name
+NAMED_ERRORS = {"centering_is_an_unknown_key": "unknown key 'centering' in [run]", "stray_percent": "'gaussian%'"}
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
@@ -178,6 +177,13 @@ def test_file_error_names_the_configured_path(tmp_path, capsys, case):
     write_kernel(tmp_path)
     assert run(tmp_path, command, sections)[0] == 2
     assert capsys.readouterr().err.startswith(f"decilab: config error: {FILE_ERRORS[case]}: ")
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_ERRORS))
+def test_error_names_the_rejected_key_or_value(tmp_path, capsys, case):
+    command, sections = REJECTED[case]
+    assert run(tmp_path, command, sections)[0] == 2
+    assert NAMED_ERRORS[case] in capsys.readouterr().err
 
 
 def test_undecodable_series_names_its_path(tmp_path, capsys):
@@ -528,7 +534,7 @@ def test_specdens_on_a_long_ar1_kernel_finishes(tmp_path):
 # the CLI; a refactor that leaves the arithmetic alone leaves these alone
 OUTPUT_SHA256 = {
     "simulate/path.csv": "8f3746faa535fe9aea8fa9b2f8be98bde4bab7a9d1b7be1d903e94a4440af6bc",
-    "clt/normality.txt": "ccde4c96bce4034289b8d91e83870adc7bf55794c9aaba9eec8ffcac6327ba5e",
+    "clt/normality.txt": "7d7065bf052b574ff80590e9e08b7e5adb3a3a111a27ead72312b1ac02c4f1c4",
     "clt/replicates.csv": "0fa0b991f10a948041c1cdb6e27b6a63756bac36bb695e576af07ac0afa6cef2",
     "cov-check/cov_check.csv": "ab4d576bd0105fe401dc3f53a1bedbdf6bdd6f39226b62632ff555225fbb56ff",
     "sweep/sweep.csv": "cc745e0921b3dd2ab8eba15b7f202ed8ddd7e9aac4d48758c741a84d593930eb",

@@ -9,9 +9,9 @@ from scipy import stats
 
 import decilab
 from decilab import montecarlo
-from decilab.moments import a_term, b_term, cov_exact, cov_of_square_sums
+from decilab.moments import a_term, b_term, case_constant, cov_exact, cov_of_square_sums, gamma_limit, limit_cross_cov
 from decilab.montecarlo import convergence_sweep, empirical_cov, normality_report, replicate_sums
-from decilab.simulate import NoiseSpec, simulate_decimated
+from decilab.simulate import NoiseSpec, mix_seed, simulate_decimated
 from decilab.specdens import leakage_integral
 
 GAUSS = NoiseSpec("gaussian")
@@ -46,8 +46,8 @@ def test_first_gaussian_draw_from_pool_threads():
         "fam = decilab.two_frequency_demo_family(decilab.make_bspline_window(4), [16, 32])",
         "noise = decilab.NoiseSpec('gaussian')",
         "loaded = 'scipy.special' in sys.modules",
-        "threaded = decilab.replicate_sums(fam, 1, 20, noise, 150, 77, workers=3).samples",
-        "serial = decilab.replicate_sums(fam, 1, 20, noise, 150, 77, workers=1).samples",
+        "threaded = decilab.replicate_sums(fam, 1, 20, noise, 150, 77, workers=3)",
+        "serial = decilab.replicate_sums(fam, 1, 20, noise, 150, 77, workers=1)",
         "print(loaded, threaded.tobytes() == serial.tobytes())",
     ])
     env = {**os.environ, "PYTHONPATH": src}
@@ -74,7 +74,7 @@ def two_freq():
 class TestReplicateRunner:
     def test_worker_count_invariance(self, two_freq):
         # 301 replicates split unevenly over 2 and over 3 threads
-        runs = [replicate_sums(two_freq, 1, 20, GAUSS, 301, 77, workers=w).samples for w in (1, 2, 3)]
+        runs = [replicate_sums(two_freq, 1, 20, GAUSS, 301, 77, workers=w) for w in (1, 2, 3)]
         assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5, 1.9, True])  # not truncated to 2, 1, 1
@@ -83,7 +83,7 @@ class TestReplicateRunner:
             replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=workers)
 
     def test_threads_capped_by_replicates(self, two_freq, monkeypatch):
-        serial = replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=1).samples
+        serial = replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=1)
         pool_sizes = []
 
         class InlineExecutor:
@@ -102,16 +102,20 @@ class TestReplicateRunner:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlineExecutor)
-        capped = replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=10_000).samples
+        capped = replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=10_000)
         assert pool_sizes and all(size <= 100 for size in pool_sizes)
         assert capped.tobytes() == serial.tobytes()
 
-    def test_limit_centers_are_the_limit_variance(self):
-        # order 5 puts the first zero of sinc^5 at 10*pi, past any cutoff that
-        # ignores the envelope constant
-        fam = decilab.make_scaled_window_family(decilab.make_bspline_window(5), [8, 16])
-        rs = replicate_sums(fam, 0, 10, GAUSS, 100, 3, centering="limit")
-        assert abs(rs.centers[0] - 1.0 / (2.0 * np.pi)) <= 1e-10
+    def test_rows_are_centered_by_the_exact_expectation(self, two_freq):
+        # row r is n**-0.5 * (sum_k Z_k**2 - n * E Z**2) of the replicate drawn at mix_seed(seed, r)
+        n, seed = 20, 77
+        samples = replicate_sums(two_freq, 1, n, GAUSS, 100, seed)
+        centers = np.array([cov_exact(two_freq, 1, i, i, 0, 0) for i in range(two_freq.n_branches)])
+        expected = np.array([
+            (np.sum(simulate_decimated(two_freq, 1, n, GAUSS, mix_seed(seed, r)) ** 2, axis=1) - n * centers)
+            * (1.0 / np.sqrt(n)) for r in range(100)])
+        assert isinstance(samples, np.ndarray) and samples.shape == (100, 2)
+        assert samples.tobytes() == expected.tobytes()
 
     def test_jackknife_se_matches_brute_force(self, rng):
         x = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 3))
@@ -149,6 +153,26 @@ def test_level_outside_the_ladder_is_rejected(two_freq, entry, level):
     # level -1 is not read as the last level
     with pytest.raises(ValueError, match=rf"^level {level} is not in 0\.\.1$"):
         LEVEL_ENTRIES[entry](two_freq, level)
+
+
+# every library entry that takes a branch, called with branch i of a family
+BRANCH_ENTRIES = {
+    "cov_exact": lambda fam, i: cov_exact(fam, 0, i, i, 0, 0),
+    "a_term": lambda fam, i: a_term(fam, 0, 0, i, 4),
+    "b_term": lambda fam, i: b_term(fam, 0, i, 0, 4),
+    "cov_of_square_sums": lambda fam, i: cov_of_square_sums(fam, 0, i, i, 4, GAUSS),
+    "case_constant": lambda fam, i: case_constant(fam, i, 0),
+    "limit_cross_cov": lambda fam, i: limit_cross_cov(fam, 0, i, 0),
+    "gamma_limit": lambda fam, i: gamma_limit(fam, i, i),
+}
+
+
+@pytest.mark.parametrize("branch", [-1, 2])
+@pytest.mark.parametrize("entry", sorted(BRANCH_ENTRIES))
+def test_branch_outside_the_family_is_rejected(two_freq, entry, branch):
+    # branch -1 is not read as the last branch, and branch 2 raises ValueError, not IndexError
+    with pytest.raises(ValueError, match=rf"^branch {branch} is not in 0\.\.1$"):
+        BRANCH_ENTRIES[entry](two_freq, branch)
 
 
 def test_sweep_checks_every_level_before_its_first_replicate(two_freq, monkeypatch):

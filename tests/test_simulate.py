@@ -150,6 +150,12 @@ class TestNoise:
         with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
             mix_seed(seed, 1)
 
+    @pytest.mark.parametrize("lo, hi", [(0, 2.5), (0.5, 3), (0, float("nan"))])
+    def test_bounds_that_are_not_integers_are_rejected(self, lo, hi):
+        # (0, 2.5) was truncated to 2 values
+        with pytest.raises(ValueError, match="need integer bounds lo, hi"):
+            noise_values(GAUSS, 3, lo, hi)
+
     def test_largest_seed_keys_philox_with_itself(self):
         raw = np.random.Philox(key=2 ** 64 - 1, counter=2 ** 60).random_raw(8)
         assert noise_values(RADEMACHER, 2 ** 64 - 1, 0, 8).tobytes() == (
