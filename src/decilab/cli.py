@@ -36,9 +36,9 @@ integer, here or on a kernel file's support line, lies in (-2**64, 2**64):
                 built-in gammas: increasing, even, >= 1; multiples of 4 for two_frequency;
                 files: threshold in 0 .. number of levels, levels j = 0, 1, ... without gaps
   [noise]       distribution = gaussian | rademacher | scaled_uniform
-  [run]         level, n, replicates, levels
-  [specdens]    window_order, gamma, gammas, input | synth = white | ar1, phi (ar1), n (synth)
-  [tolerances]  rate_threshold
+  [run]         level, n, replicates; sweep runs every level of the family
+  [specdens]    window_order, gammas, input | synth = white | ar1, phi (ar1), n (synth);
+                specdens_report.txt holds the estimate at the last of gammas, specdens_sweep.csv each
 
 A [family] key the chosen type does not read is rejected, as are [specdens]
 phi without synth = ar1 and [specdens] n with input. So is a key in a
@@ -47,7 +47,7 @@ section the command never reads:
   gamma                   [experiment] [family]
   simulate, clt,          [experiment] [family] [noise] [run]
   cov-check, sweep
-  specdens                [experiment] [specdens] [tolerances], and [noise] with synth only
+  specdens                [experiment] [specdens], and [noise] with synth only
 """
 
 import argparse
@@ -99,10 +99,8 @@ _SCHEMA = {
     "family": {"type": str, "order": _int, "gammas": _ints, "modulation": float, "decay": float,
                "limit_freqs": _floats, "threshold": _int, "gamma.": _int, "kernels.": _paths, "freqs.": _floats},
     "noise": {"distribution": str},
-    "run": {"level": _int, "n": _int, "replicates": _int, "levels": _ints},
-    "specdens": {"window_order": _int, "gamma": _int, "gammas": _ints, "input": str, "synth": str,
-                 "phi": float, "n": _int},
-    "tolerances": {"rate_threshold": float},
+    "run": {"level": _int, "n": _int, "replicates": _int},
+    "specdens": {"window_order": _int, "gammas": _ints, "input": str, "synth": str, "phi": float, "n": _int},
 }
 # {family type: the [family] keys it reads besides type}
 _FAMILY_KEYS = {
@@ -180,14 +178,10 @@ def _need(cfg, section, key):
 
 
 def _get_run(cfg, family):
-    """[run] level (default 0) and levels (default all), each a level of the family."""
+    """[run] level (default 0), a level of the family."""
     level = cfg["run"].get("level", 0)
-    levels = cfg["run"].get("levels", list(range(family.n_levels)))
-    if not levels:
-        raise ConfigError("[run] levels is empty")
-    for j in [level, *levels]:
-        family.level(j)
-    return level, levels
+    family.level(level)
+    return level
 
 
 def _family_from_config(cfg, config_dir):
@@ -313,7 +307,7 @@ def _cmd_gamma(cfg, out_dir, seed, digest, config_dir):
 def _cmd_simulate(cfg, out_dir, seed, digest, config_dir):
     family = _family_from_config(cfg, config_dir)
     noise = _noise_from_config(cfg)
-    level, _ = _get_run(cfg, family)
+    level = _get_run(cfg, family)
     n = _need(cfg, "run", "n")
     z = simulate.simulate_decimated(family, level, n, noise, seed)
     with _open_out(out_dir, "path.csv") as fh:
@@ -327,14 +321,14 @@ def _cmd_simulate(cfg, out_dir, seed, digest, config_dir):
 def _run_replicates(cfg, config_dir):
     family = _family_from_config(cfg, config_dir)
     noise = _noise_from_config(cfg)
-    level, levels = _get_run(cfg, family)
+    level = _get_run(cfg, family)
     n = _need(cfg, "run", "n")
     reps = _need(cfg, "run", "replicates")
-    return family, noise, level, levels, n, reps
+    return family, noise, level, n, reps
 
 
 def _cmd_clt(cfg, out_dir, seed, digest, config_dir):
-    family, noise, level, _, n, reps = _run_replicates(cfg, config_dir)
+    family, noise, level, n, reps = _run_replicates(cfg, config_dir)
     samples = montecarlo.replicate_sums(family, level, n, noise, reps, seed)
     n_replicates, n_branches = samples.shape
     coords = ",".join(f"coord_{i + 1}" for i in range(n_branches))
@@ -355,37 +349,32 @@ def _cmd_clt(cfg, out_dir, seed, digest, config_dir):
 
 
 def _cmd_cov_check(cfg, out_dir, seed, digest, config_dir):
-    family, noise, level, _, n, reps = _run_replicates(cfg, config_dir)
+    family, noise, level, n, reps = _run_replicates(cfg, config_dir)
     rows = montecarlo.convergence_sweep(family, [level], n, noise, reps, seed)
     _write_csv(out_dir, "cov_check.csv", SWEEP_HEADER, map(astuple, rows), digest)
     return 0
 
 
 def _cmd_sweep(cfg, out_dir, seed, digest, config_dir):
-    family, noise, _, levels, n, reps = _run_replicates(cfg, config_dir)
-    rows = montecarlo.convergence_sweep(family, levels, n, noise, reps, seed)
+    family, noise, _, n, reps = _run_replicates(cfg, config_dir)
+    rows = montecarlo.convergence_sweep(family, range(family.n_levels), n, noise, reps, seed)
     _write_csv(out_dir, "sweep.csv", SWEEP_HEADER, map(astuple, rows), digest)
     return 0
 
 
 def _cmd_specdens(cfg, out_dir, seed, digest, config_dir):
     window = _window_from_config(cfg)
-    threshold = cfg["tolerances"].get("rate_threshold", specdens.DEFAULT_RATE_THRESHOLD)
-    gammas = cfg["specdens"].get("gammas")
-    if gammas == []:
+    gammas = _need(cfg, "specdens", "gammas")
+    if not gammas:
         raise ConfigError("[specdens] gammas is empty")
-    gamma = cfg["specdens"].get("gamma", gammas[-1]) if gammas else _need(cfg, "specdens", "gamma")
     series, target = _series_from_config(cfg, config_dir, seed)
-    sweep = [specdens.estimate_f0(series, window, g, rate_threshold=threshold) for g in gammas or ()]
-    est = next((e for e in sweep if e.gamma == gamma), None) or specdens.estimate_f0(
-        series, window, gamma, rate_threshold=threshold)
-    pairs = [("digest", digest), *asdict(est).items()]  # every SpecEstimate field, in order
+    sweep = [specdens.estimate_f0(series, window, g) for g in gammas]
+    pairs = [("digest", digest), *asdict(sweep[-1]).items()]  # the last rung: every SpecEstimate field, in order
     if target is not None:
         pairs.append(("target_f0", target))
     _write_report(out_dir, "specdens_report.txt", pairs)
-    if sweep:
-        _write_csv(out_dir, "specdens_sweep.csv", "gamma,f0_hat,se,rate_value",
-                   [(e.gamma, e.f0_hat, e.se, e.rate_value) for e in sweep], digest)
+    _write_csv(out_dir, "specdens_sweep.csv", "gamma,f0_hat,se,rate_value",
+               [(e.gamma, e.f0_hat, e.se, e.rate_value) for e in sweep], digest)
     return 0
 
 
@@ -396,7 +385,7 @@ _COMMANDS = {
     "simulate": (_cmd_simulate, _FAMILY_RUN),
     "cov-check": (_cmd_cov_check, _FAMILY_RUN),
     "clt": (_cmd_clt, _FAMILY_RUN),
-    "specdens": (_cmd_specdens, {"experiment", "specdens", "tolerances", "noise"}),
+    "specdens": (_cmd_specdens, {"experiment", "specdens", "noise"}),
     "sweep": (_cmd_sweep, _FAMILY_RUN),
 }
 

@@ -246,16 +246,16 @@ class DecimatedFamily:
             _require_frequency_conditions(self, j)
 
     def level(self, j):
-        """Level j; a j outside 0..n_levels-1 is rejected."""
-        if not 0 <= j < self.n_levels:
+        """Level j; a j that is not an integer in 0..n_levels-1 (-1, 0.5) is rejected, not wrapped or truncated."""
+        if not (0 <= j < self.n_levels and float(j).is_integer()):
             raise ValueError(f"level {j} is not in 0..{self.n_levels - 1}")
-        return self.levels[j]
+        return self.levels[int(j)]
 
     def branch(self, i):
-        """Branch index i; an i outside 0..n_branches-1 is rejected, not wrapped."""
-        if not 0 <= i < self.n_branches:
+        """Branch index i as an int; one that is not an integer in 0..n_branches-1 is rejected, not wrapped."""
+        if not (0 <= i < self.n_branches and float(i).is_integer()):
             raise ValueError(f"branch {i} is not in 0..{self.n_branches - 1}")
-        return i
+        return int(i)
 
     @property
     def n_branches(self):

@@ -9,12 +9,13 @@ scheduling. Parallelism is thread-based: with w = min(workers, R) threads,
 thread j runs the replicates j, j + w, j + 2w, ..., so the threads' shares
 differ by at most one replicate. The heavy numpy kernels release the GIL.
 
-The KS distance of normality_report uses scipy.special.ndtr, imported on
-its first call, not with this module.
+The thread pool (concurrent.futures, which loads logging) is imported on
+the first replicate_sums call, and the KS distance of normality_report
+uses scipy.special.ndtr, imported on its first call: neither loads with
+this module.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,7 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=Non
     scale = 1.0 / np.sqrt(n)
 
     n_workers = min(_worker_count(workers), n_replicates)
+    from concurrent.futures import ThreadPoolExecutor  # loaded on the first replicate run
 
     def run_share(first):
         for r in range(first, n_replicates, n_workers):

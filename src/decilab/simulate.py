@@ -53,30 +53,32 @@ class NoiseSpec:
         return _KURTOSIS_EXCESS[self.distribution]
 
 
-def _require_seed(seed):
-    """seed as an int; one outside [0, 2**64) is rejected, not wrapped onto the stream of another seed."""
-    seed = int(seed)
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
+def _require_u64(value, name):
+    """value as an int; one outside [0, 2**64) or not an integer (2.5) is rejected, not wrapped or truncated."""
+    if not 0 <= value <= _MASK64:  # NaN fails too; the range comes first, so float() below never overflows
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def mix_seed(base_seed, index):
-    """64-bit mix of (base_seed, index), base_seed in [0, 2**64); used to derive replicate seeds."""
-    x = (_require_seed(base_seed) ^ (int(index) * 0x9E3779B97F4A7C15)) & _MASK64
+    """64-bit mix of (base_seed, index), each an integer in [0, 2**64); used to derive replicate seeds."""
+    x = (_require_u64(base_seed, "seed") ^ (_require_u64(index, "replicate index") * 0x9E3779B97F4A7C15)) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
 
 
 def noise_values(spec, seed, lo, hi, out=None):
-    """xi_t for t = lo .. hi-1; deterministic per (spec, seed, t), seed in [0, 2**64).
+    """xi_t for t = lo .. hi-1; deterministic per (spec, seed, t), seed an integer in [0, 2**64).
 
-    A bound that is not an integer (2.5, NaN) is rejected, not truncated.
-    With out, a float64 array of hi - lo values, they are written into it in
-    place and out is returned; an out of another length is rejected.
+    A seed or bound that is not an integer (2.5, NaN) is rejected, not
+    truncated onto the stream or range of another. With out, a float64
+    array of hi - lo values, they are written into it in place and out is
+    returned; an out of another length is rejected.
     """
-    seed = _require_seed(seed)
+    seed = _require_u64(seed, "seed")
     if not (float(lo).is_integer() and float(hi).is_integer()):
         raise ValueError(f"need integer bounds lo, hi, got {lo}, {hi}")
     count = max(0, int(hi) - int(lo))

@@ -28,7 +28,7 @@ from .quadrature import gauss_legendre_panels
 from .simulate import windowed_coefficients
 from .windows import _correlations
 
-DEFAULT_RATE_THRESHOLD = 0.1
+RATE_THRESHOLD = 0.1  # the rate value below which the CLT design counts as small
 
 
 @dataclass(frozen=True)
@@ -67,40 +67,37 @@ def asymptotic_sigma2(window, f0):
     return 8.0 * np.pi ** 2 * f0 * f0 * total
 
 
-def check_rate_condition(n, gamma, beta, threshold=DEFAULT_RATE_THRESHOLD):
+def check_rate_condition(n, gamma, beta):
     """The scalar sqrt(n) * gamma**(0.5 - 2*beta) and its smallness check.
 
     The CLT for the estimator needs this quantity to vanish along the
-    design; at finite scale we call it small below the (configurable)
-    threshold. The one home of the estimator's rate rules: a decay beta
-    <= 2 and a threshold that is NaN or <= 0 are rejected.
+    design; at finite scale we call it small below RATE_THRESHOLD. The one
+    home of the estimator's rate rules: a decay beta <= 2 is rejected.
     """
     if beta <= 2.0:
         raise ValueError("outside estimator hypotheses: need window decay > 2")
-    if not threshold > 0.0:  # NaN fails too
-        raise ValueError(f"need rate_threshold > 0, got {threshold}")
     value = math.sqrt(n) * float(gamma) ** (0.5 - 2.0 * beta)
-    return RateCheck(value=value, ok=bool(value < threshold))
+    return RateCheck(value=value, ok=bool(value < RATE_THRESHOLD))
 
 
-def estimate_f0(x, window, gamma, rate_threshold=DEFAULT_RATE_THRESHOLD):
+def estimate_f0(x, window, gamma):
     """Mean of squared windowed coefficients as the spectral level at zero.
 
     Populates the plug-in error model: sigma2 = 2 * f0_hat**2, the closed
     form of asymptotic_sigma2 for every window windowed_coefficients admits
     (support in [-1, 0], unit L2 transform), with f0_hat substituted for
     the unknown f(0); se = sqrt(sigma2 / n_j); and the rate check for the
-    (n, gamma, decay) design, which rejects a window with decay <= 2 and a
-    threshold that is NaN or <= 0. The limiting variance is free of the
-    fourth cumulant because decimation kills the cumulant term. Series
-    shorter than gamma are rejected (no coefficients), as are non-finite ones.
+    (n, gamma, decay) design against RATE_THRESHOLD, which rejects a window
+    with decay <= 2. The limiting variance is free of the fourth cumulant
+    because decimation kills the cumulant term. Series shorter than gamma
+    are rejected (no coefficients), as are non-finite ones.
     """
     x = np.asarray(x, dtype=float)
     z = windowed_coefficients(x, window, gamma)  # rejects bad gamma/support, n_j = 0
     n_j = z.size
     f0_hat = float(np.mean(z * z))
     sigma2 = 2.0 * f0_hat * f0_hat
-    rate = check_rate_condition(x.size, gamma, window.decay, rate_threshold)
+    rate = check_rate_condition(x.size, gamma, window.decay)
     degenerate = n_j <= 1
     return SpecEstimate(
         f0_hat=f0_hat,

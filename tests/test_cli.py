@@ -76,7 +76,7 @@ def with_family(base=FAMILY, **changes):
 
 
 def specdens(**changes):
-    return {"specdens": {"window_order": 4, "gamma": 16, "synth": "white", "n": 4096, **changes}}
+    return {"specdens": {"window_order": 4, "gammas": 16, "synth": "white", "n": 4096, **changes}}
 
 
 REJECTED = {
@@ -85,13 +85,14 @@ REJECTED = {
     "zero_n_clt": ("clt", with_run(n=0)),
     "zero_n_cov_check": ("cov-check", with_run(n=0)),
     "zero_n_sweep": ("sweep", with_run(n=0)),
-    "empty_levels": ("sweep", with_run(levels="")),
     "level_past_end": ("simulate", with_run(level=5)),
     "negative_level": ("simulate", with_run(level=-1)),
-    "levels_past_end": ("sweep", with_run(levels="0 7")),
     "centering_is_an_unknown_key": ("clt", with_run(centering="limit")),  # every run centers by E Z^2
+    "levels_is_an_unknown_key": ("sweep", with_run(levels="0 1")),  # sweep runs every level
+    "specdens_gamma_is_an_unknown_key": ("specdens", specdens(gamma=16)),  # the report is the last of gammas
+    "tolerances_is_an_unknown_section": ("specdens", {**specdens(), "tolerances": {"rate_threshold": 0.1}}),
+    "missing_specdens_gammas": ("specdens", {"specdens": {"window_order": 4, "synth": "white", "n": 4096}}),
     "stray_percent": ("simulate", {**with_run(), "noise": {"distribution": "gaussian%"}}),  # literal, not interpolated
-    "odd_specdens_gamma": ("specdens", specdens(gamma=15)),
     "odd_specdens_sweep_gamma": ("specdens", specdens(gammas="16 15")),
     "explosive_phi": ("specdens", specdens(synth="ar1", phi=1.5)),
     "unknown_noise": ("simulate", {**with_run(), "noise": {"distribution": "cauchy"}}),
@@ -118,21 +119,19 @@ REJECTED = {
     "files_family_stray_level": ("simulate", with_family(FILES, **{"kernels.2": KERNEL})),
     "unclosed_quote_kernel_path": ("simulate", with_family(FILES, **{"kernels.1": f'"{KERNEL}'})),
     "phi_with_white": ("specdens", specdens(phi=0.5)),
-    "n_with_input": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": SERIES, "n": 64}}),
+    "n_with_input": ("specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": SERIES, "n": 64}}),
     # a section the command, or the series source, never reads
     "run_and_noise_with_gamma": ("gamma", {"family": FAMILY, "run": {"n": 40},
                                            "noise": {"distribution": "rademacher"}}),
-    "noise_with_input": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": SERIES},
+    "noise_with_input": ("specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": SERIES},
                                       "noise": {"distribution": "cauchy"}}),
     "family_with_specdens": ("specdens", {**specdens(), "family": FAMILY}),
     "specdens_with_simulate": ("simulate", {**with_run(), "specdens": {"window_order": 4}}),
-    "tolerances_with_sweep": ("sweep", {**with_run(), "tolerances": {"rate_threshold": 0.5}}),
-    # values are parsed on load, also where the command never reads them
-    "unparsed_rate_threshold": ("simulate", {**with_run(), "tolerances": {"rate_threshold": "abc"}}),
-    "nan_rate_threshold": ("specdens", {**specdens(), "tolerances": {"rate_threshold": "nan"}}),
-    "non_finite_input_series": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": INF_SERIES}}),
+    # values are parsed on load, also in a section the command never reads
+    "unparsed_n_with_gamma": ("gamma", {"family": FAMILY, "run": {"n": "abc"}}),
+    "non_finite_input_series": ("specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": INF_SERIES}}),
     # a line 1 that starts like a number is a value, not a header
-    "malformed_first_value": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": BAD_FIRST_SERIES}}),
+    "malformed_first_value": ("specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": BAD_FIRST_SERIES}}),
     # [DEFAULT] is a section like any other, not copied into each
     "default_section_keys": ("gamma", {"DEFAULT": {"gammas": "16 32"}, "family": {"type": "two_frequency"}}),
     "default_section_only": ("gamma", {"DEFAULT": {"foo": 1}}),
@@ -144,14 +143,19 @@ REJECTED = {
     # a kernel file or input series that cannot be read; "." is the directory of the config
     "missing_kernel_file": ("simulate", with_family(FILES, **{"kernels.1": "missing.txt"})),
     "kernel_path_is_a_directory": ("simulate", with_family(FILES, **{"kernels.1": "."})),
-    "missing_input_series": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": "missing.txt"}}),
-    "input_series_is_a_directory": ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": "."}}),
+    "missing_input_series": ("specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": "missing.txt"}}),
+    "input_series_is_a_directory": ("specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": "."}}),
 }
 # the REJECTED cases of a file that cannot be read, and the path the config gives it
 FILE_ERRORS = {"missing_kernel_file": "missing.txt", "kernel_path_is_a_directory": ".",
                "missing_input_series": "missing.txt", "input_series_is_a_directory": "."}
 # REJECTED cases and what their message must name
-NAMED_ERRORS = {"centering_is_an_unknown_key": "unknown key 'centering' in [run]", "stray_percent": "'gaussian%'"}
+NAMED_ERRORS = {"centering_is_an_unknown_key": "unknown key 'centering' in [run]", "stray_percent": "'gaussian%'",
+                "levels_is_an_unknown_key": "unknown key 'levels' in [run]",
+                "specdens_gamma_is_an_unknown_key": "unknown key 'gamma' in [specdens]",
+                "tolerances_is_an_unknown_section": "unknown config section [tolerances]",
+                "missing_specdens_gammas": "missing required key 'gammas' in section [specdens]",
+                "unparsed_n_with_gamma": "[run] n = 'abc' is not an integer"}
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
@@ -188,7 +192,7 @@ def test_error_names_the_rejected_key_or_value(tmp_path, capsys, case):
 
 def test_undecodable_series_names_its_path(tmp_path, capsys):
     (tmp_path / "latin1.txt").write_bytes(b"x\n0.5\n\xff\n")
-    sections = {"specdens": {"window_order": 4, "gamma": 16, "input": "latin1.txt"}}
+    sections = {"specdens": {"window_order": 4, "gammas": 16, "input": "latin1.txt"}}
     assert run(tmp_path, "specdens", sections)[0] == 2
     assert capsys.readouterr().err.startswith("decilab: config error: latin1.txt: 'utf-8' codec can't decode")
 
@@ -211,7 +215,7 @@ def test_negative_seed_exits_2_where_noise_is_drawn(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command,sections", [("gamma", CONFIGS["gamma"]),
-                                              ("specdens", {"specdens": {"window_order": 4, "gamma": 16,
+                                              ("specdens", {"specdens": {"window_order": 4, "gammas": 16,
                                                                          "input": SERIES}})],
                          ids=["gamma", "specdens_input"])
 def test_negative_seed_runs_where_no_noise_is_drawn(tmp_path, command, sections):
@@ -233,9 +237,7 @@ OVERSIZED = {
     "run.n/cov-check": ("cov-check", lambda v: with_run(n=v)),
     "run.n/sweep": ("sweep", lambda v: with_run(n=v)),
     "run.replicates": ("clt", lambda v: with_run(replicates=v)),
-    "run.levels": ("sweep", lambda v: with_run(levels=f"0 {v}")),
     "specdens.window_order": ("specdens", lambda v: specdens(window_order=v)),
-    "specdens.gamma": ("specdens", lambda v: specdens(gamma=v)),
     "specdens.gammas": ("specdens", lambda v: specdens(gammas=f"16 {v}")),
     "specdens.n": ("specdens", lambda v: specdens(n=v)),
 }
@@ -364,7 +366,7 @@ def test_byte_order_mark_changes_no_output(tmp_path, marked):
     write_kernel(tmp_path)
     (tmp_path / "bare.txt").write_text("".join(f"{math.sin(0.7 * u):.17g}\n" for u in range(64)), encoding="utf-8")
     command, sections = ("simulate", with_family(FILES)) if marked == "kernel" else (
-        "specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": "bare.txt"}})
+        "specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": "bare.txt"}})
     cfg = tmp_path / f"{command}.ini"
     write_config(cfg, {"experiment": {"seed": 5}, **sections})
     path = {"config": cfg, "series": tmp_path / "bare.txt", "kernel": tmp_path / KERNEL}[marked]
@@ -409,8 +411,8 @@ def test_files_family_runs(tmp_path):
 def test_input_series_runs(tmp_path):
     # the control for n_with_input and non_finite_input_series: the finite series without n runs
     write_series(tmp_path)
-    code, out = run(tmp_path, "specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": SERIES}})
-    assert code == 0 and (out / "specdens_report.txt").is_file()
+    code, out = run(tmp_path, "specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": SERIES}})
+    assert code == 0 and sorted(f.name for f in out.iterdir()) == ["specdens_report.txt", "specdens_sweep.csv"]
 
 
 def test_config_seed_is_parsed_under_seed_flag(tmp_path, capsys):
@@ -479,6 +481,21 @@ def test_noise_free_runs_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0] False []"
+
+
+def test_gamma_loads_no_thread_pool_noise_or_scipy(tmp_path):
+    # concurrent.futures (and logging with it) loads on the first replicate run, numpy.random and scipy.special
+    # on the first noise draw; gamma makes neither
+    cfg = tmp_path / "gamma.ini"
+    write_config(cfg, {"experiment": {"seed": 5}, **CONFIGS["gamma"]})
+    argv = ["gamma", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = ("import sys; from decilab.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, [m for m in ('concurrent.futures', 'numpy.random', 'scipy.special') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_gamma_sweep_and_audit_load_no_numpy_ma(tmp_path):
@@ -585,6 +602,14 @@ def test_csv_header_and_digest_column(outputs, command, name):
     assert re.fullmatch("[0-9a-f]{12}", digests.pop())
 
 
+def test_specdens_report_is_the_last_rung_of_its_sweep(outputs):
+    report = dict(line.split(" = ") for line in
+                  (outputs["specdens"] / "specdens_report.txt").read_text(encoding="utf-8").splitlines())
+    last = (outputs["specdens"] / "specdens_sweep.csv").read_text(encoding="utf-8").splitlines()[-1].split(",")
+    assert [report[key] for key in ("gamma", "f0_hat", "se", "rate_value", "digest")] == last
+    assert last[0] == "64"
+
+
 def test_path_csv_carries_digest_in_comment_line(outputs):
     lines = (outputs["simulate"] / "path.csv").read_text(encoding="utf-8").splitlines()
     assert re.fullmatch(r"# level=1,gamma=32,seed=5,digest=[0-9a-f]{12}", lines[0])
@@ -617,7 +642,7 @@ def test_config_digest_matches_stdlib_sha256(tmp_path, command, sections):
 
 @pytest.mark.parametrize("command,sections,name,edited", [
     ("simulate", with_family(FILES), KERNEL, "-1\n0.5\n1.0\n0.25\n"),
-    ("specdens", {"specdens": {"window_order": 4, "gamma": 16, "input": SERIES}}, SERIES,
+    ("specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": SERIES}}, SERIES,
      "\n".join(["x", *(f"{0.5 * u}" for u in range(64))]) + "\n"),
 ], ids=["kernel", "series"])
 def test_digest_covers_the_bytes_of_the_files_a_run_reads(tmp_path, command, sections, name, edited):

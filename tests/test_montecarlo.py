@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -101,7 +102,7 @@ class TestReplicateRunner:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
         capped = replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=10_000)
         assert pool_sizes and all(size <= 100 for size in pool_sizes)
         assert capped.tobytes() == serial.tobytes()
@@ -147,10 +148,10 @@ LEVEL_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("level", [-1, 2])
+@pytest.mark.parametrize("level", [-1, 2, 0.5])
 @pytest.mark.parametrize("entry", sorted(LEVEL_ENTRIES))
 def test_level_outside_the_ladder_is_rejected(two_freq, entry, level):
-    # level -1 is not read as the last level
+    # level -1 is not read as the last level, and 0.5 raises ValueError, not TypeError
     with pytest.raises(ValueError, match=rf"^level {level} is not in 0\.\.1$"):
         LEVEL_ENTRIES[entry](two_freq, level)
 
@@ -167,12 +168,18 @@ BRANCH_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("branch", [-1, 2])
+@pytest.mark.parametrize("branch", [-1, 2, 0.5])
 @pytest.mark.parametrize("entry", sorted(BRANCH_ENTRIES))
 def test_branch_outside_the_family_is_rejected(two_freq, entry, branch):
-    # branch -1 is not read as the last branch, and branch 2 raises ValueError, not IndexError
+    # branch -1 is not read as the last branch, branch 2 raises ValueError, not IndexError, and 0.5 not TypeError
     with pytest.raises(ValueError, match=rf"^branch {branch} is not in 0\.\.1$"):
         BRANCH_ENTRIES[entry](two_freq, branch)
+
+
+def test_integral_float_level_and_branch_are_their_integers(two_freq):
+    assert cov_exact(two_freq, 1.0, 1.0, 0, 0, 1) == cov_exact(two_freq, 1, 1, 0, 0, 1)
+    z = simulate_decimated(two_freq, 1, 4, GAUSS, 3)
+    assert simulate_decimated(two_freq, 1.0, 4, GAUSS, 3).tobytes() == z.tobytes()
 
 
 def test_sweep_checks_every_level_before_its_first_replicate(two_freq, monkeypatch):

@@ -150,6 +150,25 @@ class TestNoise:
         with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
             mix_seed(seed, 1)
 
+    @pytest.mark.parametrize("seed", [2.5, 1e-3])
+    def test_seed_that_is_not_an_integer_is_rejected(self, seed):
+        # 2.5 was truncated onto the stream of seed 2
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}$"):
+            noise_values(GAUSS, seed, 0, 4)
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}$"):
+            mix_seed(seed, 1)
+
+    @pytest.mark.parametrize("index, message", [(1.5, "must be an integer"), (-1, r"must be in \[0, 2\*\*64\)"),
+                                                (2 ** 64, r"must be in \[0, 2\*\*64\)")])
+    def test_replicate_index_that_is_not_a_64_bit_integer_is_rejected(self, index, message):
+        # mix_seed(2, 1.5) was mix_seed(2, 1), and -1 and 2**64 were masked onto 2**64 - 1 and 0
+        with pytest.raises(ValueError, match=f"replicate index {message}, got {index}$"):
+            mix_seed(2, index)
+
+    def test_integral_float_seed_and_index_are_their_integers(self):
+        assert noise_values(GAUSS, 2.0, 0, 4).tobytes() == noise_values(GAUSS, 2, 0, 4).tobytes()
+        assert mix_seed(2.0, 1.0) == mix_seed(2, 1)
+
     @pytest.mark.parametrize("lo, hi", [(0, 2.5), (0.5, 3), (0, float("nan"))])
     def test_bounds_that_are_not_integers_are_rejected(self, lo, hi):
         # (0, 2.5) was truncated to 2 values

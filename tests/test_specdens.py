@@ -240,13 +240,10 @@ class TestRateCondition:
         with pytest.raises(ValueError, match="outside estimator hypotheses"):
             check_rate_condition(1024, 8, 2.0)
 
-    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
-    def test_threshold_must_be_positive(self, threshold):
-        with pytest.raises(ValueError, match="need rate_threshold > 0"):
-            check_rate_condition(2 ** 20, 2 ** 6, 4.0, threshold=threshold)
-
-    def test_threshold_configurable(self):
-        assert not check_rate_condition(2 ** 20, 2 ** 6, 4.0, threshold=1e-12).ok
+    def test_threshold_is_one_tenth(self):
+        # sqrt(n) * 2**-7.5 is 0.09990 at n = 327 and 0.10005 at n = 328
+        assert check_rate_condition(327, 2, 4.0).ok
+        assert not check_rate_condition(328, 2, 4.0).ok
 
 
 class TestPredictBias:
