@@ -26,7 +26,7 @@ Config schema. Every value is parsed once, when the file is loaded; an
 unknown section or key, or a value of the wrong kind, is rejected. An
 integer, here or on a kernel file's support line, lies in (-2**64, 2**64):
 
-  [experiment]  command (optional, must match the subcommand), seed, out
+  [experiment]  seed, out
   [family]      type = bspline_ma | two_frequency | files; each type reads only these keys:
                   bspline_ma     order, gammas, modulation
                   two_frequency  order, gammas
@@ -95,7 +95,7 @@ def _paths(raw):
 
 # {section: {key: parser of its value}}; a stem ending in "." stands for the per-level keys <stem><j>
 _SCHEMA = {
-    "experiment": {"command": str, "seed": _int, "out": str},
+    "experiment": {"seed": _int, "out": str},
     "family": {"type": str, "order": _int, "gammas": _ints, "modulation": float, "decay": float,
                "limit_freqs": _floats, "threshold": _int, "gamma.": _int, "kernels.": _paths, "freqs.": _floats},
     "noise": {"distribution": str},
@@ -154,7 +154,7 @@ def _effective_items(parser, cfg, command, seed, config_dir):
     items = [("experiment.command", command), ("experiment.seed", str(seed))]
     for section in sorted(parser.sections()):
         for key in sorted(parser[section]):
-            if (section, key) in (("experiment", "seed"), ("experiment", "out"), ("experiment", "command")):
+            if (section, key) in (("experiment", "seed"), ("experiment", "out")):
                 continue
             items.append((f"{section}.{key}", parser[section][key]))
     files = [rel for key in sorted(cfg["family"]) if key.startswith("kernels.") for rel in cfg["family"][key]]
@@ -412,9 +412,6 @@ def main(argv=None):
 
     try:
         parser, cfg = _parse_config_file(args.config)
-        declared = cfg["experiment"].get("command")
-        if declared is not None and declared != args.command:
-            raise ConfigError(f"config declares command {declared!r} but {args.command!r} was invoked")
         for section, keys in cfg.items():
             if keys and section not in sections:
                 raise ConfigError(f"[{section}] is not read by {args.command}")

@@ -300,9 +300,9 @@ def _require_frequency_conditions(family, j):
 class ConditionReport:
     """Numerical audit of the concentration conditions for a family.
 
-    failed is always empty, as the DecimatedFamily constructor raises on a
-    broken frequency condition; it and frequency_conditions_ok stay only
-    because bench/workloads.py reads them.
+    frequency_conditions_ok is always True, as the DecimatedFamily
+    constructor raises on a broken frequency condition; it stays only
+    because bench/workloads.py reads it.
     integer_residuals[j, i] is the distance of gamma*center / (2*pi) from
     the nearest integer, at every level. uniform_stats[j, i] is the grid
     sup of gamma**(-1/2) |v*_{i,j}(lam)| (1 + gamma*|lam - center|)**decay
@@ -312,21 +312,18 @@ class ConditionReport:
     (None when the family has no limit kernels).
     """
 
-    failed: frozenset
     integer_residuals: np.ndarray
     uniform_stats: np.ndarray
     rescaled_residuals: Optional[np.ndarray]
-
-    @property
-    def frequency_conditions_ok(self):
-        return not self.failed
+    frequency_conditions_ok = True  # a class attribute, not a field
 
 
 def check_condition_c(family):
     """Audit a family against the concentration conditions on finite grids.
 
-    Reports (a) the integer-condition residuals (the constructor enforces
-    the conditions), (b) the uniform envelope statistic per level and
+    Reports (a) the integer-condition residuals (the DecimatedFamily
+    constructor enforces the frequency conditions, so no pass/fail of them
+    is reported), (b) the uniform envelope statistic per level and
     branch over a [0, pi) grid, (c) when limit kernels are present, the
     sup-norm residual of the rescaled response against its limit over
     [-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH]. Missing limit kernels mark
@@ -368,12 +365,7 @@ def check_condition_c(family):
                 scaled = eval_response(lv.kernels[i], xi / g + lv.center_freqs[i]) / np.sqrt(g)
                 rescaled[j, i] = np.max(np.abs(scaled - limits[i]))
 
-    return ConditionReport(
-        failed=frozenset(),
-        integer_residuals=integer_res,
-        uniform_stats=uniform,
-        rescaled_residuals=rescaled,
-    )
+    return ConditionReport(integer_residuals=integer_res, uniform_stats=uniform, rescaled_residuals=rescaled)
 
 
 def snapped_center_freq(gamma, target):

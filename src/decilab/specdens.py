@@ -41,16 +41,9 @@ class SpecEstimate:
     n_j: int
     sigma2: float
     se: float
-    bias_order: float  # the gamma**-2 scale marker of the expectation error
     rate_value: float
     rate_ok: bool
     degenerate: bool  # n_j <= 1: too few coefficients for the error model
-
-
-@dataclass(frozen=True)
-class RateCheck:
-    value: float
-    ok: bool
 
 
 def asymptotic_sigma2(window, f0):
@@ -68,16 +61,15 @@ def asymptotic_sigma2(window, f0):
 
 
 def check_rate_condition(n, gamma, beta):
-    """The scalar sqrt(n) * gamma**(0.5 - 2*beta) and its smallness check.
+    """The rate value sqrt(n) * gamma**(0.5 - 2*beta).
 
     The CLT for the estimator needs this quantity to vanish along the
-    design; at finite scale we call it small below RATE_THRESHOLD. The one
-    home of the estimator's rate rules: a decay beta <= 2 is rejected.
+    design; estimate_f0 calls it small below RATE_THRESHOLD. A decay
+    beta <= 2 is outside the estimator's hypotheses and is rejected.
     """
     if beta <= 2.0:
         raise ValueError("outside estimator hypotheses: need window decay > 2")
-    value = math.sqrt(n) * float(gamma) ** (0.5 - 2.0 * beta)
-    return RateCheck(value=value, ok=bool(value < RATE_THRESHOLD))
+    return math.sqrt(n) * float(gamma) ** (0.5 - 2.0 * beta)
 
 
 def estimate_f0(x, window, gamma):
@@ -86,18 +78,20 @@ def estimate_f0(x, window, gamma):
     Populates the plug-in error model: sigma2 = 2 * f0_hat**2, the closed
     form of asymptotic_sigma2 for every window windowed_coefficients admits
     (support in [-1, 0], unit L2 transform), with f0_hat substituted for
-    the unknown f(0); se = sqrt(sigma2 / n_j); and the rate check for the
-    (n, gamma, decay) design against RATE_THRESHOLD, which rejects a window
-    with decay <= 2. The limiting variance is free of the fourth cumulant
-    because decimation kills the cumulant term. Series shorter than gamma
-    are rejected (no coefficients), as are non-finite ones.
+    the unknown f(0); se = sqrt(sigma2 / n_j); and the rate value of the
+    (n, gamma, decay) design from check_rate_condition, which rejects a
+    window with decay <= 2. rate_ok is the one comparison of that value
+    with RATE_THRESHOLD, and is False for a degenerate estimate. The
+    limiting variance is free of the fourth cumulant because decimation
+    kills the cumulant term. Series shorter than gamma are rejected (no
+    coefficients), as are non-finite ones.
     """
     x = np.asarray(x, dtype=float)
     z = windowed_coefficients(x, window, gamma)  # rejects bad gamma/support, n_j = 0
     n_j = z.size
     f0_hat = float(np.mean(z * z))
     sigma2 = 2.0 * f0_hat * f0_hat
-    rate = check_rate_condition(x.size, gamma, window.decay)
+    rate_value = check_rate_condition(x.size, gamma, window.decay)
     degenerate = n_j <= 1
     return SpecEstimate(
         f0_hat=f0_hat,
@@ -106,9 +100,8 @@ def estimate_f0(x, window, gamma):
         n_j=n_j,
         sigma2=sigma2,
         se=math.sqrt(sigma2 / n_j),
-        bias_order=float(gamma) ** -2.0,
-        rate_value=rate.value,
-        rate_ok=rate.ok and not degenerate,
+        rate_value=rate_value,
+        rate_ok=rate_value < RATE_THRESHOLD and not degenerate,
         degenerate=degenerate,
     )
 

@@ -135,7 +135,7 @@ REJECTED = {
     # [DEFAULT] is a section like any other, not copied into each
     "default_section_keys": ("gamma", {"DEFAULT": {"gammas": "16 32"}, "family": {"type": "two_frequency"}}),
     "default_section_only": ("gamma", {"DEFAULT": {"foo": 1}}),
-    "command_mismatch": ("simulate", {**with_run(), "experiment": {"seed": 5, "command": "clt"}}),
+    "command_is_an_unknown_key": ("simulate", {**with_run(), "experiment": {"seed": 5, "command": "simulate"}}),
     # sizes past the 2^47-byte address space: numpy refuses at once, whatever the overcommit setting
     "unallocatable_synth_n": ("specdens", specdens(synth="ar1", phi=0.5, n=10**16)),
     "unallocatable_n_sweep": ("sweep", with_run(n=10**16)),
@@ -155,7 +155,8 @@ NAMED_ERRORS = {"centering_is_an_unknown_key": "unknown key 'centering' in [run]
                 "specdens_gamma_is_an_unknown_key": "unknown key 'gamma' in [specdens]",
                 "tolerances_is_an_unknown_section": "unknown config section [tolerances]",
                 "missing_specdens_gammas": "missing required key 'gammas' in section [specdens]",
-                "unparsed_n_with_gamma": "[run] n = 'abc' is not an integer"}
+                "unparsed_n_with_gamma": "[run] n = 'abc' is not an integer",
+                "command_is_an_unknown_key": "unknown key 'command' in [experiment]"}
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
@@ -188,6 +189,15 @@ def test_error_names_the_rejected_key_or_value(tmp_path, capsys, case):
     command, sections = REJECTED[case]
     assert run(tmp_path, command, sections)[0] == 2
     assert NAMED_ERRORS[case] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_low_window_order_exits_3(tmp_path, capsys, order):
+    # the hypothesis gate: a window decay <= 2 cannot support the estimator theory
+    code, out = run(tmp_path, "specdens", specdens(window_order=order))
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == (f"decilab: rejected: window order {order} gives decay <= 2: "
+                                       "outside estimator hypotheses\n")
 
 
 def test_undecodable_series_names_its_path(tmp_path, capsys):
@@ -309,12 +319,6 @@ def test_quoted_kernel_path_with_space_loads(tmp_path):
 def test_unquoted_kernel_paths_split_on_whitespace(raw):
     # as before quoting was read: backslashes stay literal
     assert cli._paths(raw) == raw.split()
-
-
-def test_declared_command_that_matches_runs(tmp_path):
-    # the control for command_mismatch
-    code, out = run(tmp_path, "gamma", {"experiment": {"seed": 5, "command": "gamma"}, **CONFIGS["gamma"]})
-    assert code == 0 and (out / "gamma_matrix.csv").is_file()
 
 
 @pytest.mark.parametrize("family,want", [(FAMILY, 0), ({**FAMILY, "type": "foo"}, 2)], ids=["valid", "bad"])
@@ -555,7 +559,7 @@ OUTPUT_SHA256 = {
     "clt/replicates.csv": "0fa0b991f10a948041c1cdb6e27b6a63756bac36bb695e576af07ac0afa6cef2",
     "cov-check/cov_check.csv": "ab4d576bd0105fe401dc3f53a1bedbdf6bdd6f39226b62632ff555225fbb56ff",
     "sweep/sweep.csv": "cc745e0921b3dd2ab8eba15b7f202ed8ddd7e9aac4d48758c741a84d593930eb",
-    "specdens/specdens_report.txt": "47af4a24dc600ea1ac330af7cd4dfda3bdc4c6b359619f88e30a8c713238dd87",
+    "specdens/specdens_report.txt": "3a45e63eb6d040d0b44906e00243483c1bda1c573f2a8d3acc5de2c4577e79db",
     "specdens/specdens_sweep.csv": "ff74318cb79e03a72a552701d01c6bc0127d866526d3409384e992f4ab9db811",
     "gamma/gamma_matrix.csv": "dc034d3a889965678fe02d14aee28c581f23d9af0430e2f19e2087029a3c15e1",
 }
