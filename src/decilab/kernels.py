@@ -8,7 +8,12 @@ transform is the limit of the rescaled responses. All objects are immutable
 after construction and all operations are pure, so everything is safe for
 unrestricted concurrent use.
 
-Indices: branches and levels are 0-based throughout the Python API.
+Integers: every count, index, factor and seed (a level, branch, gamma, n,
+lag, threshold, window order, seed or replicate index) goes through one
+rule, _integer: a value that is not an integer in its range (2.5, NaN, inf,
+-1 for an index) raises ValueError("<name> <value> is not in <lo>..<hi>"),
+never truncated or wrapped, and an integral float such as 1.0 is its int.
+Branches and levels are 0-based throughout the Python API.
 """
 
 import math
@@ -36,11 +41,15 @@ def _as_readonly(a, dtype=float):
     return out
 
 
-def _require_gamma(gamma):
-    """gamma as an int; a value below 1 or not an integer (NaN, inf) is rejected, not truncated."""
-    if not (float(gamma).is_integer() and gamma >= 1):
-        raise ValueError(f"need an integer gamma >= 1, got {gamma}")
-    return int(gamma)
+def _integer(value, name, lo=None, hi=None):
+    """value as an int in lo..hi (None leaves that side open); one outside it or not an integer is rejected."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, None
+        whole = None
+    if whole is None or whole != value or (lo is not None and whole < lo) or (hi is not None and whole > hi):
+        raise ValueError(f"{name} {value} is not in {'' if lo is None else lo}..{'' if hi is None else hi}")
+    return whole
 
 
 def _require_band(freqs, kind):
@@ -62,10 +71,8 @@ class TimeKernel:
             raise ValueError("need at least one coefficient")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
-        if not float(self.support_start).is_integer():
-            raise ValueError(f"support start must be an integer, got {self.support_start}")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "support_start", int(self.support_start))
+        object.__setattr__(self, "support_start", _integer(self.support_start, "support start"))
 
     @property
     def length(self):
@@ -181,7 +188,7 @@ class FamilyLevel:
     center_freqs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _require_gamma(self.gamma))
+        object.__setattr__(self, "gamma", _integer(self.gamma, "gamma", 1))
         object.__setattr__(self, "kernels", tuple(self.kernels))
         object.__setattr__(self, "center_freqs", _as_readonly(self.center_freqs))
         if len(self.kernels) != self.center_freqs.size:
@@ -230,9 +237,7 @@ class DecimatedFamily:
             raise ValueError("need at least one level")
         if not self.n_branches:
             raise ValueError("need at least one branch")
-        if not (float(self.threshold).is_integer() and 0 <= self.threshold <= self.n_levels):
-            raise ValueError(f"threshold must be an integer in 0..{self.n_levels}, got {self.threshold}")
-        object.__setattr__(self, "threshold", int(self.threshold))
+        object.__setattr__(self, "threshold", _integer(self.threshold, "threshold", 0, self.n_levels))
         if any(len(lv.kernels) != self.n_branches for lv in self.levels):
             raise ValueError("every level must carry one kernel per branch")
         if np.any(np.diff(self.gammas) <= 0):
@@ -246,16 +251,12 @@ class DecimatedFamily:
             _require_frequency_conditions(self, j)
 
     def level(self, j):
-        """Level j; a j that is not an integer in 0..n_levels-1 (-1, 0.5) is rejected, not wrapped or truncated."""
-        if not (0 <= j < self.n_levels and float(j).is_integer()):
-            raise ValueError(f"level {j} is not in 0..{self.n_levels - 1}")
-        return self.levels[int(j)]
+        """Level j, for j in 0..n_levels-1."""
+        return self.levels[_integer(j, "level", 0, self.n_levels - 1)]
 
     def branch(self, i):
-        """Branch index i as an int; one that is not an integer in 0..n_branches-1 is rejected, not wrapped."""
-        if not (0 <= i < self.n_branches and float(i).is_integer()):
-            raise ValueError(f"branch {i} is not in 0..{self.n_branches - 1}")
-        return int(i)
+        """Branch index i as an int, for i in 0..n_branches-1."""
+        return _integer(i, "branch", 0, self.n_branches - 1)
 
     @property
     def n_branches(self):
@@ -395,7 +396,7 @@ def _window_family(prototype, gammas, freqs, name):
     """
     _require_band(freqs, "limit")
     levels = []
-    for g in map(_require_gamma, gammas):
+    for g in (_integer(g, "gamma", 1) for g in gammas):
         t = np.arange(-g, 1)
         profile = _window_taps(prototype, g) / np.sqrt(g)
         centers = np.array([snapped_center_freq(g, f) for f in freqs])

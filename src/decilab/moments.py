@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _as_readonly, _correlate
+from .kernels import _as_readonly, _correlate, _integer
 from .kernels import eval_response  # noqa: F401 (bench/selftest.py traces it here)
 from .windows import EPS, _correlations
 
@@ -82,7 +82,7 @@ def _corr_sum(k1, k2, shift):
 def cov_exact(family, level, i, ip, k, kp):
     """Cov(Z_{i,k}, Z_{i',k'}) at one level: sum_t v_i(gamma*k - t) v_i'(gamma*k' - t), exact."""
     lv = family.level(level)
-    return _corr_sum(lv.kernels[family.branch(i)], lv.kernels[family.branch(ip)], lv.gamma * (kp - k))
+    return _corr_sum(lv.kernels[family.branch(i)], lv.kernels[family.branch(ip)], lv.gamma * _integer(kp - k, "lag"))
 
 
 def case_constant(family, i, ip):
@@ -130,8 +130,7 @@ def _decimated_lags(family, level, i, ip, n, power):
     product, O((L1 + L2) log) instead of L1*L2 multiply-adds, and each
     entry moves by rounding only: about eps * |v1**power| * |v2**power|.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _integer(n, "n", 1)
     lv = family.level(level)
     k1, k2, gamma = lv.kernels[family.branch(i)], lv.kernels[family.branch(ip)], lv.gamma
     corr = _correlate(k2.coeffs ** power, k1.coeffs ** power, "full")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _integer
 from .moments import cov_exact, cov_of_square_sums, gamma_matrix
 from .simulate import mix_seed, simulate_decimated
 
@@ -45,10 +46,7 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=Non
 
     E Z_{i,k}^2 is the exact level expectation, cov_exact(family, level, i, i, 0, 0).
     """
-    if n_replicates < 100:
-        raise ValueError("need at least 100 replicates")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n_replicates, n = _integer(n_replicates, "n_replicates", 100), _integer(n, "n", 1)
     centers = np.array([cov_exact(family, level, i, i, 0, 0) for i in range(family.n_branches)])
     samples = np.empty((n_replicates, family.n_branches))
     scale = 1.0 / np.sqrt(n)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TimeKernel, _correlate, make_scaled_window_family
+from .kernels import TimeKernel, _correlate, _integer, make_scaled_window_family
 
 _MASK64 = (1 << 64) - 1
 _T_OFFSET = 1 << 62  # shifts time indices into the nonnegative counter range
@@ -53,44 +53,31 @@ class NoiseSpec:
         return _KURTOSIS_EXCESS[self.distribution]
 
 
-def _require_u64(value, name):
-    """value as an int; one outside [0, 2**64) or not an integer (2.5) is rejected, not wrapped or truncated."""
-    if not 0 <= value <= _MASK64:  # NaN fails too; the range comes first, so float() below never overflows
-        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(value)
-
-
 def mix_seed(base_seed, index):
-    """64-bit mix of (base_seed, index), each an integer in [0, 2**64); used to derive replicate seeds."""
-    x = (_require_u64(base_seed, "seed") ^ (_require_u64(index, "replicate index") * 0x9E3779B97F4A7C15)) & _MASK64
+    """64-bit mix of (base_seed, index), each in 0..2**64-1; used to derive replicate seeds."""
+    seed, index = _integer(base_seed, "seed", 0, _MASK64), _integer(index, "replicate index", 0, _MASK64)
+    x = (seed ^ (index * 0x9E3779B97F4A7C15)) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
 
 
 def noise_values(spec, seed, lo, hi, out=None):
-    """xi_t for t = lo .. hi-1; deterministic per (spec, seed, t), seed an integer in [0, 2**64).
+    """xi_t for t = lo .. hi-1; deterministic per (spec, seed, t), seed in 0..2**64-1, lo from -2**62 on.
 
-    A seed or bound that is not an integer (2.5, NaN) is rejected, not
-    truncated onto the stream or range of another. With out, a float64
-    array of hi - lo values, they are written into it in place and out is
-    returned; an out of another length is rejected.
+    With out, a float64 array of hi - lo values, they are written into it
+    in place and out is returned; an out of another length is rejected.
     """
-    seed = _require_u64(seed, "seed")
-    if not (float(lo).is_integer() and float(hi).is_integer()):
-        raise ValueError(f"need integer bounds lo, hi, got {lo}, {hi}")
-    count = max(0, int(hi) - int(lo))
+    seed = _integer(seed, "seed", 0, _MASK64)
+    lo, hi = _integer(lo, "lo", -_T_OFFSET), _integer(hi, "hi")
+    count = max(0, hi - lo)
     if out is None:
         out = np.empty(count)
     elif out.shape != (count,):
         raise ValueError(f"out holds {out.size} values, not hi - lo = {count}")
     if not count:
         return out
-    i0 = int(lo) + _T_OFFSET
-    if i0 < 0:
-        raise ValueError("time index below supported range")
+    i0 = lo + _T_OFFSET
     bg = np.random.Philox(counter=i0 >> 2, key=seed)  # the 4-word block holding w_lo
     bg.random_raw(i0 & 3)  # the words of the block that precede w_lo
     if spec.distribution == "rademacher":
@@ -153,8 +140,7 @@ def simulate_decimated(family, level, n, noise, seed):
     BLAS may sum a row in another order where it falls elsewhere in a block.
     Memory is O(_NOISE_BLOCK + N*n + L), not O(n*gamma).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _integer(n, "n", 1)
     lv = family.level(level)
     g = lv.gamma
     t_lo = min(-k.support_end for k in lv.kernels)
@@ -186,8 +172,7 @@ def simulate_linear_process(a, n, noise, seed):
     time, so memory stays O(n + L) at paper scale (n around 1e6, AR
     kernels of millions of taps).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _integer(n, "n", 1)
     t_lo = 1 - a.support_end
     t_hi = n - a.support_start + 1
     xi = noise_values(noise, seed, t_lo, t_hi)

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .kernels import _integer
 from .quadrature import TWO_PI, _panel_rule, gauss_legendre_panels
 
 EPS = float(np.finfo(float).eps)
@@ -69,8 +70,7 @@ def bspline_value(order, x):
     of it (a piecewise polynomial of degree m-1). Cox-de Boor recursion, run
     as a triangle over x, x-1, ..., x-(order-1): O(order**2) array operations.
     """
-    if order < 1:
-        raise ValueError("need order >= 1")
+    order = _integer(order, "order", 1)
     shifted = [np.asarray(x, dtype=float)]
     for _ in range(order - 1):
         shifted.append(shifted[-1] - 1.0)  # repeated subtraction, as the recursion forms y-1
@@ -98,9 +98,7 @@ def make_bspline_window(order):
     with sinc(x) = sin(x)/x, so the decay exponent is the order itself.
     Orders below 3 are rejected: the estimator theory needs decay > 2.
     """
-    if order < 3:
-        raise ValueError("need order >= 3 (window decay must exceed 2)")
-    m = int(order)
+    m = _integer(order, "order", 3)
     norm_sq = bspline_l2_norm_sq(m)
     scale = 1.0 / np.sqrt(TWO_PI * norm_sq / m)
 

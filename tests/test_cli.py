@@ -220,7 +220,7 @@ def test_negative_seed_exits_2_where_noise_is_drawn(tmp_path, capsys, command):
     cfg = tmp_path / f"{command}.ini"
     write_config(cfg, CONFIGS[command])
     assert main([command, "--config", str(cfg), "--seed=-1", "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "decilab: config error: seed must be in [0, 2**64), got -1\n"
+    assert capsys.readouterr().err == f"decilab: config error: seed -1 is not in 0..{2 ** 64 - 1}\n"
     assert not (tmp_path / "out").exists()
 
 

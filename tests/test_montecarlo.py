@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import os
 import subprocess
 import sys
@@ -10,10 +11,12 @@ from scipy import stats
 
 import decilab
 from decilab import montecarlo
+from decilab.kernels import TimeKernel
 from decilab.moments import a_term, b_term, case_constant, cov_exact, cov_of_square_sums, gamma_limit, limit_cross_cov
 from decilab.montecarlo import convergence_sweep, empirical_cov, normality_report, replicate_sums
-from decilab.simulate import NoiseSpec, mix_seed, simulate_decimated
+from decilab.simulate import NoiseSpec, mix_seed, simulate_decimated, simulate_linear_process
 from decilab.specdens import leakage_integral
+from decilab.windows import bspline_value, make_bspline_window
 
 GAUSS = NoiseSpec("gaussian")
 
@@ -154,6 +157,39 @@ def test_level_outside_the_ladder_is_rejected(two_freq, entry, level):
     # level -1 is not read as the last level, and 0.5 raises ValueError, not TypeError
     with pytest.raises(ValueError, match=rf"^level {level} is not in 0\.\.1$"):
         LEVEL_ENTRIES[entry](two_freq, level)
+
+
+# every library entry that takes a count n, called with n on a family
+COUNT_ENTRIES = {
+    "simulate_decimated": lambda fam, n: simulate_decimated(fam, 0, n, GAUSS, 3),
+    "simulate_linear_process": lambda fam, n: simulate_linear_process(TimeKernel(0, np.ones(3)), n, GAUSS, 3),
+    "a_term": lambda fam, n: a_term(fam, 0, 0, 1, n),
+    "b_term": lambda fam, n: b_term(fam, 0, 0, 1, n),
+    "cov_of_square_sums": lambda fam, n: cov_of_square_sums(fam, 0, 0, 0, n, GAUSS),
+    "replicate_sums": lambda fam, n: replicate_sums(fam, 0, n, GAUSS, 100, 3),
+    "convergence_sweep": lambda fam, n: convergence_sweep(fam, [0], n, GAUSS, 100, 3),
+}
+
+
+@pytest.mark.parametrize("n", [0, 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+def test_count_outside_its_range_is_rejected(two_freq, entry, n):
+    # n = NaN gave a_term and cov_of_square_sums 0.0, n = 2.5 gave them a value, and simulate_decimated a TypeError
+    with pytest.raises(ValueError, match=rf"^n {n} is not in 1\.\.$"):
+        COUNT_ENTRIES[entry](two_freq, n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda fam: replicate_sums(fam, 0, 4, GAUSS, 100.5, 3), r"^n_replicates 100\.5 is not in 100\.\.$"),
+    (lambda fam: cov_exact(fam, 0, 0, 0, 0, 5.5), r"^lag 5\.5 is not in \.\.$"),
+    (lambda fam: cov_exact(fam, 0, 0, 0, 0, 0.5), r"^lag 0\.5 is not in \.\.$"),
+    (lambda fam: make_bspline_window(3.5), r"^order 3\.5 is not in 3\.\.$"),
+    (lambda fam: bspline_value(2.5, 0.5), r"^order 2\.5 is not in 1\.\.$"),
+], ids=["n_replicates", "lag_5.5", "lag_0.5", "window_order", "bspline_order"])
+def test_integer_outside_its_range_is_rejected(two_freq, call, message):
+    # replicate_sums raised TypeError, a lag of 5.5 gave 0.0 and 0.5 a TypeError, and order 3.5 built bspline3
+    with pytest.raises(ValueError, match=message):
+        call(two_freq)
 
 
 # every library entry that takes a branch, called with branch i of a family

@@ -145,24 +145,25 @@ class TestNoise:
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_64_bits_is_rejected(self, seed):
         # -1 was masked onto the stream of 2**64 - 1
-        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
+        with pytest.raises(ValueError, match=rf"^seed {seed} is not in 0\.\.{2 ** 64 - 1}$"):
             noise_values(GAUSS, seed, 0, 10)
-        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
+        with pytest.raises(ValueError, match=rf"^seed {seed} is not in 0\.\.{2 ** 64 - 1}$"):
             mix_seed(seed, 1)
 
     @pytest.mark.parametrize("seed", [2.5, 1e-3])
     def test_seed_that_is_not_an_integer_is_rejected(self, seed):
         # 2.5 was truncated onto the stream of seed 2
-        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}$"):
+        with pytest.raises(ValueError, match=rf"^seed {seed} is not in 0\.\.{2 ** 64 - 1}$"):
             noise_values(GAUSS, seed, 0, 4)
-        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}$"):
+        with pytest.raises(ValueError, match=rf"^seed {seed} is not in 0\.\.{2 ** 64 - 1}$"):
             mix_seed(seed, 1)
 
-    @pytest.mark.parametrize("index, message", [(1.5, "must be an integer"), (-1, r"must be in \[0, 2\*\*64\)"),
-                                                (2 ** 64, r"must be in \[0, 2\*\*64\)")])
+    @pytest.mark.parametrize("index, message", [(1.5, rf"is not in 0\.\.{2 ** 64 - 1}"),
+                                                (-1, rf"is not in 0\.\.{2 ** 64 - 1}"),
+                                                (2 ** 64, rf"is not in 0\.\.{2 ** 64 - 1}")])
     def test_replicate_index_that_is_not_a_64_bit_integer_is_rejected(self, index, message):
         # mix_seed(2, 1.5) was mix_seed(2, 1), and -1 and 2**64 were masked onto 2**64 - 1 and 0
-        with pytest.raises(ValueError, match=f"replicate index {message}, got {index}$"):
+        with pytest.raises(ValueError, match=f"^replicate index {index} {message}$"):
             mix_seed(2, index)
 
     def test_integral_float_seed_and_index_are_their_integers(self):
@@ -172,7 +173,7 @@ class TestNoise:
     @pytest.mark.parametrize("lo, hi", [(0, 2.5), (0.5, 3), (0, float("nan"))])
     def test_bounds_that_are_not_integers_are_rejected(self, lo, hi):
         # (0, 2.5) was truncated to 2 values
-        with pytest.raises(ValueError, match="need integer bounds lo, hi"):
+        with pytest.raises(ValueError, match=r"^(lo|hi) \S+ is not in "):
             noise_values(GAUSS, 3, lo, hi)
 
     def test_largest_seed_keys_philox_with_itself(self):
@@ -402,7 +403,7 @@ class TestWindowedCoefficients:
         w = make_bspline_window(4)
         with pytest.raises(ValueError):
             windowed_coefficients(np.ones(30), w, 5)
-        with pytest.raises(ValueError, match="need an integer gamma >= 1, got 4.5"):  # not truncated to 4
+        with pytest.raises(ValueError, match=r"^gamma 4\.5 is not in 1\.\.$"):  # not truncated to 4
             windowed_coefficients(np.ones(30), w, 4.5)
 
     def test_rejects_bad_support(self):
