@@ -18,7 +18,7 @@ Branches and levels are 0-based throughout the Python API.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -194,6 +194,54 @@ class FamilyLevel:
         if len(self.kernels) != self.center_freqs.size:
             raise ValueError("one center frequency per kernel required")
         _require_band(self.center_freqs, "center")
+
+    def _stream_layout(self):
+        """(t_lo, offsets, reach): how the branches read one shared noise stream.
+
+        t_lo is the first index any branch reads for Z_{., 0}; branch i reads
+        from t_lo + offsets[i] on, as Z_{i,k} = sum_m c_i[m] xi_{t_lo + offsets[i]
+        + gamma*k + m} with c_i its reversed taps; reach, past gamma*k, is the
+        furthest value a branch reads: its offset plus Q whole rows of gamma.
+        """
+        g = self.gamma
+        t_lo = min(-k.support_end for k in self.kernels)
+        offsets = [-k.support_end - t_lo for k in self.kernels]
+        reach = max(o + -(-k.length // g) * g for o, k in zip(offsets, self.kernels))
+        return t_lo, offsets, reach
+
+    @cached_property
+    def gaussian_level(self):
+        """A level with this level's joint law under Gaussian noise, drawn from r <= N*Q values per output.
+
+        Place each branch's reversed taps at its offset (_stream_layout) and cut
+        them into Q rows of gamma: A_q[i] is row q of branch i, and
+        Z_{i,k} = sum_q A_q[i] . x_{k+q} with x_j the j-th block of gamma
+        stream values. For B a (gamma, r) orthonormal basis of the span of
+        the r nonzero rows of all A_q (one QR), A_q x = (A_q B)(B^T x), and
+        the B^T x_j are N(0, I_r) and independent over j when the noise is
+        Gaussian. So the level of factor r whose reversed taps, cut into rows
+        of r, are D_q = A_q B has the same law. Blocks q with A_q = 0 at
+        either end are dropped, which moves the outputs in time only. When
+        r >= gamma (or every tap is zero) the level is its own reduction.
+        Computed once per level object; the center frequencies carry over
+        and mean nothing at factor r.
+        """
+        g = self.gamma
+        _, offsets, reach = self._stream_layout()
+        taps = np.zeros((len(self.kernels), -(-reach // g) * g))
+        for row, o, k in zip(taps, offsets, self.kernels):
+            row[o:o + k.length] = k.coeffs[::-1]
+        blocks = taps.reshape(len(self.kernels), -1, g)  # blocks[i, q] = A_q[i]
+        rows = blocks.reshape(-1, g)
+        rows = rows[rows.any(axis=1)]
+        if not 0 < rows.shape[0] < g:
+            return self
+        basis = np.linalg.qr(rows.T)[0]
+        used = np.flatnonzero(blocks.any(axis=(0, 2)))
+        reduced = blocks[:, used[0]:used[-1] + 1] @ basis  # reduced[i, q] = D_q[i]
+        size = reduced[0].size
+        kernels = tuple(TimeKernel(1 - size, d.ravel()[::-1]) for d in reduced)
+        return FamilyLevel(gamma=basis.shape[1], kernels=kernels, center_freqs=self.center_freqs)
 
 
 def integer_condition_residual(gamma, lam):
@@ -371,6 +419,7 @@ def check_condition_c(family):
 
 def snapped_center_freq(gamma, target):
     """Nearest frequency to target with gamma*freq an exact multiple of 2*pi."""
+    gamma = _integer(gamma, "gamma", 1)
     q = int(round(gamma * target / TWO_PI))
     q = min(q, (gamma - 1) // 2)  # keep the frequency strictly below pi
     q = max(q, 0)

@@ -3,6 +3,12 @@
 A replicate centers each square-sum by its exact expectation at the level,
 as the paper's CLTs do (replicate_sums).
 
+Every report here is a function of the law of the replicates, so a
+Gaussian replicate draws the level's gaussian_level
+(simulate_decimated(..., law_only=True)): r <= N*Q noise values per
+output, not gamma, with exactly the joint law of the stream's sums. Other
+noise draws the stream itself.
+
 Replicate r always uses the seed mix(base_seed, r), and replicates are
 assembled by index, so results are identical for any worker count or
 scheduling. Parallelism is thread-based: with w = min(workers, R) threads,
@@ -56,7 +62,7 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=Non
 
     def run_share(first):
         for r in range(first, n_replicates, n_workers):
-            z = simulate_decimated(family, level, n, noise, mix_seed(base_seed, r))
+            z = simulate_decimated(family, level, n, noise, mix_seed(base_seed, r), law_only=True)
             samples[r] = (np.sum(z ** 2, axis=1) - n * centers) * scale
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:

@@ -12,13 +12,21 @@ overlapping output indices, therefore consume consistent noise values, and
 results do not depend on chunking or on how work is spread across workers.
 simulate_decimated draws a replicate's n*gamma values block by block into
 one reused buffer (noise_values with out=), so its memory does not grow
-with n*gamma.
+with n*gamma. Each thread keys one reused Philox by setting its state.
+
+The stream is the realization: simulate_decimated returns the sums of the
+documented xi_t, and `decilab simulate` writes them. Where only the law
+matters (the replicate runner), simulate_decimated(..., law_only=True)
+draws a Gaussian level from its gaussian_level instead: the same block
+loop on r <= N*Q values per output, with exactly the joint law of the
+stream's sums under Gaussian noise (FamilyLevel.gaussian_level).
 
 ndtri is scipy.special.ndtri, imported on the first Gaussian draw, not with
 this module, so runs that draw no Gaussian noise never load scipy.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +36,7 @@ from .kernels import TimeKernel, _correlate, _integer, make_scaled_window_family
 _MASK64 = (1 << 64) - 1
 _T_OFFSET = 1 << 62  # shifts time indices into the nonnegative counter range
 AR1_TAIL = 1e-12  # ar1_kernel drops a tail of at most this l2 norm
+_THREAD = threading.local()  # one Philox generator per thread (_philox)
 _NOISE_BLOCK = 1 << 15  # noise values per simulate_decimated block (256 KiB); 2**16 peaked higher on mc_ladder
 
 _KURTOSIS_EXCESS = {
@@ -62,6 +71,25 @@ def mix_seed(base_seed, index):
     return (x ^ (x >> 31)) & _MASK64
 
 
+def _philox(counter, key):
+    """This thread's Philox and its Generator, in the state Philox(counter=counter, key=key) starts in.
+
+    Setting the state of one generator per thread skips the SeedSequence
+    entropy pull that constructing a keyed Philox makes and then discards.
+    """
+    pair = getattr(_THREAD, "philox", None)
+    if pair is None:
+        bg = np.random.Philox(0)
+        pair = _THREAD.philox = (bg, np.random.Generator(bg))
+    pair[0].state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.frombuffer(counter.to_bytes(32, "little"), np.uint64),
+                  "key": np.array([key, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return pair
+
+
 def noise_values(spec, seed, lo, hi, out=None):
     """xi_t for t = lo .. hi-1; deterministic per (spec, seed, t), seed in 0..2**64-1, lo from -2**62 on.
 
@@ -78,14 +106,14 @@ def noise_values(spec, seed, lo, hi, out=None):
     if not count:
         return out
     i0 = lo + _T_OFFSET
-    bg = np.random.Philox(counter=i0 >> 2, key=seed)  # the 4-word block holding w_lo
+    bg, gen = _philox(i0 >> 2, seed)  # the 4-word block holding w_lo
     bg.random_raw(i0 & 3)  # the words of the block that precede w_lo
     if spec.distribution == "rademacher":
         raw = bg.random_raw(count)
         np.multiply(raw >> np.uint64(63), 2.0, out=out)
         out -= 1.0
         return out
-    np.random.Generator(bg).random(out=out)
+    gen.random(out=out)
     out += 2.0 ** -54  # uniform in (0, 1)
     if spec.distribution == "gaussian":
         from scipy.special import ndtri  # loaded on the first Gaussian draw
@@ -128,7 +156,7 @@ def _decimated_convolve(xi, kernel, gamma, n):
     return out
 
 
-def simulate_decimated(family, level, n, noise, seed):
+def simulate_decimated(family, level, n, noise, seed, law_only=False):
     """Exact realization Z[i, k] = sum_t v_{i,j}(gamma*k - t) xi_t, k < n: an (N, n) array.
 
     All branches share one noise stream, read in blocks of about
@@ -139,14 +167,18 @@ def simulate_decimated(family, level, n, noise, seed):
     same xi_t for any block size; an output can move by rounding only, as
     BLAS may sum a row in another order where it falls elsewhere in a block.
     Memory is O(_NOISE_BLOCK + N*n + L), not O(n*gamma).
+
+    With law_only and Gaussian noise the same loop runs on the level's
+    gaussian_level: an array with exactly the joint law of Z, drawn from r
+    values per output instead of gamma, but not the realization of the
+    stream xi_t. Other noise ignores law_only.
     """
     n = _integer(n, "n", 1)
     lv = family.level(level)
+    if law_only and noise.distribution == "gaussian":
+        lv = lv.gaussian_level
     g = lv.gamma
-    t_lo = min(-k.support_end for k in lv.kernels)
-    offsets = [-k.support_end - t_lo for k in lv.kernels]
-    # past gamma*k, the furthest value a branch reads: its offset plus Q whole rows of gamma
-    reach = max(o + -(-k.length // g) * g for o, k in zip(offsets, lv.kernels))
+    t_lo, offsets, reach = lv._stream_layout()
     carry = reach - g  # the values one block shares with the next
     # a block draws at least as many values as it carries, so a long kernel adds O(L) per O(L) outputs at most
     rows = max(1, min(n, max(_NOISE_BLOCK, carry) // g))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import eval_response
+from .kernels import _integer, eval_response
 from .quadrature import gauss_legendre_panels
 from .simulate import windowed_coefficients
 from .windows import _correlations
@@ -67,6 +67,7 @@ def check_rate_condition(n, gamma, beta):
     design; estimate_f0 calls it small below RATE_THRESHOLD. A decay
     beta <= 2 is outside the estimator's hypotheses and is rejected.
     """
+    n, gamma = _integer(n, "n", 1), _integer(gamma, "gamma", 1)
     if beta <= 2.0:
         raise ValueError("outside estimator hypotheses: need window decay > 2")
     return math.sqrt(n) * float(gamma) ** (0.5 - 2.0 * beta)

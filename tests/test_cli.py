@@ -555,10 +555,10 @@ def test_specdens_on_a_long_ar1_kernel_finishes(tmp_path):
 # the CLI; a refactor that leaves the arithmetic alone leaves these alone
 OUTPUT_SHA256 = {
     "simulate/path.csv": "8f3746faa535fe9aea8fa9b2f8be98bde4bab7a9d1b7be1d903e94a4440af6bc",
-    "clt/normality.txt": "7d7065bf052b574ff80590e9e08b7e5adb3a3a111a27ead72312b1ac02c4f1c4",
-    "clt/replicates.csv": "0fa0b991f10a948041c1cdb6e27b6a63756bac36bb695e576af07ac0afa6cef2",
-    "cov-check/cov_check.csv": "ab4d576bd0105fe401dc3f53a1bedbdf6bdd6f39226b62632ff555225fbb56ff",
-    "sweep/sweep.csv": "cc745e0921b3dd2ab8eba15b7f202ed8ddd7e9aac4d48758c741a84d593930eb",
+    "clt/normality.txt": "bc6dc01cf477a6cc0b3228131b1d0c8c97cdde37e3c6035e43508d20f4c69f39",
+    "clt/replicates.csv": "a97fda60bc5ed4d209549567e67631c320ae40741b090b7b2e79c0f3c590c043",
+    "cov-check/cov_check.csv": "0a884ba300382308de7602c6eafac8b034f292ad9d41d8b38c00f9e7c58a7e00",
+    "sweep/sweep.csv": "4bf6ecc83ee58da99d7d5c52a24d9d348882e15058a4950252f8ae88c38d2ef5",
     "specdens/specdens_report.txt": "3a45e63eb6d040d0b44906e00243483c1bda1c573f2a8d3acc5de2c4577e79db",
     "specdens/specdens_sweep.csv": "ff74318cb79e03a72a552701d01c6bc0127d866526d3409384e992f4ab9db811",
     "gamma/gamma_matrix.csv": "dc034d3a889965678fe02d14aee28c581f23d9af0430e2f19e2087029a3c15e1",

@@ -11,14 +11,15 @@ from scipy import stats
 
 import decilab
 from decilab import montecarlo
-from decilab.kernels import TimeKernel
+from decilab.kernels import TimeKernel, snapped_center_freq
 from decilab.moments import a_term, b_term, case_constant, cov_exact, cov_of_square_sums, gamma_limit, limit_cross_cov
 from decilab.montecarlo import convergence_sweep, empirical_cov, normality_report, replicate_sums
 from decilab.simulate import NoiseSpec, mix_seed, simulate_decimated, simulate_linear_process
-from decilab.specdens import leakage_integral
+from decilab.specdens import check_rate_condition, leakage_integral
 from decilab.windows import bspline_value, make_bspline_window
 
 GAUSS = NoiseSpec("gaussian")
+RADEMACHER = NoiseSpec("rademacher")
 
 
 class TestNormalityReport:
@@ -110,14 +111,17 @@ class TestReplicateRunner:
         assert pool_sizes and all(size <= 100 for size in pool_sizes)
         assert capped.tobytes() == serial.tobytes()
 
-    def test_rows_are_centered_by_the_exact_expectation(self, two_freq):
-        # row r is n**-0.5 * (sum_k Z_k**2 - n * E Z**2) of the replicate drawn at mix_seed(seed, r)
+    @pytest.mark.parametrize("noise, law_only", [(GAUSS, True), (RADEMACHER, False)],
+                             ids=["gaussian_reduced_level", "rademacher_stream"])
+    def test_rows_are_centered_by_the_exact_expectation(self, two_freq, noise, law_only):
+        # row r is n**-0.5 * (sum_k Z_k**2 - n * E Z**2) of the replicate drawn at mix_seed(seed, r):
+        # Gaussian rows from the level's gaussian_level, other noise from the stream itself
         n, seed = 20, 77
-        samples = replicate_sums(two_freq, 1, n, GAUSS, 100, seed)
+        samples = replicate_sums(two_freq, 1, n, noise, 100, seed)
         centers = np.array([cov_exact(two_freq, 1, i, i, 0, 0) for i in range(two_freq.n_branches)])
         expected = np.array([
-            (np.sum(simulate_decimated(two_freq, 1, n, GAUSS, mix_seed(seed, r)) ** 2, axis=1) - n * centers)
-            * (1.0 / np.sqrt(n)) for r in range(100)])
+            (np.sum(simulate_decimated(two_freq, 1, n, noise, mix_seed(seed, r), law_only=law_only) ** 2, axis=1)
+             - n * centers) * (1.0 / np.sqrt(n)) for r in range(100)])
         assert isinstance(samples, np.ndarray) and samples.shape == (100, 2)
         assert samples.tobytes() == expected.tobytes()
 
@@ -136,6 +140,15 @@ class TestReplicateRunner:
         for row in rows:
             assert row.se > 0.0
             assert abs(row.empirical - row.analytic_n) <= 5.0 * row.se
+
+    def test_gaussian_sweep_at_paper_scale_agrees_with_exact(self):
+        # gamma up to 1024 through the reduced levels: every entry within 4 se of the exact n-term value
+        fam = decilab.two_frequency_demo_family(decilab.make_bspline_window(4), [16, 64, 256, 1024])
+        rows = convergence_sweep(fam, range(4), 200, GAUSS, 400, 8, workers=2)
+        assert len(rows) == 12
+        for row in rows:
+            assert row.se > 0.0
+            assert abs(row.empirical - row.analytic_n) <= 4.0 * row.se, row
 
 
 # every library entry that takes a level, called at level j of a family
@@ -168,13 +181,15 @@ COUNT_ENTRIES = {
     "cov_of_square_sums": lambda fam, n: cov_of_square_sums(fam, 0, 0, 0, n, GAUSS),
     "replicate_sums": lambda fam, n: replicate_sums(fam, 0, n, GAUSS, 100, 3),
     "convergence_sweep": lambda fam, n: convergence_sweep(fam, [0], n, GAUSS, 100, 3),
+    "check_rate_condition": lambda fam, n: check_rate_condition(n, 16, 4.0),
 }
 
 
 @pytest.mark.parametrize("n", [0, 2.5, math.nan, math.inf])
 @pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
 def test_count_outside_its_range_is_rejected(two_freq, entry, n):
-    # n = NaN gave a_term and cov_of_square_sums 0.0, n = 2.5 gave them a value, and simulate_decimated a TypeError
+    # n = NaN gave a_term, cov_of_square_sums and check_rate_condition 0.0 or NaN, n = 2.5 gave them a value,
+    # and simulate_decimated a TypeError
     with pytest.raises(ValueError, match=rf"^n {n} is not in 1\.\.$"):
         COUNT_ENTRIES[entry](two_freq, n)
 
@@ -185,9 +200,17 @@ def test_count_outside_its_range_is_rejected(two_freq, entry, n):
     (lambda fam: cov_exact(fam, 0, 0, 0, 0, 0.5), r"^lag 0\.5 is not in \.\.$"),
     (lambda fam: make_bspline_window(3.5), r"^order 3\.5 is not in 3\.\.$"),
     (lambda fam: bspline_value(2.5, 0.5), r"^order 2\.5 is not in 1\.\.$"),
-], ids=["n_replicates", "lag_5.5", "lag_0.5", "window_order", "bspline_order"])
+    (lambda fam: check_rate_condition(1024, 0, 4.0), r"^gamma 0 is not in 1\.\.$"),
+    (lambda fam: check_rate_condition(1024, 16.5, 4.0), r"^gamma 16\.5 is not in 1\.\.$"),
+    (lambda fam: check_rate_condition(1024, math.nan, 4.0), r"^gamma nan is not in 1\.\.$"),
+    (lambda fam: snapped_center_freq(0, 1.0), r"^gamma 0 is not in 1\.\.$"),
+    (lambda fam: snapped_center_freq(2.5, 1.0), r"^gamma 2\.5 is not in 1\.\.$"),
+    (lambda fam: snapped_center_freq(math.nan, 1.0), r"^gamma nan is not in 1\.\.$"),
+], ids=["n_replicates", "lag_5.5", "lag_0.5", "window_order", "bspline_order", "rate_gamma_0", "rate_gamma_16.5",
+        "rate_gamma_nan", "snapped_gamma_0", "snapped_gamma_2.5", "snapped_gamma_nan"])
 def test_integer_outside_its_range_is_rejected(two_freq, call, message):
-    # replicate_sums raised TypeError, a lag of 5.5 gave 0.0 and 0.5 a TypeError, and order 3.5 built bspline3
+    # replicate_sums raised TypeError, a lag of 5.5 gave 0.0 and 0.5 a TypeError, order 3.5 built bspline3,
+    # a rate or snapping gamma of 0 raised ZeroDivisionError, and 2.5, 16.5 or NaN gave a value
     with pytest.raises(ValueError, match=message):
         call(two_freq)
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -181,6 +182,37 @@ class TestNoise:
         assert noise_values(RADEMACHER, 2 ** 64 - 1, 0, 8).tobytes() == (
             2.0 * (raw >> np.uint64(63)).astype(float) - 1.0).tobytes()
         assert 0 <= mix_seed(2 ** 64 - 1, 1) < 2 ** 64
+
+    def test_thread_generator_gives_the_words_of_a_fresh_philox(self):
+        # each thread sets the state of its one generator in place of building a keyed Philox per call
+        cases = [(seed, lo) for seed in (0, 5, 2 ** 63 + 7, 2 ** 64 - 1) for lo in (-2 ** 62, -6, -1, 0, 3, 2 ** 40 + 1)]
+        expected = {}
+        for seed, lo in cases:
+            i0 = lo + 2 ** 62
+            expected[seed, lo] = np.random.Philox(counter=i0 >> 2, key=seed).random_raw(i0 % 4 + 50)[i0 % 4:]
+        found = {}
+
+        def draw(tag):
+            for seed, lo in cases * 3:  # repeats reuse the thread's generator
+                i0 = lo + 2 ** 62
+                bg, _ = simulate._philox(i0 >> 2, seed)
+                bg.random_raw(i0 % 4)
+                found[tag, seed, lo] = bg.random_raw(50)
+
+        threads = [threading.Thread(target=draw, args=(tag,)) for tag in range(3)]  # more threads than cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(found) == 3 * len(cases)
+        for (tag, seed, lo), words in found.items():
+            assert words.tobytes() == expected[seed, lo].tobytes(), (tag, seed, lo)
 
     def test_mix_seed_spreads(self):
         seeds = {mix_seed(5, r) for r in range(1000)}
@@ -461,3 +493,72 @@ class TestSharedNoiseCovariance:
         emp = np.mean(prods) - np.mean(z1) * np.mean(z2)
         se = np.std(prods) / math.sqrt(reps)
         assert abs(emp - exact) < 4.0 * se
+
+
+# (family, level) whose Gaussian level is a reduction: r < gamma nonzero polyphase rows
+_FILES_RNG = np.random.default_rng(11)
+
+
+def _unit_taps(length):
+    taps = _FILES_RNG.standard_normal(length)
+    return taps / np.linalg.norm(taps)
+
+
+REDUCED_CASES = {
+    **{f"two_frequency_g{g}": (two_frequency_demo_family(make_bspline_window(4), [g]), 0)
+       for g in (8, 16, 64, 256, 1024)},
+    "bspline_ma_modulated": (make_scaled_window_family(make_bspline_window(3), [32, 128], 1.0), 1),
+    # files-style kernels: different support starts and lengths, two and three branches
+    "files_two_branches": (single_level_family([TimeKernel(-7, _unit_taps(19)),
+                                                TimeKernel(3, _unit_taps(40))], gamma=32), 0),
+    "files_three_branches": (single_level_family([TimeKernel(0, _unit_taps(5)),
+                                                  TimeKernel(-60, _unit_taps(70)),
+                                                  TimeKernel(-20, _unit_taps(33))], gamma=24), 0),
+}
+
+
+class TestGaussianLevel:
+    @pytest.mark.parametrize("case", sorted(REDUCED_CASES))
+    def test_every_lag_covariance_is_the_original(self, case):
+        fam, j = REDUCED_CASES[case]
+        lv = fam.levels[j]
+        red = lv.gaussian_level
+        assert red.gamma < lv.gamma
+        assert red.gaussian_level is red and lv.gaussian_level is red  # computed once per level object
+        reduced = single_level_family(red.kernels, red.gamma)
+        q_len = -(-lv._stream_layout()[2] // lv.gamma)
+        for i in range(fam.n_branches):
+            for ip in range(fam.n_branches):
+                for lag in range(1 - q_len, q_len):
+                    exact = cov_exact(fam, j, i, ip, 0, lag)
+                    assert cov_exact(reduced, 0, i, ip, 0, lag) == pytest.approx(exact, rel=0, abs=1e-14)
+
+    def test_draws_r_values_per_output(self):
+        w = make_bspline_window(4)
+        assert [lv.gaussian_level.gamma for lv in two_frequency_demo_family(w, [8, 64, 1024]).levels] == [2, 2, 2]
+        assert [lv.gaussian_level.gamma for lv in make_scaled_window_family(w, [8, 64, 1024]).levels] == [1, 1, 1]
+
+    @pytest.mark.parametrize("spec", [RADEMACHER, UNIFORM], ids=lambda s: s.distribution)
+    @pytest.mark.parametrize("case", sorted(REDUCED_CASES)[:3])
+    def test_law_only_is_the_stream_for_other_noise(self, case, spec):
+        fam, j = REDUCED_CASES[case]
+        z = simulate_decimated(fam, j, 40, spec, 9)
+        assert simulate_decimated(fam, j, 40, spec, 9, law_only=True).tobytes() == z.tobytes()
+
+    def test_level_with_gamma_nonzero_rows_is_its_own(self):
+        # 2 dense branches at gamma 2: N*Q = 6 nonzero rows, so no reduction
+        fam = single_level_family([TimeKernel(-1, _unit_taps(5)), TimeKernel(2, _unit_taps(4))], gamma=2)
+        assert fam.levels[0].gaussian_level is fam.levels[0]
+        z = simulate_decimated(fam, 0, 40, GAUSS, 9)
+        assert simulate_decimated(fam, 0, 40, GAUSS, 9, law_only=True).tobytes() == z.tobytes()
+
+    def test_all_zero_level_is_its_own(self):
+        fam = single_level_family([TimeKernel(0, np.zeros(9))], gamma=4)
+        assert fam.levels[0].gaussian_level is fam.levels[0]
+
+    def test_law_only_draws_from_the_reduced_level(self):
+        fam, _ = REDUCED_CASES["two_frequency_g256"]
+        red = single_level_family(fam.levels[0].gaussian_level.kernels, 2)
+        z = simulate_decimated(fam, 0, 30, GAUSS, 4, law_only=True)
+        assert z.tobytes() == simulate_decimated(red, 0, 30, GAUSS, 4).tobytes()
+        assert not np.array_equal(z, simulate_decimated(fam, 0, 30, GAUSS, 4))
