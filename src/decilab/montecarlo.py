@@ -3,17 +3,14 @@
 A replicate centers each square-sum by its exact expectation at the level,
 as the paper's CLTs do (replicate_sums).
 
-Every report here is a function of the law of the replicates, so a
-Gaussian replicate draws the level's gaussian_level
-(simulate_decimated(..., law_only=True)): r <= N*Q noise values per
-output, not gamma, with exactly the joint law of the stream's sums. Other
-noise draws the stream itself.
-
-Replicate r always uses the seed mix(base_seed, r), and replicates are
-assembled by index, so results are identical for any worker count or
-scheduling. Parallelism is thread-based: with w = min(workers, R) threads,
-thread j runs the replicates j, j + w, j + 2w, ..., so the threads' shares
-differ by at most one replicate. The heavy numpy kernels release the GIL.
+Every report here is a function of the law of the replicates, so they are
+drawn by simulate_decimated(..., law_only=True): a Gaussian level draws its
+gaussian_level, with the joint law of the stream's sums from r <= N*Q
+values per output, not gamma; other noise draws the stream itself. Chunk c
+of replicates is one such draw at the seed mix(base_seed, c), laid out by
+n, the level and R only, so results are identical for any worker count or
+scheduling. Thread j of w = min(workers, chunks) runs the chunks j, j + w,
+j + 2w, ..., and the heavy numpy kernels release the GIL.
 
 The thread pool (concurrent.futures, which loads logging) is imported on
 the first replicate_sums call, and the KS distance of normality_report
@@ -31,6 +28,8 @@ from .moments import cov_exact, cov_of_square_sums, gamma_matrix
 from .simulate import mix_seed, simulate_decimated
 
 KS_99 = 1.63  # ~99% quantile scale of the one-sample KS statistic
+_CHUNK = 1 << 16  # noise values one replicate_sums chunk draws, at most, unless it holds one replicate
+_GAP = 1 << 17  # multiply-adds a chunked replicate's dropped outputs may cost; chunks timed slower from 5e5 on
 
 
 def _worker_count(workers):
@@ -51,19 +50,31 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=Non
     """The (R, N) array of R replicates of n**-0.5 * sum_{k<n} (Z_{i,k}^2 - E Z_{i,k}^2).
 
     E Z_{i,k}^2 is the exact level expectation, cov_exact(family, level, i, i, 0, 0).
+    Chunk c is one law_only simulate_decimated draw at mix_seed(base_seed, c):
+    B strides of n + Q - 1 outputs, the last cut to n, on the level drawn (the
+    gaussian_level for Gaussian noise), whose branches read Q blocks of gamma.
+    Replicate b is the first n of stride b; no two share a noise value. B = 1
+    if (Q - 1) * sum(L) > _GAP, else the most whose strides fit in _CHUNK values.
     """
     n_replicates, n = _integer(n_replicates, "n_replicates", 100), _integer(n, "n", 1)
     centers = np.array([cov_exact(family, level, i, i, 0, 0) for i in range(family.n_branches)])
     samples = np.empty((n_replicates, family.n_branches))
-    scale = 1.0 / np.sqrt(n)
+    lv = family.level(level).gaussian_level if noise.distribution == "gaussian" else family.level(level)
+    gap = -(-lv._stream_layout()[2] // lv.gamma) - 1  # Q - 1 outputs share noise with the next n
+    stride, gap_work = n + gap, gap * sum(k.length for k in lv.kernels)
+    per_chunk = 1 if gap_work > _GAP else max(1, _CHUNK // (stride * lv.gamma))
+    n_chunks = -(-n_replicates // per_chunk)
 
-    n_workers = min(_worker_count(workers), n_replicates)
+    n_workers = min(_worker_count(workers), n_chunks)
     from concurrent.futures import ThreadPoolExecutor  # loaded on the first replicate run
 
     def run_share(first):
-        for r in range(first, n_replicates, n_workers):
-            z = simulate_decimated(family, level, n, noise, mix_seed(base_seed, r), law_only=True)
-            samples[r] = (np.sum(z ** 2, axis=1) - n * centers) * scale
+        for c in range(first, n_chunks, n_workers):
+            lo, hi = c * per_chunk, min(n_replicates, (c + 1) * per_chunk)
+            z = simulate_decimated(family, level, (hi - lo - 1) * stride + n, noise, mix_seed(base_seed, c),
+                                   law_only=True)
+            z = np.lib.stride_tricks.sliding_window_view(z, n, axis=1)[:, ::stride]
+            samples[lo:hi] = (np.sum(z ** 2, axis=2).T - n * centers) * (1.0 / np.sqrt(n))
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         list(pool.map(run_share, range(n_workers)))

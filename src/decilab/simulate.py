@@ -17,12 +17,12 @@ with n*gamma. Each thread keys one reused Philox by setting its state.
 The stream is the realization: simulate_decimated returns the sums of the
 documented xi_t, and `decilab simulate` writes them. Where only the law
 matters (the replicate runner), simulate_decimated(..., law_only=True)
-draws a Gaussian level from its gaussian_level instead: the same block
-loop on r <= N*Q values per output, with exactly the joint law of the
-stream's sums under Gaussian noise (FamilyLevel.gaussian_level).
+runs a Gaussian level's gaussian_level on numpy's ziggurat standard_normal
+instead: r <= N*Q values per output, not xi_t, with exactly the joint law
+of the stream's sums under Gaussian noise (FamilyLevel.gaussian_level).
 
-ndtri is scipy.special.ndtri, imported on the first Gaussian draw, not with
-this module, so runs that draw no Gaussian noise never load scipy.
+ndtri (scipy.special) is imported on the first Gaussian noise_values call,
+not with this module, so runs that draw no Gaussian xi_t never load scipy.
 """
 
 import math
@@ -169,14 +169,15 @@ def simulate_decimated(family, level, n, noise, seed, law_only=False):
     Memory is O(_NOISE_BLOCK + N*n + L), not O(n*gamma).
 
     With law_only and Gaussian noise the same loop runs on the level's
-    gaussian_level: an array with exactly the joint law of Z, drawn from r
-    values per output instead of gamma, but not the realization of the
-    stream xi_t. Other noise ignores law_only.
+    gaussian_level, each block taking the next standard_normal values of the
+    thread's Philox keyed by the seed from counter 0: exactly the joint law
+    of Z from r values per output instead of gamma, for any block size, but
+    not the realization of xi_t. Other noise ignores law_only.
     """
-    n = _integer(n, "n", 1)
-    lv = family.level(level)
+    n, seed = _integer(n, "n", 1), _integer(seed, "seed", 0, _MASK64)
+    lv, gen = family.level(level), None
     if law_only and noise.distribution == "gaussian":
-        lv = lv.gaussian_level
+        lv, gen = lv.gaussian_level, _philox(0, seed)[1]
     g = lv.gamma
     t_lo, offsets, reach = lv._stream_layout()
     carry = reach - g  # the values one block shares with the next
@@ -188,7 +189,10 @@ def simulate_decimated(family, level, n, noise, seed, law_only=False):
         m = min(rows, n - k0)
         end = (m - 1) * g + reach
         fresh = carry if k0 else 0
-        noise_values(noise, seed, t_lo + g * k0 + fresh, t_lo + g * k0 + end, out=buf[fresh:end])
+        if gen is None:
+            noise_values(noise, seed, t_lo + g * k0 + fresh, t_lo + g * k0 + end, out=buf[fresh:end])
+        else:
+            gen.standard_normal(out=buf[fresh:end])
         for row, o, k in zip(z, offsets, lv.kernels):
             row[k0:k0 + m] = _decimated_convolve(buf[o:end], k, g, m)
         buf[:carry] = buf[m * g:end]

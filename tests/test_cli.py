@@ -487,6 +487,22 @@ def test_noise_free_runs_load_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[0, 0, 0] False []"
 
 
+def test_gaussian_sweep_and_cov_check_load_no_scipy_special(tmp_path):
+    # law-only replicates draw numpy's standard_normal, not ndtri; only clt's KS distance needs scipy.special
+    argvs = []
+    for command in ("sweep", "cov-check"):
+        cfg = tmp_path / f"{command}.ini"
+        write_config(cfg, {"experiment": {"seed": 5}, **CONFIGS[command], "noise": {"distribution": "gaussian"}})
+        argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+    code = ("import sys; from decilab.cli import main; "
+            f"codes = [main(argv) for argv in {argvs!r}]; "
+            "print(codes, [m for m in sys.modules if m.startswith('scipy.special')])")
+    env = {**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
+
+
 def test_gamma_loads_no_thread_pool_noise_or_scipy(tmp_path):
     # concurrent.futures (and logging with it) loads on the first replicate run, numpy.random and scipy.special
     # on the first noise draw; gamma makes neither
@@ -555,10 +571,10 @@ def test_specdens_on_a_long_ar1_kernel_finishes(tmp_path):
 # the CLI; a refactor that leaves the arithmetic alone leaves these alone
 OUTPUT_SHA256 = {
     "simulate/path.csv": "8f3746faa535fe9aea8fa9b2f8be98bde4bab7a9d1b7be1d903e94a4440af6bc",
-    "clt/normality.txt": "bc6dc01cf477a6cc0b3228131b1d0c8c97cdde37e3c6035e43508d20f4c69f39",
-    "clt/replicates.csv": "a97fda60bc5ed4d209549567e67631c320ae40741b090b7b2e79c0f3c590c043",
-    "cov-check/cov_check.csv": "0a884ba300382308de7602c6eafac8b034f292ad9d41d8b38c00f9e7c58a7e00",
-    "sweep/sweep.csv": "4bf6ecc83ee58da99d7d5c52a24d9d348882e15058a4950252f8ae88c38d2ef5",
+    "clt/normality.txt": "6bfceb210cb973d1649963651995ff8a850aff05deed69c3556e77de6f862f13",
+    "clt/replicates.csv": "83898c9b284d563cae92025a931ea0f4992b3345f1e76ec5a067dca021b83559",
+    "cov-check/cov_check.csv": "1438b7dd01344985f254aa0b4b55daf54261ade182553d7d569b022137ba783d",
+    "sweep/sweep.csv": "cdaf38b3de53352ff8b192c21a1d2b9cfdd1f47807304348420407831d3c93dc",
     "specdens/specdens_report.txt": "3a45e63eb6d040d0b44906e00243483c1bda1c573f2a8d3acc5de2c4577e79db",
     "specdens/specdens_sweep.csv": "ff74318cb79e03a72a552701d01c6bc0127d866526d3409384e992f4ab9db811",
     "gamma/gamma_matrix.csv": "dc034d3a889965678fe02d14aee28c581f23d9af0430e2f19e2087029a3c15e1",

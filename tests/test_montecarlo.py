@@ -18,6 +18,8 @@ from decilab.simulate import NoiseSpec, mix_seed, simulate_decimated, simulate_l
 from decilab.specdens import check_rate_condition, leakage_integral
 from decilab.windows import bspline_value, make_bspline_window
 
+from conftest import single_level_family
+
 GAUSS = NoiseSpec("gaussian")
 RADEMACHER = NoiseSpec("rademacher")
 
@@ -42,7 +44,8 @@ def test_import_loads_neither_scipy_stats_nor_signal():
 
 
 def test_first_gaussian_draw_from_pool_threads():
-    # the in-process tests import scipy.special up front; here three threads race to import it first
+    # three threads race to import numpy.random and key their first Philox: 150 replicates at n 2000 on the
+    # gaussian_level (r = 2) are 10 chunks of 16; law-only draws never import scipy.special
     src = str(Path(decilab.__file__).resolve().parents[1])
     code = "\n".join([
         "import sys",
@@ -50,15 +53,15 @@ def test_first_gaussian_draw_from_pool_threads():
         "sys.setswitchinterval(1e-6)",
         "fam = decilab.two_frequency_demo_family(decilab.make_bspline_window(4), [16, 32])",
         "noise = decilab.NoiseSpec('gaussian')",
-        "loaded = 'scipy.special' in sys.modules",
-        "threaded = decilab.replicate_sums(fam, 1, 20, noise, 150, 77, workers=3)",
-        "serial = decilab.replicate_sums(fam, 1, 20, noise, 150, 77, workers=1)",
-        "print(loaded, threaded.tobytes() == serial.tobytes())",
+        "loaded = 'numpy.random' in sys.modules",
+        "threaded = decilab.replicate_sums(fam, 1, 2000, noise, 150, 77, workers=3)",
+        "serial = decilab.replicate_sums(fam, 1, 2000, noise, 150, 77, workers=1)",
+        "print(loaded, threaded.tobytes() == serial.tobytes(), 'scipy.special' in sys.modules)",
     ])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False True"
+    assert proc.stdout.strip() == "False True False"
 
 
 def test_package_exports_no_test_oracles():
@@ -77,8 +80,10 @@ def two_freq():
 
 
 class TestReplicateRunner:
-    def test_worker_count_invariance(self, two_freq):
-        # 301 replicates split unevenly over 2 and over 3 threads
+    def test_worker_count_invariance(self, two_freq, monkeypatch):
+        # 301 replicates of 40 values (n 20 on the gaussian_level, r = 2) in 7 chunks of at most 50, split
+        # unevenly over 2 and over 3 threads
+        monkeypatch.setattr(montecarlo, "_CHUNK", 50 * 40)
         runs = [replicate_sums(two_freq, 1, 20, GAUSS, 301, 77, workers=w) for w in (1, 2, 3)]
         assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
 
@@ -88,6 +93,7 @@ class TestReplicateRunner:
             replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=workers)
 
     def test_threads_capped_by_replicates(self, two_freq, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1)  # one replicate a chunk
         serial = replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=1)
         pool_sizes = []
 
@@ -108,22 +114,49 @@ class TestReplicateRunner:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
         capped = replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=10_000)
-        assert pool_sizes and all(size <= 100 for size in pool_sizes)
+        assert pool_sizes == [100]
         assert capped.tobytes() == serial.tobytes()
 
-    @pytest.mark.parametrize("noise, law_only", [(GAUSS, True), (RADEMACHER, False)],
-                             ids=["gaussian_reduced_level", "rademacher_stream"])
-    def test_rows_are_centered_by_the_exact_expectation(self, two_freq, noise, law_only):
-        # row r is n**-0.5 * (sum_k Z_k**2 - n * E Z**2) of the replicate drawn at mix_seed(seed, r):
-        # Gaussian rows from the level's gaussian_level, other noise from the stream itself
+    @pytest.mark.parametrize("noise", [GAUSS, RADEMACHER], ids=["gaussian_reduced_level", "rademacher_stream"])
+    def test_rows_are_centered_by_the_exact_expectation(self, two_freq, noise, monkeypatch):
+        # row b of chunk c is n**-0.5 * (sum_k Z_k**2 - n * E Z**2) over the outputs b*stride .. b*stride + n - 1
+        # of one law-only draw at mix_seed(seed, c), stride = n + Q - 1 on the level drawn; 30 replicates a chunk
         n, seed = 20, 77
+        lv = two_freq.level(1).gaussian_level if noise is GAUSS else two_freq.level(1)
+        stride = n - 1 + -(-lv._stream_layout()[2] // lv.gamma)
+        assert (lv.gamma, stride) == ((2, 20) if noise is GAUSS else (32, 21))  # Q = 1 block of r, 2 of gamma
+        monkeypatch.setattr(montecarlo, "_CHUNK", 30 * stride * lv.gamma)
         samples = replicate_sums(two_freq, 1, n, noise, 100, seed)
         centers = np.array([cov_exact(two_freq, 1, i, i, 0, 0) for i in range(two_freq.n_branches)])
-        expected = np.array([
-            (np.sum(simulate_decimated(two_freq, 1, n, noise, mix_seed(seed, r), law_only=law_only) ** 2, axis=1)
-             - n * centers) * (1.0 / np.sqrt(n)) for r in range(100)])
+        expected = []
+        for c, size in enumerate([30, 30, 30, 10]):
+            z = simulate_decimated(two_freq, 1, (size - 1) * stride + n, noise, mix_seed(seed, c), law_only=True)
+            expected += [(np.sum(z[:, b * stride:b * stride + n] ** 2, axis=1) - n * centers) * (1.0 / np.sqrt(n))
+                         for b in range(size)]
         assert isinstance(samples, np.ndarray) and samples.shape == (100, 2)
-        assert samples.tobytes() == expected.tobytes()
+        assert samples.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("noise", [GAUSS, RADEMACHER], ids=lambda s: s.distribution)
+    def test_costly_gap_draws_each_replicate_alone(self, noise):
+        # a kernel over Q = 256 blocks of gamma 4: the 255 dropped outputs of a chunked replicate would cost
+        # 255 * 1024 > _GAP multiply-adds, so replicate r is one n-output draw at mix_seed(seed, r)
+        fam = single_level_family([TimeKernel(-5, np.linspace(1.0, 2.0, 1024))], gamma=4)
+        n, seed = 10, 5
+        samples = replicate_sums(fam, 0, n, noise, 100, seed)
+        center = cov_exact(fam, 0, 0, 0, 0, 0)
+        expected = [(np.sum(simulate_decimated(fam, 0, n, noise, mix_seed(seed, r), law_only=True) ** 2, axis=1)
+                     - n * center) * (1.0 / np.sqrt(n)) for r in range(100)]
+        assert samples.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("noise", [GAUSS, RADEMACHER], ids=lambda s: s.distribution)
+    def test_consecutive_replicates_are_uncorrelated(self, noise, n):
+        # one kernel over Q = 3 blocks of gamma 2 (its own gaussian_level), so 2 dropped outputs between
+        # replicates of a chunk; without them neighbours would share noise values and their rows correlate
+        fam = single_level_family([TimeKernel(0, np.full(6, 6 ** -0.5))], gamma=2)
+        r = 20_000
+        x = replicate_sums(fam, 0, n, noise, r, 12)[:, 0]
+        assert abs(np.corrcoef(x[:-1], x[1:])[0, 1]) < 4 / np.sqrt(r)
 
     def test_jackknife_se_matches_brute_force(self, rng):
         x = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 3))

@@ -504,6 +504,13 @@ def _unit_taps(length):
     return taps / np.linalg.norm(taps)
 
 
+def driven_by_standard_normal(lv, n, seed):
+    """Outputs 0 .. n-1 of a level fed, in stream order, by standard_normal of a fresh Philox keyed by the seed."""
+    _, offsets, reach = lv._stream_layout()
+    xi = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n - 1) * lv.gamma + reach)
+    return np.array([_decimated_convolve(xi[o:], k, lv.gamma, n) for o, k in zip(offsets, lv.kernels)])
+
+
 REDUCED_CASES = {
     **{f"two_frequency_g{g}": (two_frequency_demo_family(make_bspline_window(4), [g]), 0)
        for g in (8, 16, 64, 256, 1024)},
@@ -515,6 +522,8 @@ REDUCED_CASES = {
                                                   TimeKernel(-60, _unit_taps(70)),
                                                   TimeKernel(-20, _unit_taps(33))], gamma=24), 0),
 }
+# 2 dense branches at gamma 2: N*Q = 6 nonzero rows, so no reduction
+DENSE_GAMMA2 = single_level_family([TimeKernel(-1, _unit_taps(5)), TimeKernel(2, _unit_taps(4))], gamma=2)
 
 
 class TestGaussianLevel:
@@ -546,11 +555,11 @@ class TestGaussianLevel:
         assert simulate_decimated(fam, j, 40, spec, 9, law_only=True).tobytes() == z.tobytes()
 
     def test_level_with_gamma_nonzero_rows_is_its_own(self):
-        # 2 dense branches at gamma 2: N*Q = 6 nonzero rows, so no reduction
-        fam = single_level_family([TimeKernel(-1, _unit_taps(5)), TimeKernel(2, _unit_taps(4))], gamma=2)
-        assert fam.levels[0].gaussian_level is fam.levels[0]
-        z = simulate_decimated(fam, 0, 40, GAUSS, 9)
-        assert simulate_decimated(fam, 0, 40, GAUSS, 9, law_only=True).tobytes() == z.tobytes()
+        # not reduced, but still fed the law-only values
+        lv = DENSE_GAMMA2.levels[0]
+        assert lv.gaussian_level is lv
+        z = simulate_decimated(DENSE_GAMMA2, 0, 40, GAUSS, 9, law_only=True)
+        assert z.tobytes() == driven_by_standard_normal(lv, 40, 9).tobytes()
 
     def test_all_zero_level_is_its_own(self):
         fam = single_level_family([TimeKernel(0, np.zeros(9))], gamma=4)
@@ -558,7 +567,16 @@ class TestGaussianLevel:
 
     def test_law_only_draws_from_the_reduced_level(self):
         fam, _ = REDUCED_CASES["two_frequency_g256"]
-        red = single_level_family(fam.levels[0].gaussian_level.kernels, 2)
         z = simulate_decimated(fam, 0, 30, GAUSS, 4, law_only=True)
-        assert z.tobytes() == simulate_decimated(red, 0, 30, GAUSS, 4).tobytes()
+        assert z.tobytes() == driven_by_standard_normal(fam.levels[0].gaussian_level, 30, 4).tobytes()
         assert not np.array_equal(z, simulate_decimated(fam, 0, 30, GAUSS, 4))
+
+    @pytest.mark.parametrize("fam, j", [REDUCED_CASES["two_frequency_g256"], REDUCED_CASES["files_three_branches"],
+                                        (DENSE_GAMMA2, 0)], ids=["two_frequency_g256", "files_three_branches", "dense"])
+    def test_law_only_is_the_same_for_any_block_size(self, monkeypatch, fam, j):
+        # every block size feeds the same ordered values; BLAS may sum a row in another order where it falls
+        # elsewhere in a block, so outputs match the one-block oracle to rounding
+        want = driven_by_standard_normal(fam.levels[j].gaussian_level, 300, 13)
+        for block in (7, 64, 1 << 15):
+            monkeypatch.setattr(simulate, "_NOISE_BLOCK", block)
+            assert np.max(np.abs(simulate_decimated(fam, j, 300, GAUSS, 13, law_only=True) - want)) < 1e-12, block
