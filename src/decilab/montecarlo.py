@@ -4,18 +4,21 @@ A replicate centers each square-sum by its exact expectation at the level,
 as the paper's CLTs do (replicate_sums).
 
 Every report here is a function of the law of the replicates, so they are
-drawn by simulate_decimated(..., law_only=True): a Gaussian level draws its
-gaussian_level, with the joint law of the stream's sums from r <= N*Q
-values per output, not gamma; other noise draws the stream itself. Chunk c
-of replicates is one such draw at the seed mix(base_seed, c), laid out by
-n, the level and R only, so results are identical for any worker count or
-scheduling. Thread j of w = min(workers, chunks) runs the chunks j, j + w,
-j + 2w, ..., and the heavy numpy kernels release the GIL.
+drawn from the law, not from the documented stream. Under Gaussian noise a
+level is drawn through its gaussian_level (r <= N*Q values per output, not
+gamma). Where that level reads Q = 1 block per output, as on every built-in
+family, a replicate's square sums are the diagonal of one Wishart draw
+(_bartlett_sums): O(r**2) values, whatever n is. Otherwise chunk c of
+replicates is one simulate_decimated(..., law_only=True) draw at the seed
+mix(base_seed, c), laid out by n, the level and R only, so results are
+identical for any worker count or scheduling. Thread j of w = min(workers,
+chunks) runs the chunks j, j + w, j + 2w, ..., and the heavy numpy kernels
+release the GIL.
 
 The thread pool (concurrent.futures, which loads logging) is imported on
-the first replicate_sums call, and the KS distance of normality_report
-uses scipy.special.ndtr, imported on its first call: neither loads with
-this module.
+the first chunked replicate_sums call, and the KS distance of
+normality_report uses scipy.special.ndtr, imported on its first call:
+neither loads with this module.
 """
 
 import os
@@ -25,7 +28,7 @@ import numpy as np
 
 from .kernels import _integer
 from .moments import cov_exact, cov_of_square_sums, gamma_matrix
-from .simulate import mix_seed, simulate_decimated
+from .simulate import _MASK64, _philox, mix_seed, simulate_decimated
 
 KS_99 = 1.63  # ~99% quantile scale of the one-sample KS statistic
 _CHUNK = 1 << 16  # noise values one replicate_sums chunk draws, at most, unless it holds one replicate
@@ -46,27 +49,59 @@ def _worker_count(workers):
     return count
 
 
+def _bartlett_sums(lv, n, n_replicates, seed):
+    """The (R, N) Gaussian square sums S_i = sum_{k<n} Z_{i,k}^2 of a level that reads one block per output.
+
+    Such a level (Q = 1, so every offset is 0) has Z_{., k} = D x_k, with D
+    the (N, r) reversed taps, r = lv.gamma, and x_k i.i.d. N(0, I_r). So
+    S_i = D_i W D_i^T with W ~ Wishart_r(I, n), and Bartlett's decomposition
+    W = A A^T draws it exactly in law (Bartlett 1933; Odell & Feiveson 1966):
+    A is (r, m), m = min(n, r), with A_jj = sqrt(chi2_{n-j}) for j < m,
+    A_jl ~ N(0, 1) for l < min(j, m) and zeros elsewhere, so n < r needs no
+    special case. Recipe: the thread's Philox keyed by the seed, from counter
+    0, draws chisquare(n - j), j < m, as an (R, m) array, row b the diagonal
+    of replicate b's A, then standard_normal as an (R, P) array, row b its P
+    entries below the diagonal in row-major order; S_i = ||D_i A||^2.
+    """
+    r, m = lv.gamma, min(n, lv.gamma)
+    d = np.array([np.pad(k.coeffs[::-1], (0, r - k.length)) for k in lv.kernels])
+    gen = _philox(0, seed)[1]
+    a = np.zeros((n_replicates, r, m))
+    j = np.arange(m)
+    a[:, j, j] = np.sqrt(gen.chisquare(n - j.astype(float), (n_replicates, m)))
+    below = np.tril_indices(r, -1, m)
+    a[:, below[0], below[1]] = gen.standard_normal((n_replicates, below[0].size))
+    return np.sum((d @ a) ** 2, axis=2)
+
+
 def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=None):
     """The (R, N) array of R replicates of n**-0.5 * sum_{k<n} (Z_{i,k}^2 - E Z_{i,k}^2).
 
     E Z_{i,k}^2 is the exact level expectation, cov_exact(family, level, i, i, 0, 0).
-    Chunk c is one law_only simulate_decimated draw at mix_seed(base_seed, c):
-    B strides of n + Q - 1 outputs, the last cut to n, on the level drawn (the
-    gaussian_level for Gaussian noise), whose branches read Q blocks of gamma.
-    Replicate b is the first n of stride b; no two share a noise value. B = 1
-    if (Q - 1) * sum(L) > _GAP, else the most whose strides fit in _CHUNK values.
+    The level drawn (the gaussian_level for Gaussian noise) reads Q blocks of
+    its factor per output. Workers, n, R and the seed are checked first. A
+    Gaussian level with Q = 1 draws all R replicates on the calling thread as
+    one _bartlett_sums keyed by base_seed. Otherwise chunk c is one law_only
+    simulate_decimated draw at mix_seed(base_seed, c): B strides of n + Q - 1
+    outputs, the last cut to n, and replicate b is the first n of stride b;
+    no two share a noise value. B = 1 if (Q - 1) * sum(L) > _GAP, else the
+    most whose strides fit in _CHUNK values.
     """
     n_replicates, n = _integer(n_replicates, "n_replicates", 100), _integer(n, "n", 1)
+    workers, base_seed = _worker_count(workers), _integer(base_seed, "seed", 0, _MASK64)
     centers = np.array([cov_exact(family, level, i, i, 0, 0) for i in range(family.n_branches)])
-    samples = np.empty((n_replicates, family.n_branches))
-    lv = family.level(level).gaussian_level if noise.distribution == "gaussian" else family.level(level)
+    gaussian = noise.distribution == "gaussian"
+    lv = family.level(level).gaussian_level if gaussian else family.level(level)
     gap = -(-lv._stream_layout()[2] // lv.gamma) - 1  # Q - 1 outputs share noise with the next n
+    if gaussian and not gap:
+        return (_bartlett_sums(lv, n, n_replicates, base_seed) - n * centers) * (1.0 / np.sqrt(n))
+    samples = np.empty((n_replicates, family.n_branches))
     stride, gap_work = n + gap, gap * sum(k.length for k in lv.kernels)
     per_chunk = 1 if gap_work > _GAP else max(1, _CHUNK // (stride * lv.gamma))
     n_chunks = -(-n_replicates // per_chunk)
 
-    n_workers = min(_worker_count(workers), n_chunks)
-    from concurrent.futures import ThreadPoolExecutor  # loaded on the first replicate run
+    n_workers = min(workers, n_chunks)
+    from concurrent.futures import ThreadPoolExecutor  # loaded on the first chunked replicate run
 
     def run_share(first):
         for c in range(first, n_chunks, n_workers):

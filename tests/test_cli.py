@@ -138,7 +138,7 @@ REJECTED = {
     "command_is_an_unknown_key": ("simulate", {**with_run(), "experiment": {"seed": 5, "command": "simulate"}}),
     # sizes past the 2^47-byte address space: numpy refuses at once, whatever the overcommit setting
     "unallocatable_synth_n": ("specdens", specdens(synth="ar1", phi=0.5, n=10**16)),
-    "unallocatable_n_sweep": ("sweep", with_run(n=10**16)),
+    "unallocatable_n_sweep": ("sweep", {**with_run(n=10**16), "noise": {"distribution": "rademacher"}}),
     "unallocatable_n_simulate": ("simulate", with_run(n=10**16)),
     # a kernel file or input series that cannot be read; "." is the directory of the config
     "missing_kernel_file": ("simulate", with_family(FILES, **{"kernels.1": "missing.txt"})),
@@ -453,6 +453,18 @@ def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, command, value)
     assert not out.exists()
 
 
+def test_gaussian_sweep_at_unallocatable_n_runs(tmp_path):
+    # a built-in family's Gaussian square sums are one Wishart draw of O(r**2) values a replicate, so n = 10**16,
+    # which no stream draw could allocate (unallocatable_n_sweep), runs; every entry within 4 se of analytic_n
+    code, out = run(tmp_path, "sweep", with_run(n=10 ** 16))
+    assert code == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == 6 and all(row[1] == str(10 ** 16) for row in rows)
+    for row in rows:
+        empirical, analytic_n, se = float(row[4]), float(row[5]), float(row[7])
+        assert se > 0.0 and abs(empirical - analytic_n) <= 4.0 * se, row
+
+
 def test_module_entry_point_exit_code(tmp_path):
     cfg = tmp_path / "simulate.ini"
     write_config(cfg, with_run(level=-1))
@@ -488,7 +500,8 @@ def test_noise_free_runs_load_no_scipy(tmp_path):
 
 
 def test_gaussian_sweep_and_cov_check_load_no_scipy_special(tmp_path):
-    # law-only replicates draw numpy's standard_normal, not ndtri; only clt's KS distance needs scipy.special
+    # law-only replicates draw numpy's Generator, not ndtri; only clt's KS distance needs scipy.special. On a
+    # built-in family they are one Wishart draw on the calling thread, so no thread pool (or logging) loads either
     argvs = []
     for command in ("sweep", "cov-check"):
         cfg = tmp_path / f"{command}.ini"
@@ -496,11 +509,12 @@ def test_gaussian_sweep_and_cov_check_load_no_scipy_special(tmp_path):
         argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / command)])
     code = ("import sys; from decilab.cli import main; "
             f"codes = [main(argv) for argv in {argvs!r}]; "
-            "print(codes, [m for m in sys.modules if m.startswith('scipy.special')])")
+            "print(codes, [m for m in sys.modules if m.startswith('scipy.special')], "
+            "[m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0] []"
+    assert proc.stdout.strip() == "[0, 0] [] []"
 
 
 def test_gamma_loads_no_thread_pool_noise_or_scipy(tmp_path):
@@ -571,10 +585,10 @@ def test_specdens_on_a_long_ar1_kernel_finishes(tmp_path):
 # the CLI; a refactor that leaves the arithmetic alone leaves these alone
 OUTPUT_SHA256 = {
     "simulate/path.csv": "8f3746faa535fe9aea8fa9b2f8be98bde4bab7a9d1b7be1d903e94a4440af6bc",
-    "clt/normality.txt": "6bfceb210cb973d1649963651995ff8a850aff05deed69c3556e77de6f862f13",
-    "clt/replicates.csv": "83898c9b284d563cae92025a931ea0f4992b3345f1e76ec5a067dca021b83559",
-    "cov-check/cov_check.csv": "1438b7dd01344985f254aa0b4b55daf54261ade182553d7d569b022137ba783d",
-    "sweep/sweep.csv": "cdaf38b3de53352ff8b192c21a1d2b9cfdd1f47807304348420407831d3c93dc",
+    "clt/normality.txt": "7fc2eda7d889db8a9e04fab519b5e6442c06609ab94b737f18d179c9124124dd",
+    "clt/replicates.csv": "e6e7cf1e4fc39a17ae41d2e23d70a9728750de98b333076d4650000ff7992824",
+    "cov-check/cov_check.csv": "9b58c78660ec906311672db6df0e14f9ab0e585d847baaecb319494c0a24b15c",
+    "sweep/sweep.csv": "376e20696bd448778ac79d9b0812703a18a2bb78e8fd92bbcf39403ec4f720bf",
     "specdens/specdens_report.txt": "3a45e63eb6d040d0b44906e00243483c1bda1c573f2a8d3acc5de2c4577e79db",
     "specdens/specdens_sweep.csv": "ff74318cb79e03a72a552701d01c6bc0127d866526d3409384e992f4ab9db811",
     "gamma/gamma_matrix.csv": "dc034d3a889965678fe02d14aee28c581f23d9af0430e2f19e2087029a3c15e1",

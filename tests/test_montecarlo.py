@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import chdtr
 
 import decilab
 from decilab import montecarlo
-from decilab.kernels import TimeKernel, snapped_center_freq
+from decilab.kernels import TimeKernel, make_scaled_window_family, snapped_center_freq
 from decilab.moments import a_term, b_term, case_constant, cov_exact, cov_of_square_sums, gamma_limit, limit_cross_cov
-from decilab.montecarlo import convergence_sweep, empirical_cov, normality_report, replicate_sums
+from decilab.montecarlo import KS_99, convergence_sweep, empirical_cov, normality_report, replicate_sums
 from decilab.simulate import NoiseSpec, mix_seed, simulate_decimated, simulate_linear_process
 from decilab.specdens import check_rate_condition, leakage_integral
 from decilab.windows import bspline_value, make_bspline_window
@@ -44,18 +45,20 @@ def test_import_loads_neither_scipy_stats_nor_signal():
 
 
 def test_first_gaussian_draw_from_pool_threads():
-    # three threads race to import numpy.random and key their first Philox: 150 replicates at n 2000 on the
-    # gaussian_level (r = 2) are 10 chunks of 16; law-only draws never import scipy.special
+    # three threads race to import numpy.random and key their first Philox: 150 replicates at n 2100 of one
+    # 6-tap kernel over Q = 3 blocks of gamma 2 (its own gaussian_level) are 10 chunks of 15; law-only draws
+    # never import scipy.special
     src = str(Path(decilab.__file__).resolve().parents[1])
     code = "\n".join([
         "import sys",
         "import decilab",
         "sys.setswitchinterval(1e-6)",
-        "fam = decilab.two_frequency_demo_family(decilab.make_bspline_window(4), [16, 32])",
+        "level = decilab.FamilyLevel(2, [decilab.TimeKernel(0, [6 ** -0.5] * 6)], [0.0])",
+        "fam = decilab.DecimatedFamily([level], [0.0], 1.0, threshold=1)",
         "noise = decilab.NoiseSpec('gaussian')",
         "loaded = 'numpy.random' in sys.modules",
-        "threaded = decilab.replicate_sums(fam, 1, 2000, noise, 150, 77, workers=3)",
-        "serial = decilab.replicate_sums(fam, 1, 2000, noise, 150, 77, workers=1)",
+        "threaded = decilab.replicate_sums(fam, 0, 2100, noise, 150, 77, workers=3)",
+        "serial = decilab.replicate_sums(fam, 0, 2100, noise, 150, 77, workers=1)",
         "print(loaded, threaded.tobytes() == serial.tobytes(), 'scipy.special' in sys.modules)",
     ])
     env = {**os.environ, "PYTHONPATH": src}
@@ -79,22 +82,28 @@ def two_freq():
     return decilab.two_frequency_demo_family(decilab.make_bspline_window(4), [16, 32])
 
 
+# one kernel over Q = 3 blocks of gamma 2, its own gaussian_level: Gaussian replicates of it are drawn by the
+# chunked pool, not by the Wishart draw
+LONG_KERNEL = single_level_family([TimeKernel(0, np.full(6, 6 ** -0.5))], gamma=2)
+
+
 class TestReplicateRunner:
-    def test_worker_count_invariance(self, two_freq, monkeypatch):
-        # 301 replicates of 40 values (n 20 on the gaussian_level, r = 2) in 7 chunks of at most 50, split
-        # unevenly over 2 and over 3 threads
-        monkeypatch.setattr(montecarlo, "_CHUNK", 50 * 40)
-        runs = [replicate_sums(two_freq, 1, 20, GAUSS, 301, 77, workers=w) for w in (1, 2, 3)]
+    def test_worker_count_invariance(self, monkeypatch):
+        # 301 replicates of 44 values (a stride of 22 outputs of gamma 2 at n 20) in 7 chunks of at most 50,
+        # split unevenly over 2 and over 3 threads
+        monkeypatch.setattr(montecarlo, "_CHUNK", 50 * 44)
+        runs = [replicate_sums(LONG_KERNEL, 0, 20, GAUSS, 301, 77, workers=w) for w in (1, 2, 3)]
         assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5, 1.9, True])  # not truncated to 2, 1, 1
     def test_rejects_workers_below_one(self, two_freq, workers):
+        # checked although these Gaussian replicates are one Wishart draw on the calling thread
         with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {workers}$"):
             replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=workers)
 
-    def test_threads_capped_by_replicates(self, two_freq, monkeypatch):
+    def test_threads_capped_by_replicates(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", 1)  # one replicate a chunk
-        serial = replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=1)
+        serial = replicate_sums(LONG_KERNEL, 0, 5, GAUSS, 100, 3, workers=1)
         pool_sizes = []
 
         class InlineExecutor:
@@ -113,7 +122,7 @@ class TestReplicateRunner:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
-        capped = replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=10_000)
+        capped = replicate_sums(LONG_KERNEL, 0, 5, GAUSS, 100, 3, workers=10_000)
         assert pool_sizes == [100]
         assert capped.tobytes() == serial.tobytes()
 
@@ -122,18 +131,19 @@ class TestReplicateRunner:
         # row b of chunk c is n**-0.5 * (sum_k Z_k**2 - n * E Z**2) over the outputs b*stride .. b*stride + n - 1
         # of one law-only draw at mix_seed(seed, c), stride = n + Q - 1 on the level drawn; 30 replicates a chunk
         n, seed = 20, 77
-        lv = two_freq.level(1).gaussian_level if noise is GAUSS else two_freq.level(1)
+        fam, level = (LONG_KERNEL, 0) if noise is GAUSS else (two_freq, 1)
+        lv = fam.level(level).gaussian_level if noise is GAUSS else fam.level(level)
         stride = n - 1 + -(-lv._stream_layout()[2] // lv.gamma)
-        assert (lv.gamma, stride) == ((2, 20) if noise is GAUSS else (32, 21))  # Q = 1 block of r, 2 of gamma
+        assert (lv.gamma, stride) == ((2, 22) if noise is GAUSS else (32, 21))  # Q = 3 blocks of 2, 2 of 32
         monkeypatch.setattr(montecarlo, "_CHUNK", 30 * stride * lv.gamma)
-        samples = replicate_sums(two_freq, 1, n, noise, 100, seed)
-        centers = np.array([cov_exact(two_freq, 1, i, i, 0, 0) for i in range(two_freq.n_branches)])
+        samples = replicate_sums(fam, level, n, noise, 100, seed)
+        centers = np.array([cov_exact(fam, level, i, i, 0, 0) for i in range(fam.n_branches)])
         expected = []
         for c, size in enumerate([30, 30, 30, 10]):
-            z = simulate_decimated(two_freq, 1, (size - 1) * stride + n, noise, mix_seed(seed, c), law_only=True)
+            z = simulate_decimated(fam, level, (size - 1) * stride + n, noise, mix_seed(seed, c), law_only=True)
             expected += [(np.sum(z[:, b * stride:b * stride + n] ** 2, axis=1) - n * centers) * (1.0 / np.sqrt(n))
                          for b in range(size)]
-        assert isinstance(samples, np.ndarray) and samples.shape == (100, 2)
+        assert isinstance(samples, np.ndarray) and samples.shape == (100, fam.n_branches)
         assert samples.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("noise", [GAUSS, RADEMACHER], ids=lambda s: s.distribution)
@@ -153,9 +163,8 @@ class TestReplicateRunner:
     def test_consecutive_replicates_are_uncorrelated(self, noise, n):
         # one kernel over Q = 3 blocks of gamma 2 (its own gaussian_level), so 2 dropped outputs between
         # replicates of a chunk; without them neighbours would share noise values and their rows correlate
-        fam = single_level_family([TimeKernel(0, np.full(6, 6 ** -0.5))], gamma=2)
         r = 20_000
-        x = replicate_sums(fam, 0, n, noise, r, 12)[:, 0]
+        x = replicate_sums(LONG_KERNEL, 0, n, noise, r, 12)[:, 0]
         assert abs(np.corrcoef(x[:-1], x[1:])[0, 1]) < 4 / np.sqrt(r)
 
     def test_jackknife_se_matches_brute_force(self, rng):
@@ -182,6 +191,93 @@ class TestReplicateRunner:
         for row in rows:
             assert row.se > 0.0
             assert abs(row.empirical - row.analytic_n) <= 4.0 * row.se, row
+
+
+# three branches in one block of gamma 4 with independent taps: a gaussian_level of r = 3 read in Q = 1 block,
+# whose branches share noise, so their square sums covary
+THREE_IN_ONE_BLOCK = single_level_family([TimeKernel(-3, [0.5, 1.0, -0.25, 0.75]), TimeKernel(-2, [1.0, 0.5, 0.5]),
+                                          TimeKernel(-3, [0.3, -0.6, 0.2, 0.9])], gamma=4)
+# (family, level, r): Gaussian replicates of these are one Wishart draw
+ONE_BLOCK_CASES = {
+    "two_frequency": (decilab.two_frequency_demo_family(make_bspline_window(4), [16, 32]), 1, 2),
+    "bspline_ma": (make_scaled_window_family(make_bspline_window(4), [16, 32]), 1, 1),
+    "three_in_one_block": (THREE_IN_ONE_BLOCK, 0, 3),
+}
+
+
+def bartlett_recipe(lv, n, count, seed):
+    """The (count, N) square sums of montecarlo._bartlett_sums, rebuilt entry by entry from its docstring."""
+    r, m = lv.gamma, min(n, lv.gamma)
+    d = np.zeros((len(lv.kernels), r))
+    for row, k in zip(d, lv.kernels):
+        row[:k.length] = k.coeffs[::-1]  # one block: every offset is 0
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    chi2 = gen.chisquare(n - np.arange(m, dtype=float), (count, m))
+    below = [(j, col) for j in range(r) for col in range(min(j, m))]
+    normals = gen.standard_normal((count, len(below)))
+    a = np.zeros((count, r, m))
+    for b in range(count):
+        for j in range(m):
+            a[b, j, j] = np.sqrt(chi2[b, j])
+        for (j, col), value in zip(below, normals[b]):
+            a[b, j, col] = value
+    return np.sum((d @ a) ** 2, axis=2)
+
+
+class TestBartlettSums:
+    @pytest.mark.parametrize("n", [1, 2, 7, 500])
+    @pytest.mark.parametrize("case", sorted(ONE_BLOCK_CASES))
+    def test_draw_layout_is_the_docstring_recipe(self, case, n):
+        fam, level, r = ONE_BLOCK_CASES[case]
+        lv = fam.level(level).gaussian_level
+        assert lv.gamma == r and lv._stream_layout()[2] == r  # Q = 1 block of r
+        samples = replicate_sums(fam, level, n, GAUSS, 100, 21)
+        centers = np.array([cov_exact(fam, level, i, i, 0, 0) for i in range(fam.n_branches)])
+        expected = (bartlett_recipe(lv, n, 100, 21) - n * centers) * (1.0 / np.sqrt(n))
+        assert samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 30])
+    @pytest.mark.parametrize("case", ["bspline_ma", "two_frequency"])
+    def test_each_coordinate_is_a_scaled_chi_square(self, case, n):
+        # a built-in family's Z_{i,k} are i.i.d. N(0, c_ii) over k, so S_i / c_ii ~ chi2_n; n = 1 is below r = 2
+        # on two_frequency. The KS distance of each coordinate stays in the 99 % band
+        fam, level, _ = ONE_BLOCK_CASES[case]
+        count = 20_000
+        samples = replicate_sums(fam, level, n, GAUSS, count, 4)
+        k = np.arange(1, count + 1)
+        for i in range(fam.n_branches):
+            c = cov_exact(fam, level, i, i, 0, 0)
+            cdf = np.sort(chdtr(n, (np.sqrt(n) * samples[:, i] + n * c) / c))
+            assert max(np.max(k / count - cdf), np.max(cdf - (k - 1) / count)) < KS_99 / np.sqrt(count), i
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("case", sorted(ONE_BLOCK_CASES))
+    def test_covariance_is_the_exact_finite_n_one(self, case, n):
+        # every mean within 4 se of 0 and every covariance entry within 4 se of cov_of_square_sums, also at
+        # n < r; the branches of three_in_one_block covary
+        fam, level, _ = ONE_BLOCK_CASES[case]
+        count = 20_000
+        samples = replicate_sums(fam, level, n, GAUSS, count, 6)
+        assert np.all(np.abs(samples.mean(axis=0)) <= 4.0 * samples.std(axis=0) / np.sqrt(count))
+        emp = empirical_cov(samples)
+        for i in range(fam.n_branches):
+            for ip in range(i, fam.n_branches):
+                exact = cov_of_square_sums(fam, level, i, ip, n, GAUSS)
+                assert abs(emp.matrix[i, ip] - exact) <= 4.0 * emp.se[i, ip], (i, ip)
+
+    @pytest.mark.parametrize("case", sorted(ONE_BLOCK_CASES))
+    def test_same_for_any_worker_count_without_the_pool(self, case, monkeypatch):
+        # one draw on the calling thread: no simulate_decimated call and no thread pool, whatever workers is
+        fam, level, _ = ONE_BLOCK_CASES[case]
+        runs = [replicate_sums(fam, level, 40, GAUSS, 301, 77, workers=w) for w in (1, 2, 3)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the chunked pool ran")
+
+        monkeypatch.setattr(montecarlo, "simulate_decimated", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        runs.append(replicate_sums(fam, level, 40, GAUSS, 301, 77, workers=3))
+        assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes() == runs[3].tobytes()
 
 
 # every library entry that takes a level, called at level j of a family
