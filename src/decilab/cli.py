@@ -17,6 +17,11 @@ SHA-256, so no run maps OpenSSL for it. Floats are emitted with 17
 significant digits, UTF-8, LF line endings. This module is the only
 writer of output files.
 
+Environment: DECILAB_THREADS, the number of threads the replicate runner
+uses, is read only by clt, cov-check and sweep. It defaults to 1 and must be
+an integer >= 1; any other value exits 2. Outputs are identical for every
+value.
+
 Exit codes: 0 success, 2 configuration error (including any value the
 library rejects, an input or output file that cannot be read or written,
 and a size numpy refuses to allocate), 3 hypothesis-gate rejection (a
@@ -54,6 +59,7 @@ import argparse
 import codecs
 import configparser
 import functools
+import os
 import shlex
 import sys
 from dataclasses import asdict, astuple
@@ -70,7 +76,7 @@ except ImportError:
 import numpy as np
 
 from . import montecarlo, moments, simulate, specdens
-from .kernels import (DecimatedFamily, FamilyLevel, _int, make_scaled_window_family, read_kernel,
+from .kernels import (DecimatedFamily, FamilyLevel, _int, _integer, make_scaled_window_family, read_kernel,
                       two_frequency_demo_family)
 from .windows import make_bspline_window
 
@@ -318,18 +324,27 @@ def _cmd_simulate(cfg, out_dir, seed, digest, config_dir):
     return 0
 
 
+def _thread_count():
+    """DECILAB_THREADS as the replicate runner's worker count, 1 when it is unset."""
+    text = os.environ.get("DECILAB_THREADS", "1")
+    try:
+        return _integer(_int(text), "workers", 1)
+    except ValueError:
+        raise ConfigError(f"DECILAB_THREADS must be an integer >= 1, got {text!r}") from None
+
+
 def _run_replicates(cfg, config_dir):
     family = _family_from_config(cfg, config_dir)
     noise = _noise_from_config(cfg)
     level = _get_run(cfg, family)
     n = _need(cfg, "run", "n")
     reps = _need(cfg, "run", "replicates")
-    return family, noise, level, n, reps
+    return family, noise, level, n, reps, _thread_count()
 
 
 def _cmd_clt(cfg, out_dir, seed, digest, config_dir):
-    family, noise, level, n, reps = _run_replicates(cfg, config_dir)
-    samples = montecarlo.replicate_sums(family, level, n, noise, reps, seed)
+    family, noise, level, n, reps, workers = _run_replicates(cfg, config_dir)
+    samples = montecarlo.replicate_sums(family, level, n, noise, reps, seed, workers)
     n_replicates, n_branches = samples.shape
     coords = ",".join(f"coord_{i + 1}" for i in range(n_branches))
     _write_csv(out_dir, "replicates.csv", f"replicate,{coords}",
@@ -349,15 +364,15 @@ def _cmd_clt(cfg, out_dir, seed, digest, config_dir):
 
 
 def _cmd_cov_check(cfg, out_dir, seed, digest, config_dir):
-    family, noise, level, n, reps = _run_replicates(cfg, config_dir)
-    rows = montecarlo.convergence_sweep(family, [level], n, noise, reps, seed)
+    family, noise, level, n, reps, workers = _run_replicates(cfg, config_dir)
+    rows = montecarlo.convergence_sweep(family, [level], n, noise, reps, seed, workers)
     _write_csv(out_dir, "cov_check.csv", SWEEP_HEADER, map(astuple, rows), digest)
     return 0
 
 
 def _cmd_sweep(cfg, out_dir, seed, digest, config_dir):
-    family, noise, _, n, reps = _run_replicates(cfg, config_dir)
-    rows = montecarlo.convergence_sweep(family, range(family.n_levels), n, noise, reps, seed)
+    family, noise, _, n, reps, workers = _run_replicates(cfg, config_dir)
+    rows = montecarlo.convergence_sweep(family, range(family.n_levels), n, noise, reps, seed, workers)
     _write_csv(out_dir, "sweep.csv", SWEEP_HEADER, map(astuple, rows), digest)
     return 0
 

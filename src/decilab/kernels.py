@@ -11,8 +11,9 @@ unrestricted concurrent use.
 Integers: every count, index, factor and seed (a level, branch, gamma, n,
 lag, threshold, window order, seed or replicate index) goes through one
 rule, _integer: a value that is not an integer in its range (2.5, NaN, inf,
--1 for an index) raises ValueError("<name> <value> is not in <lo>..<hi>"),
-never truncated or wrapped, and an integral float such as 1.0 is its int.
+-1 for an index, a bool) raises ValueError("<name> <value> is not in
+<lo>..<hi>"), never truncated or wrapped, and an integral float such as 1.0
+is its int.
 Branches and levels are 0-based throughout the Python API.
 """
 
@@ -42,9 +43,9 @@ def _as_readonly(a, dtype=float):
 
 
 def _integer(value, name, lo=None, hi=None):
-    """value as an int in lo..hi (None leaves that side open); one outside it or not an integer is rejected."""
+    """value as an int in lo..hi (None leaves that side open); one outside it, a bool or not an integer is rejected."""
     try:
-        whole = int(value)
+        whole = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):  # NaN, inf, None
         whole = None
     if whole is None or whole != value or (lo is not None and whole < lo) or (hi is not None and whole > hi):
@@ -378,40 +379,31 @@ def check_condition_c(family):
     [-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH]. Missing limit kernels mark
     the residuals as unavailable instead of failing.
 
-    The uniform statistic takes |v*| from one rfft of the wrapped taps; the
-    rescaled responses come from eval_response, and each branch's limit is
-    evaluated once, on the xi grid every level shares.
+    One pass over (level, branch) computes both statistics. The uniform
+    statistic takes |v*| from one rfft of the wrapped taps; the rescaled
+    responses come from eval_response, against each branch's limit,
+    evaluated once before the pass on the xi grid every level shares.
     """
     if family.n_levels < 2:
         raise ValueError("need at least two stored levels")
 
-    n = family.n_branches
-    nl = family.n_levels
-
+    shape = (family.n_levels, family.n_branches)
     integer_res = np.array([integer_condition_residual(lv.gamma, lv.center_freqs) for lv in family.levels])
 
-    # |v*| on the 2*GRID_SIZE-point DFT grid pi*m/GRID_SIZE, by one rfft of the wrapped taps
     lam_grid = np.linspace(0.0, np.pi, GRID_SIZE, endpoint=False)
-    uniform = np.zeros((nl, n))
+    xi = np.linspace(-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH, GRID_SIZE)
+    responses = family.limit_responses
+    limits = None if responses is None else [response(xi) for response in responses]  # xi is every level's grid
+    uniform, rescaled = np.zeros(shape), None if limits is None else np.zeros(shape)
     for j, lv in enumerate(family.levels):
         g = lv.gamma
-        for i in range(n):
-            taps = lv.kernels[i].coeffs
-            wrapped = np.bincount(np.arange(taps.size) % (2 * GRID_SIZE), weights=taps, minlength=2 * GRID_SIZE)
+        for i, (kernel, freq) in enumerate(zip(lv.kernels, lv.center_freqs)):
+            # |v*| on the 2*GRID_SIZE-point DFT grid pi*m/GRID_SIZE, by one rfft of the wrapped taps
+            wrapped = np.bincount(np.arange(kernel.length) % (2 * GRID_SIZE), kernel.coeffs, 2 * GRID_SIZE)
             resp = np.abs(np.fft.rfft(wrapped)[:GRID_SIZE]) / np.sqrt(TWO_PI)
-            envelope = (1.0 + g * np.abs(lam_grid - lv.center_freqs[i])) ** family.decay
-            uniform[j, i] = np.max(resp * envelope) / np.sqrt(g)
-
-    rescaled = None
-    responses = family.limit_responses
-    if responses is not None:
-        xi = np.linspace(-RESCALED_HALFWIDTH, RESCALED_HALFWIDTH, GRID_SIZE)
-        limits = [response(xi) for response in responses]  # the xi grid is the same at every level
-        rescaled = np.zeros((nl, n))
-        for j, lv in enumerate(family.levels):
-            g = lv.gamma
-            for i in range(n):
-                scaled = eval_response(lv.kernels[i], xi / g + lv.center_freqs[i]) / np.sqrt(g)
+            uniform[j, i] = np.max(resp * (1.0 + g * np.abs(lam_grid - freq)) ** family.decay) / np.sqrt(g)
+            if limits is not None:
+                scaled = eval_response(kernel, xi / g + freq) / np.sqrt(g)
                 rescaled[j, i] = np.max(np.abs(scaled - limits[i]))
 
     return ConditionReport(integer_residuals=integer_res, uniform_stats=uniform, rescaled_residuals=rescaled)

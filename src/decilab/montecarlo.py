@@ -21,7 +21,6 @@ normality_report uses scipy.special.ndtr, imported on its first call:
 neither loads with this module.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,20 +32,6 @@ from .simulate import _MASK64, _philox, mix_seed, simulate_decimated
 KS_99 = 1.63  # ~99% quantile scale of the one-sample KS statistic
 _CHUNK = 1 << 16  # noise values one replicate_sums chunk draws, at most, unless it holds one replicate
 _GAP = 1 << 17  # multiply-adds a chunked replicate's dropped outputs may cost; chunks timed slower from 5e5 on
-
-
-def _worker_count(workers):
-    if workers is None:
-        source, value = "DECILAB_THREADS", os.environ.get("DECILAB_THREADS", "1")
-    else:
-        source, value = "workers", workers
-    try:
-        count = int(value)  # the text of DECILAB_THREADS, or a number whose int must equal it
-        if count < 1 or isinstance(value, bool) or (workers is not None and count != value):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{source} must be an integer >= 1, got {value!r}") from None
-    return count
 
 
 def _bartlett_sums(lv, n, n_replicates, seed):
@@ -74,21 +59,22 @@ def _bartlett_sums(lv, n, n_replicates, seed):
     return np.sum((d @ a) ** 2, axis=2)
 
 
-def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=None):
+def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=1):
     """The (R, N) array of R replicates of n**-0.5 * sum_{k<n} (Z_{i,k}^2 - E Z_{i,k}^2).
 
     E Z_{i,k}^2 is the exact level expectation, cov_exact(family, level, i, i, 0, 0).
     The level drawn (the gaussian_level for Gaussian noise) reads Q blocks of
-    its factor per output. Workers, n, R and the seed are checked first. A
-    Gaussian level with Q = 1 draws all R replicates on the calling thread as
-    one _bartlett_sums keyed by base_seed. Otherwise chunk c is one law_only
+    its factor per output. n, R, the seed and workers (the thread count,
+    default 1, which no output depends on) are checked first. A Gaussian
+    level with Q = 1 draws all R replicates on the calling thread as one
+    _bartlett_sums keyed by base_seed. Otherwise chunk c is one law_only
     simulate_decimated draw at mix_seed(base_seed, c): B strides of n + Q - 1
     outputs, the last cut to n, and replicate b is the first n of stride b;
     no two share a noise value. B = 1 if (Q - 1) * sum(L) > _GAP, else the
     most whose strides fit in _CHUNK values.
     """
     n_replicates, n = _integer(n_replicates, "n_replicates", 100), _integer(n, "n", 1)
-    workers, base_seed = _worker_count(workers), _integer(base_seed, "seed", 0, _MASK64)
+    workers, base_seed = _integer(workers, "workers", 1), _integer(base_seed, "seed", 0, _MASK64)
     centers = np.array([cov_exact(family, level, i, i, 0, 0) for i in range(family.n_branches)])
     gaussian = noise.distribution == "gaussian"
     lv = family.level(level).gaussian_level if gaussian else family.level(level)
@@ -206,12 +192,14 @@ class SweepRow:
     se: float
 
 
-def convergence_sweep(family, levels, n, noise, n_replicates, base_seed, workers=None):
+def convergence_sweep(family, levels, n, noise, n_replicates, base_seed, workers=1):
     """Per level and branch pair: empirical covariance vs exact and limiting values.
 
     The same n is used at every level. gamma_limit columns are NaN when the
-    family carries no limit kernels.
+    family carries no limit kernels. Replicates run on workers threads
+    (default 1), as in replicate_sums.
     """
+    workers = _integer(workers, "workers", 1)
     gammas = [family.level(level).gamma for level in levels]  # every level is checked before the first replicate
     have_limits = family.limit_kernels is not None
     gm = gamma_matrix(family) if have_limits else None

@@ -1,5 +1,6 @@
 import argparse
 import codecs
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -442,7 +443,7 @@ def test_docstring_names_the_whole_schema():
         assert set(line.split(", ")) == names(keys), ftype
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.0"])
 @pytest.mark.parametrize("command", ["clt", "cov-check", "sweep"])
 def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, command, value):
     monkeypatch.setenv("DECILAB_THREADS", value)
@@ -451,6 +452,34 @@ def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, command, value)
     assert capsys.readouterr().err == (
         f"decilab: config error: DECILAB_THREADS must be an integer >= 1, got {value!r}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "specdens", "gamma"])
+def test_thread_count_read_only_by_replicate_commands(tmp_path, monkeypatch, command):
+    monkeypatch.setenv("DECILAB_THREADS", "abc")
+    assert run(tmp_path, command, CONFIGS[command])[0] == 0
+
+
+def test_rademacher_sweep_same_at_one_and_two_threads(tmp_path, monkeypatch):
+    # Rademacher replicates come from the noise stream in chunks: 300 at n 40 are 4 chunks at gamma 16 and 7 at
+    # gamma 32, so DECILAB_THREADS=2 runs both levels on a two-thread pool
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    sections = {"family": FAMILY, "noise": {"distribution": "rademacher"}, "run": {"n": 40, "replicates": 300}}
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DECILAB_THREADS", threads)
+        code, out = run(tmp_path, "sweep", sections, tag=f"threads_{threads}")
+        assert code == 0
+        outputs.append((out / "sweep.csv").read_bytes())
+    assert pools == [1, 1, 2, 2]
+    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 7
 
 
 def test_gaussian_sweep_at_unallocatable_n_runs(tmp_path):

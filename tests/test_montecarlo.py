@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,11 +96,21 @@ class TestReplicateRunner:
         runs = [replicate_sums(LONG_KERNEL, 0, 20, GAUSS, 301, 77, workers=w) for w in (1, 2, 3)]
         assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
 
-    @pytest.mark.parametrize("workers", [0, -3, 2.5, 1.9, True])  # not truncated to 2, 1, 1
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, 1.9, True, np.True_])  # not truncated to 2, 1, 1, 1
     def test_rejects_workers_below_one(self, two_freq, workers):
         # checked although these Gaussian replicates are one Wishart draw on the calling thread
-        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {workers}$"):
+        message = rf"^workers {re.escape(str(workers))} is not in 1\.\.$"
+        with pytest.raises(ValueError, match=message):
             replicate_sums(two_freq, 1, 5, GAUSS, 100, 3, workers=workers)
+        with pytest.raises(ValueError, match=message):
+            convergence_sweep(two_freq, [0, 1], 5, GAUSS, 100, 3, workers=workers)
+
+    def test_library_does_not_read_the_thread_variable(self, monkeypatch):
+        # DECILAB_THREADS is the CLI's setting: the library runs its default of one thread whatever it holds
+        serial = replicate_sums(LONG_KERNEL, 0, 5, GAUSS, 100, 3)
+        monkeypatch.setenv("DECILAB_THREADS", "abc")
+        assert replicate_sums(LONG_KERNEL, 0, 5, GAUSS, 100, 3).tobytes() == serial.tobytes()
+        assert len(convergence_sweep(LONG_KERNEL, [0], 5, GAUSS, 100, 3)) == 1
 
     def test_threads_capped_by_replicates(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", 1)  # one replicate a chunk
@@ -293,10 +304,10 @@ LEVEL_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("level", [-1, 2, 0.5])
+@pytest.mark.parametrize("level", [-1, 2, 0.5, True, np.True_])
 @pytest.mark.parametrize("entry", sorted(LEVEL_ENTRIES))
 def test_level_outside_the_ladder_is_rejected(two_freq, entry, level):
-    # level -1 is not read as the last level, and 0.5 raises ValueError, not TypeError
+    # level -1 is not read as the last level, 0.5 raises ValueError, not TypeError, and a bool is not level 1
     with pytest.raises(ValueError, match=rf"^level {level} is not in 0\.\.1$"):
         LEVEL_ENTRIES[entry](two_freq, level)
 
@@ -314,11 +325,11 @@ COUNT_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("n", [0, 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("n", [0, 2.5, math.nan, math.inf, True, np.True_])
 @pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
 def test_count_outside_its_range_is_rejected(two_freq, entry, n):
     # n = NaN gave a_term, cov_of_square_sums and check_rate_condition 0.0 or NaN, n = 2.5 gave them a value,
-    # and simulate_decimated a TypeError
+    # simulate_decimated a TypeError, and a bool ran as n = 1
     with pytest.raises(ValueError, match=rf"^n {n} is not in 1\.\.$"):
         COUNT_ENTRIES[entry](two_freq, n)
 
@@ -356,10 +367,10 @@ BRANCH_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("branch", [-1, 2, 0.5])
+@pytest.mark.parametrize("branch", [-1, 2, 0.5, True, np.True_])
 @pytest.mark.parametrize("entry", sorted(BRANCH_ENTRIES))
 def test_branch_outside_the_family_is_rejected(two_freq, entry, branch):
-    # branch -1 is not read as the last branch, branch 2 raises ValueError, not IndexError, and 0.5 not TypeError
+    # branch -1 is not read as the last branch, 2 raises ValueError, not IndexError, 0.5 not TypeError, True not 1
     with pytest.raises(ValueError, match=rf"^branch {branch} is not in 0\.\.1$"):
         BRANCH_ENTRIES[entry](two_freq, branch)
 

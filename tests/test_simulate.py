@@ -151,9 +151,9 @@ class TestNoise:
         with pytest.raises(ValueError, match=rf"^seed {seed} is not in 0\.\.{2 ** 64 - 1}$"):
             mix_seed(seed, 1)
 
-    @pytest.mark.parametrize("seed", [2.5, 1e-3])
+    @pytest.mark.parametrize("seed", [2.5, 1e-3, True, np.True_])
     def test_seed_that_is_not_an_integer_is_rejected(self, seed):
-        # 2.5 was truncated onto the stream of seed 2
+        # 2.5 was truncated onto the stream of seed 2, and a bool read as seed 1
         with pytest.raises(ValueError, match=rf"^seed {seed} is not in 0\.\.{2 ** 64 - 1}$"):
             noise_values(GAUSS, seed, 0, 4)
         with pytest.raises(ValueError, match=rf"^seed {seed} is not in 0\.\.{2 ** 64 - 1}$"):
