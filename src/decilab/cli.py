@@ -29,7 +29,9 @@ requested window whose decay cannot support the estimator theory).
 
 Config schema. Every value is parsed once, when the file is loaded; an
 unknown section or key, or a value of the wrong kind, is rejected. An
-integer, here or on a kernel file's support line, lies in (-2**64, 2**64):
+integer, here or on a kernel file's support line, lies in (-2**64, 2**64).
+No number read from text (a config value, a kernel file, an input series,
+DECILAB_THREADS) may hold a digit-group underscore such as 2_0:
 
   [experiment]  seed, out
   [family]      type = bspline_ma | two_frequency | files; each type reads only these keys:
@@ -43,7 +45,9 @@ integer, here or on a kernel file's support line, lies in (-2**64, 2**64):
   [noise]       distribution = gaussian | rademacher | scaled_uniform
   [run]         level, n, replicates; sweep runs every level of the family
   [specdens]    window_order, gammas, input | synth = white | ar1, phi (ar1), n (synth);
-                specdens_report.txt holds the estimate at the last of gammas, specdens_sweep.csv each
+                specdens_report.txt holds the estimate at the last of gammas, specdens_sweep.csv each;
+                a synth series is seeded and reproducible by its digest, drawn from the law of the
+                noise (simulate_linear_process with law_only), not from the xi_t simulate writes
 
 A [family] key the chosen type does not read is rejected, as are [specdens]
 phi without synth = ar1 and [specdens] n with input. So is a key in a
@@ -76,8 +80,8 @@ except ImportError:
 import numpy as np
 
 from . import montecarlo, moments, simulate, specdens
-from .kernels import (DecimatedFamily, FamilyLevel, _int, _integer, make_scaled_window_family, read_kernel,
-                      two_frequency_demo_family)
+from .kernels import (DecimatedFamily, FamilyLevel, TimeKernel, _float, _int, _integer,
+                      make_scaled_window_family, read_kernel, two_frequency_demo_family)
 from .windows import make_bspline_window
 
 FLOAT_FMT = "%.17g"
@@ -89,7 +93,7 @@ def _ints(raw):
 
 
 def _floats(raw):
-    return [float(tok) for tok in raw.split()]
+    return [_float(tok) for tok in raw.split()]
 
 
 def _paths(raw):
@@ -102,11 +106,11 @@ def _paths(raw):
 # {section: {key: parser of its value}}; a stem ending in "." stands for the per-level keys <stem><j>
 _SCHEMA = {
     "experiment": {"seed": _int, "out": str},
-    "family": {"type": str, "order": _int, "gammas": _ints, "modulation": float, "decay": float,
+    "family": {"type": str, "order": _int, "gammas": _ints, "modulation": _float, "decay": _float,
                "limit_freqs": _floats, "threshold": _int, "gamma.": _int, "kernels.": _paths, "freqs.": _floats},
     "noise": {"distribution": str},
     "run": {"level": _int, "n": _int, "replicates": _int},
-    "specdens": {"window_order": _int, "gammas": _ints, "input": str, "synth": str, "phi": float, "n": _int},
+    "specdens": {"window_order": _int, "gammas": _ints, "input": str, "synth": str, "phi": _float, "n": _int},
 }
 # {family type: the [family] keys it reads besides type}
 _FAMILY_KEYS = {
@@ -114,7 +118,7 @@ _FAMILY_KEYS = {
     "two_frequency": {"order", "gammas"},
     "files": {"decay", "limit_freqs", "threshold", "gamma.", "kernels.", "freqs."},
 }
-_KIND = {_int: "an integer in (-2**64, 2**64)", _ints: "a list of int in (-2**64, 2**64)", float: "a number",
+_KIND = {_int: "an integer in (-2**64, 2**64)", _ints: "a list of int in (-2**64, 2**64)", _float: "a number",
          _floats: "a list of float", _paths: "a list of paths (a quote is not closed)"}
 
 
@@ -256,7 +260,7 @@ def _series_from_config(cfg, config_dir, seed):
                     if not tok:
                         continue
                     try:
-                        rows.append(float(tok))
+                        rows.append(_float(tok))
                     except ValueError:
                         if line_no == 1 and tok[0] not in "0123456789+-.":
                             continue  # a header line
@@ -268,14 +272,14 @@ def _series_from_config(cfg, config_dir, seed):
         return np.asarray(rows), None
     n = _need(cfg, "specdens", "n")
     noise = _noise_from_config(cfg)
-    if synth == "white":
-        return simulate.noise_values(noise, seed, 0, n), 1.0 / (2.0 * np.pi)
-    if synth == "ar1":
+    if synth == "white":  # the identity kernel reads xi_0 .. xi_{n-1}
+        kernel, target = TimeKernel(1, np.ones(1)), 1.0 / (2.0 * np.pi)
+    elif synth == "ar1":
         phi = spec.get("phi", 0.5)
-        kernel = simulate.ar1_kernel(phi)
-        target = 1.0 / (2.0 * np.pi * (1.0 - phi) ** 2)
-        return simulate.simulate_linear_process(kernel, n, noise, seed), target
-    raise ConfigError(f"unknown synthetic source {synth!r}")
+        kernel, target = simulate.ar1_kernel(phi), 1.0 / (2.0 * np.pi * (1.0 - phi) ** 2)
+    else:
+        raise ConfigError(f"unknown synthetic source {synth!r}")
+    return simulate.simulate_linear_process(kernel, n, noise, seed, law_only=True), target
 
 
 def _open_out(out_dir, name):

@@ -473,11 +473,23 @@ def two_frequency_demo_family(prototype, gammas):
 
 
 def _int(token):
-    """An integer read from text, in (-2**64, 2**64) (every 64-bit seed), so numpy never meets one it overflows on."""
+    """An integer read from text, in (-2**64, 2**64) (every 64-bit seed), so numpy never meets one it overflows on.
+
+    int() also reads digit-group underscores; a token with one is rejected, so 2_0 is no second spelling of 20.
+    """
+    if "_" in token:
+        raise ValueError(f"{token} is not an integer: it holds an underscore")
     value = int(token)
     if abs(value) >= 1 << 64:
         raise ValueError(f"{token} is not an integer in (-2**64, 2**64)")
     return value
+
+
+def _float(token):
+    """A number read from text by float(), under _int's rule: a token with an underscore is rejected."""
+    if "_" in token:
+        raise ValueError(f"{token} is not a number: it holds an underscore")
+    return float(token)
 
 
 def read_kernel(path):
@@ -486,4 +498,4 @@ def read_kernel(path):
         lines = fh.read().split()
     if len(lines) < 2:
         raise ValueError("kernel file needs a support line and at least one coefficient")
-    return TimeKernel(_int(lines[0]), np.array([float(v) for v in lines[1:]]))
+    return TimeKernel(_int(lines[0]), np.array([_float(v) for v in lines[1:]]))

@@ -273,6 +273,63 @@ def test_oversized_integer_exits_2_without_traceback(tmp_path, capsys, case, val
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+# every float key of the schema: a command that loads it, and the sections that set it to a value
+FLOAT_KEYS = {
+    "family.modulation": ("simulate", lambda v: with_family(SCALED, modulation=v)),
+    "family.decay": ("simulate", lambda v: with_family(FILES, decay=v)),
+    "family.limit_freqs": ("simulate", lambda v: with_family(FILES, limit_freqs=v)),
+    "family.freqs.": ("simulate", lambda v: with_family(FILES, **{"freqs.1": v})),
+    "specdens.phi": ("specdens", lambda v: specdens(synth="ar1", phi=v)),
+}
+# a value each number key runs with; its underscored spelling puts "_" before the last digit (16 -> 1_6)
+NUMBER_VALUES = {"experiment.seed": "15", "family.order": "04", "family.gammas": "32", "family.threshold": "00",
+                 "family.gamma.": "04", "run.level": "01", "run.n": "20", "run.n/clt": "20", "run.n/cov-check": "20",
+                 "run.n/sweep": "20", "run.replicates": "150", "specdens.window_order": "04", "specdens.gammas": "64",
+                 "specdens.n": "4096", "family.modulation": "0.25", "family.decay": "10", "family.limit_freqs": "0.00",
+                 "family.freqs.": "0.00", "specdens.phi": "0.95"}
+
+
+def test_float_cases_cover_every_float_key():
+    keys = {f"{section}.{key}" for section, parsers in cli._SCHEMA.items()
+            for key, parse in parsers.items() if parse in (cli._float, cli._floats)}
+    assert set(FLOAT_KEYS) == keys
+    assert set(NUMBER_VALUES) == {*OVERSIZED, *FLOAT_KEYS}
+
+
+@pytest.mark.parametrize("case", sorted(NUMBER_VALUES))
+def test_number_with_an_underscore_exits_2(tmp_path, capsys, case):
+    # int() and float() read digit-group underscores, so 2_0 would run as 20 under another digest
+    command, sections = {**OVERSIZED, **FLOAT_KEYS}[case]
+    value = NUMBER_VALUES[case]
+    write_kernel(tmp_path)
+    assert run(tmp_path, command, sections(value), tag="plain")[0] == 0
+    capsys.readouterr()
+    code, out = run(tmp_path, command, sections(f"{value[:-1]}_{value[-1]}"))
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    section, key = case.partition("/")[0].split(".", 1)
+    assert err.startswith(f"decilab: config error: [{section}] {key}") and "_" in err.split(" = ", 1)[1]
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_series_value_with_an_underscore_exits_2(tmp_path, capsys):
+    write_series(tmp_path)
+    lines = (tmp_path / SERIES).read_text(encoding="utf-8").splitlines()
+    (tmp_path / "underscore.txt").write_text("\n".join([*lines[:3], "0.2_5", *lines[3:]]) + "\n", encoding="utf-8")
+    code, out = run(tmp_path, "specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": "underscore.txt"}})
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == "decilab: config error: underscore.txt:4: not a number: '0.2_5'\n"
+
+
+def test_seed_flag_with_an_underscore_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "gamma.ini"
+    write_config(cfg, CONFIGS["gamma"])
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", "--config", str(cfg), "--seed", "1_5", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2 and "'1_5'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_largest_seed_runs_and_the_seed_flag_is_bounded(tmp_path):
     # the bound keeps every 64-bit seed, in the config and under --seed
     code, out = run(tmp_path, "gamma", CONFIGS["gamma"], seed=2 ** 64 - 1)
@@ -292,8 +349,10 @@ def test_default_section_is_an_unknown_section(tmp_path, capsys, case):
     assert capsys.readouterr().err == "decilab: config error: unknown config section [DEFAULT]\n"
 
 
-@pytest.mark.parametrize("text", ["-1\n0.5\nabc\n", "1.5\n0.5\n", f"{2 ** 64}\n0.5\n", f"{10 ** 400}\n0.5\n"],
-                         ids=["bad_coefficient", "non_integer_support", "support_2_64", "support_10_400"])
+@pytest.mark.parametrize("text", ["-1\n0.5\nabc\n", "1.5\n0.5\n", f"{2 ** 64}\n0.5\n", f"{10 ** 400}\n0.5\n",
+                                  "-0_1\n0.5\n", "-1\n0.2_5\n"],
+                         ids=["bad_coefficient", "non_integer_support", "support_2_64", "support_10_400",
+                              "underscore_support", "underscore_coefficient"])
 def test_kernel_file_error_names_the_file(tmp_path, capsys, text):
     write_kernel(tmp_path)
     (tmp_path / "bad_kernel.txt").write_text(text, encoding="utf-8")
@@ -443,7 +502,7 @@ def test_docstring_names_the_whole_schema():
         assert set(line.split(", ")) == names(keys), ftype
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.0"])
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.0", "1_0"])
 @pytest.mark.parametrize("command", ["clt", "cov-check", "sweep"])
 def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, command, value):
     monkeypatch.setenv("DECILAB_THREADS", value)
@@ -546,6 +605,23 @@ def test_gaussian_sweep_and_cov_check_load_no_scipy_special(tmp_path):
     assert proc.stdout.strip() == "[0, 0] [] []"
 
 
+def test_gaussian_specdens_loads_no_scipy_special(tmp_path):
+    # a synthetic series is drawn from the law by numpy's standard_normal, not from the stream's ndtri
+    argvs = []
+    for synth, extra in (("white", {}), ("ar1", {"phi": 0.95})):
+        cfg = tmp_path / f"{synth}.ini"
+        write_config(cfg, {"experiment": {"seed": 5}, **specdens(synth=synth, **extra),
+                           "noise": {"distribution": "gaussian"}})
+        argvs.append(["specdens", "--config", str(cfg), "--out", str(tmp_path / synth)])
+    code = ("import sys; from decilab.cli import main; "
+            f"codes = [main(argv) for argv in {argvs!r}]; "
+            "print(codes, [m for m in sys.modules if m.startswith('scipy.special')])")
+    env = {**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
+
+
 def test_gamma_loads_no_thread_pool_noise_or_scipy(tmp_path):
     # concurrent.futures (and logging with it) loads on the first replicate run, numpy.random and scipy.special
     # on the first noise draw; gamma makes neither
@@ -618,8 +694,8 @@ OUTPUT_SHA256 = {
     "clt/replicates.csv": "e6e7cf1e4fc39a17ae41d2e23d70a9728750de98b333076d4650000ff7992824",
     "cov-check/cov_check.csv": "9b58c78660ec906311672db6df0e14f9ab0e585d847baaecb319494c0a24b15c",
     "sweep/sweep.csv": "376e20696bd448778ac79d9b0812703a18a2bb78e8fd92bbcf39403ec4f720bf",
-    "specdens/specdens_report.txt": "3a45e63eb6d040d0b44906e00243483c1bda1c573f2a8d3acc5de2c4577e79db",
-    "specdens/specdens_sweep.csv": "ff74318cb79e03a72a552701d01c6bc0127d866526d3409384e992f4ab9db811",
+    "specdens/specdens_report.txt": "7d304b508e55993f8d6f6ad96064add4e07667978cc0f10d8fbf26940df6c408",
+    "specdens/specdens_sweep.csv": "f3d84921ae50f97454f230570a68c35721448422cb09e61fc52322409e15b39e",
     "gamma/gamma_matrix.csv": "dc034d3a889965678fe02d14aee28c581f23d9af0430e2f19e2087029a3c15e1",
 }
 

@@ -567,6 +567,14 @@ class TestKernelIO:
         assert back.support_start == 2
         assert back.coeffs[0] == k.coeffs[0]
 
+    @pytest.mark.parametrize("text", ["-0_3\n0.25\n", "-3\n0.2_5\n"], ids=["support", "coefficient"])
+    def test_rejects_a_number_with_an_underscore(self, tmp_path, text):
+        # int() and float() read 2_0 as 20
+        path = tmp_path / "kernel.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="holds an underscore"):
+            read_kernel(path)
+
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "kernel.txt"
         path.write_text("0\n", encoding="utf-8")

@@ -337,6 +337,11 @@ class TestSimulateDecimated:
         assert np.allclose(z[1:], x, atol=0, rtol=0)
 
 
+# simulate_linear_process kernels on the block-product path (L = 1) and the full-rate correlation path (L > gamma = 1)
+LAW_ONLY_KERNELS = {"identity": TimeKernel(1, np.array([1.0])), "short": TimeKernel(-2, np.array([0.5, -1.0, 0.25])),
+                    "ar1": ar1_kernel(0.95)}
+
+
 class TestLinearProcess:
     def test_impulse_kernel_gives_noise(self):
         k = TimeKernel(0, np.array([1.0]))
@@ -380,6 +385,37 @@ class TestLinearProcess:
             simulate_linear_process(k, 100, UNIFORM, 77),
             simulate_linear_process(k, 100, UNIFORM, 77),
         )
+
+    @pytest.mark.parametrize("spec", [RADEMACHER, UNIFORM], ids=lambda s: s.distribution)
+    @pytest.mark.parametrize("name", sorted(LAW_ONLY_KERNELS))
+    def test_law_only_is_the_stream_for_other_noise(self, name, spec):
+        k = LAW_ONLY_KERNELS[name]
+        want = simulate_linear_process(k, 300, spec, 17)
+        assert simulate_linear_process(k, 300, spec, 17, law_only=True).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(LAW_ONLY_KERNELS))
+    def test_law_only_gaussian_convolves_standard_normal(self, name):
+        k = LAW_ONLY_KERNELS[name]
+        xi = simulate._philox(0, 17)[1].standard_normal(300 + k.length - 1)
+        x = simulate_linear_process(k, 300, GAUSS, 17, law_only=True)
+        assert x.tobytes() == _decimated_convolve(xi, k, 1, 300).tobytes()
+        assert simulate_linear_process(k, 300, GAUSS, 17, law_only=True).tobytes() == x.tobytes()  # a rerun
+        assert not np.array_equal(x, simulate_linear_process(k, 300, GAUSS, 17))  # not the stream's xi_t
+
+    @pytest.mark.parametrize("spec", [RADEMACHER, UNIFORM, GAUSS], ids=lambda s: s.distribution)
+    def test_identity_kernel_reads_xi_0_to_n(self, spec):
+        # specdens' white series: X_u = xi_{u-1}, u = 1 .. n
+        x = simulate_linear_process(TimeKernel(1, np.array([1.0])), 500, spec, 23, law_only=True)
+        if spec is GAUSS:
+            want = simulate._philox(0, 23)[1].standard_normal(500)
+        else:
+            want = noise_values(spec, 23, 0, 500)
+        assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2.5])
+    def test_law_only_rejects_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match=f"^seed {seed} is not in 0..{2 ** 64 - 1}$"):
+            simulate_linear_process(ar1_kernel(0.5), 10, GAUSS, seed, law_only=True)
 
 
 class TestAr1Truncation:

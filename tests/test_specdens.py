@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import decilab
+from decilab import cli
 from decilab.kernels import make_scaled_window_family
 from decilab.moments import cov_exact, gamma_limit
 from decilab.quadrature import gauss_legendre_panels
@@ -326,6 +327,19 @@ class TestLeakage:
 
 
 class TestExpectationIdentities:
+    def test_law_only_white_series_has_the_exact_law(self):
+        # specdens' Gaussian white series comes from numpy's standard_normal, not xi_t; over 2000 seeds the mean
+        # of f0_hat is within 4 se of the exact E Z^2. A built-in window family's Z_k are i.i.d. over k, so
+        # f0_hat is E Z^2 * chi2_{n_j} / n_j, and its sd is E Z^2 * sqrt(2 / n_j)
+        w = make_bspline_window(4)
+        cfg = {"specdens": {"synth": "white", "n": 4096}, "noise": {"distribution": "gaussian"}}
+        f0 = np.array([estimate_f0(cli._series_from_config(cfg, None, seed)[0], w, 16).f0_hat
+                       for seed in range(2000)])
+        exact = cov_exact(make_scaled_window_family(w, [16]), 0, 0, 0, 0, 0)
+        sd = np.std(f0, ddof=1)
+        assert abs(np.mean(f0) - exact) < 4.0 * sd / math.sqrt(f0.size)
+        assert abs(sd / (exact * math.sqrt(2.0 / 256)) - 1.0) < 4.0 / math.sqrt(2.0 * f0.size)
+
     def test_analytic_expectation_near_white_level_at_gamma_64(self):
         w = make_bspline_window(4)
         assert abs(white_noise_expectation(w, 64) - 1.0 / TWO_PI) < 1e-2
