@@ -29,9 +29,13 @@ requested window whose decay cannot support the estimator theory).
 
 Config schema. Every value is parsed once, when the file is loaded; an
 unknown section or key, or a value of the wrong kind, is rejected. An
-integer, here or on a kernel file's support line, lies in (-2**64, 2**64).
-No number read from text (a config value, a kernel file, an input series,
-DECILAB_THREADS) may hold a digit-group underscore such as 2_0:
+integer (a config value, a kernel file's support line, --seed,
+DECILAB_THREADS) lies in (-2**64, 2**64) and is written in one way only:
+an optional '-' and ASCII digits without a leading zero, so 020, +20, 2_0
+and non-ASCII digits are rejected and each integer has one digest. A float
+(a config value, a kernel coefficient, a series value) may not hold a
+digit-group underscore such as 0.2_5; other spellings of one float (0.95,
+0.950, 9.5e-1) still read as the same value under different digests:
 
   [experiment]  seed, out
   [family]      type = bspline_ma | two_frequency | files; each type reads only these keys:
@@ -47,7 +51,7 @@ DECILAB_THREADS) may hold a digit-group underscore such as 2_0:
   [specdens]    window_order, gammas, input | synth = white | ar1, phi (ar1), n (synth);
                 specdens_report.txt holds the estimate at the last of gammas, specdens_sweep.csv each;
                 a synth series is seeded and reproducible by its digest, drawn from the law of the
-                noise (simulate_linear_process with law_only), not from the xi_t simulate writes
+                noise (simulate_linear_process), not from the xi_t simulate writes
 
 A [family] key the chosen type does not read is rejected, as are [specdens]
 phi without synth = ar1 and [specdens] n with input. So is a key in a
@@ -279,7 +283,7 @@ def _series_from_config(cfg, config_dir, seed):
         kernel, target = simulate.ar1_kernel(phi), 1.0 / (2.0 * np.pi * (1.0 - phi) ** 2)
     else:
         raise ConfigError(f"unknown synthetic source {synth!r}")
-    return simulate.simulate_linear_process(kernel, n, noise, seed, law_only=True), target
+    return simulate.simulate_linear_process(kernel, n, noise, seed), target
 
 
 def _open_out(out_dir, name):

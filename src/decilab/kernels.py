@@ -475,18 +475,22 @@ def two_frequency_demo_family(prototype, gammas):
 def _int(token):
     """An integer read from text, in (-2**64, 2**64) (every 64-bit seed), so numpy never meets one it overflows on.
 
-    int() also reads digit-group underscores; a token with one is rejected, so 2_0 is no second spelling of 20.
+    int() also reads 020, +20, 2_0 and non-ASCII digits as 20; a token that is not str() of its value is
+    rejected, so each integer has one spelling.
     """
-    if "_" in token:
-        raise ValueError(f"{token} is not an integer: it holds an underscore")
     value = int(token)
+    if str(value) != token:
+        raise ValueError(f"{token} is not an integer in canonical form")
     if abs(value) >= 1 << 64:
         raise ValueError(f"{token} is not an integer in (-2**64, 2**64)")
     return value
 
 
 def _float(token):
-    """A number read from text by float(), under _int's rule: a token with an underscore is rejected."""
+    """A number read from text by float(); a token with a digit-group underscore (0.2_5) is rejected.
+
+    float() still reads other spellings of one value alike (0.95, 0.950, 9.5e-1).
+    """
     if "_" in token:
         raise ValueError(f"{token} is not a number: it holds an underscore")
     return float(token)

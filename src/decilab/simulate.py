@@ -22,8 +22,8 @@ the thread's Philox keyed by the seed instead, seeded and reproducible but
 not xi_t: simulate_decimated(..., law_only=True) runs a Gaussian level's
 gaussian_level on them, r <= N*Q values per output with exactly the joint
 law of the stream's sums (FamilyLevel.gaussian_level), and
-simulate_linear_process(..., law_only=True) convolves them in place of the
-n + L - 1 values of xi_t it would read.
+simulate_linear_process, the linear process behind that series, convolves
+them under Gaussian noise in place of the n + L - 1 values of xi_t.
 
 ndtri (scipy.special) is imported on the first Gaussian noise_values call,
 not with this module, so runs that draw no Gaussian xi_t never load scipy.
@@ -203,7 +203,7 @@ def simulate_decimated(family, level, n, noise, seed, law_only=False):
     return z
 
 
-def simulate_linear_process(a, n, noise, seed, law_only=False):
+def simulate_linear_process(a, n, noise, seed):
     """X_u = sum_t a(u - t) xi_t for u = 1..n (undecimated convolution).
 
     The decimated convolution at gamma = 1 is one valid-mode correlation of
@@ -212,15 +212,16 @@ def simulate_linear_process(a, n, noise, seed, law_only=False):
     time, so memory stays O(n + L) at paper scale (n around 1e6, AR
     kernels of millions of taps).
 
-    With law_only and Gaussian noise the n + L - 1 values are the first
-    standard_normal values of the thread's Philox keyed by the seed from
-    counter 0: the same seeded series on every run, with exactly the law of
-    X, but not the realization of xi_t. Other noise ignores law_only.
+    Under Gaussian noise the n + L - 1 values are the first standard_normal
+    values of the thread's Philox keyed by the seed from counter 0: the same
+    seeded series on every run, with exactly the law of X, but not the
+    realization of xi_t that simulate_decimated reads. Other noise reads
+    xi_t bit for bit.
     """
     n, seed = _integer(n, "n", 1), _integer(seed, "seed", 0, _MASK64)
     t_lo = 1 - a.support_end
     t_hi = n - a.support_start + 1
-    if law_only and noise.distribution == "gaussian":
+    if noise.distribution == "gaussian":
         xi = _philox(0, seed)[1].standard_normal(t_hi - t_lo)
     else:
         xi = noise_values(noise, seed, t_lo, t_hi)

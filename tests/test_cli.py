@@ -281,12 +281,22 @@ FLOAT_KEYS = {
     "family.freqs.": ("simulate", lambda v: with_family(FILES, **{"freqs.1": v})),
     "specdens.phi": ("specdens", lambda v: specdens(synth="ar1", phi=v)),
 }
-# a value each number key runs with; its underscored spelling puts "_" before the last digit (16 -> 1_6)
-NUMBER_VALUES = {"experiment.seed": "15", "family.order": "04", "family.gammas": "32", "family.threshold": "00",
-                 "family.gamma.": "04", "run.level": "01", "run.n": "20", "run.n/clt": "20", "run.n/cov-check": "20",
-                 "run.n/sweep": "20", "run.replicates": "150", "specdens.window_order": "04", "specdens.gammas": "64",
+# a value each number key runs with, in the one spelling an integer has
+NUMBER_VALUES = {"experiment.seed": "15", "family.order": "4", "family.gammas": "32", "family.threshold": "0",
+                 "family.gamma.": "4", "run.level": "1", "run.n": "20", "run.n/clt": "20", "run.n/cov-check": "20",
+                 "run.n/sweep": "20", "run.replicates": "150", "specdens.window_order": "4", "specdens.gammas": "64",
                  "specdens.n": "4096", "family.modulation": "0.25", "family.decay": "10", "family.limit_freqs": "0.00",
                  "family.freqs.": "0.00", "specdens.phi": "0.95"}
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def other_spellings(case, value):
+    """Spellings float() or int() reads as value that the key rejects: a digit-group underscore, and for an
+    integer also a leading zero, a '+' and non-ASCII digits."""
+    underscore = f"{value[:-1]}_{value[-1]}" if len(value) > 1 else f"0_{value}"
+    if case in FLOAT_KEYS:
+        return [underscore]
+    return [underscore, f"0{value}", f"+{value}", value.translate(_FULLWIDTH)]
 
 
 def test_float_cases_cover_every_float_key():
@@ -297,19 +307,21 @@ def test_float_cases_cover_every_float_key():
 
 
 @pytest.mark.parametrize("case", sorted(NUMBER_VALUES))
-def test_number_with_an_underscore_exits_2(tmp_path, capsys, case):
-    # int() and float() read digit-group underscores, so 2_0 would run as 20 under another digest
+def test_number_in_another_spelling_exits_2(tmp_path, capsys, case):
+    # int() reads 2_0, 020, +20 and non-ASCII digits as 20, float() reads 0.2_5 as 0.25: each would run under
+    # another digest
     command, sections = {**OVERSIZED, **FLOAT_KEYS}[case]
     value = NUMBER_VALUES[case]
     write_kernel(tmp_path)
     assert run(tmp_path, command, sections(value), tag="plain")[0] == 0
-    capsys.readouterr()
-    code, out = run(tmp_path, command, sections(f"{value[:-1]}_{value[-1]}"))
-    err = capsys.readouterr().err
-    assert code == 2 and not out.exists()
     section, key = case.partition("/")[0].split(".", 1)
-    assert err.startswith(f"decilab: config error: [{section}] {key}") and "_" in err.split(" = ", 1)[1]
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    for spelling in other_spellings(case, value):
+        capsys.readouterr()
+        code, out = run(tmp_path, command, sections(spelling))
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists(), spelling
+        assert err.startswith(f"decilab: config error: [{section}] {key}") and spelling in err.split(" = ", 1)[1]
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_series_value_with_an_underscore_exits_2(tmp_path, capsys):
@@ -350,9 +362,9 @@ def test_default_section_is_an_unknown_section(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("text", ["-1\n0.5\nabc\n", "1.5\n0.5\n", f"{2 ** 64}\n0.5\n", f"{10 ** 400}\n0.5\n",
-                                  "-0_1\n0.5\n", "-1\n0.2_5\n"],
+                                  "-0_1\n0.5\n", "-01\n0.5\n", "+1\n0.5\n", "-1\n0.2_5\n"],
                          ids=["bad_coefficient", "non_integer_support", "support_2_64", "support_10_400",
-                              "underscore_support", "underscore_coefficient"])
+                              "underscore_support", "leading_zero_support", "plus_support", "underscore_coefficient"])
 def test_kernel_file_error_names_the_file(tmp_path, capsys, text):
     write_kernel(tmp_path)
     (tmp_path / "bad_kernel.txt").write_text(text, encoding="utf-8")
@@ -502,7 +514,7 @@ def test_docstring_names_the_whole_schema():
         assert set(line.split(", ")) == names(keys), ftype
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.0", "1_0"])
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.0", "1_0", "02", "+2"])
 @pytest.mark.parametrize("command", ["clt", "cov-check", "sweep"])
 def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, command, value):
     monkeypatch.setenv("DECILAB_THREADS", value)

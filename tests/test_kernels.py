@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -567,12 +568,19 @@ class TestKernelIO:
         assert back.support_start == 2
         assert back.coeffs[0] == k.coeffs[0]
 
-    @pytest.mark.parametrize("text", ["-0_3\n0.25\n", "-3\n0.2_5\n"], ids=["support", "coefficient"])
-    def test_rejects_a_number_with_an_underscore(self, tmp_path, text):
-        # int() and float() read 2_0 as 20
+    @pytest.mark.parametrize("support", ["-0_3", "-03", "+3", "３"])
+    def test_rejects_a_support_in_another_spelling(self, tmp_path, support):
+        # int() reads each of these as an integer
         path = tmp_path / "kernel.txt"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError, match="holds an underscore"):
+        path.write_text(f"{support}\n0.25\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(support)} is not an integer in canonical form$"):
+            read_kernel(path)
+
+    def test_rejects_a_coefficient_with_an_underscore(self, tmp_path):
+        # float() reads 0.2_5 as 0.25
+        path = tmp_path / "kernel.txt"
+        path.write_text("-3\n0.2_5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^0.2_5 is not a number: it holds an underscore$"):
             read_kernel(path)
 
     def test_rejects_empty(self, tmp_path):

@@ -331,33 +331,38 @@ class TestSimulateDecimated:
     def test_agrees_with_linear_process_at_gamma_one(self):
         a = ar1_kernel(0.4)
         fam = single_level_family([a], gamma=1)
-        z = simulate_decimated(fam, 0, 33, GAUSS, 9)[0]
-        x = simulate_linear_process(a, 32, GAUSS, 9)
+        z = simulate_decimated(fam, 0, 33, RADEMACHER, 9)[0]
+        x = simulate_linear_process(a, 32, RADEMACHER, 9)
         # the linear process starts at u = 1, the decimated grid at k = 0
         assert np.allclose(z[1:], x, atol=0, rtol=0)
 
 
 # simulate_linear_process kernels on the block-product path (L = 1) and the full-rate correlation path (L > gamma = 1)
-LAW_ONLY_KERNELS = {"identity": TimeKernel(1, np.array([1.0])), "short": TimeKernel(-2, np.array([0.5, -1.0, 0.25])),
+LINEAR_KERNELS = {"identity": TimeKernel(1, np.array([1.0])), "short": TimeKernel(-2, np.array([0.5, -1.0, 0.25])),
                     "ar1": ar1_kernel(0.95)}
 
 
 class TestLinearProcess:
-    def test_impulse_kernel_gives_noise(self):
+    @pytest.mark.parametrize("spec", [RADEMACHER, UNIFORM, GAUSS], ids=lambda s: s.distribution)
+    def test_impulse_kernel_gives_noise(self, spec):
         k = TimeKernel(0, np.array([1.0]))
-        x = simulate_linear_process(k, 50, GAUSS, 21)
-        assert np.array_equal(x, noise_values(GAUSS, 21, 1, 51))
+        x = simulate_linear_process(k, 50, spec, 21)
+        if spec is GAUSS:  # X_u takes the u-th standard_normal value, u = 1 .. n
+            want = simulate._philox(0, 21)[1].standard_normal(50)
+        else:
+            want = noise_values(spec, 21, 1, 51)
+        assert np.array_equal(x, want)
 
     def test_truncated_ar1_close_to_recursive_oracle(self):
         phi = 0.5
         kern = ar1_kernel(phi)
         t_len = kern.length
         n = 20_000
-        x = simulate_linear_process(kern, n, GAUSS, 31)
+        x = simulate_linear_process(kern, n, RADEMACHER, 31)
         # recursion y_u = phi*y_{u-1} + xi_u seeded far enough back that the
         # initialization transient is below the truncation error
         lo = 1 - 3 * t_len
-        xi = noise_values(GAUSS, 31, lo, n + 1)
+        xi = noise_values(RADEMACHER, 31, lo, n + 1)
         y = signal.lfilter([1.0], [1.0, -phi], xi)[-n:]
         rms = math.sqrt(np.mean((x - y) ** 2))
         bound = phi ** (t_len) / math.sqrt(1.0 - phi * phi)
@@ -374,38 +379,37 @@ class TestLinearProcess:
             tracemalloc.stop()
         assert x.shape == (n,)
         assert peak < 64 * 2 ** 20
-        # X_u = sum_t a(u - t) xi_t at both ends of the range
+        # X_u = sum_t a(u - t) xi_t at both ends of the range, xi_t the (t + L - 2)-th standard_normal value
+        values = simulate._philox(0, 41)[1].standard_normal(n + kern.length - 1)
         for u in (1, n):
-            xi = noise_values(GAUSS, 41, u - kern.support_end, u + 1)
+            xi = values[u - 1:u - 1 + kern.length]
             assert abs(x[u - 1] - np.dot(kern.coeffs[::-1], xi)) < 1e-12
 
-    def test_same_seed_bitwise_identical(self):
+    @pytest.mark.parametrize("spec", [RADEMACHER, UNIFORM, GAUSS], ids=lambda s: s.distribution)
+    def test_same_seed_bitwise_identical(self, spec):
         k = ar1_kernel(0.3)
-        assert np.array_equal(
-            simulate_linear_process(k, 100, UNIFORM, 77),
-            simulate_linear_process(k, 100, UNIFORM, 77),
-        )
+        assert simulate_linear_process(k, 100, spec, 77).tobytes() == simulate_linear_process(k, 100, spec, 77).tobytes()
 
     @pytest.mark.parametrize("spec", [RADEMACHER, UNIFORM], ids=lambda s: s.distribution)
-    @pytest.mark.parametrize("name", sorted(LAW_ONLY_KERNELS))
-    def test_law_only_is_the_stream_for_other_noise(self, name, spec):
-        k = LAW_ONLY_KERNELS[name]
-        want = simulate_linear_process(k, 300, spec, 17)
-        assert simulate_linear_process(k, 300, spec, 17, law_only=True).tobytes() == want.tobytes()
+    @pytest.mark.parametrize("name", sorted(LINEAR_KERNELS))
+    def test_other_noise_convolves_the_stream(self, name, spec):
+        k = LINEAR_KERNELS[name]
+        xi = noise_values(spec, 17, 1 - k.support_end, 301 - k.support_start)
+        assert simulate_linear_process(k, 300, spec, 17).tobytes() == _decimated_convolve(xi, k, 1, 300).tobytes()
 
-    @pytest.mark.parametrize("name", sorted(LAW_ONLY_KERNELS))
-    def test_law_only_gaussian_convolves_standard_normal(self, name):
-        k = LAW_ONLY_KERNELS[name]
+    @pytest.mark.parametrize("name", sorted(LINEAR_KERNELS))
+    def test_gaussian_convolves_standard_normal(self, name):
+        k = LINEAR_KERNELS[name]
         xi = simulate._philox(0, 17)[1].standard_normal(300 + k.length - 1)
-        x = simulate_linear_process(k, 300, GAUSS, 17, law_only=True)
+        x = simulate_linear_process(k, 300, GAUSS, 17)
         assert x.tobytes() == _decimated_convolve(xi, k, 1, 300).tobytes()
-        assert simulate_linear_process(k, 300, GAUSS, 17, law_only=True).tobytes() == x.tobytes()  # a rerun
-        assert not np.array_equal(x, simulate_linear_process(k, 300, GAUSS, 17))  # not the stream's xi_t
+        stream = noise_values(GAUSS, 17, 1 - k.support_end, 301 - k.support_start)
+        assert not np.array_equal(x, _decimated_convolve(stream, k, 1, 300))  # not the stream's xi_t
 
     @pytest.mark.parametrize("spec", [RADEMACHER, UNIFORM, GAUSS], ids=lambda s: s.distribution)
     def test_identity_kernel_reads_xi_0_to_n(self, spec):
         # specdens' white series: X_u = xi_{u-1}, u = 1 .. n
-        x = simulate_linear_process(TimeKernel(1, np.array([1.0])), 500, spec, 23, law_only=True)
+        x = simulate_linear_process(TimeKernel(1, np.array([1.0])), 500, spec, 23)
         if spec is GAUSS:
             want = simulate._philox(0, 23)[1].standard_normal(500)
         else:
@@ -413,9 +417,9 @@ class TestLinearProcess:
         assert x.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2.5])
-    def test_law_only_rejects_a_seed_outside_64_bits(self, seed):
+    def test_gaussian_rejects_a_seed_outside_64_bits(self, seed):
         with pytest.raises(ValueError, match=f"^seed {seed} is not in 0..{2 ** 64 - 1}$"):
-            simulate_linear_process(ar1_kernel(0.5), 10, GAUSS, seed, law_only=True)
+            simulate_linear_process(ar1_kernel(0.5), 10, GAUSS, seed)
 
 
 class TestAr1Truncation:
