@@ -48,14 +48,16 @@ digit-group underscore such as 0.2_5; other spellings of one float (0.95,
                 files: threshold in 0 .. number of levels, levels j = 0, 1, ... without gaps
   [noise]       distribution = gaussian | rademacher | scaled_uniform
   [run]         level, n, replicates; sweep runs every level of the family
-  [specdens]    window_order, gammas, input | synth = white | ar1, phi (ar1), n (synth);
+  [specdens]    window_order, gammas; the series source is input, or synth = white | ar1, and reads only these keys:
+                  input          input
+                  white          synth, n
+                  ar1            synth, n, phi
                 specdens_report.txt holds the estimate at the last of gammas, specdens_sweep.csv each;
                 a synth series is seeded and reproducible by its digest, drawn from the law of the
                 noise (simulate_linear_process), not from the xi_t simulate writes
 
-A [family] key the chosen type does not read is rejected, as are [specdens]
-phi without synth = ar1 and [specdens] n with input. So is a key in a
-section the command never reads:
+A [family] or [specdens] key the chosen type or source does not read is
+rejected, and so is a key in a section the command never reads:
 
   gamma                   [experiment] [family]
   simulate, clt,          [experiment] [family] [noise] [run]
@@ -122,6 +124,8 @@ _FAMILY_KEYS = {
     "two_frequency": {"order", "gammas"},
     "files": {"decay", "limit_freqs", "threshold", "gamma.", "kernels.", "freqs."},
 }
+# {series source: the [specdens] keys it reads besides window_order and gammas}
+_SOURCE_KEYS = {"input": {"input"}, "white": {"synth", "n"}, "ar1": {"synth", "n", "phi"}}
 _KIND = {_int: "an integer in (-2**64, 2**64)", _ints: "a list of int in (-2**64, 2**64)", _float: "a number",
          _floats: "a list of float", _paths: "a list of paths (a quote is not closed)"}
 
@@ -140,6 +144,14 @@ def _stem(key):
     return name + dot
 
 
+def _parsed(name, raw, parse):
+    """parse(raw), with a ValueError raised as the one-line ConfigError that names the key or flag."""
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{name} = {raw!r} is not {_KIND[parse]}") from exc
+
+
 def _parse_config_file(path):
     """The raw parser, which the digest reads, and {section: {key: value}} with each value parsed."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"), default_section="")
@@ -156,10 +168,7 @@ def _parse_config_file(path):
             parse = _SCHEMA[section].get(_stem(key))
             if parse is None:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            try:
-                cfg[section][key] = parse(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r} is not {_KIND[parse]}") from exc
+            cfg[section][key] = _parsed(f"[{section}] {key}", raw, parse)
     return parser, cfg
 
 
@@ -246,14 +255,14 @@ def _window_from_config(cfg):
 
 def _series_from_config(cfg, config_dir, seed):
     spec = cfg["specdens"]
-    input_path, synth = spec.get("input"), spec.get("synth")
-    if (input_path is None) == (synth is None):
-        raise ConfigError("specdens needs exactly one of 'input' or 'synth'")
-    if "phi" in spec and synth != "ar1":
-        raise ConfigError("[specdens] phi is read only with synth = ar1")
-    if input_path is not None:
-        if "n" in spec:
-            raise ConfigError("[specdens] n is not read with input: the series sets its length")
+    source = spec.get("synth", "input")
+    if source not in _SOURCE_KEYS:
+        raise ConfigError(f"unknown synthetic source {source!r}")
+    for key in spec:
+        if key not in {"window_order", "gammas", *_SOURCE_KEYS[source]}:
+            raise ConfigError(f"[specdens] {key} is not read by the {source} source")
+    if source == "input":
+        input_path = _need(cfg, "specdens", "input")
         if cfg["noise"]:
             raise ConfigError("[noise] is not read with input: the series is given")
         rows = []
@@ -276,13 +285,11 @@ def _series_from_config(cfg, config_dir, seed):
         return np.asarray(rows), None
     n = _need(cfg, "specdens", "n")
     noise = _noise_from_config(cfg)
-    if synth == "white":  # the identity kernel reads xi_0 .. xi_{n-1}
+    if source == "white":  # the identity kernel reads xi_0 .. xi_{n-1}
         kernel, target = TimeKernel(1, np.ones(1)), 1.0 / (2.0 * np.pi)
-    elif synth == "ar1":
+    else:
         phi = spec.get("phi", 0.5)
         kernel, target = simulate.ar1_kernel(phi), 1.0 / (2.0 * np.pi * (1.0 - phi) ** 2)
-    else:
-        raise ConfigError(f"unknown synthetic source {synth!r}")
     return simulate.simulate_linear_process(kernel, n, noise, seed), target
 
 
@@ -424,7 +431,7 @@ def _argument_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--seed", type=_int, default=None, help="override the config seed")
+        p.add_argument("--seed", default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
     return ap
 
@@ -438,7 +445,7 @@ def main(argv=None):
         for section, keys in cfg.items():
             if keys and section not in sections:
                 raise ConfigError(f"[{section}] is not read by {args.command}")
-        seed = args.seed if args.seed is not None else cfg["experiment"].get("seed", 0)
+        seed = cfg["experiment"].get("seed", 0) if args.seed is None else _parsed("--seed", args.seed, _int)
         out_dir = Path(args.out if args.out is not None else cfg["experiment"].get("out", "."))
         config_dir = Path(args.config).resolve().parent
         digest = config_digest(parser, cfg, args.command, seed, config_dir)

@@ -3,17 +3,19 @@
 A replicate centers each square-sum by its exact expectation at the level,
 as the paper's CLTs do (replicate_sums).
 
-Every report here is a function of the law of the replicates, so they are
-drawn from the law, not from the documented stream. Under Gaussian noise a
-level is drawn through its gaussian_level (r <= N*Q values per output, not
-gamma). Where that level reads Q = 1 block per output, as on every built-in
-family, a replicate's square sums are the diagonal of one Wishart draw
-(_bartlett_sums): O(r**2) values, whatever n is. Otherwise chunk c of
-replicates is one simulate_decimated(..., law_only=True) draw at the seed
-mix(base_seed, c), laid out by n, the level and R only, so results are
-identical for any worker count or scheduling. Thread j of w = min(workers,
-chunks) runs the chunks j, j + w, j + 2w, ..., and the heavy numpy kernels
-release the GIL.
+Every report here is a function of the law of the replicates, so Gaussian
+replicates are drawn from the law, not from the xi_t simulate_decimated
+reads: numpy's ziggurat standard_normal on the thread's Philox keyed by the
+seed, from counter 0, drives the level's gaussian_level, r <= N*Q values
+per output with exactly the joint law of the sums. Where that level reads
+Q = 1 block per output, as on every built-in family, a replicate's square
+sums are the diagonal of one Wishart draw (_bartlett_sums): O(r**2) values,
+whatever n is. Otherwise chunk c of replicates is one draw at the seed
+mix(base_seed, c), simulate._level_outputs on those values (or
+simulate_decimated for other noise), laid out by n, the level and R only,
+so results are identical for any worker count or scheduling. Thread j of
+w = min(workers, chunks) runs the chunks j, j + w, j + 2w, ..., and the
+heavy numpy kernels release the GIL.
 
 The thread pool (concurrent.futures, which loads logging) is imported on
 the first chunked replicate_sums call, and the KS distance of
@@ -27,7 +29,7 @@ import numpy as np
 
 from .kernels import _integer
 from .moments import cov_exact, cov_of_square_sums, gamma_matrix
-from .simulate import _MASK64, _philox, mix_seed, simulate_decimated
+from .simulate import _MASK64, _level_outputs, _philox, mix_seed, simulate_decimated
 
 KS_99 = 1.63  # ~99% quantile scale of the one-sample KS statistic
 _CHUNK = 1 << 16  # noise values one replicate_sums chunk draws, at most, unless it holds one replicate
@@ -67,8 +69,8 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=1):
     its factor per output. n, R, the seed and workers (the thread count,
     default 1, which no output depends on) are checked first. A Gaussian
     level with Q = 1 draws all R replicates on the calling thread as one
-    _bartlett_sums keyed by base_seed. Otherwise chunk c is one law_only
-    simulate_decimated draw at mix_seed(base_seed, c): B strides of n + Q - 1
+    _bartlett_sums keyed by base_seed. Otherwise chunk c is one draw at
+    mix_seed(base_seed, c) (module docstring): B strides of n + Q - 1
     outputs, the last cut to n, and replicate b is the first n of stride b;
     no two share a noise value. B = 1 if (Q - 1) * sum(L) > _GAP, else the
     most whose strides fit in _CHUNK values.
@@ -92,8 +94,12 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=1):
     def run_share(first):
         for c in range(first, n_chunks, n_workers):
             lo, hi = c * per_chunk, min(n_replicates, (c + 1) * per_chunk)
-            z = simulate_decimated(family, level, (hi - lo - 1) * stride + n, noise, mix_seed(base_seed, c),
-                                   law_only=True)
+            size, seed = (hi - lo - 1) * stride + n, mix_seed(base_seed, c)
+            if gaussian:
+                gen = _philox(0, seed)[1]
+                z = _level_outputs(lv, size, lambda _, out: gen.standard_normal(out=out))
+            else:
+                z = simulate_decimated(family, level, size, noise, seed)
             z = np.lib.stride_tricks.sliding_window_view(z, n, axis=1)[:, ::stride]
             samples[lo:hi] = (np.sum(z ** 2, axis=2).T - n * centers) * (1.0 / np.sqrt(n))
 

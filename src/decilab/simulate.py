@@ -10,20 +10,10 @@ Philox, numpy's Generator.random computes exactly (w >> 11) * 2**-53 from
 the same words, in one pass in C. Kernels with different supports, or
 overlapping output indices, therefore consume consistent noise values, and
 results do not depend on chunking or on how work is spread across workers.
-simulate_decimated draws a replicate's n*gamma values block by block into
-one reused buffer (noise_values with out=), so its memory does not grow
-with n*gamma. Each thread keys one reused Philox by setting its state.
-
 The stream is the realization: simulate_decimated returns the sums of the
-documented xi_t, and `decilab simulate` writes them. Where only the law
-matters (the replicate runner and the synthetic series of `decilab
-specdens`), Gaussian values come from numpy's ziggurat standard_normal on
-the thread's Philox keyed by the seed instead, seeded and reproducible but
-not xi_t: simulate_decimated(..., law_only=True) runs a Gaussian level's
-gaussian_level on them, r <= N*Q values per output with exactly the joint
-law of the stream's sums (FamilyLevel.gaussian_level), and
-simulate_linear_process, the linear process behind that series, convolves
-them under Gaussian noise in place of the n + L - 1 values of xi_t.
+documented xi_t, read block by block into one reused buffer (noise_values
+with out=), and `decilab simulate` writes them. Each thread keys one
+reused Philox by setting its state.
 
 ndtri (scipy.special) is imported on the first Gaussian noise_values call,
 not with this module, so runs that draw no Gaussian xi_t never load scipy.
@@ -160,28 +150,17 @@ def _decimated_convolve(xi, kernel, gamma, n):
     return out
 
 
-def simulate_decimated(family, level, n, noise, seed, law_only=False):
-    """Exact realization Z[i, k] = sum_t v_{i,j}(gamma*k - t) xi_t, k < n: an (N, n) array.
+def _level_outputs(lv, n, fill):
+    """Z[i, k] = sum_m c_i[m] s_{t_lo + offsets[i] + gamma*k + m}, k < n, over a stream s: an (N, n) array.
 
-    All branches share one noise stream, read in blocks of about
-    _NOISE_BLOCK values: each block is one noise_values draw into a reused
-    buffer, and each branch fills the outputs of the block's rows of gamma
-    values with one polyphase convolution. The buffer carries to the next
-    block the values both read, so each index is drawn once and holds the
-    same xi_t for any block size; an output can move by rounding only, as
+    c_i are branch i's reversed taps and (t_lo, offsets) the level's
+    _stream_layout. fill(lo, out) writes s_lo, s_{lo+1}, ... into out, once
+    per block of about _NOISE_BLOCK values, for increasing lo: each index is
+    filled once, into a reused buffer that carries to the next block the
+    values both read. Outputs move with the block size by rounding only, as
     BLAS may sum a row in another order where it falls elsewhere in a block.
     Memory is O(_NOISE_BLOCK + N*n + L), not O(n*gamma).
-
-    With law_only and Gaussian noise the same loop runs on the level's
-    gaussian_level, each block taking the next standard_normal values of the
-    thread's Philox keyed by the seed from counter 0: exactly the joint law
-    of Z from r values per output instead of gamma, for any block size, but
-    not the realization of xi_t. Other noise ignores law_only.
     """
-    n, seed = _integer(n, "n", 1), _integer(seed, "seed", 0, _MASK64)
-    lv, gen = family.level(level), None
-    if law_only and noise.distribution == "gaussian":
-        lv, gen = lv.gaussian_level, _philox(0, seed)[1]
     g = lv.gamma
     t_lo, offsets, reach = lv._stream_layout()
     carry = reach - g  # the values one block shares with the next
@@ -193,14 +172,18 @@ def simulate_decimated(family, level, n, noise, seed, law_only=False):
         m = min(rows, n - k0)
         end = (m - 1) * g + reach
         fresh = carry if k0 else 0
-        if gen is None:
-            noise_values(noise, seed, t_lo + g * k0 + fresh, t_lo + g * k0 + end, out=buf[fresh:end])
-        else:
-            gen.standard_normal(out=buf[fresh:end])
+        fill(t_lo + g * k0 + fresh, buf[fresh:end])
         for row, o, k in zip(z, offsets, lv.kernels):
             row[k0:k0 + m] = _decimated_convolve(buf[o:end], k, g, m)
         buf[:carry] = buf[m * g:end]
     return z
+
+
+def simulate_decimated(family, level, n, noise, seed):
+    """Exact realization Z[i, k] = sum_t v_{i,j}(gamma*k - t) xi_t, k < n: an (N, n) array (_level_outputs)."""
+    n, seed = _integer(n, "n", 1), _integer(seed, "seed", 0, _MASK64)
+    return _level_outputs(family.level(level), n,
+                          lambda lo, out: noise_values(noise, seed, lo, lo + out.size, out=out))
 
 
 def simulate_linear_process(a, n, noise, seed):

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import _integer
-from .quadrature import TWO_PI, _panel_rule, gauss_legendre_panels
+from .quadrature import TWO_PI, _panel_rule
 
 EPS = float(np.finfo(float).eps)
 
@@ -81,9 +81,13 @@ def bspline_value(order, x):
 
 
 def bspline_l2_norm_sq(order):
-    """Exact int B_m(s)^2 ds via per-knot Gauss-Legendre (degree 2m-2)."""
-    x, w = gauss_legendre_panels(0.0, float(order), panels=order, nodes=order)
-    return float(np.sum(w * bspline_value(order, x) ** 2))
+    """int B_m(s)^2 ds in closed form, rounded once to the nearest float.
+
+    As B_m(s) = B_m(m - s), it is (B_m * B_m)(m) = B_2m(m), by B_2m's truncated powers
+    sum_{k<m} (-1)**k * C(2m, k) * (m - k)**(2m-1) / (2m - 1)!: an integer ratio, which true division rounds once.
+    """
+    m = _integer(order, "order", 1)
+    return sum((-1) ** k * math.comb(2 * m, k) * (m - k) ** (2 * m - 1) for k in range(m)) / math.factorial(2 * m - 1)
 
 
 def make_bspline_window(order):
@@ -99,8 +103,7 @@ def make_bspline_window(order):
     Orders below 3 are rejected: the estimator theory needs decay > 2.
     """
     m = _integer(order, "order", 3)
-    norm_sq = bspline_l2_norm_sq(m)
-    scale = 1.0 / np.sqrt(TWO_PI * norm_sq / m)
+    scale = 1.0 / np.sqrt(TWO_PI * bspline_l2_norm_sq(m) / m)
 
     def evaluate(t):
         return scale * bspline_value(m, m * (np.asarray(t, dtype=float) + 1.0))

@@ -21,6 +21,7 @@ SCALED = {"type": "bspline_ma", "order": 4, "gammas": "16 32"}
 KERNEL = "kernel.txt"  # written next to every test config by write_kernel
 # written next to every test config by write_series
 SERIES, INF_SERIES, BAD_FIRST_SERIES = "series.txt", "inf_series.txt", "bad_first_series.txt"
+GAPPED_SERIES, BLANK_SERIES = "gapped_series.txt", "blank_series.txt"
 FILES = {"type": "files", "decay": 1.0, "limit_freqs": "0",
          "gamma.0": 2, "kernels.0": KERNEL, "freqs.0": 0,
          "gamma.1": 4, "kernels.1": KERNEL, "freqs.1": 0}
@@ -66,6 +67,9 @@ def write_series(tmp_path):
     (tmp_path / SERIES).write_text("\n".join(["x", *values]) + "\n", encoding="utf-8")
     (tmp_path / INF_SERIES).write_text("\n".join(["x", *values[:40], "inf", *values[41:]]) + "\n", encoding="utf-8")
     (tmp_path / BAD_FIRST_SERIES).write_text("\n".join(["0,5", *values[1:]]) + "\n", encoding="utf-8")
+    (tmp_path / GAPPED_SERIES).write_text("\n".join(["x", *values[:30], "", "  ", *values[30:]]) + "\n",
+                                          encoding="utf-8")
+    (tmp_path / BLANK_SERIES).write_text("x\n\n \n\n", encoding="utf-8")
 
 
 def with_run(**changes):
@@ -120,6 +124,9 @@ REJECTED = {
     "files_family_stray_level": ("simulate", with_family(FILES, **{"kernels.2": KERNEL})),
     "unclosed_quote_kernel_path": ("simulate", with_family(FILES, **{"kernels.1": f'"{KERNEL}'})),
     "phi_with_white": ("specdens", specdens(phi=0.5)),
+    "input_and_synth": ("specdens", specdens(input=SERIES)),
+    "neither_input_nor_synth": ("specdens", {"specdens": {"window_order": 4, "gammas": 16}}),
+    "unknown_synth": ("specdens", specdens(synth="foo")),
     "n_with_input": ("specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": SERIES, "n": 64}}),
     # a section the command, or the series source, never reads
     "run_and_noise_with_gamma": ("gamma", {"family": FAMILY, "run": {"n": 40},
@@ -133,6 +140,8 @@ REJECTED = {
     "non_finite_input_series": ("specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": INF_SERIES}}),
     # a line 1 that starts like a number is a value, not a header
     "malformed_first_value": ("specdens", {"specdens": {"window_order": 4, "gammas": 16, "input": BAD_FIRST_SERIES}}),
+    "header_and_blank_lines_series": ("specdens", {"specdens": {"window_order": 4, "gammas": 16,
+                                                                "input": BLANK_SERIES}}),
     # [DEFAULT] is a section like any other, not copied into each
     "default_section_keys": ("gamma", {"DEFAULT": {"gammas": "16 32"}, "family": {"type": "two_frequency"}}),
     "default_section_only": ("gamma", {"DEFAULT": {"foo": 1}}),
@@ -157,7 +166,13 @@ NAMED_ERRORS = {"centering_is_an_unknown_key": "unknown key 'centering' in [run]
                 "tolerances_is_an_unknown_section": "unknown config section [tolerances]",
                 "missing_specdens_gammas": "missing required key 'gammas' in section [specdens]",
                 "unparsed_n_with_gamma": "[run] n = 'abc' is not an integer",
-                "command_is_an_unknown_key": "unknown key 'command' in [experiment]"}
+                "command_is_an_unknown_key": "unknown key 'command' in [experiment]",
+                "phi_with_white": "[specdens] phi is not read by the white source",
+                "n_with_input": "[specdens] n is not read by the input source",
+                "input_and_synth": "[specdens] input is not read by the white source",
+                "neither_input_nor_synth": "missing required key 'input' in section [specdens]",
+                "unknown_synth": "unknown synthetic source 'foo'",
+                "header_and_blank_lines_series": f"input series is empty: {BLANK_SERIES}"}
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
@@ -188,6 +203,7 @@ def test_file_error_names_the_configured_path(tmp_path, capsys, case):
 @pytest.mark.parametrize("case", sorted(NAMED_ERRORS))
 def test_error_names_the_rejected_key_or_value(tmp_path, capsys, case):
     command, sections = REJECTED[case]
+    write_series(tmp_path)
     assert run(tmp_path, command, sections)[0] == 2
     assert NAMED_ERRORS[case] in capsys.readouterr().err
 
@@ -333,12 +349,14 @@ def test_series_value_with_an_underscore_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "decilab: config error: underscore.txt:4: not a number: '0.2_5'\n"
 
 
-def test_seed_flag_with_an_underscore_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("value", ["1_5", "abc", str(2 ** 64)])
+def test_seed_flag_with_an_underscore_exits_2(tmp_path, capsys, value):
+    # an underscore, a non-integer or 2**64: the schema's integer rule gives one config error line naming --seed
     cfg = tmp_path / "gamma.ini"
     write_config(cfg, CONFIGS["gamma"])
-    with pytest.raises(SystemExit) as exc:
-        main(["gamma", "--config", str(cfg), "--seed", "1_5", "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2 and "'1_5'" in capsys.readouterr().err
+    assert main(["gamma", "--config", str(cfg), "--seed", value, "--out", str(tmp_path / "out")]) == 2
+    want = f"decilab: config error: --seed = {value!r} is not an integer in (-2**64, 2**64)\n"
+    assert capsys.readouterr().err == want
     assert not (tmp_path / "out").exists()
 
 
@@ -348,9 +366,8 @@ def test_largest_seed_runs_and_the_seed_flag_is_bounded(tmp_path):
     assert code == 0 and (out / "gamma_matrix.csv").is_file()
     cfg = tmp_path / "gamma.ini"
     assert main(["gamma", "--config", str(cfg), "--seed", str(2 ** 64 - 1), "--out", str(tmp_path / "flag")]) == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["gamma", "--config", str(cfg), "--seed", str(2 ** 64)])
-    assert exc.value.code == 2
+    assert main(["gamma", "--config", str(cfg), "--seed", str(2 ** 64), "--out", str(tmp_path / "over")]) == 2
+    assert not (tmp_path / "over").exists()
 
 
 @pytest.mark.parametrize("case", ["default_section_keys", "default_section_only"])
@@ -491,6 +508,18 @@ def test_input_series_runs(tmp_path):
     assert code == 0 and sorted(f.name for f in out.iterdir()) == ["specdens_report.txt", "specdens_sweep.csv"]
 
 
+def test_blank_lines_inside_a_series_are_skipped(tmp_path):
+    # the same 64 values with two blank lines after the 30th: the same sweep, under another digest
+    write_series(tmp_path)
+    sweeps = []
+    for name in (SERIES, GAPPED_SERIES):
+        code, out = run(tmp_path, "specdens", {"specdens": {"window_order": 4, "gammas": "16 32", "input": name}},
+                        tag=f"{name}.out")
+        assert code == 0
+        sweeps.append([line.rsplit(",", 1)[0] for line in (out / "specdens_sweep.csv").read_text().splitlines()])
+    assert sweeps[0] == sweeps[1]
+
+
 def test_config_seed_is_parsed_under_seed_flag(tmp_path, capsys):
     cfg = tmp_path / "simulate.ini"
     write_config(cfg, {"experiment": {"seed": "abc"}, **with_run()})
@@ -509,9 +538,10 @@ def test_docstring_names_the_whole_schema():
 
     for section, keys in cli._SCHEMA.items():
         assert names(keys) <= set(re.findall(r"[a-z_]+(?:\.<j>)?", blocks[section])), section
-    for ftype, keys in cli._FAMILY_KEYS.items():
-        line = re.search(rf"^ +{ftype} +(.+)$", blocks["family"], re.M).group(1)
-        assert set(line.split(", ")) == names(keys), ftype
+    for section, table in (("family", cli._FAMILY_KEYS), ("specdens", cli._SOURCE_KEYS)):
+        for kind, keys in table.items():
+            line = re.search(rf"^ +{kind} +(.+)$", blocks[section], re.M).group(1)
+            assert set(line.split(", ")) == names(keys), kind
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.0", "1_0", "02", "+2"])
@@ -672,8 +702,9 @@ def test_main_after_a_failed_call_matches_a_fresh_process(tmp_path):
     cfg = tmp_path / "simulate.ini"
     write_config(cfg, {"experiment": {"seed": 5}, **CONFIGS["simulate"]})
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--config", str(cfg), "--seed", "abc"])
+        main(["simulate", "--config", str(cfg), "--seed"])
     assert exc.value.code == 2
+    assert main(["simulate", "--config", str(cfg), "--seed", "abc"]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.ini")]) == 2
     assert main(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "again")]) == 0
     env = {**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])}

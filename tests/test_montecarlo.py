@@ -12,7 +12,7 @@ from scipy import stats
 from scipy.special import chdtr
 
 import decilab
-from decilab import montecarlo
+from decilab import montecarlo, simulate
 from decilab.kernels import TimeKernel, make_scaled_window_family, snapped_center_freq
 from decilab.moments import a_term, b_term, case_constant, cov_exact, cov_of_square_sums, gamma_limit, limit_cross_cov
 from decilab.montecarlo import KS_99, convergence_sweep, empirical_cov, normality_report, replicate_sums
@@ -88,6 +88,15 @@ def two_freq():
 LONG_KERNEL = single_level_family([TimeKernel(0, np.full(6, 6 ** -0.5))], gamma=2)
 
 
+def chunk_draw(family, level, n, noise, seed):
+    """The (N, n) outputs of one replicate_sums chunk: the realization of xi_t, or under Gaussian noise the
+    level's gaussian_level fed the standard_normal values of the thread's Philox keyed by the seed."""
+    if noise is not GAUSS:
+        return simulate_decimated(family, level, n, noise, seed)
+    gen = simulate._philox(0, seed)[1]
+    return simulate._level_outputs(family.level(level).gaussian_level, n, lambda lo, out: gen.standard_normal(out=out))
+
+
 class TestReplicateRunner:
     def test_worker_count_invariance(self, monkeypatch):
         # 301 replicates of 44 values (a stride of 22 outputs of gamma 2 at n 20) in 7 chunks of at most 50,
@@ -140,7 +149,7 @@ class TestReplicateRunner:
     @pytest.mark.parametrize("noise", [GAUSS, RADEMACHER], ids=["gaussian_reduced_level", "rademacher_stream"])
     def test_rows_are_centered_by_the_exact_expectation(self, two_freq, noise, monkeypatch):
         # row b of chunk c is n**-0.5 * (sum_k Z_k**2 - n * E Z**2) over the outputs b*stride .. b*stride + n - 1
-        # of one law-only draw at mix_seed(seed, c), stride = n + Q - 1 on the level drawn; 30 replicates a chunk
+        # of one chunk_draw at mix_seed(seed, c), stride = n + Q - 1 on the level drawn; 30 replicates a chunk
         n, seed = 20, 77
         fam, level = (LONG_KERNEL, 0) if noise is GAUSS else (two_freq, 1)
         lv = fam.level(level).gaussian_level if noise is GAUSS else fam.level(level)
@@ -151,7 +160,7 @@ class TestReplicateRunner:
         centers = np.array([cov_exact(fam, level, i, i, 0, 0) for i in range(fam.n_branches)])
         expected = []
         for c, size in enumerate([30, 30, 30, 10]):
-            z = simulate_decimated(fam, level, (size - 1) * stride + n, noise, mix_seed(seed, c), law_only=True)
+            z = chunk_draw(fam, level, (size - 1) * stride + n, noise, mix_seed(seed, c))
             expected += [(np.sum(z[:, b * stride:b * stride + n] ** 2, axis=1) - n * centers) * (1.0 / np.sqrt(n))
                          for b in range(size)]
         assert isinstance(samples, np.ndarray) and samples.shape == (100, fam.n_branches)
@@ -165,7 +174,7 @@ class TestReplicateRunner:
         n, seed = 10, 5
         samples = replicate_sums(fam, 0, n, noise, 100, seed)
         center = cov_exact(fam, 0, 0, 0, 0, 0)
-        expected = [(np.sum(simulate_decimated(fam, 0, n, noise, mix_seed(seed, r), law_only=True) ** 2, axis=1)
+        expected = [(np.sum(chunk_draw(fam, 0, n, noise, mix_seed(seed, r)) ** 2, axis=1)
                      - n * center) * (1.0 / np.sqrt(n)) for r in range(100)]
         assert samples.tobytes() == np.array(expected).tobytes()
 

@@ -551,6 +551,12 @@ def driven_by_standard_normal(lv, n, seed):
     return np.array([_decimated_convolve(xi[o:], k, lv.gamma, n) for o, k in zip(offsets, lv.kernels)])
 
 
+def standard_normal_fill(seed):
+    """A _level_outputs fill writing the next standard_normal values of the thread's Philox keyed by the seed."""
+    gen = simulate._philox(0, seed)[1]
+    return lambda lo, out: gen.standard_normal(out=out)
+
+
 REDUCED_CASES = {
     **{f"two_frequency_g{g}": (two_frequency_demo_family(make_bspline_window(4), [g]), 0)
        for g in (8, 16, 64, 256, 1024)},
@@ -587,18 +593,11 @@ class TestGaussianLevel:
         assert [lv.gaussian_level.gamma for lv in two_frequency_demo_family(w, [8, 64, 1024]).levels] == [2, 2, 2]
         assert [lv.gaussian_level.gamma for lv in make_scaled_window_family(w, [8, 64, 1024]).levels] == [1, 1, 1]
 
-    @pytest.mark.parametrize("spec", [RADEMACHER, UNIFORM], ids=lambda s: s.distribution)
-    @pytest.mark.parametrize("case", sorted(REDUCED_CASES)[:3])
-    def test_law_only_is_the_stream_for_other_noise(self, case, spec):
-        fam, j = REDUCED_CASES[case]
-        z = simulate_decimated(fam, j, 40, spec, 9)
-        assert simulate_decimated(fam, j, 40, spec, 9, law_only=True).tobytes() == z.tobytes()
-
     def test_level_with_gamma_nonzero_rows_is_its_own(self):
-        # not reduced, but still fed the law-only values
+        # not reduced, but still fed the standard_normal values
         lv = DENSE_GAMMA2.levels[0]
         assert lv.gaussian_level is lv
-        z = simulate_decimated(DENSE_GAMMA2, 0, 40, GAUSS, 9, law_only=True)
+        z = simulate._level_outputs(lv, 40, standard_normal_fill(9))
         assert z.tobytes() == driven_by_standard_normal(lv, 40, 9).tobytes()
 
     def test_all_zero_level_is_its_own(self):
@@ -607,7 +606,7 @@ class TestGaussianLevel:
 
     def test_law_only_draws_from_the_reduced_level(self):
         fam, _ = REDUCED_CASES["two_frequency_g256"]
-        z = simulate_decimated(fam, 0, 30, GAUSS, 4, law_only=True)
+        z = simulate._level_outputs(fam.levels[0].gaussian_level, 30, standard_normal_fill(4))
         assert z.tobytes() == driven_by_standard_normal(fam.levels[0].gaussian_level, 30, 4).tobytes()
         assert not np.array_equal(z, simulate_decimated(fam, 0, 30, GAUSS, 4))
 
@@ -619,4 +618,5 @@ class TestGaussianLevel:
         want = driven_by_standard_normal(fam.levels[j].gaussian_level, 300, 13)
         for block in (7, 64, 1 << 15):
             monkeypatch.setattr(simulate, "_NOISE_BLOCK", block)
-            assert np.max(np.abs(simulate_decimated(fam, j, 300, GAUSS, 13, law_only=True) - want)) < 1e-12, block
+            z = simulate._level_outputs(fam.levels[j].gaussian_level, 300, standard_normal_fill(13))
+            assert np.max(np.abs(z - want)) < 1e-12, block

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +39,32 @@ def white_noise_expectation(window, gamma):
     return cov_exact(fam, 0, 0, 0, 0, 0)
 
 
+def exact_bspline_norm_sq(order):
+    """int B_m(s)^2 ds as a Fraction: each piece of B_m on [j, j + 1] from its truncated powers, squared and
+    integrated term by term."""
+    m, total = order, Fraction(0)
+    for j in range(m):
+        piece = [Fraction(0)] * m  # coefficients of x**0 .. x**(m-1) of (m - 1)! * B_m(x) on [j, j + 1]
+        for k in range(j + 1):
+            for i in range(m):
+                piece[i] += (-1) ** k * math.comb(m, k) * math.comb(m - 1, i) * (-k) ** (m - 1 - i)
+        square = [sum(piece[a] * piece[d - a] for a in range(max(0, d - m + 1), min(d, m - 1) + 1))
+                  for d in range(2 * m - 1)]
+        total += sum(c * ((j + 1) ** (d + 1) - j ** (d + 1)) / (d + 1) for d, c in enumerate(square))
+    return total / math.factorial(m - 1) ** 2
+
+
 class TestBsplineWindow:
     def test_cubic_l2_norm_matches_exact_fraction(self):
         assert bspline_l2_norm_sq(4) == pytest.approx(151.0 / 315.0, abs=1e-12)
+
+    def test_exact_norm_oracle_at_low_orders(self):
+        assert [exact_bspline_norm_sq(m) for m in (1, 2, 3, 4)] == [1, Fraction(2, 3), Fraction(11, 20),
+                                                                     Fraction(151, 315)]
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_l2_norm_is_the_exact_rational_rounded_once(self, order):
+        assert bspline_l2_norm_sq(order) == float(exact_bspline_norm_sq(order))
 
     @pytest.mark.parametrize("order", range(1, 13))
     def test_values_match_recursion_bitwise(self, order):
