@@ -9,11 +9,11 @@ after construction and all operations are pure, so everything is safe for
 unrestricted concurrent use.
 
 Integers: every count, index, factor and seed (a level, branch, gamma, n,
-lag, threshold, window order, seed or replicate index) goes through one
-rule, _integer: a value that is not an integer in its range (2.5, NaN, inf,
--1 for an index, a bool) raises ValueError("<name> <value> is not in
-<lo>..<hi>"), never truncated or wrapped, and an integral float such as 1.0
-is its int.
+lag, threshold, window order, quadrature panel or node count, seed or
+replicate index) goes through one rule, _integer: a value that is not an
+integer in its range (2.5, NaN, inf, -1 for an index, a bool) raises
+ValueError("<name> <value> is not in <lo>..<hi>"), never truncated or
+wrapped, and an integral float such as 1.0 is its int.
 Branches and levels are 0-based throughout the Python API.
 """
 
@@ -24,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quadrature import TWO_PI
-
+TWO_PI = 2.0 * np.pi
 INTEGER_TOL = 1e-9  # absolute tolerance for gamma*lambda / (2*pi) integrality
 RESCALED_HALFWIDTH = 20.0  # check_condition_c compares rescaled responses on [-20, 20]
 GRID_SIZE = 512  # check_condition_c's grid: points on [0, pi) and on the rescaled interval

@@ -50,9 +50,25 @@ class MomentReport:
     truncation_bound: float
 
 
+def _positive_definite(a):
+    """Whether the symmetric a has a Cholesky factor: every pivot of the outer-product elimination is positive."""
+    a = np.array(a, dtype=float)
+    for j in range(a.shape[0]):
+        if not a[j, j] > 0.0:  # NaN fails too
+            return False
+        col = a[j + 1:, j] / np.sqrt(a[j, j])
+        a[j + 1:, j + 1:] -= np.outer(col, col)
+    return True
+
+
 @dataclass(frozen=True)
 class GammaMatrix:
-    """Limiting covariance of normalized centered square-sums."""
+    """Limiting covariance of normalized centered square-sums.
+
+    entries must be symmetric and positive semidefinite within PSD_TOL: the
+    N x N entries + PSD_TOL*I must have a Cholesky factor, found by a numpy
+    elimination over the N branches rather than LAPACK's eigensolver.
+    """
 
     entries: np.ndarray
     constants: np.ndarray
@@ -60,9 +76,10 @@ class GammaMatrix:
     def __post_init__(self):
         object.__setattr__(self, "entries", _as_readonly(self.entries))
         object.__setattr__(self, "constants", _as_readonly(self.constants, int))
-        if not np.allclose(self.entries, self.entries.T, atol=0.0):
-            raise ValueError("limiting covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(self.entries)) < -PSD_TOL:
+        square = self.entries.ndim == 2 and self.entries.shape[0] == self.entries.shape[1]
+        if not square or not np.allclose(self.entries, self.entries.T, atol=0.0):
+            raise ValueError("limiting covariance must be a symmetric matrix")
+        if not _positive_definite(self.entries + PSD_TOL * np.eye(len(self.entries))):
             raise ValueError("limiting covariance must be positive semidefinite")
         if not np.all(np.isin(self.constants, (0, 1, 2))):
             raise ValueError("case constants must be 0, 1 or 2")

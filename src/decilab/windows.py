@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import _integer
-from .quadrature import TWO_PI, _panel_rule
+from .kernels import TWO_PI, _integer
+from .quadrature import _panel_rule
 
 EPS = float(np.finfo(float).eps)
 

@@ -25,9 +25,9 @@ import math
 
 import numpy as np
 
-from decilab.kernels import eval_response
+from decilab.kernels import TWO_PI, eval_response
 from decilab.moments import case_constant
-from decilab.quadrature import TWO_PI, gauss_legendre_panels
+from decilab.quadrature import gauss_legendre_panels
 
 TAIL_TOL = 1e-10
 MIN_ALIASES = 8

@@ -680,21 +680,29 @@ def test_gamma_loads_no_thread_pool_noise_or_scipy(tmp_path):
 
 
 def test_gamma_sweep_and_audit_load_no_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma on its first call, 10-40 ms of every process that reached it
+    # np.unique imports numpy.ma on its first call, 10-40 ms of every process that reached it; the limit
+    # layer's Gauss-Legendre nodes and PSD check load neither numpy.polynomial nor LAPACK's eigensolver
     runs = [("gamma", CONFIGS["gamma"]), ("sweep", {**CONFIGS["sweep"], "noise": {"distribution": "scaled_uniform"}})]
     argvs = []
     for command, sections in runs:
         cfg = tmp_path / f"{command}.ini"
         write_config(cfg, {"experiment": {"seed": 5}, **sections})
         argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / command)])
-    code = ("import sys, decilab; from decilab.cli import main; "
-            f"codes = [main(argv) for argv in {argvs!r}]; "
-            "decilab.check_condition_c(decilab.two_frequency_demo_family(decilab.make_bspline_window(4), [16, 32])); "
-            "print(codes, 'numpy.ma' in sys.modules)")
+    code = ("import sys, numpy as np, decilab; from decilab.cli import main\n"
+            "def eigvalsh(*args, **kwargs):\n"
+            "    raise AssertionError('np.linalg.eigvalsh called')\n"
+            "np.linalg.eigvalsh = eigvalsh\n"
+            f"codes = [main(argv) for argv in {argvs!r}]\n"
+            "window = decilab.make_bspline_window(4)\n"
+            "fam = decilab.two_frequency_demo_family(window, [16, 32])\n"
+            "decilab.check_condition_c(fam)\n"
+            "decilab.gamma_limit(fam, 0, 1), decilab.limit_cross_cov(fam, 1, 1, 1)\n"
+            "decilab.asymptotic_sigma2(window, 0.5)\n"
+            "print(codes, 'numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(decilab.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0] False"
+    assert proc.stdout.strip() == "[0, 0] False False"
 
 
 def test_main_after_a_failed_call_matches_a_fresh_process(tmp_path):

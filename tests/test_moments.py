@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from decilab.kernels import (
@@ -15,6 +15,7 @@ from decilab.kernels import (
     two_frequency_demo_family,
 )
 from decilab.moments import (
+    PSD_TOL,
     GammaMatrix,
     a_term,
     b_term,
@@ -531,3 +532,45 @@ class TestGammaMatrixValidation:
                 entries=np.eye(2),
                 constants=np.full((2, 2), 3),
             )
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """B B^T + scale*(S + S^T) - shift*PSD_TOL*I for integer B (N x r, r <= N) and S, N <= 6.
+
+    An integer B B^T is exact, so r < N gives an exactly singular matrix and a zero row of B a zero pivot.
+    """
+    n, r = draw(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+
+    def ints(size):
+        return np.array(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)), dtype=float)
+
+    b, s = ints(n * r).reshape(n, r), ints(n * n).reshape(n, n)
+    scale = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1.0]))
+    shift = draw(st.sampled_from([0.0, 0.5, 2.0, 1e3]))
+    return b @ b.T + scale * (s + s.T) - shift * PSD_TOL * np.eye(n)
+
+
+@pytest.mark.parametrize("entries", [np.ones(2), np.ones((1, 2)), np.array(1.0)])
+def test_gamma_matrix_rejects_entries_that_are_not_square(entries):
+    with pytest.raises(ValueError, match="symmetric matrix"):
+        GammaMatrix(entries=entries, constants=np.ones(np.shape(entries), dtype=int))
+
+
+@given(m=symmetric_matrices())
+@example(m=np.zeros((3, 3)))
+@example(m=np.array([[0.0, 0.0], [0.0, 1.0]]))
+@example(m=np.array([[1.0, 1.0], [1.0, 1.0]]) - 0.5 * PSD_TOL * np.eye(2))
+@example(m=np.array([[1.0, 1.0], [1.0, 1.0]]) - 2.0 * PSD_TOL * np.eye(2))
+@settings(max_examples=300, deadline=None)
+def test_gamma_matrix_accepts_exactly_the_psd_matrices(m):
+    # the Cholesky check of entries + PSD_TOL*I against the least eigenvalue, away from -PSD_TOL by more
+    # than the rounding of either
+    least = np.min(np.linalg.eigvalsh(m))
+    assume(abs(least + PSD_TOL) > 1e-12 * (1.0 + np.max(np.abs(m))))
+    constants = np.ones(m.shape, dtype=int)
+    if least >= -PSD_TOL:
+        assert np.array_equal(GammaMatrix(entries=m, constants=constants).entries, m)
+    else:
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            GammaMatrix(entries=m, constants=constants)

@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from decilab.kernels import make_scaled_window_family, two_frequency_demo_family
-from decilab.quadrature import _legendre, gauss_legendre_panels
+from decilab.quadrature import MAX_NODES, _legendre, gauss_legendre_panels
 from decilab.specdens import asymptotic_sigma2
 from decilab.windows import Window, make_bspline_window
 
@@ -41,14 +42,46 @@ def test_legendre_nodes_cached_read_only():
     x1, w1 = _legendre(5)
     x2, w2 = _legendre(5)
     assert x1 is x2 and w1 is w2
-    ref_x, ref_w = np.polynomial.legendre.leggauss(5)
-    assert np.array_equal(x1, ref_x) and np.array_equal(w1, ref_w)
+    ref_x, ref_w = x1.copy(), w1.copy()
     for arr in (x1, w1):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     x, w = gauss_legendre_panels(0.0, 1.0, panels=1, nodes=5)
     x[0] = w[0] = 0.0  # the panel rule is the caller's own copy
     assert np.array_equal(_legendre(5)[0], ref_x) and np.array_equal(_legendre(5)[1], ref_w)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_legendre_matches_leggauss_and_is_exact(n):
+    # nodes within eps (one ulp at 1.0) of numpy's eigenvalue rule and weights within 32 eps (its end
+    # weights are the less accurate ones); the n-point rule integrates x^k on [-1, 1] for every k <= 2n - 1
+    eps = np.finfo(float).eps
+    x, w = _legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - ref_x)) <= eps and np.max(np.abs(w - ref_w)) <= 32 * eps
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    for k in range(2 * n):
+        assert abs(np.sum(w * x ** k) - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 16 * eps
+
+
+@pytest.mark.parametrize("panels, nodes", [
+    (2.5, 8), (True, 8), (0, 8), (math.nan, 8),
+    (4, 2.5), (4, True), (4, 0), (4, MAX_NODES + 1), (4, 10 ** 6), (4, math.inf),
+])
+def test_gauss_legendre_panels_takes_integer_counts(panels, nodes):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        gauss_legendre_panels(0.0, 1.0, panels=panels, nodes=nodes)
+    assert time.perf_counter() - start < 1.0  # rejected before any Newton step
+
+
+def test_gauss_legendre_panels_at_the_node_cap():
+    _legendre.cache_clear()
+    start = time.perf_counter()
+    x, w = gauss_legendre_panels(0.0, 1.0, panels=2.0, nodes=MAX_NODES)
+    assert time.perf_counter() - start < 1.0
+    assert x.size == 2 * MAX_NODES and abs(np.sum(w) - 1.0) <= 1e-13
+    assert abs(np.sum(w * x ** (2 * MAX_NODES - 1)) * 2 * MAX_NODES - 1.0) <= 1e-12
 
 
 def test_oscillatory_integral():
