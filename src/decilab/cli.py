@@ -72,7 +72,7 @@ import functools
 import os
 import shlex
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 try:  # the built-in SHA-256: hashlib would map OpenSSL (about 3.7 MB of RSS) for one 12-hex digest
@@ -91,7 +91,7 @@ from .kernels import (DecimatedFamily, FamilyLevel, TimeKernel, _float, _int, _i
 from .windows import make_bspline_window
 
 FLOAT_FMT = "%.17g"
-SWEEP_HEADER = "gamma,n,entry_i,entry_ip,empirical,analytic_n,gamma_limit,se"
+SWEEP_HEADER = ",".join(f.name for f in fields(montecarlo.SweepRow))
 
 
 def _ints(raw):

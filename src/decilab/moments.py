@@ -65,9 +65,9 @@ def _positive_definite(a):
 class GammaMatrix:
     """Limiting covariance of normalized centered square-sums.
 
-    entries must be symmetric and positive semidefinite within PSD_TOL: the
-    N x N entries + PSD_TOL*I must have a Cholesky factor, found by a numpy
-    elimination over the N branches rather than LAPACK's eigensolver.
+    entries must equal their transpose exactly and be positive semidefinite
+    within PSD_TOL: entries + PSD_TOL*I must have a Cholesky factor, found by
+    a numpy elimination over the N branches rather than LAPACK's eigensolver.
     """
 
     entries: np.ndarray
@@ -77,7 +77,7 @@ class GammaMatrix:
         object.__setattr__(self, "entries", _as_readonly(self.entries))
         object.__setattr__(self, "constants", _as_readonly(self.constants, int))
         square = self.entries.ndim == 2 and self.entries.shape[0] == self.entries.shape[1]
-        if not square or not np.allclose(self.entries, self.entries.T, atol=0.0):
+        if not square or not np.array_equal(self.entries, self.entries.T):
             raise ValueError("limiting covariance must be a symmetric matrix")
         if not _positive_definite(self.entries + PSD_TOL * np.eye(len(self.entries))):
             raise ValueError("limiting covariance must be positive semidefinite")

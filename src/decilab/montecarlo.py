@@ -82,30 +82,31 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=1):
     lv = family.level(level).gaussian_level if gaussian else family.level(level)
     gap = -(-lv._stream_layout()[2] // lv.gamma) - 1  # Q - 1 outputs share noise with the next n
     if gaussian and not gap:
-        return (_bartlett_sums(lv, n, n_replicates, base_seed) - n * centers) * (1.0 / np.sqrt(n))
-    samples = np.empty((n_replicates, family.n_branches))
-    stride, gap_work = n + gap, gap * sum(k.length for k in lv.kernels)
-    per_chunk = 1 if gap_work > _GAP else max(1, _CHUNK // (stride * lv.gamma))
-    n_chunks = -(-n_replicates // per_chunk)
+        sums = _bartlett_sums(lv, n, n_replicates, base_seed)
+    else:
+        sums = np.empty((n_replicates, family.n_branches))
+        stride, gap_work = n + gap, gap * sum(k.length for k in lv.kernels)
+        per_chunk = 1 if gap_work > _GAP else max(1, _CHUNK // (stride * lv.gamma))
+        n_chunks = -(-n_replicates // per_chunk)
 
-    n_workers = min(workers, n_chunks)
-    from concurrent.futures import ThreadPoolExecutor  # loaded on the first chunked replicate run
+        n_workers = min(workers, n_chunks)
+        from concurrent.futures import ThreadPoolExecutor  # loaded on the first chunked replicate run
 
-    def run_share(first):
-        for c in range(first, n_chunks, n_workers):
-            lo, hi = c * per_chunk, min(n_replicates, (c + 1) * per_chunk)
-            size, seed = (hi - lo - 1) * stride + n, mix_seed(base_seed, c)
-            if gaussian:
-                gen = _philox(0, seed)[1]
-                z = _level_outputs(lv, size, lambda _, out: gen.standard_normal(out=out))
-            else:
-                z = simulate_decimated(family, level, size, noise, seed)
-            z = np.lib.stride_tricks.sliding_window_view(z, n, axis=1)[:, ::stride]
-            samples[lo:hi] = (np.sum(z ** 2, axis=2).T - n * centers) * (1.0 / np.sqrt(n))
+        def run_share(first):
+            for c in range(first, n_chunks, n_workers):
+                lo, hi = c * per_chunk, min(n_replicates, (c + 1) * per_chunk)
+                size, seed = (hi - lo - 1) * stride + n, mix_seed(base_seed, c)
+                if gaussian:
+                    gen = _philox(0, seed)[1]
+                    z = _level_outputs(lv, size, lambda _, out: gen.standard_normal(out=out))
+                else:
+                    z = simulate_decimated(family, level, size, noise, seed)
+                z = np.lib.stride_tricks.sliding_window_view(z, n, axis=1)[:, ::stride]
+                sums[lo:hi] = np.sum(z ** 2, axis=2).T
 
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        list(pool.map(run_share, range(n_workers)))
-    return samples
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(run_share, range(n_workers)))
+    return (sums - n * centers) * (1.0 / np.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -115,28 +116,22 @@ class CovarianceReport:
 
 
 def empirical_cov(samples):
-    """Unbiased covariance of (R, N) samples with leave-one-out jackknife standard errors.
+    """Unbiased covariance C of (R, N) samples with leave-one-out jackknife standard errors.
 
-    Jackknife SEs need at least three replicates; below that they are NaN.
+    Both come from the centered rows d_k = x_k - mean, so samples need not be centered. Leaving
+    out row k downdates C by p_k = d_k d_k^T: C_(-k) = ((R - 1) C - R/(R - 1) p_k)/(R - 2), so
+    the SE is R/((R - 1)(R - 2)) * sqrt((R - 1)/R * sum_k (p_k - mean p)**2), NaN for R < 3.
     """
     x = np.asarray(samples)
     r = x.shape[0]
     if r < 2:
         raise ValueError("need at least 2 replicates")
-    mean = x.mean(axis=0)
-    centered = x - mean
+    centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (r - 1)
     if r < 3:
         return CovarianceReport(cov, np.full_like(cov, np.nan))
-
-    s2 = np.einsum("ri,rj->ij", x, x)
-    mu = (x.sum(axis=0)[None, :] - x) / (r - 1)  # leave-one-out means
-    loo = (
-        s2[None, :, :]
-        - x[:, :, None] * x[:, None, :]
-        - (r - 1) * mu[:, :, None] * mu[:, None, :]
-    ) / (r - 2)
-    se = np.sqrt((r - 1) / r * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
+    p = centered[:, :, None] * centered[:, None, :]
+    se = r / ((r - 1) * (r - 2)) * np.sqrt((r - 1) / r * np.sum((p - p.mean(axis=0)) ** 2, axis=0))
     return CovarianceReport(cov, se)
 
 
@@ -190,8 +185,8 @@ def normality_report(samples):
 class SweepRow:
     gamma: int
     n: int
-    branch_i: int  # 1-based in reports
-    branch_ip: int
+    entry_i: int  # 1-based in reports
+    entry_ip: int
     empirical: float
     analytic_n: float
     gamma_limit: float
@@ -218,8 +213,8 @@ def convergence_sweep(family, levels, n, noise, n_replicates, base_seed, workers
                 rows.append(SweepRow(
                     gamma=gamma,
                     n=int(n),
-                    branch_i=i + 1,
-                    branch_ip=ip + 1,
+                    entry_i=i + 1,
+                    entry_ip=ip + 1,
                     empirical=float(emp.matrix[i, ip]),
                     analytic_n=cov_of_square_sums(family, level, i, ip, n, noise),
                     gamma_limit=float(gm.entries[i, ip]) if have_limits else float("nan"),

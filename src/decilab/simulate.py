@@ -31,7 +31,9 @@ _MASK64 = (1 << 64) - 1
 _T_OFFSET = 1 << 62  # shifts time indices into the nonnegative counter range
 AR1_TAIL = 1e-12  # ar1_kernel drops a tail of at most this l2 norm
 _THREAD = threading.local()  # one Philox generator per thread (_philox)
-_NOISE_BLOCK = 1 << 15  # noise values per simulate_decimated block (256 KiB); 2**16 peaked higher on mc_ladder
+# noise values per simulate_decimated block (256 KiB): sizes 2**14-2**17 timed within the spread,
+# and 2**15 blocks match the whole-array call bit for bit at one BLAS thread
+_NOISE_BLOCK = 1 << 15
 
 _KURTOSIS_EXCESS = {
     "gaussian": 0.0,

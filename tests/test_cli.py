@@ -743,8 +743,8 @@ OUTPUT_SHA256 = {
     "simulate/path.csv": "8f3746faa535fe9aea8fa9b2f8be98bde4bab7a9d1b7be1d903e94a4440af6bc",
     "clt/normality.txt": "7fc2eda7d889db8a9e04fab519b5e6442c06609ab94b737f18d179c9124124dd",
     "clt/replicates.csv": "e6e7cf1e4fc39a17ae41d2e23d70a9728750de98b333076d4650000ff7992824",
-    "cov-check/cov_check.csv": "9b58c78660ec906311672db6df0e14f9ab0e585d847baaecb319494c0a24b15c",
-    "sweep/sweep.csv": "376e20696bd448778ac79d9b0812703a18a2bb78e8fd92bbcf39403ec4f720bf",
+    "cov-check/cov_check.csv": "281d2720852c468d19d1ba3b7016a1e05871f9018afa40fe9d4c879afbacec8c",
+    "sweep/sweep.csv": "3cddf8c3bdeddb700df20d1533d4df721429de99e7fa71cb21360a3d03925062",
     "specdens/specdens_report.txt": "7d304b508e55993f8d6f6ad96064add4e07667978cc0f10d8fbf26940df6c408",
     "specdens/specdens_sweep.csv": "f3d84921ae50f97454f230570a68c35721448422cb09e61fc52322409e15b39e",
     "gamma/gamma_matrix.csv": "dc034d3a889965678fe02d14aee28c581f23d9af0430e2f19e2087029a3c15e1",

@@ -513,11 +513,12 @@ def test_limit_cross_cov_is_the_limit_of_cov_exact():
 
 class TestGammaMatrixValidation:
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            GammaMatrix(
-                entries=np.array([[1.0, 0.2], [0.1, 1.0]]),
-                constants=np.ones((2, 2), dtype=int),
-            )
+        for lower in (0.1, 0.200001):  # symmetry is equality, not agreement to 1e-5 relative
+            with pytest.raises(ValueError):
+                GammaMatrix(
+                    entries=np.array([[1.0, 0.2], [lower, 1.0]]),
+                    constants=np.ones((2, 2), dtype=int),
+                )
 
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError):

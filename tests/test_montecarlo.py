@@ -188,13 +188,16 @@ class TestReplicateRunner:
         assert abs(np.corrcoef(x[:-1], x[1:])[0, 1]) < 4 / np.sqrt(r)
 
     def test_jackknife_se_matches_brute_force(self, rng):
-        x = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 3))
-        r = x.shape[0]
-        loo = np.array([np.cov(np.delete(x, k, axis=0), rowvar=False) for k in range(r)])
-        brute = np.sqrt((r - 1) / r * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
-        rep = empirical_cov(x)
-        assert np.allclose(rep.matrix, np.cov(x, rowvar=False), rtol=0, atol=1e-12)
-        assert np.allclose(rep.se, brute, rtol=0, atol=1e-12)
+        # the same data shifted far from 0: a mean large against the spread must cost the SE no digits
+        base = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 3))
+        r = base.shape[0]
+        for shift, rtol, atol in ((0.0, 0, 1e-12), (1e4, 1e-9, 0), (1e6, 1e-9, 0)):
+            x = base + shift
+            loo = np.array([np.cov(np.delete(x, k, axis=0), rowvar=False) for k in range(r)])
+            brute = np.sqrt((r - 1) / r * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
+            rep = empirical_cov(x)
+            assert np.allclose(rep.matrix, np.cov(x, rowvar=False), rtol=0, atol=1e-12)
+            assert np.allclose(rep.se, brute, rtol=rtol, atol=atol), shift
 
     def test_sweep_empirical_agrees_with_exact(self, two_freq):
         rows = convergence_sweep(two_freq, [0], 30, GAUSS, 400, 5, workers=1)
