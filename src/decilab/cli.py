@@ -200,13 +200,6 @@ def _need(cfg, section, key):
     return cfg[section][key]
 
 
-def _get_run(cfg, family):
-    """[run] level (default 0), a level of the family."""
-    level = cfg["run"].get("level", 0)
-    family.level(level)
-    return level
-
-
 def _family_from_config(cfg, config_dir):
     fam = cfg["family"]
     ftype = _need(cfg, "family", "type")
@@ -244,6 +237,15 @@ def _family_from_config(cfg, config_dir):
 
 def _noise_from_config(cfg):
     return simulate.NoiseSpec(cfg["noise"].get("distribution", "gaussian"))
+
+
+def _family_run(cfg, config_dir):
+    """The family, the noise, [run] level (default 0, a level of the family) and [run] n, read in that order."""
+    family = _family_from_config(cfg, config_dir)
+    noise = _noise_from_config(cfg)
+    level = cfg["run"].get("level", 0)
+    family.level(level)
+    return family, noise, level, _need(cfg, "run", "n")
 
 
 def _window_from_config(cfg):
@@ -326,10 +328,7 @@ def _cmd_gamma(cfg, out_dir, seed, digest, config_dir):
 
 
 def _cmd_simulate(cfg, out_dir, seed, digest, config_dir):
-    family = _family_from_config(cfg, config_dir)
-    noise = _noise_from_config(cfg)
-    level = _get_run(cfg, family)
-    n = _need(cfg, "run", "n")
+    family, noise, level, n = _family_run(cfg, config_dir)
     z = simulate.simulate_decimated(family, level, n, noise, seed)
     with _open_out(out_dir, "path.csv") as fh:
         fh.write(f"# level={level},gamma={family.level(level).gamma},seed={seed},digest={digest}\n")
@@ -349,12 +348,7 @@ def _thread_count():
 
 
 def _run_replicates(cfg, config_dir):
-    family = _family_from_config(cfg, config_dir)
-    noise = _noise_from_config(cfg)
-    level = _get_run(cfg, family)
-    n = _need(cfg, "run", "n")
-    reps = _need(cfg, "run", "replicates")
-    return family, noise, level, n, reps, _thread_count()
+    return (*_family_run(cfg, config_dir), _need(cfg, "run", "replicates"), _thread_count())
 
 
 def _cmd_clt(cfg, out_dir, seed, digest, config_dir):
@@ -365,15 +359,9 @@ def _cmd_clt(cfg, out_dir, seed, digest, config_dir):
     _write_csv(out_dir, "replicates.csv", f"replicate,{coords}",
                ((r, *samples[r]) for r in range(n_replicates)), digest)
     pairs = [("digest", digest), ("replicates", n_replicates)]
-    for i in range(n_branches):
-        rep = montecarlo.normality_report(samples[:, i])
-        prefix = f"coord_{i + 1}"
-        pairs += [
-            (f"{prefix}.skewness", rep.skewness),
-            (f"{prefix}.excess_kurtosis", rep.excess_kurtosis),
-            (f"{prefix}.ks_distance", rep.ks_distance),
-            (f"{prefix}.degenerate", rep.degenerate),
-        ]
+    for i in range(n_branches):  # every NormalityReport field in order but n_samples, which the replicates line gives
+        report = asdict(montecarlo.normality_report(samples[:, i]))
+        pairs += [(f"coord_{i + 1}.{key}", value) for key, value in report.items() if key != "n_samples"]
     _write_report(out_dir, "normality.txt", pairs)
     return 0
 

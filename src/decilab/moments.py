@@ -111,15 +111,19 @@ def case_constant(family, i, ip):
     return 1 if fi == 0.0 else 2
 
 
-def _require_limits(family):
+def _limit_correlations(family, i, ip):
+    """(C, {k: (rho(k), its rounding bound)}) for the limit kernels of branches i and i'.
+
+    The one home of two rules: a family without limit kernels raises, and C = 0 (different
+    limit frequencies) gives (0, {}) without correlating, so every limit value and bound is 0.0.
+    """
     if family.limit_kernels is None:
         raise ValueError("limit kernels unavailable for this family")
-
-
-def _limit_correlations(family, i, ip):
-    """{k: (rho(k), its rounding bound)} for the limit kernels of branches i and i'."""
+    const = case_constant(family, i, ip)
+    if const == 0:
+        return 0, {}
     (w1, wt1), (w2, wt2) = family.limit_kernels[i], family.limit_kernels[ip]
-    return {k: (wt1 * wt2 * r, abs(wt1 * wt2) * b) for k, (r, b) in _correlations(w1, w2).items()}
+    return const, {k: (wt1 * wt2 * r, abs(wt1 * wt2) * b) for k, (r, b) in _correlations(w1, w2).items()}
 
 
 def limit_cross_cov(family, i, ip, lag):
@@ -127,13 +131,10 @@ def limit_cross_cov(family, i, ip, lag):
 
     rho(lag) = w_i * w_i' * int W_i(t) W_i'(t + lag) dt by per-knot
     Gauss-Legendre, exact up to the reported rounding bound; zero when the
-    case constant C is or when the limit kernels do not overlap at this lag.
+    case constant C is 0 or when the limit kernels do not overlap at this lag.
     """
-    _require_limits(family)
-    const = case_constant(family, i, ip)
-    if const == 0:
-        return MomentReport(0.0, 0.0)
-    rho, bound = _limit_correlations(family, i, ip).get(lag, (0.0, 0.0))
+    const, rhos = _limit_correlations(family, i, ip)
+    rho, bound = rhos.get(lag, (0.0, 0.0))
     return MomentReport(const * rho, const * bound)
 
 
@@ -196,11 +197,8 @@ def gamma_limit(family, i, ip):
     reported bound is 2 * C**2 * sum_k (2*|rho(k)| + delta_k) * delta_k plus
     (lags + 2) * eps * Gamma for the sum of squares.
     """
-    _require_limits(family)
-    const = case_constant(family, i, ip)
-    if const == 0:
-        return MomentReport(0.0, 0.0)
-    rho, delta = np.array(list(_limit_correlations(family, i, ip).values())).reshape(-1, 2).T
+    const, rhos = _limit_correlations(family, i, ip)
+    rho, delta = np.array(list(rhos.values())).reshape(-1, 2).T
     value = 2.0 * const ** 2 * float(np.sum(rho * rho))
     bound = 2.0 * const ** 2 * float(np.sum((2.0 * np.abs(rho) + delta) * delta)) + (rho.size + 2) * EPS * value
     return MomentReport(value, bound)

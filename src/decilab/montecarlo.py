@@ -202,8 +202,7 @@ def convergence_sweep(family, levels, n, noise, n_replicates, base_seed, workers
     """
     workers = _integer(workers, "workers", 1)
     gammas = [family.level(level).gamma for level in levels]  # every level is checked before the first replicate
-    have_limits = family.limit_kernels is not None
-    gm = gamma_matrix(family) if have_limits else None
+    gm = gamma_matrix(family) if family.limit_kernels is not None else None
     rows = []
     for level, gamma in zip(levels, gammas):
         samples = replicate_sums(family, level, n, noise, n_replicates, mix_seed(base_seed, 1000 + level), workers)
@@ -217,7 +216,7 @@ def convergence_sweep(family, levels, n, noise, n_replicates, base_seed, workers
                     entry_ip=ip + 1,
                     empirical=float(emp.matrix[i, ip]),
                     analytic_n=cov_of_square_sums(family, level, i, ip, n, noise),
-                    gamma_limit=float(gm.entries[i, ip]) if have_limits else float("nan"),
+                    gamma_limit=float("nan") if gm is None else float(gm.entries[i, ip]),
                     se=float(emp.se[i, ip]),
                 ))
     return rows

@@ -54,8 +54,6 @@ def asymptotic_sigma2(window, f0):
     """
     if not f0 >= 0:
         raise ValueError("need f0 >= 0")
-    if f0 == 0.0:
-        return 0.0
     total = sum(rho * rho for rho, _ in _correlations(window, window).values())
     return 8.0 * np.pi ** 2 * f0 * f0 * total
 
@@ -68,7 +66,7 @@ def check_rate_condition(n, gamma, beta):
     beta <= 2 is outside the estimator's hypotheses and is rejected.
     """
     n, gamma = _integer(n, "n", 1), _integer(gamma, "gamma", 1)
-    if beta <= 2.0:
+    if not beta > 2.0:  # NaN fails too
         raise ValueError("outside estimator hypotheses: need window decay > 2")
     return math.sqrt(n) * float(gamma) ** (0.5 - 2.0 * beta)
 

@@ -410,12 +410,16 @@ def test_unquoted_kernel_paths_split_on_whitespace(raw):
     assert cli._paths(raw) == raw.split()
 
 
-@pytest.mark.parametrize("family,want", [(FAMILY, 0), ({**FAMILY, "type": "foo"}, 2)], ids=["valid", "bad"])
-def test_console_main_exit_code(tmp_path, monkeypatch, family, want):
+@pytest.mark.parametrize("command,sections,want", [
+    ("gamma", {"family": FAMILY}, 0),
+    ("gamma", {"family": {**FAMILY, "type": "foo"}}, 2),
+    ("specdens", {"specdens": {"synth": "white", "n": 4096, "gammas": 16, "window_order": 2}}, 3),
+], ids=["valid", "bad", "gate"])
+def test_console_main_exit_code(tmp_path, monkeypatch, command, sections, want):
     # the target of the decilab script: main's return value becomes the process exit code
-    cfg = tmp_path / "gamma.ini"
-    write_config(cfg, {"experiment": {"seed": 5}, "family": family})
-    monkeypatch.setattr(sys, "argv", ["decilab", "gamma", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    cfg = tmp_path / f"{command}.ini"
+    write_config(cfg, {"experiment": {"seed": 5}, **sections})
+    monkeypatch.setattr(sys, "argv", ["decilab", command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     with pytest.raises(SystemExit) as exc:
         cli.console_main()
     assert exc.value.code == want

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from decilab import moments
 from decilab.kernels import (
     _FFT_MIN_WORK,
     DecimatedFamily,
@@ -320,9 +321,14 @@ class TestLimitQuantities:
         assert case_constant(two_freq, 1, 1) == 2
         assert case_constant(two_freq, 0, 1) == 0
 
-    def test_cross_branch_limit_is_exact_zero(self, two_freq):
-        rep = limit_cross_cov(two_freq, 0, 1, 0)
-        assert rep.value == 0.0 and rep.truncation_bound == 0.0
+    def test_cross_branch_limit_is_exact_zero(self, two_freq, monkeypatch):
+        # C = 0 gives zero before any limit kernel is correlated
+        def fail(*args):
+            raise AssertionError("a C = 0 pair was correlated")
+
+        monkeypatch.setattr(moments, "_correlations", fail)
+        for rep in (limit_cross_cov(two_freq, 0, 1, 0), gamma_limit(two_freq, 0, 1)):
+            assert rep.value == 0.0 and rep.truncation_bound == 0.0
 
     def test_limit_variance_matches_exact_at_deep_level(self, ma_family):
         lim = limit_cross_cov(ma_family, 0, 0, 0).value

@@ -34,6 +34,17 @@ class TestNormalityReport:
         z = (x - np.mean(x)) / np.std(x)
         assert rep.ks_distance == pytest.approx(stats.kstest(z, "norm").statistic, rel=0, abs=1e-15)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_looks_normal_separates_normal_from_exponential(self, seed):
+        # at 2000 samples the KS band KS_99/sqrt(n) is 0.036; an exponential sample sits near 0.16
+        gen = np.random.default_rng(seed)
+        assert normality_report(gen.standard_normal(2000)).looks_normal
+        assert not normality_report(gen.exponential(size=2000)).looks_normal
+
+    def test_constant_sample_does_not_look_normal(self):
+        rep = normality_report(np.full(2000, 3.0))
+        assert rep.degenerate and not rep.looks_normal
+
 
 def test_import_loads_neither_scipy_stats_nor_signal():
     # each costs set-up time on every run; scipy.special waits for the first Gaussian draw or KS distance

@@ -200,6 +200,11 @@ class TestEstimator:
         with pytest.raises(ValueError, match="need window decay > 2"):
             estimate_f0(np.ones(64), low, 8)
 
+    def test_nan_decay_rejected(self):
+        # NaN compares false both ways, so only a `not beta > 2` gate rejects it
+        with pytest.raises(ValueError, match="need window decay > 2"):
+            check_rate_condition(100, 16, math.nan)
+
     def test_degenerate_flag(self):
         w = make_bspline_window(4)
         est = estimate_f0(np.ones(8), w, 8)
