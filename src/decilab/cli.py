@@ -324,7 +324,6 @@ def _cmd_gamma(cfg, out_dir, seed, digest, config_dir):
     cells = [(i, ip) for i in range(family.n_branches) for ip in range(family.n_branches)]
     _write_csv(out_dir, "gamma_matrix.csv", "entry_i,entry_ip,constant,value",
                [(i + 1, ip + 1, gm.constants[i, ip], gm.entries[i, ip]) for i, ip in cells], digest)
-    return 0
 
 
 def _cmd_simulate(cfg, out_dir, seed, digest, config_dir):
@@ -335,7 +334,6 @@ def _cmd_simulate(cfg, out_dir, seed, digest, config_dir):
         fh.write("k," + ",".join(f"Z_{i + 1}" for i in range(z.shape[0])) + "\n")
         for k, column in enumerate(z.T):
             fh.write(f"{k}," + ",".join(map(_fmt, column)) + "\n")
-    return 0
 
 
 def _thread_count():
@@ -363,21 +361,18 @@ def _cmd_clt(cfg, out_dir, seed, digest, config_dir):
         report = asdict(montecarlo.normality_report(samples[:, i]))
         pairs += [(f"coord_{i + 1}.{key}", value) for key, value in report.items() if key != "n_samples"]
     _write_report(out_dir, "normality.txt", pairs)
-    return 0
 
 
 def _cmd_cov_check(cfg, out_dir, seed, digest, config_dir):
     family, noise, level, n, reps, workers = _run_replicates(cfg, config_dir)
     rows = montecarlo.convergence_sweep(family, [level], n, noise, reps, seed, workers)
     _write_csv(out_dir, "cov_check.csv", SWEEP_HEADER, map(astuple, rows), digest)
-    return 0
 
 
 def _cmd_sweep(cfg, out_dir, seed, digest, config_dir):
     family, noise, _, n, reps, workers = _run_replicates(cfg, config_dir)
     rows = montecarlo.convergence_sweep(family, range(family.n_levels), n, noise, reps, seed, workers)
     _write_csv(out_dir, "sweep.csv", SWEEP_HEADER, map(astuple, rows), digest)
-    return 0
 
 
 def _cmd_specdens(cfg, out_dir, seed, digest, config_dir):
@@ -393,7 +388,6 @@ def _cmd_specdens(cfg, out_dir, seed, digest, config_dir):
     _write_report(out_dir, "specdens_report.txt", pairs)
     _write_csv(out_dir, "specdens_sweep.csv", "gamma,f0_hat,se,rate_value",
                [(e.gamma, e.f0_hat, e.se, e.rate_value) for e in sweep], digest)
-    return 0
 
 
 _FAMILY_RUN = {"experiment", "family", "noise", "run"}
@@ -437,7 +431,7 @@ def main(argv=None):
         out_dir = Path(args.out if args.out is not None else cfg["experiment"].get("out", "."))
         config_dir = Path(args.config).resolve().parent
         digest = config_digest(parser, cfg, args.command, seed, config_dir)
-        return handler(cfg, out_dir, seed, digest, config_dir)
+        handler(cfg, out_dir, seed, digest, config_dir)
     # OSError: a file that cannot be read or written; MemoryError: a size numpy cannot allocate
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
         # one line, also where a configparser message spans several
@@ -446,6 +440,7 @@ def main(argv=None):
     except HypothesisGateError as exc:
         print(f"decilab: rejected: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def console_main():

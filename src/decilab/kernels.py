@@ -9,8 +9,8 @@ after construction and all operations are pure, so everything is safe for
 unrestricted concurrent use.
 
 Integers: every count, index, factor and seed (a level, branch, gamma, n,
-lag, threshold, window order, quadrature panel or node count, seed or
-replicate index) goes through one rule, _integer: a value that is not an
+output index k, lag, threshold, window order, quadrature panel or node count,
+seed or replicate index) goes through one rule, _integer: a value that is not an
 integer in its range (2.5, NaN, inf, -1 for an index, a bool) raises
 ValueError("<name> <value> is not in <lo>..<hi>"), never truncated or
 wrapped, and an integral float such as 1.0 is its int.
@@ -409,8 +409,10 @@ def check_condition_c(family):
 
 
 def snapped_center_freq(gamma, target):
-    """Nearest frequency to target with gamma*freq an exact multiple of 2*pi."""
+    """Nearest frequency to target with gamma*freq an exact multiple of 2*pi; gamma >= 1, target finite."""
     gamma = _integer(gamma, "gamma", 1)
+    if not math.isfinite(target):
+        raise ValueError(f"target frequency {target} is not finite")
     q = int(round(gamma * target / TWO_PI))
     q = min(q, (gamma - 1) // 2)  # keep the frequency strictly below pi
     q = max(q, 0)

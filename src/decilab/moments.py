@@ -97,9 +97,10 @@ def _corr_sum(k1, k2, shift):
 
 
 def cov_exact(family, level, i, ip, k, kp):
-    """Cov(Z_{i,k}, Z_{i',k'}) at one level: sum_t v_i(gamma*k - t) v_i'(gamma*k' - t), exact."""
+    """Cov(Z_{i,k}, Z_{i',k'}) at one level, k and k' - k integers: sum_t v_i(gamma*k - t) v_i'(gamma*k' - t), exact."""
     lv = family.level(level)
-    return _corr_sum(lv.kernels[family.branch(i)], lv.kernels[family.branch(ip)], lv.gamma * _integer(kp - k, "lag"))
+    k1, k2 = lv.kernels[family.branch(i)], lv.kernels[family.branch(ip)]
+    return _corr_sum(k1, k2, lv.gamma * _integer(kp - _integer(k, "k"), "lag"))
 
 
 def case_constant(family, i, ip):
@@ -130,11 +131,11 @@ def limit_cross_cov(family, i, ip, lag):
     """Limit of Cov(Z_{i,k}, Z_{i',k+lag}) along the level ladder: C * rho(lag).
 
     rho(lag) = w_i * w_i' * int W_i(t) W_i'(t + lag) dt by per-knot
-    Gauss-Legendre, exact up to the reported rounding bound; zero when the
-    case constant C is 0 or when the limit kernels do not overlap at this lag.
+    Gauss-Legendre, exact up to the reported rounding bound; zero when the case
+    constant C is 0 or the limit kernels do not overlap at this integer lag.
     """
     const, rhos = _limit_correlations(family, i, ip)
-    rho, bound = rhos.get(lag, (0.0, 0.0))
+    rho, bound = rhos.get(_integer(lag, "lag"), (0.0, 0.0))
     return MomentReport(const * rho, const * bound)
 
 

@@ -123,9 +123,9 @@ def empirical_cov(samples):
     the SE is R/((R - 1)(R - 2)) * sqrt((R - 1)/R * sum_k (p_k - mean p)**2), NaN for R < 3.
     """
     x = np.asarray(samples)
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise ValueError(f"need an (R, N) sample array with R >= 2 replicates, got shape {x.shape}")
     r = x.shape[0]
-    if r < 2:
-        raise ValueError("need at least 2 replicates")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (r - 1)
     if r < 3:

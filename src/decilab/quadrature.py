@@ -68,7 +68,7 @@ def _panel_rule(edges, nodes):
 
 
 def gauss_legendre_panels(a, b, panels=64, nodes=8):
-    """Nodes and weights of a composite Gauss-Legendre rule on [a, b]; panels >= 1, nodes in 1..MAX_NODES."""
-    if not b > a:
-        raise ValueError("need b > a")
+    """Nodes and weights of a composite Gauss-Legendre rule on finite [a, b]; panels >= 1, nodes in 1..MAX_NODES."""
+    if not -np.inf < a < b < np.inf:  # NaN fails too
+        raise ValueError(f"need finite a < b, got a = {a}, b = {b}")
     return _panel_rule(np.linspace(a, b, _integer(panels, "panels", 1) + 1), nodes)

@@ -70,8 +70,8 @@ def mix_seed(base_seed, index):
 def _philox(counter, key):
     """This thread's Philox and its Generator, in the state Philox(counter=counter, key=key) starts in.
 
-    Setting the state of one generator per thread skips the SeedSequence
-    entropy pull that constructing a keyed Philox makes and then discards.
+    The pair belongs to the thread, whose next _philox call re-keys it. Setting the state of one generator
+    per thread skips the SeedSequence entropy pull that constructing a keyed Philox makes and then discards.
     """
     pair = getattr(_THREAD, "philox", None)
     if pair is None:

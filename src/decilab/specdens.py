@@ -78,19 +78,19 @@ def estimate_f0(x, window, gamma):
     form of asymptotic_sigma2 for every window windowed_coefficients admits
     (support in [-1, 0], unit L2 transform), with f0_hat substituted for
     the unknown f(0); se = sqrt(sigma2 / n_j); and the rate value of the
-    (n, gamma, decay) design from check_rate_condition, which rejects a
-    window with decay <= 2. rate_ok is the one comparison of that value
+    (n, gamma, decay) design from check_rate_condition, which runs first and
+    alone rejects a window with decay <= 2 or NaN. rate_ok compares that value
     with RATE_THRESHOLD, and is False for a degenerate estimate. The
     limiting variance is free of the fourth cumulant because decimation
     kills the cumulant term. Series shorter than gamma are rejected (no
     coefficients), as are non-finite ones.
     """
     x = np.asarray(x, dtype=float)
-    z = windowed_coefficients(x, window, gamma)  # rejects bad gamma/support, n_j = 0
+    rate_value = check_rate_condition(x.size, gamma, window.decay)
+    z = windowed_coefficients(x, window, gamma)  # rejects an odd gamma, a bad support, n_j = 0
     n_j = z.size
     f0_hat = float(np.mean(z * z))
     sigma2 = 2.0 * f0_hat * f0_hat
-    rate_value = check_rate_condition(x.size, gamma, window.decay)
     degenerate = n_j <= 1
     return SpecEstimate(
         f0_hat=f0_hat,

@@ -394,6 +394,12 @@ class TestScaledWindowFamily:
         fam = make_scaled_window_family(make_bspline_window(4), [10], 1.0)
         assert fam.levels[0].center_freqs[0] == pytest.approx(1.2566370614359172)
 
+    @pytest.mark.parametrize("target", [math.inf, math.nan])
+    def test_snapping_takes_a_finite_target(self, target):
+        # inf raised OverflowError and NaN "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=rf"^target frequency {target} is not finite$"):
+            snapped_center_freq(16, target)
+
     def test_modulated_integer_condition_exact(self):
         w = make_bspline_window(4)
         fam = make_scaled_window_family(w, [8, 16, 32], math.pi / 2)

@@ -210,6 +210,12 @@ class TestReplicateRunner:
             assert np.allclose(rep.matrix, np.cov(x, rowvar=False), rtol=0, atol=1e-12)
             assert np.allclose(rep.se, brute, rtol=rtol, atol=atol), shift
 
+    @pytest.mark.parametrize("shape", [(40,), (40, 3, 2), (1, 3)])
+    def test_empirical_cov_takes_an_r_by_n_array(self, shape):
+        # a 1-d array raised IndexError and a 3-d one numpy's matmul message
+        with pytest.raises(ValueError, match=r"^need an \(R, N\) sample array with R >= 2 replicates"):
+            empirical_cov(np.ones(shape))
+
     def test_sweep_empirical_agrees_with_exact(self, two_freq):
         rows = convergence_sweep(two_freq, [0], 30, GAUSS, 400, 5, workers=1)
         assert len(rows) == 3  # (1,1), (1,2), (2,2)
@@ -369,13 +375,27 @@ def test_count_outside_its_range_is_rejected(two_freq, entry, n):
     (lambda fam: snapped_center_freq(0, 1.0), r"^gamma 0 is not in 1\.\.$"),
     (lambda fam: snapped_center_freq(2.5, 1.0), r"^gamma 2\.5 is not in 1\.\.$"),
     (lambda fam: snapped_center_freq(math.nan, 1.0), r"^gamma nan is not in 1\.\.$"),
+    (lambda fam: cov_exact(fam, 0, 0, 0, 0.5, 1.5), r"^k 0\.5 is not in \.\.$"),
+    (lambda fam: limit_cross_cov(fam, 0, 0, 0.5), r"^lag 0\.5 is not in \.\.$"),
+    (lambda fam: limit_cross_cov(fam, 0, 0, math.nan), r"^lag nan is not in \.\.$"),
+    (lambda fam: limit_cross_cov(fam, 0, 1, 0.5), r"^lag 0\.5 is not in \.\.$"),
+    (lambda fam: limit_cross_cov(fam, 0, 1, math.nan), r"^lag nan is not in \.\.$"),
 ], ids=["n_replicates", "lag_5.5", "lag_0.5", "window_order", "bspline_order", "rate_gamma_0", "rate_gamma_16.5",
-        "rate_gamma_nan", "snapped_gamma_0", "snapped_gamma_2.5", "snapped_gamma_nan"])
+        "rate_gamma_nan", "snapped_gamma_0", "snapped_gamma_2.5", "snapped_gamma_nan", "cov_exact_k_0.5",
+        "limit_lag_0.5", "limit_lag_nan", "limit_c0_lag_0.5", "limit_c0_lag_nan"])
 def test_integer_outside_its_range_is_rejected(two_freq, call, message):
     # replicate_sums raised TypeError, a lag of 5.5 gave 0.0 and 0.5 a TypeError, order 3.5 built bspline3,
-    # a rate or snapping gamma of 0 raised ZeroDivisionError, and 2.5, 16.5 or NaN gave a value
+    # a rate or snapping gamma of 0 raised ZeroDivisionError, and 2.5, 16.5 or NaN gave a value; cov_exact
+    # at k = 0.5, k' = 1.5 gave c(gamma), and a limit lag of 0.5 or NaN gave 0.0 with a bound of 0.0,
+    # also on the pair (0, 1), whose case constant is 0
     with pytest.raises(ValueError, match=message):
         call(two_freq)
+
+
+def test_integral_float_limit_lag_is_its_integer(two_freq):
+    for lag in (0, 1):
+        assert limit_cross_cov(two_freq, 0, 0, float(lag)) == limit_cross_cov(two_freq, 0, 0, lag)
+    assert limit_cross_cov(two_freq, 0, 0, 0.0).value > 0.0
 
 
 # every library entry that takes a branch, called with branch i of a family

@@ -75,6 +75,13 @@ def test_gauss_legendre_panels_takes_integer_counts(panels, nodes):
     assert time.perf_counter() - start < 1.0  # rejected before any Newton step
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)])
+def test_gauss_legendre_panels_takes_finite_bounds(a, b):
+    # an infinite bound warned "invalid value encountered in multiply" and gave NaN nodes
+    with pytest.raises(ValueError, match=r"^need finite a < b, got "):
+        gauss_legendre_panels(a, b, 2, 2)
+
+
 def test_gauss_legendre_panels_at_the_node_cap():
     _legendre.cache_clear()
     start = time.perf_counter()

@@ -194,11 +194,14 @@ class TestEstimator:
         assert estimate_f0(x, w, 8).f0_hat >= 0.0
 
     def test_low_decay_window_rejected(self):
-        # the rate rules live in check_rate_condition, which the estimator always calls
+        # the rate rules live in check_rate_condition, which the estimator calls before it builds the window
+        # family: a decay of 0.4 or NaN got the family's "need decay > 1/2"
         w = make_bspline_window(4)
-        low = Window(name="low", evaluate=w.evaluate, transform=w.transform, decay=2.0, knots=w.knots, degree=w.degree)
-        with pytest.raises(ValueError, match="need window decay > 2"):
-            estimate_f0(np.ones(64), low, 8)
+        for decay in (2.0, 0.4, math.nan):
+            low = Window(name="low", evaluate=w.evaluate, transform=w.transform, decay=decay, knots=w.knots,
+                         degree=w.degree)
+            with pytest.raises(ValueError, match="need window decay > 2"):
+                estimate_f0(np.ones(64), low, 8)
 
     def test_nan_decay_rejected(self):
         # NaN compares false both ways, so only a `not beta > 2` gate rejects it
