@@ -272,13 +272,11 @@ def _series_from_config(cfg, config_dir, seed):
             with open(config_dir / input_path, "r", encoding="utf-8-sig") as fh:
                 for line_no, line in enumerate(fh, 1):
                     tok = line.strip()
-                    if not tok:
-                        continue
+                    if not tok or line_no == 1 and tok[0] not in "0123456789+-.":
+                        continue  # a blank line, or a header line
                     try:
                         rows.append(_float(tok))
                     except ValueError:
-                        if line_no == 1 and tok[0] not in "0123456789+-.":
-                            continue  # a header line
                         raise ConfigError(f"{input_path}:{line_no}: not a number: {tok!r}")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{input_path}: {exc}") from exc

@@ -195,43 +195,42 @@ class FamilyLevel:
             raise ValueError("one center frequency per kernel required")
         _require_band(self.center_freqs, "center")
 
-    def _stream_layout(self):
-        """(t_lo, offsets, reach): how the branches read one shared noise stream.
+    @cached_property
+    def _blocks(self):
+        """(t_lo, A), built once per level object: how the branches read one shared noise stream.
 
-        t_lo is the first index any branch reads for Z_{., 0}; branch i reads
-        from t_lo + offsets[i] on, as Z_{i,k} = sum_m c_i[m] xi_{t_lo + offsets[i]
-        + gamma*k + m} with c_i its reversed taps; reach, past gamma*k, is the
-        furthest value a branch reads: its offset plus Q whole rows of gamma.
+        t_lo is the first index any branch reads for Z_{., 0}. A is the read-only (N, Q, gamma)
+        polyphase array: A[i, q] is row q of branch i's reversed taps v_i(support_end - m), placed at
+        its offset -support_end - t_lo, so Z_{i,k} = sum_q A[i, q] . x_{k+q}, x_j the gamma stream
+        values from t_lo + gamma*j on. Q is the most any branch reaches: ceil(offset/gamma) + ceil(L/gamma).
         """
         g = self.gamma
         t_lo = min(-k.support_end for k in self.kernels)
         offsets = [-k.support_end - t_lo for k in self.kernels]
         reach = max(o + -(-k.length // g) * g for o, k in zip(offsets, self.kernels))
-        return t_lo, offsets, reach
+        taps = np.zeros((len(self.kernels), -(-reach // g) * g))
+        for row, o, k in zip(taps, offsets, self.kernels):
+            row[o:o + k.length] = k.coeffs[::-1]
+        blocks = taps.reshape(len(self.kernels), -1, g)
+        blocks.setflags(write=False)
+        return t_lo, blocks
 
     @cached_property
     def gaussian_level(self):
         """A level with this level's joint law under Gaussian noise, drawn from r <= N*Q values per output.
 
-        Place each branch's reversed taps at its offset (_stream_layout) and cut
-        them into Q rows of gamma: A_q[i] is row q of branch i, and
-        Z_{i,k} = sum_q A_q[i] . x_{k+q} with x_j the j-th block of gamma
-        stream values. For B a (gamma, r) orthonormal basis of the span of
+        With A the level's polyphase array (_blocks), Z_{., k} = sum_q A_q x_{k+q},
+        A_q = A[:, q]. For B a (gamma, r) orthonormal basis of the span of
         the r nonzero rows of all A_q (one QR), A_q x = (A_q B)(B^T x), and
         the B^T x_j are N(0, I_r) and independent over j when the noise is
-        Gaussian. So the level of factor r whose reversed taps, cut into rows
-        of r, are D_q = A_q B has the same law. Blocks q with A_q = 0 at
-        either end are dropped, which moves the outputs in time only. When
-        r >= gamma (or every tap is zero) the level is its own reduction.
-        Computed once per level object; the center frequencies carry over
-        and mean nothing at factor r.
+        Gaussian. So the level of factor r whose polyphase array is D_q = A_q B
+        has the same law. Blocks q with A_q = 0 at either end are dropped,
+        which moves the outputs in time only. When r >= gamma (or every tap is
+        zero) the level is its own reduction. Computed once per level object;
+        the center frequencies carry over and mean nothing at factor r.
         """
         g = self.gamma
-        _, offsets, reach = self._stream_layout()
-        taps = np.zeros((len(self.kernels), -(-reach // g) * g))
-        for row, o, k in zip(taps, offsets, self.kernels):
-            row[o:o + k.length] = k.coeffs[::-1]
-        blocks = taps.reshape(len(self.kernels), -1, g)  # blocks[i, q] = A_q[i]
+        blocks = self._blocks[1]
         rows = blocks.reshape(-1, g)
         rows = rows[rows.any(axis=1)]
         if not 0 < rows.shape[0] < g:

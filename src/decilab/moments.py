@@ -68,6 +68,7 @@ class GammaMatrix:
     entries must equal their transpose exactly and be positive semidefinite
     within PSD_TOL: entries + PSD_TOL*I must have a Cholesky factor, found by
     a numpy elimination over the N branches rather than LAPACK's eigensolver.
+    constants hold one integer or float 0, 1 or 2 per entry; 1.0 is its int, 1.5 or a bool is rejected, not cast.
     """
 
     entries: np.ndarray
@@ -75,14 +76,15 @@ class GammaMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _as_readonly(self.entries))
-        object.__setattr__(self, "constants", _as_readonly(self.constants, int))
         square = self.entries.ndim == 2 and self.entries.shape[0] == self.entries.shape[1]
         if not square or not np.array_equal(self.entries, self.entries.T):
             raise ValueError("limiting covariance must be a symmetric matrix")
         if not _positive_definite(self.entries + PSD_TOL * np.eye(len(self.entries))):
             raise ValueError("limiting covariance must be positive semidefinite")
-        if not np.all(np.isin(self.constants, (0, 1, 2))):
-            raise ValueError("case constants must be 0, 1 or 2")
+        constants = np.asarray(self.constants)
+        if constants.shape != self.entries.shape or constants.dtype.kind not in "iuf" or not np.isin(constants, (0, 1, 2)).all():
+            raise ValueError("case constants must be 0, 1 or 2, one per entry")
+        object.__setattr__(self, "constants", _as_readonly(constants, int))
 
 
 def _corr_sum(k1, k2, shift):

@@ -7,15 +7,15 @@ Every report here is a function of the law of the replicates, so Gaussian
 replicates are drawn from the law, not from the xi_t simulate_decimated
 reads: numpy's ziggurat standard_normal on the thread's Philox keyed by the
 seed, from counter 0, drives the level's gaussian_level, r <= N*Q values
-per output with exactly the joint law of the sums. Where that level reads
-Q = 1 block per output, as on every built-in family, a replicate's square
-sums are the diagonal of one Wishart draw (_bartlett_sums): O(r**2) values,
-whatever n is. Otherwise chunk c of replicates is one draw at the seed
-mix(base_seed, c), simulate._level_outputs on those values (or
-simulate_decimated for other noise), laid out by n, the level and R only,
-so results are identical for any worker count or scheduling. Thread j of
-w = min(workers, chunks) runs the chunks j, j + w, j + 2w, ..., and the
-heavy numpy kernels release the GIL.
+per output with exactly the joint law of the sums. Where that level's
+polyphase array (FamilyLevel._blocks) holds Q = 1 block, as on every
+built-in family, a replicate's square sums are the diagonal of one Wishart
+draw (_bartlett_sums): O(r**2) values, whatever n is. Otherwise chunk c of
+replicates is one draw at the seed mix(base_seed, c), simulate._level_outputs
+on those values (or simulate_decimated for other noise), laid out by n, the
+level and R only, so results are identical for any worker count or
+scheduling. Thread j of w = min(workers, chunks) runs the chunks j, j + w,
+j + 2w, ..., and the heavy numpy kernels release the GIL.
 
 The thread pool (concurrent.futures, which loads logging) is imported on
 the first chunked replicate_sums call, and the KS distance of
@@ -39,19 +39,20 @@ _GAP = 1 << 17  # multiply-adds a chunked replicate's dropped outputs may cost; 
 def _bartlett_sums(lv, n, n_replicates, seed):
     """The (R, N) Gaussian square sums S_i = sum_{k<n} Z_{i,k}^2 of a level that reads one block per output.
 
-    Such a level (Q = 1, so every offset is 0) has Z_{., k} = D x_k, with D
-    the (N, r) reversed taps, r = lv.gamma, and x_k i.i.d. N(0, I_r). So
-    S_i = D_i W D_i^T with W ~ Wishart_r(I, n), and Bartlett's decomposition
-    W = A A^T draws it exactly in law (Bartlett 1933; Odell & Feiveson 1966):
-    A is (r, m), m = min(n, r), with A_jj = sqrt(chi2_{n-j}) for j < m,
-    A_jl ~ N(0, 1) for l < min(j, m) and zeros elsewhere, so n < r needs no
-    special case. Recipe: the thread's Philox keyed by the seed, from counter
-    0, draws chisquare(n - j), j < m, as an (R, m) array, row b the diagonal
-    of replicate b's A, then standard_normal as an (R, P) array, row b its P
-    entries below the diagonal in row-major order; S_i = ||D_i A||^2.
+    Such a level has Z_{., k} = D x_k, with D the one (N, r) block of its
+    polyphase array (FamilyLevel._blocks), r = lv.gamma, and x_k i.i.d.
+    N(0, I_r). So S_i = D_i W D_i^T with W ~ Wishart_r(I, n), and Bartlett's
+    decomposition W = A A^T draws it exactly in law (Bartlett 1933; Odell &
+    Feiveson 1966): A is (r, m), m = min(n, r), with A_jj = sqrt(chi2_{n-j})
+    for j < m, A_jl ~ N(0, 1) for l < min(j, m) and zeros elsewhere, so
+    n < r needs no special case. Recipe: the thread's Philox keyed by the
+    seed, from counter 0, draws chisquare(n - j), j < m, as an (R, m) array,
+    row b the diagonal of replicate b's A, then standard_normal as an (R, P)
+    array, row b its P entries below the diagonal in row-major order;
+    S_i = ||D_i A||^2.
     """
     r, m = lv.gamma, min(n, lv.gamma)
-    d = np.array([np.pad(k.coeffs[::-1], (0, r - k.length)) for k in lv.kernels])
+    d = lv._blocks[1][:, 0]
     gen = _philox(0, seed)[1]
     a = np.zeros((n_replicates, r, m))
     j = np.arange(m)
@@ -65,12 +66,12 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=1):
     """The (R, N) array of R replicates of n**-0.5 * sum_{k<n} (Z_{i,k}^2 - E Z_{i,k}^2).
 
     E Z_{i,k}^2 is the exact level expectation, cov_exact(family, level, i, i, 0, 0).
-    The level drawn (the gaussian_level for Gaussian noise) reads Q blocks of
-    its factor per output. n, R, the seed and workers (the thread count,
-    default 1, which no output depends on) are checked first. A Gaussian
-    level with Q = 1 draws all R replicates on the calling thread as one
-    _bartlett_sums keyed by base_seed. Otherwise chunk c is one draw at
-    mix_seed(base_seed, c) (module docstring): B strides of n + Q - 1
+    The level drawn (the gaussian_level for Gaussian noise) has a polyphase
+    array of Q blocks (FamilyLevel._blocks). n, R, the seed and workers (the
+    thread count, default 1, which no output depends on) are checked first.
+    A Gaussian level with Q = 1 draws all R replicates on the calling thread
+    as one _bartlett_sums keyed by base_seed. Otherwise chunk c is one draw
+    at mix_seed(base_seed, c) (module docstring): B strides of n + Q - 1
     outputs, the last cut to n, and replicate b is the first n of stride b;
     no two share a noise value. B = 1 if (Q - 1) * sum(L) > _GAP, else the
     most whose strides fit in _CHUNK values.
@@ -80,7 +81,7 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=1):
     centers = np.array([cov_exact(family, level, i, i, 0, 0) for i in range(family.n_branches)])
     gaussian = noise.distribution == "gaussian"
     lv = family.level(level).gaussian_level if gaussian else family.level(level)
-    gap = -(-lv._stream_layout()[2] // lv.gamma) - 1  # Q - 1 outputs share noise with the next n
+    gap = lv._blocks[1].shape[1] - 1  # Q - 1 outputs share noise with the next n
     if gaussian and not gap:
         sums = _bartlett_sums(lv, n, n_replicates, base_seed)
     else:

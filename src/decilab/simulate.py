@@ -120,51 +120,47 @@ def noise_values(spec, seed, lo, hi, out=None):
     return out
 
 
-def _decimated_convolve(xi, kernel, gamma, n):
-    """Z_k = sum_s v(s) * xi[gamma*k + support_end - s] for k = 0 .. n-1.
+def _decimated_convolve(xi, rows, n):
+    """Z_k = sum_{q, r} rows[q, r] * xi[gamma*(k + q) + r] for k = 0 .. n-1, rows a (Q, gamma) array.
 
-    xi[0] is the value v(support_end) weighs in Z_0, and xi must hold at
-    least (n + Q - 1)*gamma values, Q = ceil(L / gamma): every value the
-    sums touch, and up to gamma - 1 past them that meet only zero taps.
-    With the taps reversed, c[m] = v(support_end - m), Z_k is the
-    correlation of c with xi from gamma*k on. Two paths, chosen by Q:
-    - Q <= gamma (L <= gamma**2, as in every window family at gamma >= 2):
-      with m split as gamma*q + r,
-          Z_k = sum_{q < Q, r < gamma} c[gamma*q + r] * X[k + q, r],
-      where X is the first n + Q - 1 rows of gamma consecutive values of
-      xi: Q block matrix-vector products in BLAS order.
-    - Q > gamma: one valid-mode correlation of xi at the full rate,
-      gamma*(n - 1) + L values, by kernels._correlate, with every gamma-th
-      output kept. That is np.correlate below a measured size and blocked
-      FFTs above it, so a kernel far longer than the output (gamma = 1, an
-      AR(1) near the unit root) costs O((n + L) log) operations, not n*L.
-    Memory is O(n + L) beyond xi on both.
+    rows is one branch of a polyphase array (FamilyLevel._blocks), and xi
+    holds at least (n + Q - 1)*gamma values. Two paths, chosen by Q:
+    - Q <= gamma (as in every window family at gamma >= 2): with X the first
+      n + Q - 1 rows of gamma consecutive values of xi,
+          Z_k = sum_{q < Q} rows[q] . X[k + q],
+      Q block matrix-vector products in BLAS order.
+    - Q > gamma: one valid-mode correlation of the first gamma*(n + Q - 1)
+      values of xi with the Q*gamma taps, by kernels._correlate, every
+      gamma-th output kept. That is np.correlate below a measured size and
+      blocked FFTs above it, so a kernel far longer than the output
+      (gamma = 1, an AR(1) near the unit root) costs O((n + L) log)
+      operations, not n*L.
+    Memory is O(n + Q*gamma) beyond xi on both.
     """
-    q_len = -(-kernel.length // gamma)
-    taps = kernel.coeffs[::-1]
-    if q_len > gamma:
-        return _correlate(xi[:gamma * (n - 1) + kernel.length], taps)[::gamma]
-    taps = np.concatenate([taps, np.zeros(q_len * gamma - taps.size)]).reshape(q_len, gamma)
-    x = xi[:(n + q_len - 1) * gamma].reshape(-1, gamma)
-    out = x[:n] @ taps[0]
+    q_len, g = rows.shape
+    if q_len > g:
+        return _correlate(xi[:g * (n + q_len - 1)], rows.reshape(-1))[::g]
+    x = xi[:(n + q_len - 1) * g].reshape(-1, g)
+    out = x[:n] @ rows[0]
     for q in range(1, q_len):
-        out += x[q:q + n] @ taps[q]
+        out += x[q:q + n] @ rows[q]
     return out
 
 
 def _level_outputs(lv, n, fill):
-    """Z[i, k] = sum_m c_i[m] s_{t_lo + offsets[i] + gamma*k + m}, k < n, over a stream s: an (N, n) array.
+    """Z[i, k] = sum_q A[i, q] . x_{k+q}, k < n, x_j the gamma values of a stream s from t_lo + gamma*j on.
 
-    c_i are branch i's reversed taps and (t_lo, offsets) the level's
-    _stream_layout. fill(lo, out) writes s_lo, s_{lo+1}, ... into out, once
-    per block of about _NOISE_BLOCK values, for increasing lo: each index is
-    filled once, into a reused buffer that carries to the next block the
-    values both read. Outputs move with the block size by rounding only, as
-    BLAS may sum a row in another order where it falls elsewhere in a block.
-    Memory is O(_NOISE_BLOCK + N*n + L), not O(n*gamma).
+    (t_lo, A) is the level's polyphase array, FamilyLevel._blocks, and the
+    result an (N, n) array. fill(lo, out) writes s_lo, s_{lo+1}, ... into
+    out, once per block of about _NOISE_BLOCK values, for increasing lo:
+    each index is filled once, into a reused buffer that carries to the next
+    block the values both read. Outputs move with the block size by rounding
+    only, as BLAS may sum a row in another order where it falls elsewhere in
+    a block. Memory is O(_NOISE_BLOCK + N*n + N*Q*gamma), not O(n*gamma).
     """
     g = lv.gamma
-    t_lo, offsets, reach = lv._stream_layout()
+    t_lo, blocks = lv._blocks
+    reach = blocks.shape[1] * g
     carry = reach - g  # the values one block shares with the next
     # a block draws at least as many values as it carries, so a long kernel adds O(L) per O(L) outputs at most
     rows = max(1, min(n, max(_NOISE_BLOCK, carry) // g))
@@ -175,8 +171,8 @@ def _level_outputs(lv, n, fill):
         end = (m - 1) * g + reach
         fresh = carry if k0 else 0
         fill(t_lo + g * k0 + fresh, buf[fresh:end])
-        for row, o, k in zip(z, offsets, lv.kernels):
-            row[k0:k0 + m] = _decimated_convolve(buf[o:end], k, g, m)
+        for row, taps in zip(z, blocks):
+            row[k0:k0 + m] = _decimated_convolve(buf[:end], taps, m)
         buf[:carry] = buf[m * g:end]
     return z
 
@@ -210,7 +206,7 @@ def simulate_linear_process(a, n, noise, seed):
         xi = _philox(0, seed)[1].standard_normal(t_hi - t_lo)
     else:
         xi = noise_values(noise, seed, t_lo, t_hi)
-    return _decimated_convolve(xi, a, 1, n)
+    return _decimated_convolve(xi, a.coeffs[::-1, None], n)
 
 
 def ar1_kernel(phi):
@@ -260,4 +256,4 @@ def windowed_coefficients(x, window, gamma):
     # x_u at index u; u = 0, u = n+1 and the rest of the (n_j + 1)*gamma values read are zero
     padded = np.zeros(max(n + 2, (n_j + 1) * level.gamma))
     padded[1:n + 1] = x
-    return _decimated_convolve(padded, level.kernels[0], level.gamma, n_j)
+    return _decimated_convolve(padded, level._blocks[1][0], n_j)

@@ -524,6 +524,22 @@ def test_blank_lines_inside_a_series_are_skipped(tmp_path):
     assert sweeps[0] == sweeps[1]
 
 
+@pytest.mark.parametrize("header", ["nan", "inf"], ids=["nan_header_series", "inf_header_series"])
+def test_line_1_that_float_reads_is_a_header(tmp_path, header):
+    # line 1 is a header unless it starts with a digit, a sign or a point, also where float() reads it:
+    # the same sweep as under header x, under another digest
+    write_series(tmp_path)
+    series = (tmp_path / SERIES).read_text(encoding="utf-8")
+    (tmp_path / "header.txt").write_text(series.replace("x\n", f"{header}\n", 1), encoding="utf-8")
+    sweeps = []
+    for name in (SERIES, "header.txt"):
+        code, out = run(tmp_path, "specdens", {"specdens": {"window_order": 4, "gammas": "16 32", "input": name}},
+                        tag=f"{name}.out")
+        assert code == 0
+        sweeps.append([line.rsplit(",", 1)[0] for line in (out / "specdens_sweep.csv").read_text().splitlines()])
+    assert sweeps[0] == sweeps[1]
+
+
 def test_config_seed_is_parsed_under_seed_flag(tmp_path, capsys):
     cfg = tmp_path / "simulate.ini"
     write_config(cfg, {"experiment": {"seed": "abc"}, **with_run()})

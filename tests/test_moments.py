@@ -534,11 +534,19 @@ class TestGammaMatrixValidation:
             )
 
     def test_bad_constants_rejected(self):
-        with pytest.raises(ValueError):
-            GammaMatrix(
-                entries=np.eye(2),
-                constants=np.full((2, 2), 3),
-            )
+        # a value outside {0, 1, 2}, one that is not an integer (not truncated to [[1, 0], [0, 2]]), a bool or
+        # complex array, and a shape other than the entries'
+        for constants in (np.full((2, 2), 3), np.array([[1.5, 0.0], [0.0, 2.9]]), np.eye(2, dtype=bool),
+                          np.eye(2, dtype=complex), np.array([[1]]), 1):
+            with pytest.raises(ValueError, match="case constants must be 0, 1 or 2, one per entry"):
+                GammaMatrix(
+                    entries=np.eye(2),
+                    constants=constants,
+                )
+
+    def test_integral_float_constants_are_their_ints(self):
+        gm = GammaMatrix(entries=np.eye(2), constants=np.array([[1.0, 0.0], [0.0, 2.0]]))
+        assert gm.constants.dtype == int and gm.constants.tolist() == [[1, 0], [0, 2]]
 
 
 @st.composite

@@ -164,7 +164,7 @@ class TestReplicateRunner:
         n, seed = 20, 77
         fam, level = (LONG_KERNEL, 0) if noise is GAUSS else (two_freq, 1)
         lv = fam.level(level).gaussian_level if noise is GAUSS else fam.level(level)
-        stride = n - 1 + -(-lv._stream_layout()[2] // lv.gamma)
+        stride = n - 1 + lv._blocks[1].shape[1]
         assert (lv.gamma, stride) == ((2, 22) if noise is GAUSS else (32, 21))  # Q = 3 blocks of 2, 2 of 32
         monkeypatch.setattr(montecarlo, "_CHUNK", 30 * stride * lv.gamma)
         samples = replicate_sums(fam, level, n, noise, 100, seed)
@@ -270,7 +270,7 @@ class TestBartlettSums:
     def test_draw_layout_is_the_docstring_recipe(self, case, n):
         fam, level, r = ONE_BLOCK_CASES[case]
         lv = fam.level(level).gaussian_level
-        assert lv.gamma == r and lv._stream_layout()[2] == r  # Q = 1 block of r
+        assert lv.gamma == r and lv._blocks[1].shape[1:] == (1, r)  # Q = 1 block of r
         samples = replicate_sums(fam, level, n, GAUSS, 100, 21)
         centers = np.array([cov_exact(fam, level, i, i, 0, 0) for i in range(fam.n_branches)])
         expected = (bartlett_recipe(lv, n, 100, 21) - n * centers) * (1.0 / np.sqrt(n))

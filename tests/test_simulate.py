@@ -15,7 +15,7 @@ from scipy.special import ndtri
 
 import decilab
 from decilab import simulate
-from decilab.kernels import TimeKernel, make_scaled_window_family, two_frequency_demo_family
+from decilab.kernels import FamilyLevel, TimeKernel, make_scaled_window_family, two_frequency_demo_family
 from decilab.moments import cov_exact
 from decilab.simulate import (
     AR1_TAIL,
@@ -220,6 +220,11 @@ class TestNoise:
         assert mix_seed(5, 1) != mix_seed(6, 1)
 
 
+def one_branch(kern, gamma):
+    """The (Q, gamma) polyphase rows of one kernel at factor gamma: its reversed taps, zero-padded to Q rows."""
+    return FamilyLevel(gamma=gamma, kernels=(kern,), center_freqs=[0.0])._blocks[1][0]
+
+
 class TestDecimatedConvolve:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -242,7 +247,7 @@ class TestDecimatedConvolve:
         hi = first - kern.support_end + gamma * (n + q_len - 1) + slack
         xi = np.random.default_rng(seed).standard_normal(hi - lo)
         # the view starts at the index v(support_end) weighs in Z_0
-        z = _decimated_convolve(xi[first - kern.support_end - lo:], kern, gamma, n)
+        z = _decimated_convolve(xi[first - kern.support_end - lo:], one_branch(kern, gamma), n)
         assert z.shape == (n,)
         for k in range(n):
             acc = 0.0
@@ -264,7 +269,7 @@ class TestDecimatedConvolve:
         kern = TimeKernel(-7, rng.standard_normal(length))
         xi = rng.standard_normal(gamma * (n - 1) + length + 3)
         want = np.correlate(xi[:gamma * (n - 1) + length], kern.coeffs[::-1], "valid")[::gamma]
-        z = _decimated_convolve(xi, kern, gamma, n)
+        z = _decimated_convolve(xi, one_branch(kern, gamma), n)
         assert np.max(np.abs(z - want)) <= 1e-12 * np.linalg.norm(xi) * np.linalg.norm(kern.coeffs)
 
 
@@ -395,16 +400,17 @@ class TestLinearProcess:
     def test_other_noise_convolves_the_stream(self, name, spec):
         k = LINEAR_KERNELS[name]
         xi = noise_values(spec, 17, 1 - k.support_end, 301 - k.support_start)
-        assert simulate_linear_process(k, 300, spec, 17).tobytes() == _decimated_convolve(xi, k, 1, 300).tobytes()
+        want = _decimated_convolve(xi, k.coeffs[::-1, None], 300)
+        assert simulate_linear_process(k, 300, spec, 17).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", sorted(LINEAR_KERNELS))
     def test_gaussian_convolves_standard_normal(self, name):
         k = LINEAR_KERNELS[name]
         xi = simulate._philox(0, 17)[1].standard_normal(300 + k.length - 1)
         x = simulate_linear_process(k, 300, GAUSS, 17)
-        assert x.tobytes() == _decimated_convolve(xi, k, 1, 300).tobytes()
+        assert x.tobytes() == _decimated_convolve(xi, k.coeffs[::-1, None], 300).tobytes()
         stream = noise_values(GAUSS, 17, 1 - k.support_end, 301 - k.support_start)
-        assert not np.array_equal(x, _decimated_convolve(stream, k, 1, 300))  # not the stream's xi_t
+        assert not np.array_equal(x, _decimated_convolve(stream, k.coeffs[::-1, None], 300))  # not the stream's xi_t
 
     @pytest.mark.parametrize("spec", [RADEMACHER, UNIFORM, GAUSS], ids=lambda s: s.distribution)
     def test_identity_kernel_reads_xi_0_to_n(self, spec):
@@ -546,9 +552,9 @@ def _unit_taps(length):
 
 def driven_by_standard_normal(lv, n, seed):
     """Outputs 0 .. n-1 of a level fed, in stream order, by standard_normal of a fresh Philox keyed by the seed."""
-    _, offsets, reach = lv._stream_layout()
-    xi = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n - 1) * lv.gamma + reach)
-    return np.array([_decimated_convolve(xi[o:], k, lv.gamma, n) for o, k in zip(offsets, lv.kernels)])
+    blocks = lv._blocks[1]
+    xi = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n + blocks.shape[1] - 1) * lv.gamma)
+    return np.array([_decimated_convolve(xi, rows, n) for rows in blocks])
 
 
 def standard_normal_fill(seed):
@@ -572,6 +578,36 @@ REDUCED_CASES = {
 DENSE_GAMMA2 = single_level_family([TimeKernel(-1, _unit_taps(5)), TimeKernel(2, _unit_taps(4))], gamma=2)
 
 
+# support ends 0 and 6 at gamma 4: offsets 6 and 0, not multiples of gamma, over Q = 4 rows
+SHIFTED_ROWS = single_level_family([TimeKernel(-7, _unit_taps(8)), TimeKernel(2, _unit_taps(5))], gamma=4)
+LAYOUT_CASES = {**REDUCED_CASES, "dense_gamma2": (DENSE_GAMMA2, 0), "shifted_rows": (SHIFTED_ROWS, 0),
+                "unequal_branches": (BLOCK_CASES["unequal_branches"][0], 0)}
+
+
+class TestPolyphaseArray:
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_rows_are_the_reversed_taps_and_hold_every_lag_covariance(self, case):
+        # Z_{i,0} = sum_m A[i].ravel()[m] * s_{t_lo + m} weighs s_t by v_i(-t), so A[i].ravel()[m] = v_i(-t_lo - m);
+        # Z_{i,k} = sum_q A[i, q] . x_{k+q} makes Cov(Z_{i,0}, Z_{i',lag}) the sum of A[i, q + lag] . A[i', q]
+        fam, j = LAYOUT_CASES[case]
+        lv = fam.levels[j]
+        t_lo, a = lv._blocks
+        assert lv._blocks[1] is a and not a.flags.writeable
+        g, last = lv.gamma, max(k.support_end for k in lv.kernels)
+        q_len = max(-(-(last - k.support_end) // g) + -(-k.length // g) for k in lv.kernels)
+        assert t_lo == -last and a.shape == (fam.n_branches, q_len, g)
+        for row, k in zip(a, lv.kernels):
+            u = -t_lo - np.arange(q_len * g)  # the tap index each entry holds
+            inside = (u >= k.support_start) & (u <= k.support_end)
+            assert np.array_equal(row.ravel()[inside], k.coeffs[u[inside] - k.support_start])
+            assert not row.ravel()[~inside].any()
+        for i in range(fam.n_branches):
+            for ip in range(fam.n_branches):
+                for lag in range(1 - q_len, q_len):
+                    sums = np.sum(a[i, max(lag, 0):q_len + min(lag, 0)] * a[ip, max(-lag, 0):q_len - max(lag, 0)])
+                    assert sums == pytest.approx(cov_exact(fam, j, i, ip, 0, lag), rel=0, abs=1e-14)
+
+
 class TestGaussianLevel:
     @pytest.mark.parametrize("case", sorted(REDUCED_CASES))
     def test_every_lag_covariance_is_the_original(self, case):
@@ -581,7 +617,7 @@ class TestGaussianLevel:
         assert red.gamma < lv.gamma
         assert red.gaussian_level is red and lv.gaussian_level is red  # computed once per level object
         reduced = single_level_family(red.kernels, red.gamma)
-        q_len = -(-lv._stream_layout()[2] // lv.gamma)
+        q_len = lv._blocks[1].shape[1]
         for i in range(fam.n_branches):
             for ip in range(fam.n_branches):
                 for lag in range(1 - q_len, q_len):
