@@ -1,11 +1,13 @@
 """Exact and limiting second/fourth-order moments of decimated arrays.
 
 Exact quantities (cross-covariances, the triangular-weighted sums entering
-the covariance of square-sums) are finite sums over kernel supports and are
-computed without quadrature. A(n) and B(n) are triangular-weighted samples,
-at the lags that are multiples of gamma, of one full cross-correlation: of
-the two kernels for A (squared after sampling), of their squares for B. It
-is np.correlate for short kernels and an rfft product for long ones
+the covariance of square-sums) are finite sums over the level's polyphase
+array A (FamilyLevel._blocks), Q blocks of gamma taps per branch, computed
+without quadrature. The lag-tau covariance is sum_q A[i, q+tau] . A[i', q],
+zero for |tau| >= Q. A(n) and B(n) are triangular-weighted samples, at the
+multiples of gamma, of one full correlation of two flattened rows: of A[i]
+and A[i'] for A (squared after sampling), of their squares for B. It is
+np.correlate for short rows and an rfft product for long ones
 (kernels._correlate), within rounding.
 
 The covariance identity at the center of the module: for branches i, i' at
@@ -87,22 +89,16 @@ class GammaMatrix:
         object.__setattr__(self, "constants", _as_readonly(constants, int))
 
 
-def _corr_sum(k1, k2, shift):
-    """sum_u v1(u) * v2(u + shift), exact over the overlapping support."""
-    lo = max(k1.support_start, k2.support_start - shift)
-    hi = min(k1.support_end, k2.support_end - shift)
-    if hi < lo:
-        return 0.0
-    a = k1.coeffs[lo - k1.support_start: hi - k1.support_start + 1]
-    b = k2.coeffs[lo + shift - k2.support_start: hi + shift - k2.support_start + 1]
-    return float(np.dot(a, b))
-
-
 def cov_exact(family, level, i, ip, k, kp):
-    """Cov(Z_{i,k}, Z_{i',k'}) at one level, k and k' - k integers: sum_t v_i(gamma*k - t) v_i'(gamma*k' - t), exact."""
-    lv = family.level(level)
-    k1, k2 = lv.kernels[family.branch(i)], lv.kernels[family.branch(ip)]
-    return _corr_sum(k1, k2, lv.gamma * _integer(kp - _integer(k, "k"), "lag"))
+    """Cov(Z_{i,k}, Z_{i',k'}) at one level, k and k' - k integers: sum_t v_i(gamma*k - t) v_i'(gamma*k' - t), exact.
+
+    It is the block sum sum_q A[i, q + tau] . A[i', q], tau = k' - k, over the level's polyphase array, 0.0 for |tau| >= Q.
+    """
+    blocks = family.level(level)._blocks[1]
+    a, b = blocks[family.branch(i)], blocks[family.branch(ip)]
+    tau = _integer(kp - _integer(k, "k"), "lag")
+    rows = max(a.shape[0] - abs(tau), 0)  # the blocks that overlap at this lag
+    return float(np.vdot(a[max(tau, 0):][:rows], b[max(-tau, 0):][:rows]))
 
 
 def case_constant(family, i, ip):
@@ -125,7 +121,7 @@ def _limit_correlations(family, i, ip):
     const = case_constant(family, i, ip)
     if const == 0:
         return 0, {}
-    (w1, wt1), (w2, wt2) = family.limit_kernels[i], family.limit_kernels[ip]
+    (w1, wt1), (w2, wt2) = family.limit_kernels[family.branch(i)], family.limit_kernels[family.branch(ip)]
     return const, {k: (wt1 * wt2 * r, abs(wt1 * wt2) * b) for k, (r, b) in _correlations(w1, w2).items()}
 
 
@@ -144,23 +140,21 @@ def limit_cross_cov(family, i, ip, lag):
 def _decimated_lags(family, level, i, ip, n, power):
     """Triangular weights 1 - |tau|/n and samples c(gamma*tau), |tau| < n, for branches i, i' at one level.
 
-    c(d) = sum_u v1(u)**power * v2(u + d)**power is one full correlation of
-    the (powered) coefficients, whose entry j is the lag
-    k2.support_start - k1.support_end + j; every gamma-th entry is kept.
-    Above the crossover of kernels._correlate the correlation is one rfft
-    product, O((L1 + L2) log) instead of L1*L2 multiply-adds, and each
-    entry moves by rounding only: about eps * |v1**power| * |v2**power|.
+    c(gamma*tau) = sum_m a[m + gamma*tau] * b[m] for the flattened polyphase
+    rows a = A[i]**power and b = A[i']**power, both Q*gamma long. Every
+    gamma-th entry of their full correlation from gamma - 1 on is one of
+    tau = 1 - Q .. Q - 1, tau = 0 the middle one. Above the crossover of
+    kernels._correlate the correlation is one rfft product, O(Q*gamma log)
+    instead of (Q*gamma)**2 multiply-adds, and each entry moves by rounding
+    only: about eps * |a| * |b|.
     """
     n = _integer(n, "n", 1)
-    lv = family.level(level)
-    k1, k2, gamma = lv.kernels[family.branch(i)], lv.kernels[family.branch(ip)], lv.gamma
-    corr = _correlate(k2.coeffs ** power, k1.coeffs ** power, "full")
-    lag0 = k2.support_start - k1.support_end
-    j0 = (-lag0) % gamma
-    sampled = corr[j0::gamma]
-    tau = (lag0 + j0) // gamma + np.arange(sampled.size)
-    keep = np.abs(tau) < n
-    return 1.0 - np.abs(tau[keep]) / n, sampled[keep]
+    blocks = family.level(level)._blocks[1]
+    a, b = (blocks[family.branch(j)].reshape(-1) ** power for j in (i, ip))
+    sampled = _correlate(a, b, "full")[blocks.shape[2] - 1::blocks.shape[2]]
+    tau = np.abs(np.arange(sampled.size) - sampled.size // 2)
+    keep = tau < n
+    return 1.0 - tau[keep] / n, sampled[keep]
 
 
 def a_term(family, level, i, ip, n):

@@ -7,8 +7,9 @@ eval_response, the alias structure of a scaled window, the unit L2 norm of
 a window transform, and the limit quantities (the limit of E Z^2, Gamma,
 sigma^2) as truncated alias-fold and real-line quadratures of the limit
 responses; the two-term recursion is the reference for the B-spline values,
-and the step-by-step loop for the AR(1) truncation point, and np.correlate
-at every size for the lag samples behind A(n) and B(n). Imported as
+the step-by-step loop for the AR(1) truncation point, a tap-by-tap sum over
+the kernel supports for each lag covariance, and np.correlate of the taps at
+every size for the lag samples behind A(n) and B(n). Imported as
 `from oracles import ...`, like conftest; the file name keeps pytest from
 collecting it.
 
@@ -344,11 +345,18 @@ def ar1_truncation_loop(phi, tail):
     return t_max
 
 
+def enumerated_cov(k1, k2, gamma, lag):
+    """Cov(Z_{1,k}, Z_{2,k+lag}) = sum_u v1(u) * v2(u + gamma*lag), tap by tap over the support of v1."""
+    taps = dict(enumerate(k2.coeffs, k2.support_start))
+    return sum(c * taps.get(u + gamma * lag, 0.0) for u, c in enumerate(k1.coeffs, k1.support_start))
+
+
 def direct_decimated_lags(k1, k2, gamma, n, power):
     """Triangular weights 1 - |tau|/n and c(gamma*tau), |tau| < n, by np.correlate at any kernel length.
 
-    The direct path of moments._decimated_lags, which leaves it for one rfft
-    product above the crossover of kernels._correlate.
+    The support-based oracle of moments._decimated_lags: it correlates the
+    two kernels' own taps and reads each entry's lag from their supports,
+    where the library correlates the level's flattened polyphase rows.
     """
     corr = np.correlate(k2.coeffs ** power, k1.coeffs ** power, "full")
     lags = k2.support_start - k1.support_end + np.arange(corr.size)

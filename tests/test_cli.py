@@ -764,7 +764,7 @@ OUTPUT_SHA256 = {
     "clt/normality.txt": "7fc2eda7d889db8a9e04fab519b5e6442c06609ab94b737f18d179c9124124dd",
     "clt/replicates.csv": "e6e7cf1e4fc39a17ae41d2e23d70a9728750de98b333076d4650000ff7992824",
     "cov-check/cov_check.csv": "281d2720852c468d19d1ba3b7016a1e05871f9018afa40fe9d4c879afbacec8c",
-    "sweep/sweep.csv": "3cddf8c3bdeddb700df20d1533d4df721429de99e7fa71cb21360a3d03925062",
+    "sweep/sweep.csv": "c99d9d0511e0186f48745bb3bcddb9b8f972b92466bcb69e7aa92ca3e6461ab3",
     "specdens/specdens_report.txt": "7d304b508e55993f8d6f6ad96064add4e07667978cc0f10d8fbf26940df6c408",
     "specdens/specdens_sweep.csv": "f3d84921ae50f97454f230570a68c35721448422cb09e61fc52322409e15b39e",
     "gamma/gamma_matrix.csv": "dc034d3a889965678fe02d14aee28c581f23d9af0430e2f19e2087029a3c15e1",

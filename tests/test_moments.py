@@ -35,6 +35,7 @@ from decilab.windows import Window, make_bspline_window
 from conftest import random_trig_poly, single_level_family
 from oracles import (
     direct_decimated_lags,
+    enumerated_cov,
     fold,
     frequency_gamma_limit,
     frequency_limit_cross_cov,
@@ -111,6 +112,18 @@ class TestCovExact:
         spectral = spectral_cov(fam, 0, 0, 1, 0, lag)
         assert abs(spectral.real - cov_exact(fam, 0, 0, 1, 0, lag)) <= 1e-8 and abs(spectral.imag) <= 1e-8
 
+    @given(k1=small_kernels, k2=small_kernels, gamma=st.integers(1, 6), k=st.integers(-4, 4), lag=st.integers(-8, 8))
+    @example(k1=TimeKernel(-5, np.array([1.0, -2.0, 0.5])), k2=TimeKernel(3, np.array([0.25, 1.5])), gamma=4, k=1, lag=-2)
+    @example(k1=TimeKernel(-5, np.array([1.0, -2.0, 0.5])), k2=TimeKernel(3, np.array([0.25, 1.5])), gamma=4, k=-3, lag=-4)
+    @example(k1=TimeKernel(1, np.array([2.0])), k2=TimeKernel(1, np.array([3.0])), gamma=6, k=0, lag=2)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_support_enumeration(self, k1, k2, gamma, k, lag):
+        # the polyphase block sum against v1(u) * v2(u + gamma*lag) summed tap by tap, at support starts off
+        # the multiples of gamma and at |lag| >= Q, where the blocks no longer overlap; a lag of 2**70 is 0.0
+        fam = single_level_family([k1, k2], gamma=gamma)
+        assert cov_exact(fam, 0, 0, 1, k, k + lag) == pytest.approx(enumerated_cov(k1, k2, gamma, lag), rel=0, abs=1e-12)
+        assert cov_exact(fam, 0, 0, 1, k, k + 2 ** 70) == 0.0 and cov_exact(fam, 0, 1, 0, k, k - 2 ** 70) == 0.0
+
     def test_lag_symmetry(self, rng):
         k1 = TimeKernel(0, rng.standard_normal(6))
         fam = single_level_family([k1, k1], gamma=2)
@@ -157,11 +170,12 @@ class TestABTerms:
 
     @pytest.mark.parametrize("gamma,n", [(1, 100_000), (3, 40), (16, 500)])
     def test_equal_taps_in_distinct_kernels_take_one_spectrum(self, rng, monkeypatch, gamma, n):
-        # branches 0 and 1 hold the same 1500 taps at different support starts, branch 2 other taps:
-        # every pair is on the FFT path, one forward transform where the values are equal, two elsewhere
+        # branches 0 and 1 hold the same 1500 taps at one support start, so equal polyphase rows; branch 2
+        # holds other taps and branch 3 branch 0's taps at another start, so rows at another offset: every
+        # pair is on the FFT path, one forward transform where the rows are equal, two elsewhere
         taps = rng.standard_normal(1500)
-        kernels = [TimeKernel(-1500, taps), TimeKernel(-1377, taps.copy()),
-                   TimeKernel(-1500, rng.standard_normal(1500))]
+        kernels = [TimeKernel(-1500, taps), TimeKernel(-1500, taps.copy()),
+                   TimeKernel(-1500, rng.standard_normal(1500)), TimeKernel(-1377, taps.copy())]
         assert kernels[0].length ** 2 >= _FFT_MIN_WORK
         fam = single_level_family(kernels, gamma=gamma)
         rfft, calls = np.fft.rfft, []
@@ -171,14 +185,14 @@ class TestABTerms:
             return rfft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counted)
-        for i, ip in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 1)):
+        for i, ip in ((0, 0), (0, 1), (1, 0), (1, 1), (3, 3), (0, 2), (2, 1), (0, 3), (3, 1)):
             ka, kb = fam.levels[0].kernels[i], fam.levels[0].kernels[ip]
             calls.clear()
             weights, corr = direct_decimated_lags(ka, kb, gamma, n, 1)
             assert a_term(fam, 0, i, ip, n) == pytest.approx(float(np.dot(weights, corr * corr)), rel=1e-12, abs=0)
             weights, corr = direct_decimated_lags(ka, kb, gamma, n, 2)
             assert b_term(fam, 0, i, ip, n) == pytest.approx(float(np.dot(weights, corr)), rel=1e-12, abs=0)
-            assert len(calls) == (4 if 2 in (i, ip) else 2), (i, ip)  # A and B: one correlation each
+            assert len(calls) == (2 if i == ip or {i, ip} == {0, 1} else 4), (i, ip)  # A and B: one correlation each
 
     def test_tiny_cross_term_within_rounding_of_the_direct_path(self):
         # the baseband and pi/2 kernels at gamma 1024 nearly cancel: A is about 4.7e-21, where both
@@ -347,6 +361,11 @@ class TestLimitQuantities:
         deep = cov_exact(two_freq, 3, 1, 1, 0, 0)
         assert lim == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-4)
         assert abs(lim - deep) < 1e-4
+
+    def test_integral_float_branches_are_their_ints(self, two_freq):
+        # the limit kernels were indexed with the raw argument, so a branch of 1.0 raised TypeError
+        assert gamma_limit(two_freq, 1.0, 1.0) == gamma_limit(two_freq, 1, 1)
+        assert limit_cross_cov(two_freq, 0.0, 0.0, 0) == limit_cross_cov(two_freq, 0, 0, 0)
 
     def test_missing_limits_raise(self):
         fam = single_level_family([TimeKernel(0, np.array([1.0]))], gamma=2)

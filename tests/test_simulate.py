@@ -31,7 +31,7 @@ from decilab.simulate import (
 from decilab.windows import Window, make_bspline_window
 
 from conftest import single_level_family
-from oracles import ar1_truncation_loop
+from oracles import ar1_truncation_loop, enumerated_cov
 
 GAUSS = NoiseSpec("gaussian")
 RADEMACHER = NoiseSpec("rademacher")
@@ -605,7 +605,7 @@ class TestPolyphaseArray:
             for ip in range(fam.n_branches):
                 for lag in range(1 - q_len, q_len):
                     sums = np.sum(a[i, max(lag, 0):q_len + min(lag, 0)] * a[ip, max(-lag, 0):q_len - max(lag, 0)])
-                    assert sums == pytest.approx(cov_exact(fam, j, i, ip, 0, lag), rel=0, abs=1e-14)
+                    assert sums == pytest.approx(enumerated_cov(lv.kernels[i], lv.kernels[ip], g, lag), rel=0, abs=1e-14)
 
 
 class TestGaussianLevel:
