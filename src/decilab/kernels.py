@@ -19,7 +19,7 @@ Branches and levels are 0-based throughout the Python API.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -28,10 +28,10 @@ TWO_PI = 2.0 * np.pi
 INTEGER_TOL = 1e-9  # absolute tolerance for gamma*lambda / (2*pi) integrality
 RESCALED_HALFWIDTH = 20.0  # check_condition_c compares rescaled responses on [-20, 20]
 GRID_SIZE = 512  # check_condition_c's grid: points on [0, pi) and on the rescaled interval
-# _correlate's crossover from np.correlate to FFT blocks, measured on the direct multiply-add count
+# _correlate's crossover from per-phase np.correlate to FFT blocks, measured on the direct multiply-add count
 _FFT_MIN_WORK = 1 << 20
-_FFT_MIN_SIDE = 128  # and on the fewer of outputs and taps
-_FFT_BLOCK = 1 << 12  # least overlap-save block; 2**14 ran faster but raised the peak memory
+_FFT_MIN_SIDE = 128  # and on the fewer of outputs and rows of taps
+_FFT_BLOCK = 1 << 12  # least overlap-save block, in values over all phases; 2**14 ran faster but raised the peak memory
 _RESPONSE_TABLE = 1 << 15  # entries per power table of eval_response (0.5 MiB of complex)
 
 
@@ -125,57 +125,60 @@ def eval_response(kernel, lam):
     return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
 
 
-@lru_cache
-def _fft_size(n):
-    """The least 2**a * 3**b * 5**c >= n: each odd part 3**b * 5**c times the least power of two reaching n."""
-    bits = range(n.bit_length())
-    return min(f << (-(-n // f) - 1).bit_length() for f in (3 ** b * 5 ** c for b in bits for c in bits))
+def _correlate(x, h):
+    """out[k] = sum_{q, r} x[k + q, r] * h[q, r], k = 0 .. M - Q: real (M, gamma) x against (Q, gamma) h, M >= Q.
 
-
-def _correlate(x, h, mode="valid"):
-    """np.correlate(x, h, mode) for real 1-D x and h; mode "full", or "valid" with len(x) >= len(h).
-
-    Below the crossover (fewer than _FFT_MIN_WORK direct multiply-adds, or
-    fewer than _FFT_MIN_SIDE outputs or taps) it is np.correlate itself,
-    bit for bit. Above it every path rests on one identity: at FFT size F,
-    lag d of x against h, sum_u x[u + d] * h[u], is entry d (mod F) of
-    irfft(rfft(x) * conj(rfft(h))) while no lag wraps. "full" takes F the
-    least 2**a * 3**b * 5**c >= len(x) + len(h) - 1, and one spectrum when
-    x and h hold equal values. "valid" is overlap-save (Stockham 1966) at F
-    the power of two covering the smaller of max(4 * (the fewer of outputs
-    and taps), _FFT_BLOCK) and the whole correlation, blocked two ways:
-    - more outputs than taps: the outputs in blocks of F - L + 1, each block
-      one window of x against the one spectrum of h;
-    - more taps than outputs: the taps in parts of F - n_out + 1, each part
-      against its own window of x, the products summed before one inverse.
-    Each block is one rfft call of F values, so memory is O(len(x) + len(h))
+    x and h are rows of a polyphase layout (FamilyLevel._blocks), so out is
+    a decimated correlation: the sum over the gamma phases of a valid-mode
+    correlation along the rows. Three paths, chosen from the shapes:
+    - Q <= gamma (as in every window family at gamma >= 2): Q block
+      matrix-vector products, sum_q x[q:q + n_out] @ h[q], in BLAS order;
+    - Q > gamma below the crossover (fewer than _FFT_MIN_WORK direct
+      multiply-adds, or fewer than _FFT_MIN_SIDE outputs or rows of taps):
+      one np.correlate per phase, so at gamma = 1 np.correlate itself, bit
+      for bit;
+    - above it, overlap-save (Stockham 1966) along the rows of every phase
+      at once, the product spectra summed over the phases before one
+      inverse. At F points, lag d of a phase of x against that of h is entry
+      d (mod F) of irfft(rfft(x) * conj(rfft(h))) while no lag wraps. F is
+      the power of two covering the smaller of max(4 * (the fewer of
+      outputs and rows of taps), ceil(_FFT_BLOCK / gamma)) and M, and the
+      blocking goes two ways:
+      - more outputs than rows of taps: the outputs in blocks of F - Q + 1,
+        each block one window of x against the one spectrum of h;
+      - more rows of taps than outputs: the taps in parts of F - n_out + 1,
+        each part against its own window of x, the products summed before
+        one inverse.
+    Each block is gamma rffts of F values, so memory is O(x.size + h.size)
     at any length.
     """
-    if mode == "full":  # work: every pair of values meets once
-        n_out, work, short = x.size + h.size - 1, x.size * h.size, min(x.size, h.size)
-    else:
-        n_out, taps = x.size - h.size + 1, h.size
-        work, short = n_out * taps, min(n_out, taps)
-    if work < _FFT_MIN_WORK or short < _FFT_MIN_SIDE:
-        return np.correlate(x, h, mode)
-    if mode == "full":  # the lags -(len(h) - 1) .. len(x) - 1
-        size = _fft_size(n_out)
-        spectrum = np.fft.rfft(x, size)
-        lags = np.fft.irfft(spectrum * np.conj(spectrum if np.array_equal(x, h) else np.fft.rfft(h, size)), size)
-        return np.concatenate((lags[size - h.size + 1:], lags[:x.size]))
-    size = 1 << (min(max(4 * short, _FFT_BLOCK), n_out + taps - 1) - 1).bit_length()
+    (rows, g), taps = x.shape, h.shape[0]
+    n_out = rows - taps + 1
+    if taps <= g:
+        out = x[:n_out] @ h[0]
+        for q in range(1, taps):
+            out += x[q:q + n_out] @ h[q]
+        return out
+    short = min(n_out, taps)
+    if n_out * taps * g < _FFT_MIN_WORK or short < _FFT_MIN_SIDE:
+        out = np.correlate(x[:, 0], h[:, 0])
+        for r in range(1, g):
+            out += np.correlate(x[:, r], h[:, r])
+        return out
+    size = 1 << (min(max(4 * short, -(-_FFT_BLOCK // g)), rows) - 1).bit_length()
+    x, h = x.T, h.T  # phase-major: one row of x and of h per phase
     if n_out >= taps:
         step = size - taps + 1
         spectrum = np.conj(np.fft.rfft(h, size))
         out = np.empty(n_out)
         for first in range(0, n_out, step):  # rfft's n zero-pads the last window
-            block = np.fft.irfft(np.fft.rfft(x[first:first + size], size) * spectrum, size)
+            block = np.fft.irfft((np.fft.rfft(x[:, first:first + size], size) * spectrum).sum(axis=0), size)
             out[first:first + step] = block[:min(step, n_out - first)]
         return out
     step = size - n_out + 1
     acc = np.zeros(size // 2 + 1, dtype=complex)
     for first in range(0, taps, step):  # rfft's n zero-pads each part, and the last window
-        acc += np.fft.rfft(x[first:first + size], size) * np.conj(np.fft.rfft(h[first:first + step], size))
+        acc += (np.fft.rfft(x[:, first:first + size], size) * np.conj(np.fft.rfft(h[:, first:first + step], size))).sum(axis=0)
     return np.fft.irfft(acc, size)[:n_out]
 
 

@@ -4,11 +4,11 @@ Exact quantities (cross-covariances, the triangular-weighted sums entering
 the covariance of square-sums) are finite sums over the level's polyphase
 array A (FamilyLevel._blocks), Q blocks of gamma taps per branch, computed
 without quadrature. The lag-tau covariance is sum_q A[i, q+tau] . A[i', q],
-zero for |tau| >= Q. A(n) and B(n) are triangular-weighted samples, at the
-multiples of gamma, of one full correlation of two flattened rows: of A[i]
-and A[i'] for A (squared after sampling), of their squares for B. It is
-np.correlate for short rows and an rfft product for long ones
-(kernels._correlate), within rounding.
+zero for |tau| >= Q. A(n) and B(n) are triangular-weighted sums of these
+lags for the rows A[i] and A[i'] (squared after correlating), and for their
+squares: each sign of tau is one decimated correlation (kernels._correlate),
+block products for Q <= gamma, np.correlate per phase for short rows and an
+rfft product for long ones, within rounding.
 
 The covariance identity at the center of the module: for branches i, i' at
 one level,
@@ -138,23 +138,26 @@ def limit_cross_cov(family, i, ip, lag):
 
 
 def _decimated_lags(family, level, i, ip, n, power):
-    """Triangular weights 1 - |tau|/n and samples c(gamma*tau), |tau| < n, for branches i, i' at one level.
+    """Triangular weights 1 - |tau|/n and lags c(gamma*tau), |tau| < n, for branches i, i' at one level.
 
-    c(gamma*tau) = sum_m a[m + gamma*tau] * b[m] for the flattened polyphase
-    rows a = A[i]**power and b = A[i']**power, both Q*gamma long. Every
-    gamma-th entry of their full correlation from gamma - 1 on is one of
-    tau = 1 - Q .. Q - 1, tau = 0 the middle one. Above the crossover of
-    kernels._correlate the correlation is one rfft product, O(Q*gamma log)
-    instead of (Q*gamma)**2 multiply-adds, and each entry moves by rounding
-    only: about eps * |a| * |b|.
+    c(gamma*tau) = sum_q a[q + tau] . b[q] for the polyphase rows a = A[i]**power
+    and b = A[i']**power, zero for |tau| >= Q. The lags tau = 0 .. Q - 1 are
+    one valid-mode kernels._correlate of a, with Q - 1 zero rows appended,
+    against b; tau < 0 are the swapped pair's, as c_{i,i'}(-tau) = c_{i',i}(tau),
+    and for i = i' the same call. Above the crossover of kernels._correlate
+    each is one rfft product, O(Q*gamma log) instead of Q**2*gamma
+    multiply-adds, and each lag moves by rounding only: about eps * |a| * |b|.
     """
     n = _integer(n, "n", 1)
     blocks = family.level(level)._blocks[1]
-    a, b = (blocks[family.branch(j)].reshape(-1) ** power for j in (i, ip))
-    sampled = _correlate(a, b, "full")[blocks.shape[2] - 1::blocks.shape[2]]
-    tau = np.abs(np.arange(sampled.size) - sampled.size // 2)
+    i, ip = family.branch(i), family.branch(ip)
+    a, b = blocks[i] ** power, blocks[ip] ** power
+    pad = np.zeros((a.shape[0] - 1, a.shape[1]))
+    ahead = _correlate(np.concatenate((a, pad)), b)
+    behind = ahead if i == ip else _correlate(np.concatenate((b, pad)), a)
+    tau = np.abs(np.arange(1 - ahead.size, ahead.size))
     keep = tau < n
-    return 1.0 - tau[keep] / n, sampled[keep]
+    return 1.0 - tau[keep] / n, np.concatenate((behind[:0:-1], ahead))[keep]
 
 
 def a_term(family, level, i, ip, n):

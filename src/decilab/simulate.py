@@ -124,27 +124,15 @@ def _decimated_convolve(xi, rows, n):
     """Z_k = sum_{q, r} rows[q, r] * xi[gamma*(k + q) + r] for k = 0 .. n-1, rows a (Q, gamma) array.
 
     rows is one branch of a polyphase array (FamilyLevel._blocks), and xi
-    holds at least (n + Q - 1)*gamma values. Two paths, chosen by Q:
-    - Q <= gamma (as in every window family at gamma >= 2): with X the first
-      n + Q - 1 rows of gamma consecutive values of xi,
-          Z_k = sum_{q < Q} rows[q] . X[k + q],
-      Q block matrix-vector products in BLAS order.
-    - Q > gamma: one valid-mode correlation of the first gamma*(n + Q - 1)
-      values of xi with the Q*gamma taps, by kernels._correlate, every
-      gamma-th output kept. That is np.correlate below a measured size and
-      blocked FFTs above it, so a kernel far longer than the output
-      (gamma = 1, an AR(1) near the unit root) costs O((n + L) log)
-      operations, not n*L.
-    Memory is O(n + Q*gamma) beyond xi on both.
+    holds at least (n + Q - 1)*gamma values: their first n + Q - 1 rows of
+    gamma against rows, by kernels._correlate. That is Q block products for
+    Q <= gamma, and otherwise np.correlate per phase below a measured size
+    and blocked FFTs along the rows above it, so a kernel far longer than
+    the output (gamma = 1, an AR(1) near the unit root) costs
+    O((n + L) log) operations, not n*L, at any gamma. Memory is
+    O(n + Q*gamma) beyond xi.
     """
-    q_len, g = rows.shape
-    if q_len > g:
-        return _correlate(xi[:g * (n + q_len - 1)], rows.reshape(-1))[::g]
-    x = xi[:(n + q_len - 1) * g].reshape(-1, g)
-    out = x[:n] @ rows[0]
-    for q in range(1, q_len):
-        out += x[q:q + n] @ rows[q]
-    return out
+    return _correlate(xi[:rows.size + (n - 1) * rows.shape[1]].reshape(-1, rows.shape[1]), rows)
 
 
 def _level_outputs(lv, n, fill):
@@ -187,11 +175,11 @@ def simulate_decimated(family, level, n, noise, seed):
 def simulate_linear_process(a, n, noise, seed):
     """X_u = sum_t a(u - t) xi_t for u = 1..n (undecimated convolution).
 
-    The decimated convolution at gamma = 1 is one valid-mode correlation of
-    the n + L - 1 noise values with the reversed kernel. Long kernels take
-    the overlap-save path of kernels._correlate, one bounded FFT block at a
-    time, so memory stays O(n + L) at paper scale (n around 1e6, AR
-    kernels of millions of taps).
+    The decimated convolution at gamma = 1: the n + L - 1 noise values as
+    rows of one phase against the reversed kernel, np.correlate itself for
+    short kernels. Long kernels take the overlap-save path of
+    kernels._correlate, one bounded FFT block at a time, so memory stays
+    O(n + L) at paper scale (n around 1e6, AR kernels of millions of taps).
 
     Under Gaussian noise the n + L - 1 values are the first standard_normal
     values of the thread's Philox keyed by the seed from counter 0: the same

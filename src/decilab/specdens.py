@@ -82,8 +82,8 @@ def estimate_f0(x, window, gamma):
     alone rejects a window with decay <= 2 or NaN. rate_ok compares that value
     with RATE_THRESHOLD, and is False for a degenerate estimate. The
     limiting variance is free of the fourth cumulant because decimation
-    kills the cumulant term. Series shorter than gamma are rejected (no
-    coefficients), as are non-finite ones.
+    kills the cumulant term. Series of fewer than gamma - 1 values are
+    rejected (floor((n+1)/gamma) = 0 coefficients), as are non-finite ones.
     """
     x = np.asarray(x, dtype=float)
     rate_value = check_rate_condition(x.size, gamma, window.decay)

@@ -763,8 +763,8 @@ OUTPUT_SHA256 = {
     "simulate/path.csv": "8f3746faa535fe9aea8fa9b2f8be98bde4bab7a9d1b7be1d903e94a4440af6bc",
     "clt/normality.txt": "7fc2eda7d889db8a9e04fab519b5e6442c06609ab94b737f18d179c9124124dd",
     "clt/replicates.csv": "e6e7cf1e4fc39a17ae41d2e23d70a9728750de98b333076d4650000ff7992824",
-    "cov-check/cov_check.csv": "281d2720852c468d19d1ba3b7016a1e05871f9018afa40fe9d4c879afbacec8c",
-    "sweep/sweep.csv": "c99d9d0511e0186f48745bb3bcddb9b8f972b92466bcb69e7aa92ca3e6461ab3",
+    "cov-check/cov_check.csv": "f6b0b1d088b316034e0efe5a6472e522f7811626a03615ae1d8db5e2c39c34a0",
+    "sweep/sweep.csv": "7c877980f9df0e51b9e6d61b8485a2e793b65e1962b447ac0ba17b175e04b9e3",
     "specdens/specdens_report.txt": "7d304b508e55993f8d6f6ad96064add4e07667978cc0f10d8fbf26940df6c408",
     "specdens/specdens_sweep.csv": "f3d84921ae50f97454f230570a68c35721448422cb09e61fc52322409e15b39e",
     "gamma/gamma_matrix.csv": "dc034d3a889965678fe02d14aee28c581f23d9af0430e2f19e2087029a3c15e1",

@@ -17,7 +17,6 @@ from decilab.kernels import (
     FamilyLevel,
     TimeKernel,
     _correlate,
-    _fft_size,
     _powers,
     check_condition_c,
     eval_response,
@@ -49,11 +48,29 @@ def correlation_shapes(draw):
     return long, short
 
 
-def check_against_np_correlate(x, h, mode, work, short):
-    """Bit for bit below the crossover, within 1e-12 * |x| * |h| above it."""
-    got, want = _correlate(x, h, mode), np.correlate(x, h, mode)
-    assert got.shape == want.shape
-    if work < _FFT_MIN_WORK or short < _FFT_MIN_SIDE:
+@st.composite
+def polyphase_shapes(draw):
+    """(gamma, long, short) at gamma 2, 3, 8 or 64, short > gamma, with long * short * gamma <= 2**23."""
+    gamma = draw(st.sampled_from([2, 3, 8, 64]))
+    short = draw(st.integers(gamma + 1, math.isqrt(2 ** 23 // gamma)))
+    return gamma, draw(st.integers(short, 2 ** 23 // (gamma * short))), short
+
+
+def phase_sums(x, h):
+    """sum_r np.correlate(x[:, r], h[:, r], "valid"), the phases added in order."""
+    want = np.correlate(x[:, 0], h[:, 0], "valid")
+    for r in range(1, x.shape[1]):
+        want = want + np.correlate(x[:, r], h[:, r], "valid")
+    return want
+
+
+def check_against_phase_sums(x, h):
+    """Bit for bit on the per-phase np.correlate path, within 1e-12 * |x| * |h| on the others."""
+    (rows, g), taps = x.shape, h.shape[0]
+    n_out = rows - taps + 1
+    got, want = _correlate(x, h), phase_sums(x, h)
+    assert got.shape == want.shape == (n_out,)
+    if taps > g and (n_out * taps * g < _FFT_MIN_WORK or min(n_out, taps) < _FFT_MIN_SIDE):
         assert got.tobytes() == want.tobytes()
     else:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(h)
@@ -204,19 +221,45 @@ class TestCorrelate:
     # at F = 16384 each part holds 12289 taps, so the last of 24579 holds one
     @example(shape=(24_579, 4096), more_outputs=False, seed=13)
     def test_valid_matches_np_correlate(self, shape, more_outputs, seed):
+        # one phase: (M, 1) against (Q, 1), np.correlate itself below the crossover
         long, short = shape
         n_out, taps = (long, short) if more_outputs else (short, long)
         rng = np.random.default_rng(seed)
-        x, h = rng.standard_normal(n_out + taps - 1), rng.standard_normal(taps)
-        check_against_np_correlate(x, h, "valid", n_out * taps, short)
+        check_against_phase_sums(rng.standard_normal((n_out + taps - 1, 1)), rng.standard_normal((taps, 1)))
 
-    @pytest.mark.parametrize("n_out,taps,bound", [
-        (100_000, 561, 2 * 2 ** 20),  # the output, 0.8 MB, and a few 4096-point blocks
-        (4096, 2_000_000, 2 ** 20),  # a few 16384-point blocks; the taps are never copied whole
+    @settings(max_examples=60, deadline=None)
+    @given(shape=polyphase_shapes(), more_outputs=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    # above the crossover at each gamma, Q > gamma rows of taps: output blocks, then tap parts
+    @example(shape=(2, 20_000, 300), more_outputs=True, seed=19)
+    @example(shape=(2, 20_000, 300), more_outputs=False, seed=20)
+    @example(shape=(3, 9_000, 200), more_outputs=True, seed=21)
+    @example(shape=(3, 9_000, 200), more_outputs=False, seed=22)
+    @example(shape=(8, 5_000, 150), more_outputs=True, seed=23)
+    @example(shape=(8, 5_000, 150), more_outputs=False, seed=24)
+    @example(shape=(64, 1_000, 130), more_outputs=True, seed=25)
+    @example(shape=(64, 1_000, 130), more_outputs=False, seed=26)
+    def test_phases_match_their_summed_np_correlates(self, shape, more_outputs, seed):
+        gamma, long, short = shape
+        n_out, taps = (long, short) if more_outputs else (short, long)
+        rng = np.random.default_rng(seed)
+        check_against_phase_sums(rng.standard_normal((n_out + taps - 1, gamma)), rng.standard_normal((taps, gamma)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.integers(1, 64), data=st.data(), n_out=st.integers(1, 500), seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_products_match_their_summed_np_correlates(self, gamma, data, n_out, seed):
+        # Q <= gamma rows of taps, as every window family at gamma >= 2 has
+        taps = data.draw(st.integers(1, gamma), label="taps")
+        rng = np.random.default_rng(seed)
+        check_against_phase_sums(rng.standard_normal((n_out + taps - 1, gamma)), rng.standard_normal((taps, gamma)))
+
+    @pytest.mark.parametrize("gamma,n_out,taps,bound", [
+        (1, 100_000, 561, 2 * 2 ** 20),  # the output, 0.8 MB, and a few 4096-point blocks
+        (1, 4096, 2_000_000, 2 ** 20),  # a few 16384-point blocks; the taps are never copied whole
+        (8, 1000, 250_000, 2 ** 20),  # tap parts of 4096 rows of 8 phases; x, 16 MB, is never copied whole
     ])
-    def test_valid_memory_is_the_output_and_a_few_blocks(self, n_out, taps, bound):
+    def test_valid_memory_is_the_output_and_a_few_blocks(self, gamma, n_out, taps, bound):
         rng = np.random.default_rng(14)
-        x, h = rng.standard_normal(n_out + taps - 1), rng.standard_normal(taps)
+        x, h = rng.standard_normal((n_out + taps - 1, gamma)), rng.standard_normal((taps, gamma))
         tracemalloc.start()
         try:
             _correlate(x, h)
@@ -224,45 +267,6 @@ class TestCorrelate:
         finally:
             tracemalloc.stop()
         assert peak < bound
-
-    @settings(max_examples=40, deadline=None)
-    @given(shape=correlation_shapes(), swap=st.booleans(), power=st.sampled_from([1, 2]),
-           seed=st.integers(0, 2 ** 32 - 1))
-    @example(shape=(2945, 2945), swap=False, power=2, seed=5)  # AR(1) phi = 0.99, as B(n) correlates it
-    @example(shape=(1025, 1025), swap=False, power=1, seed=6)  # the two-frequency kernels at gamma 1024
-    @example(shape=(5000, 129), swap=True, power=1, seed=7)
-    def test_full_matches_np_correlate(self, shape, swap, power, seed):
-        # the two powered kernels of moments._decimated_lags, either one the longer
-        rng = np.random.default_rng(seed)
-        x, h = (rng.standard_normal(size) ** power for size in (shape[::-1] if swap else shape))
-        check_against_np_correlate(x, h, "full", x.size * h.size, min(shape))
-
-    @settings(max_examples=40, deadline=None)
-    @given(length=st.integers(1, 3000), power=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1))
-    # the AR(1) kernels at phi 0.98 and 0.99, as A(n) and B(n) correlate them on the diagonal
-    @example(length=1448, power=1, seed=15)
-    @example(length=1448, power=2, seed=16)
-    @example(length=2945, power=1, seed=17)
-    @example(length=2945, power=2, seed=18)
-    def test_autocorrelation_matches_np_correlate(self, length, power, seed):
-        # one array for both sides: above the crossover (length >= 1024) one spectrum
-        x = np.random.default_rng(seed).standard_normal(length) ** power
-        check_against_np_correlate(x, x, "full", length * length, length)
-
-    @pytest.mark.parametrize("power", [1, 2])
-    @pytest.mark.parametrize("length", [1448, 2945])
-    def test_autocorrelation_depends_on_values_not_on_the_object(self, length, power):
-        # the AR(1) kernels at phi 0.98 and 0.99, above the crossover: one array twice, or a copy
-        x = np.random.default_rng(length + power).standard_normal(length) ** power
-        assert length ** 2 >= _FFT_MIN_WORK
-        assert _correlate(x, x, "full").tobytes() == _correlate(x, x.copy(), "full").tobytes()
-
-    def test_fft_size_is_the_least_5_smooth_length(self):
-        limit = 10 ** 4
-        smooth = np.array(sorted(2 ** a * 3 ** b * 5 ** c for a in range(16) for b in range(10) for c in range(7)))
-        least = smooth[np.searchsorted(smooth, np.arange(1, limit + 1))]
-        assert [_fft_size(n) for n in range(1, limit + 1)] == least.tolist()
-        assert _fft_size(2 * 2945 - 1) == 6000 and _fft_size(2 * 1448 - 1) == 2916
 
 
 class TestParseval:

@@ -11,6 +11,7 @@ from decilab.kernels import (
     DecimatedFamily,
     FamilyLevel,
     TimeKernel,
+    _correlate,
     eval_response,
     make_scaled_window_family,
     two_frequency_demo_family,
@@ -169,22 +170,22 @@ class TestABTerms:
         assert b_term(fam, 0, 0, 0, n) == pytest.approx(float(np.dot(weights, corr)), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("gamma,n", [(1, 100_000), (3, 40), (16, 500)])
-    def test_equal_taps_in_distinct_kernels_take_one_spectrum(self, rng, monkeypatch, gamma, n):
+    def test_one_correlation_per_term_on_the_diagonal_two_off_it(self, rng, monkeypatch, gamma, n):
         # branches 0 and 1 hold the same 1500 taps at one support start, so equal polyphase rows; branch 2
-        # holds other taps and branch 3 branch 0's taps at another start, so rows at another offset: every
-        # pair is on the FFT path, one forward transform where the rows are equal, two elsewhere
+        # holds other taps and branch 3 branch 0's taps at another start, so rows at another offset: each
+        # term correlates once for i = i' and once per sign of the lag otherwise, equal rows or not
         taps = rng.standard_normal(1500)
         kernels = [TimeKernel(-1500, taps), TimeKernel(-1500, taps.copy()),
                    TimeKernel(-1500, rng.standard_normal(1500)), TimeKernel(-1377, taps.copy())]
         assert kernels[0].length ** 2 >= _FFT_MIN_WORK
         fam = single_level_family(kernels, gamma=gamma)
-        rfft, calls = np.fft.rfft, []
+        calls = []
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(1)
-            return rfft(*args, **kwargs)
+            return _correlate(*args)
 
-        monkeypatch.setattr(np.fft, "rfft", counted)
+        monkeypatch.setattr(moments, "_correlate", counted)
         for i, ip in ((0, 0), (0, 1), (1, 0), (1, 1), (3, 3), (0, 2), (2, 1), (0, 3), (3, 1)):
             ka, kb = fam.levels[0].kernels[i], fam.levels[0].kernels[ip]
             calls.clear()
@@ -192,7 +193,7 @@ class TestABTerms:
             assert a_term(fam, 0, i, ip, n) == pytest.approx(float(np.dot(weights, corr * corr)), rel=1e-12, abs=0)
             weights, corr = direct_decimated_lags(ka, kb, gamma, n, 2)
             assert b_term(fam, 0, i, ip, n) == pytest.approx(float(np.dot(weights, corr)), rel=1e-12, abs=0)
-            assert len(calls) == (2 if i == ip or {i, ip} == {0, 1} else 4), (i, ip)  # A and B: one correlation each
+            assert len(calls) == (2 if i == ip else 4), (i, ip)  # A and B: one call each, or one per sign
 
     def test_tiny_cross_term_within_rounding_of_the_direct_path(self):
         # the baseband and pi/2 kernels at gamma 1024 nearly cancel: A is about 4.7e-21, where both

@@ -63,7 +63,7 @@ BLOCK_CASES = {
     # support ends 1 and 12, lengths 7 and 11, Q = 2 and 3 at gamma 4
     "unequal_branches": (single_level_family([TimeKernel(-5, np.linspace(-1.0, 1.0, 7)),
                                               TimeKernel(2, np.cos(np.arange(11.0)))], gamma=4), 29),
-    # L > gamma**2: the full-rate correlation path, below and (at the default block) above its FFT crossover
+    # L > gamma**2: Q > gamma rows of taps, below and (at the default block) above the FFT crossover
     "long_kernel": (single_level_family([TimeKernel(-3, _LONG[:40] / np.linalg.norm(_LONG[:40]))], gamma=4), 31),
     "long_kernel_fft": (single_level_family([TimeKernel(5, _LONG / np.linalg.norm(_LONG))], gamma=2), 900),
 }
@@ -260,16 +260,37 @@ class TestDecimatedConvolve:
     @pytest.mark.parametrize("gamma,length,n", [
         (1, 561, 20_000),  # many more outputs than taps
         (1, 50_001, 300),  # a kernel far longer than the output
-        (3, 9_000, 2_000),  # Q = 3000 > gamma: every third output of one full-rate correlation
+        (3, 9_000, 2_000),  # Q = 3000 > gamma: tap parts along the rows of 3 phases
         (4, 4_097, 1_500),  # gamma does not divide L
+        (4, 50_001, 300),  # Q = 12 501 rows of taps against 300 outputs: tap parts
+        (8, 5_000, 1_000),  # Q = 625: output blocks along the rows of 8 phases
+        (64, 5_053, 1_000),  # Q = 79 rows, under _FFT_MIN_SIDE: one np.correlate per phase
     ])
     def test_long_kernels_match_direct_correlation(self, gamma, length, n):
-        # above the crossover of kernels._correlate, against one direct correlation sampled every gamma
+        # Q > gamma, against one direct full-rate correlation sampled every gamma
         rng = np.random.default_rng(length)
         kern = TimeKernel(-7, rng.standard_normal(length))
         xi = rng.standard_normal(gamma * (n - 1) + length + 3)
         want = np.correlate(xi[:gamma * (n - 1) + length], kern.coeffs[::-1], "valid")[::gamma]
         z = _decimated_convolve(xi, one_branch(kern, gamma), n)
+        assert np.max(np.abs(z - want)) <= 1e-12 * np.linalg.norm(xi) * np.linalg.norm(kern.coeffs)
+
+    def test_long_kernel_transforms_rows_not_the_full_rate_stream(self, monkeypatch):
+        # gamma 64, L 5000, n 1000: a full-rate correlation of the 68 992 values would transform 32 768 points
+        gamma, n = 64, 1_000
+        rng = np.random.default_rng(64)
+        kern = TimeKernel(0, rng.standard_normal(5_000))
+        xi = rng.standard_normal(gamma * (n + 78))  # Q = 79 rows of 64, their last 56 entries zero
+        rfft, sizes = np.fft.rfft, []
+
+        def counted(a, n=None, *args, **kwargs):
+            sizes.append(np.shape(a)[-1] if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        z = _decimated_convolve(xi, one_branch(kern, gamma), n)
+        want = np.correlate(xi[:gamma * (n - 1) + kern.length], kern.coeffs[::-1], "valid")[::gamma]
+        assert max(sizes, default=0) <= 4096
         assert np.max(np.abs(z - want)) <= 1e-12 * np.linalg.norm(xi) * np.linalg.norm(kern.coeffs)
 
 
@@ -342,7 +363,7 @@ class TestSimulateDecimated:
         assert np.allclose(z[1:], x, atol=0, rtol=0)
 
 
-# simulate_linear_process kernels on the block-product path (L = 1) and the full-rate correlation path (L > gamma = 1)
+# simulate_linear_process kernels on the block-product path (L = 1) and the np.correlate path (L > gamma = 1)
 LINEAR_KERNELS = {"identity": TimeKernel(1, np.array([1.0])), "short": TimeKernel(-2, np.array([0.5, -1.0, 0.25])),
                     "ar1": ar1_kernel(0.95)}
 
