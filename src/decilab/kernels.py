@@ -219,31 +219,28 @@ class FamilyLevel:
         return t_lo, blocks
 
     @cached_property
-    def gaussian_level(self):
-        """A level with this level's joint law under Gaussian noise, drawn from r <= N*Q values per output.
+    def _gaussian_blocks(self):
+        """A read-only (N, Q', r) polyphase array with this level's joint law under Gaussian noise, r <= N*Q.
 
         With A the level's polyphase array (_blocks), Z_{., k} = sum_q A_q x_{k+q},
         A_q = A[:, q]. For B a (gamma, r) orthonormal basis of the span of
         the r nonzero rows of all A_q (one QR), A_q x = (A_q B)(B^T x), and
         the B^T x_j are N(0, I_r) and independent over j when the noise is
-        Gaussian. So the level of factor r whose polyphase array is D_q = A_q B
-        has the same law. Blocks q with A_q = 0 at either end are dropped,
-        which moves the outputs in time only. When r >= gamma (or every tap is
-        zero) the level is its own reduction. Computed once per level object;
-        the center frequencies carry over and mean nothing at factor r.
+        Gaussian. So the array D_q = A_q B, read on r values per output, has
+        the same law. Blocks q with A_q = 0 at either end are dropped, which
+        moves the outputs in time only. When r >= gamma (or every tap is
+        zero) the array is A itself. Computed once per level object.
         """
-        g = self.gamma
         blocks = self._blocks[1]
-        rows = blocks.reshape(-1, g)
+        rows = blocks.reshape(-1, self.gamma)
         rows = rows[rows.any(axis=1)]
-        if not 0 < rows.shape[0] < g:
-            return self
+        if not 0 < rows.shape[0] < self.gamma:
+            return blocks
         basis = np.linalg.qr(rows.T)[0]
         used = np.flatnonzero(blocks.any(axis=(0, 2)))
-        reduced = blocks[:, used[0]:used[-1] + 1] @ basis  # reduced[i, q] = D_q[i]
-        size = reduced[0].size
-        kernels = tuple(TimeKernel(1 - size, d.ravel()[::-1]) for d in reduced)
-        return FamilyLevel(gamma=basis.shape[1], kernels=kernels, center_freqs=self.center_freqs)
+        reduced = blocks[:, used[0]:used[-1] + 1] @ basis
+        reduced.setflags(write=False)
+        return reduced
 
 
 def integer_condition_residual(gamma, lam):

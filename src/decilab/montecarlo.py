@@ -6,16 +6,16 @@ as the paper's CLTs do (replicate_sums).
 Every report here is a function of the law of the replicates, so Gaussian
 replicates are drawn from the law, not from the xi_t simulate_decimated
 reads: numpy's ziggurat standard_normal on the thread's Philox keyed by the
-seed, from counter 0, drives the level's gaussian_level, r <= N*Q values
-per output with exactly the joint law of the sums. Where that level's
-polyphase array (FamilyLevel._blocks) holds Q = 1 block, as on every
+seed, from counter 0, drives the level's reduced polyphase array
+(FamilyLevel._gaussian_blocks), r <= N*Q values per output with exactly the
+joint law of the sums. Where that array holds Q = 1 block, as on every
 built-in family, a replicate's square sums are the diagonal of one Wishart
 draw (_bartlett_sums): O(r**2) values, whatever n is. Otherwise chunk c of
 replicates is one draw at the seed mix(base_seed, c), simulate._level_outputs
-on those values (or simulate_decimated for other noise), laid out by n, the
-level and R only, so results are identical for any worker count or
-scheduling. Thread j of w = min(workers, chunks) runs the chunks j, j + w,
-j + 2w, ..., and the heavy numpy kernels release the GIL.
+on that array and those values (or simulate_decimated for other noise), laid
+out by n, the level and R only, so results are identical for any worker
+count or scheduling. Thread j of w = min(workers, chunks) runs the chunks j,
+j + w, j + 2w, ..., and the heavy numpy kernels release the GIL.
 
 The thread pool (concurrent.futures, which loads logging) is imported on
 the first chunked replicate_sums call, and the KS distance of
@@ -36,12 +36,12 @@ _CHUNK = 1 << 16  # noise values one replicate_sums chunk draws, at most, unless
 _GAP = 1 << 17  # multiply-adds a chunked replicate's dropped outputs may cost; chunks timed slower from 5e5 on
 
 
-def _bartlett_sums(lv, n, n_replicates, seed):
-    """The (R, N) Gaussian square sums S_i = sum_{k<n} Z_{i,k}^2 of a level that reads one block per output.
+def _bartlett_sums(d, n, n_replicates, seed):
+    """The (R, N) Gaussian square sums S_i = sum_{k<n} Z_{i,k}^2 of an array that reads one block per output.
 
-    Such a level has Z_{., k} = D x_k, with D the one (N, r) block of its
-    polyphase array (FamilyLevel._blocks), r = lv.gamma, and x_k i.i.d.
-    N(0, I_r). So S_i = D_i W D_i^T with W ~ Wishart_r(I, n), and Bartlett's
+    Such an array has Z_{., k} = D x_k, with D = d its one (N, r) block
+    (an (N, 1, r) FamilyLevel._gaussian_blocks) and x_k i.i.d. N(0, I_r).
+    So S_i = D_i W D_i^T with W ~ Wishart_r(I, n), and Bartlett's
     decomposition W = A A^T draws it exactly in law (Bartlett 1933; Odell &
     Feiveson 1966): A is (r, m), m = min(n, r), with A_jj = sqrt(chi2_{n-j})
     for j < m, A_jl ~ N(0, 1) for l < min(j, m) and zeros elsewhere, so
@@ -51,8 +51,7 @@ def _bartlett_sums(lv, n, n_replicates, seed):
     array, row b its P entries below the diagonal in row-major order;
     S_i = ||D_i A||^2.
     """
-    r, m = lv.gamma, min(n, lv.gamma)
-    d = lv._blocks[1][:, 0]
+    r, m = d.shape[1], min(n, d.shape[1])
     gen = _philox(0, seed)[1]
     a = np.zeros((n_replicates, r, m))
     j = np.arange(m)
@@ -66,28 +65,29 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=1):
     """The (R, N) array of R replicates of n**-0.5 * sum_{k<n} (Z_{i,k}^2 - E Z_{i,k}^2).
 
     E Z_{i,k}^2 is the exact level expectation, cov_exact(family, level, i, i, 0, 0).
-    The level drawn (the gaussian_level for Gaussian noise) has a polyphase
-    array of Q blocks (FamilyLevel._blocks). n, R, the seed and workers (the
-    thread count, default 1, which no output depends on) are checked first.
-    A Gaussian level with Q = 1 draws all R replicates on the calling thread
-    as one _bartlett_sums keyed by base_seed. Otherwise chunk c is one draw
-    at mix_seed(base_seed, c) (module docstring): B strides of n + Q - 1
+    The array drawn, A (FamilyLevel._blocks, or _gaussian_blocks for Gaussian
+    noise), is (N, Q, r). n, R, the seed and workers (the thread count,
+    default 1, which no output depends on) are checked first. A Gaussian
+    array with Q = 1 draws all R replicates on the calling thread as one
+    _bartlett_sums keyed by base_seed. Otherwise chunk c is one draw at
+    mix_seed(base_seed, c) (module docstring): B strides of n + Q - 1
     outputs, the last cut to n, and replicate b is the first n of stride b;
-    no two share a noise value. B = 1 if (Q - 1) * sum(L) > _GAP, else the
-    most whose strides fit in _CHUNK values.
+    no two share a noise value. B = 1 if the Q - 1 dropped outputs cost
+    more than _GAP multiply-adds, (Q - 1) times the nonzero entries of A,
+    else the most whose strides fit in _CHUNK values.
     """
     n_replicates, n = _integer(n_replicates, "n_replicates", 100), _integer(n, "n", 1)
     workers, base_seed = _integer(workers, "workers", 1), _integer(base_seed, "seed", 0, _MASK64)
     centers = np.array([cov_exact(family, level, i, i, 0, 0) for i in range(family.n_branches)])
     gaussian = noise.distribution == "gaussian"
-    lv = family.level(level).gaussian_level if gaussian else family.level(level)
-    gap = lv._blocks[1].shape[1] - 1  # Q - 1 outputs share noise with the next n
+    blocks = family.level(level)._gaussian_blocks if gaussian else family.level(level)._blocks[1]
+    gap = blocks.shape[1] - 1  # Q - 1 outputs share noise with the next n
     if gaussian and not gap:
-        sums = _bartlett_sums(lv, n, n_replicates, base_seed)
+        sums = _bartlett_sums(blocks[:, 0], n, n_replicates, base_seed)
     else:
         sums = np.empty((n_replicates, family.n_branches))
-        stride, gap_work = n + gap, gap * sum(k.length for k in lv.kernels)
-        per_chunk = 1 if gap_work > _GAP else max(1, _CHUNK // (stride * lv.gamma))
+        stride = n + gap
+        per_chunk = 1 if gap * np.count_nonzero(blocks) > _GAP else max(1, _CHUNK // (stride * blocks.shape[2]))
         n_chunks = -(-n_replicates // per_chunk)
 
         n_workers = min(workers, n_chunks)
@@ -99,7 +99,7 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=1):
                 size, seed = (hi - lo - 1) * stride + n, mix_seed(base_seed, c)
                 if gaussian:
                     gen = _philox(0, seed)[1]
-                    z = _level_outputs(lv, size, lambda _, out: gen.standard_normal(out=out))
+                    z = _level_outputs(blocks, size, lambda _, out: gen.standard_normal(out=out))
                 else:
                     z = simulate_decimated(family, level, size, noise, seed)
                 z = np.lib.stride_tricks.sliding_window_view(z, n, axis=1)[:, ::stride]

@@ -120,66 +120,58 @@ def noise_values(spec, seed, lo, hi, out=None):
     return out
 
 
-def _decimated_convolve(xi, rows, n):
-    """Z_k = sum_{q, r} rows[q, r] * xi[gamma*(k + q) + r] for k = 0 .. n-1, rows a (Q, gamma) array.
+def _level_outputs(blocks, n, fill):
+    """Z[i, k] = sum_q A[i, q] . x_{k+q}, k < n, x_j the gamma values of a stream s from gamma*j on.
 
-    rows is one branch of a polyphase array (FamilyLevel._blocks), and xi
-    holds at least (n + Q - 1)*gamma values: their first n + Q - 1 rows of
-    gamma against rows, by kernels._correlate. That is Q block products for
-    Q <= gamma, and otherwise np.correlate per phase below a measured size
-    and blocked FFTs along the rows above it, so a kernel far longer than
-    the output (gamma = 1, an AR(1) near the unit root) costs
-    O((n + L) log) operations, not n*L, at any gamma. Memory is
-    O(n + Q*gamma) beyond xi.
+    A = blocks is an (N, Q, gamma) polyphase array (FamilyLevel._blocks) and
+    the result an (N, n) array. fill(lo, out) writes s_lo, s_{lo+1}, ...
+    into out, once per block of about _NOISE_BLOCK values, for increasing
+    lo: each index is filled once, into a reused buffer that carries to the
+    next block the values both read. Outputs move with the block size by
+    rounding only, as BLAS may sum a row in another order where it falls
+    elsewhere in a block. Memory is O(_NOISE_BLOCK + N*n + N*Q*gamma), not
+    O(n*gamma).
     """
-    return _correlate(xi[:rows.size + (n - 1) * rows.shape[1]].reshape(-1, rows.shape[1]), rows)
-
-
-def _level_outputs(lv, n, fill):
-    """Z[i, k] = sum_q A[i, q] . x_{k+q}, k < n, x_j the gamma values of a stream s from t_lo + gamma*j on.
-
-    (t_lo, A) is the level's polyphase array, FamilyLevel._blocks, and the
-    result an (N, n) array. fill(lo, out) writes s_lo, s_{lo+1}, ... into
-    out, once per block of about _NOISE_BLOCK values, for increasing lo:
-    each index is filled once, into a reused buffer that carries to the next
-    block the values both read. Outputs move with the block size by rounding
-    only, as BLAS may sum a row in another order where it falls elsewhere in
-    a block. Memory is O(_NOISE_BLOCK + N*n + N*Q*gamma), not O(n*gamma).
-    """
-    g = lv.gamma
-    t_lo, blocks = lv._blocks
+    g = blocks.shape[2]
     reach = blocks.shape[1] * g
     carry = reach - g  # the values one block shares with the next
     # a block draws at least as many values as it carries, so a long kernel adds O(L) per O(L) outputs at most
     rows = max(1, min(n, max(_NOISE_BLOCK, carry) // g))
-    z = np.empty((len(lv.kernels), n))
+    z = np.empty((blocks.shape[0], n))
     buf = np.empty((rows - 1) * g + reach)
     for k0 in range(0, n, rows):
         m = min(rows, n - k0)
         end = (m - 1) * g + reach
         fresh = carry if k0 else 0
-        fill(t_lo + g * k0 + fresh, buf[fresh:end])
+        fill(g * k0 + fresh, buf[fresh:end])
         for row, taps in zip(z, blocks):
-            row[k0:k0 + m] = _decimated_convolve(buf[:end], taps, m)
+            row[k0:k0 + m] = _correlate(buf[:end].reshape(-1, g), taps)
         buf[:carry] = buf[m * g:end]
     return z
 
 
 def simulate_decimated(family, level, n, noise, seed):
-    """Exact realization Z[i, k] = sum_t v_{i,j}(gamma*k - t) xi_t, k < n: an (N, n) array (_level_outputs)."""
+    """Exact realization Z[i, k] = sum_t v_{i,j}(gamma*k - t) xi_t, k < n: an (N, n) array.
+
+    _level_outputs on the level's polyphase array (t_lo, A), FamilyLevel._blocks,
+    fed xi_t from t = t_lo on.
+    """
     n, seed = _integer(n, "n", 1), _integer(seed, "seed", 0, _MASK64)
-    return _level_outputs(family.level(level), n,
-                          lambda lo, out: noise_values(noise, seed, lo, lo + out.size, out=out))
+    t_lo, blocks = family.level(level)._blocks
+    return _level_outputs(blocks, n,
+                          lambda lo, out: noise_values(noise, seed, t_lo + lo, t_lo + lo + out.size, out=out))
 
 
 def simulate_linear_process(a, n, noise, seed):
     """X_u = sum_t a(u - t) xi_t for u = 1..n (undecimated convolution).
 
-    The decimated convolution at gamma = 1: the n + L - 1 noise values as
-    rows of one phase against the reversed kernel, np.correlate itself for
-    short kernels. Long kernels take the overlap-save path of
-    kernels._correlate, one bounded FFT block at a time, so memory stays
-    O(n + L) at paper scale (n around 1e6, AR kernels of millions of taps).
+    The decimated convolution at gamma = 1: kernels._correlate of the
+    n + L - 1 noise values, as rows of one phase, against the reversed
+    kernel. That is np.correlate itself below a measured size and blocked
+    FFTs above it, so a kernel far longer than the output (an AR(1) near
+    the unit root) costs O((n + L) log) operations, not n*L, one bounded
+    FFT block at a time: memory stays O(n + L) at paper scale (n around
+    1e6, AR kernels of millions of taps).
 
     Under Gaussian noise the n + L - 1 values are the first standard_normal
     values of the thread's Philox keyed by the seed from counter 0: the same
@@ -194,7 +186,7 @@ def simulate_linear_process(a, n, noise, seed):
         xi = _philox(0, seed)[1].standard_normal(t_hi - t_lo)
     else:
         xi = noise_values(noise, seed, t_lo, t_hi)
-    return _decimated_convolve(xi, a.coeffs[::-1, None], n)
+    return _correlate(xi[:, None], a.coeffs[::-1, None])
 
 
 def ar1_kernel(phi):
@@ -241,7 +233,8 @@ def windowed_coefficients(x, window, gamma):
     if n_j < 1:
         raise ValueError("series too short: floor((n+1)/gamma) coefficients would be zero")
 
-    # x_u at index u; u = 0, u = n+1 and the rest of the (n_j + 1)*gamma values read are zero
-    padded = np.zeros(max(n + 2, (n_j + 1) * level.gamma))
+    # x_u at index u; u = 0, u = n+1 and the rest of the (n_j + 1)*gamma values read are zero,
+    # n_j + 1 rows of gamma against the Q = 2 rows of the kernel's gamma + 1 taps
+    padded = np.zeros((n_j + 1) * level.gamma)
     padded[1:n + 1] = x
-    return _decimated_convolve(padded, level._blocks[1][0], n_j)
+    return _correlate(padded.reshape(n_j + 1, level.gamma), level._blocks[1][0])

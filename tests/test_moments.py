@@ -156,16 +156,28 @@ class TestABTerms:
 
     @pytest.mark.parametrize("gamma", [2, 4, 8, 16])
     @pytest.mark.parametrize("phi,length", [(0.98, 1448), (0.99, 2945)])
-    def test_ar1_sums_on_the_fft_path(self, phi, length, gamma):
-        # A(n) against its geometric closed form and B(n) against np.correlate, on
-        # kernels long enough that the lag correlation is on the FFT path, from one spectrum
+    def test_ar1_sums_on_the_fft_path(self, monkeypatch, phi, length, gamma):
+        # A(n) against its geometric closed form and B(n) against np.correlate. The lag call correlates Q
+        # outputs against Q = ceil(L/gamma) rows of gamma taps, Q**2 * gamma direct multiply-adds: phi 0.99 at
+        # gamma 2, 4 and 8 is on the FFT path, one rfft product summed over the phases; phi 0.98 at every
+        # gamma, and phi 0.99 at gamma 16, on the per-phase np.correlate path
         n = 100_000
         kern = ar1_kernel(phi)
-        assert kern.length == length and length ** 2 >= _FFT_MIN_WORK
+        q_len = -(-length // gamma)
+        fft = q_len ** 2 * gamma >= _FFT_MIN_WORK
+        assert kern.length == length and fft == (phi == 0.99 and gamma <= 8)
         fam = single_level_family([kern], gamma=gamma)
+        rfft, calls = np.fft.rfft, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
         tau = np.abs(np.arange(-(n - 1), n))
         closed = np.sum((1.0 - tau / n) * phi ** (2 * gamma * tau)) / (1.0 - phi * phi) ** 2
         assert a_term(fam, 0, 0, 0, n) == pytest.approx(closed, rel=1e-12, abs=0)
+        assert bool(calls) == fft
         weights, corr = direct_decimated_lags(kern, kern, gamma, n, 2)
         assert b_term(fam, 0, 0, 0, n) == pytest.approx(float(np.dot(weights, corr)), rel=1e-12, abs=0)
 

@@ -58,7 +58,7 @@ def test_import_loads_neither_scipy_stats_nor_signal():
 
 def test_first_gaussian_draw_from_pool_threads():
     # three threads race to import numpy.random and key their first Philox: 150 replicates at n 2100 of one
-    # 6-tap kernel over Q = 3 blocks of gamma 2 (its own gaussian_level) are 10 chunks of 15; law-only draws
+    # 6-tap kernel over Q = 3 blocks of gamma 2 (not reduced under Gaussian noise) are 10 chunks of 15; law-only draws
     # never import scipy.special
     src = str(Path(decilab.__file__).resolve().parents[1])
     code = "\n".join([
@@ -94,18 +94,31 @@ def two_freq():
     return decilab.two_frequency_demo_family(decilab.make_bspline_window(4), [16, 32])
 
 
-# one kernel over Q = 3 blocks of gamma 2, its own gaussian_level: Gaussian replicates of it are drawn by the
-# chunked pool, not by the Wishart draw
+# one kernel over Q = 3 blocks of gamma 2, not reduced under Gaussian noise: Gaussian replicates of it are drawn
+# by the chunked pool, not by the Wishart draw
 LONG_KERNEL = single_level_family([TimeKernel(0, np.full(6, 6 ** -0.5))], gamma=2)
 
 
 def chunk_draw(family, level, n, noise, seed):
     """The (N, n) outputs of one replicate_sums chunk: the realization of xi_t, or under Gaussian noise the
-    level's gaussian_level fed the standard_normal values of the thread's Philox keyed by the seed."""
+    level's _gaussian_blocks fed the standard_normal values of the thread's Philox keyed by the seed."""
     if noise is not GAUSS:
         return simulate_decimated(family, level, n, noise, seed)
     gen = simulate._philox(0, seed)[1]
-    return simulate._level_outputs(family.level(level).gaussian_level, n, lambda lo, out: gen.standard_normal(out=out))
+    blocks = family.level(level)._gaussian_blocks
+    return simulate._level_outputs(blocks, n, lambda lo, out: gen.standard_normal(out=out))
+
+
+def chunked_sums(family, level, n, noise, seed, stride, sizes):
+    """replicate_sums rebuilt chunk by chunk: row b of chunk c is n**-0.5 * (sum_k Z_k**2 - n * E Z**2) over the
+    outputs b*stride .. b*stride + n - 1 of one chunk_draw at mix_seed(seed, c), chunk c holding sizes[c] rows."""
+    centers = np.array([cov_exact(family, level, i, i, 0, 0) for i in range(family.n_branches)])
+    rows = []
+    for c, size in enumerate(sizes):
+        z = chunk_draw(family, level, (size - 1) * stride + n, noise, mix_seed(seed, c))
+        rows += [(np.sum(z[:, b * stride:b * stride + n] ** 2, axis=1) - n * centers) * (1.0 / np.sqrt(n))
+                 for b in range(size)]
+    return np.array(rows)
 
 
 class TestReplicateRunner:
@@ -159,23 +172,16 @@ class TestReplicateRunner:
 
     @pytest.mark.parametrize("noise", [GAUSS, RADEMACHER], ids=["gaussian_reduced_level", "rademacher_stream"])
     def test_rows_are_centered_by_the_exact_expectation(self, two_freq, noise, monkeypatch):
-        # row b of chunk c is n**-0.5 * (sum_k Z_k**2 - n * E Z**2) over the outputs b*stride .. b*stride + n - 1
-        # of one chunk_draw at mix_seed(seed, c), stride = n + Q - 1 on the level drawn; 30 replicates a chunk
+        # chunked_sums with stride = n + Q - 1 on the array drawn; 30 replicates a chunk
         n, seed = 20, 77
         fam, level = (LONG_KERNEL, 0) if noise is GAUSS else (two_freq, 1)
-        lv = fam.level(level).gaussian_level if noise is GAUSS else fam.level(level)
-        stride = n - 1 + lv._blocks[1].shape[1]
-        assert (lv.gamma, stride) == ((2, 22) if noise is GAUSS else (32, 21))  # Q = 3 blocks of 2, 2 of 32
-        monkeypatch.setattr(montecarlo, "_CHUNK", 30 * stride * lv.gamma)
+        blocks = fam.level(level)._gaussian_blocks if noise is GAUSS else fam.level(level)._blocks[1]
+        stride = n - 1 + blocks.shape[1]
+        assert (blocks.shape[2], stride) == ((2, 22) if noise is GAUSS else (32, 21))  # Q = 3 blocks of 2, 2 of 32
+        monkeypatch.setattr(montecarlo, "_CHUNK", 30 * stride * blocks.shape[2])
         samples = replicate_sums(fam, level, n, noise, 100, seed)
-        centers = np.array([cov_exact(fam, level, i, i, 0, 0) for i in range(fam.n_branches)])
-        expected = []
-        for c, size in enumerate([30, 30, 30, 10]):
-            z = chunk_draw(fam, level, (size - 1) * stride + n, noise, mix_seed(seed, c))
-            expected += [(np.sum(z[:, b * stride:b * stride + n] ** 2, axis=1) - n * centers) * (1.0 / np.sqrt(n))
-                         for b in range(size)]
         assert isinstance(samples, np.ndarray) and samples.shape == (100, fam.n_branches)
-        assert samples.tobytes() == np.array(expected).tobytes()
+        assert samples.tobytes() == chunked_sums(fam, level, n, noise, seed, stride, [30, 30, 30, 10]).tobytes()
 
     @pytest.mark.parametrize("noise", [GAUSS, RADEMACHER], ids=lambda s: s.distribution)
     def test_costly_gap_draws_each_replicate_alone(self, noise):
@@ -189,10 +195,27 @@ class TestReplicateRunner:
                      - n * center) * (1.0 / np.sqrt(n)) for r in range(100)]
         assert samples.tobytes() == np.array(expected).tobytes()
 
+    @pytest.mark.parametrize("noise", [GAUSS, RADEMACHER], ids=lambda s: s.distribution)
+    def test_gap_is_priced_at_the_nonzero_entries_of_the_array(self, noise):
+        # taps on 0..3 and -1003..-1000 at gamma 4: 8 nonzero taps in an array of 252 blocks, and a Gaussian
+        # reduction of 252 blocks of 3 with 9 nonzero entries. The 251 dropped outputs cost 251 * 8 and 251 * 9
+        # multiply-adds, under _GAP, so 100 replicates at n 10 come in 2 chunks; priced at the 2 * 252 * 3
+        # entries of the reduction they would cost more and draw each Gaussian replicate alone
+        fam = single_level_family([TimeKernel(0, [1.0, 0.5, -0.25, 0.75]), TimeKernel(-1003, [0.3, -0.6, 0.2, 0.9])],
+                                  gamma=4)
+        lv = fam.level(0)
+        assert lv._blocks[1].shape == (2, 252, 4) and np.count_nonzero(lv._blocks[1]) == 8
+        assert lv._gaussian_blocks.shape == (2, 252, 3) and np.count_nonzero(lv._gaussian_blocks) == 9
+        assert 251 * 9 <= montecarlo._GAP < 251 * lv._gaussian_blocks.size
+        n, seed, stride = 10, 5, 261
+        sizes = [83, 17] if noise is GAUSS else [62, 38]  # _CHUNK // (stride * 3) and // (stride * 4) a chunk
+        samples = replicate_sums(fam, 0, n, noise, 100, seed)
+        assert samples.tobytes() == chunked_sums(fam, 0, n, noise, seed, stride, sizes).tobytes()
+
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("noise", [GAUSS, RADEMACHER], ids=lambda s: s.distribution)
     def test_consecutive_replicates_are_uncorrelated(self, noise, n):
-        # one kernel over Q = 3 blocks of gamma 2 (its own gaussian_level), so 2 dropped outputs between
+        # one kernel over Q = 3 blocks of gamma 2 (not reduced under Gaussian noise), so 2 dropped outputs between
         # replicates of a chunk; without them neighbours would share noise values and their rows correlate
         r = 20_000
         x = replicate_sums(LONG_KERNEL, 0, n, noise, r, 12)[:, 0]
@@ -233,7 +256,7 @@ class TestReplicateRunner:
             assert abs(row.empirical - row.analytic_n) <= 4.0 * row.se, row
 
 
-# three branches in one block of gamma 4 with independent taps: a gaussian_level of r = 3 read in Q = 1 block,
+# three branches in one block of gamma 4 with independent taps: a Gaussian reduction of r = 3 read in Q = 1 block,
 # whose branches share noise, so their square sums covary
 THREE_IN_ONE_BLOCK = single_level_family([TimeKernel(-3, [0.5, 1.0, -0.25, 0.75]), TimeKernel(-2, [1.0, 0.5, 0.5]),
                                           TimeKernel(-3, [0.3, -0.6, 0.2, 0.9])], gamma=4)
@@ -245,12 +268,10 @@ ONE_BLOCK_CASES = {
 }
 
 
-def bartlett_recipe(lv, n, count, seed):
-    """The (count, N) square sums of montecarlo._bartlett_sums, rebuilt entry by entry from its docstring."""
-    r, m = lv.gamma, min(n, lv.gamma)
-    d = np.zeros((len(lv.kernels), r))
-    for row, k in zip(d, lv.kernels):
-        row[:k.length] = k.coeffs[::-1]  # one block: every offset is 0
+def bartlett_recipe(d, n, count, seed):
+    """The (count, N) square sums of montecarlo._bartlett_sums of the (N, r) block d, rebuilt entry by entry from
+    its docstring."""
+    r, m = d.shape[1], min(n, d.shape[1])
     gen = np.random.Generator(np.random.Philox(key=seed))
     chi2 = gen.chisquare(n - np.arange(m, dtype=float), (count, m))
     below = [(j, col) for j in range(r) for col in range(min(j, m))]
@@ -269,11 +290,11 @@ class TestBartlettSums:
     @pytest.mark.parametrize("case", sorted(ONE_BLOCK_CASES))
     def test_draw_layout_is_the_docstring_recipe(self, case, n):
         fam, level, r = ONE_BLOCK_CASES[case]
-        lv = fam.level(level).gaussian_level
-        assert lv.gamma == r and lv._blocks[1].shape[1:] == (1, r)  # Q = 1 block of r
+        blocks = fam.level(level)._gaussian_blocks
+        assert blocks.shape == (fam.n_branches, 1, r)  # Q = 1 block of r
         samples = replicate_sums(fam, level, n, GAUSS, 100, 21)
         centers = np.array([cov_exact(fam, level, i, i, 0, 0) for i in range(fam.n_branches)])
-        expected = (bartlett_recipe(lv, n, 100, 21) - n * centers) * (1.0 / np.sqrt(n))
+        expected = (bartlett_recipe(blocks[:, 0], n, 100, 21) - n * centers) * (1.0 / np.sqrt(n))
         assert samples.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 30])

@@ -15,12 +15,11 @@ from scipy.special import ndtri
 
 import decilab
 from decilab import simulate
-from decilab.kernels import FamilyLevel, TimeKernel, make_scaled_window_family, two_frequency_demo_family
+from decilab.kernels import FamilyLevel, TimeKernel, _correlate, make_scaled_window_family, two_frequency_demo_family
 from decilab.moments import cov_exact
 from decilab.simulate import (
     AR1_TAIL,
     NoiseSpec,
-    _decimated_convolve,
     ar1_kernel,
     mix_seed,
     noise_values,
@@ -225,6 +224,12 @@ def one_branch(kern, gamma):
     return FamilyLevel(gamma=gamma, kernels=(kern,), center_freqs=[0.0])._blocks[1][0]
 
 
+def decimated_convolve(xi, rows, n):
+    """Z_k, k < n, of (Q, gamma) rows against the first (n + Q - 1)*gamma values of a longer xi, as rows of gamma."""
+    gamma = rows.shape[1]
+    return _correlate(xi[:(n + rows.shape[0] - 1) * gamma].reshape(-1, gamma), rows)
+
+
 class TestDecimatedConvolve:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -242,12 +247,12 @@ class TestDecimatedConvolve:
         kern = TimeKernel(start, np.array(coeffs))
         q_len = -(-kern.length // gamma)
         # every index first + gamma*k - s touches, plus slack values either side; the view holds the
-        # (n + Q - 1)*gamma values _decimated_convolve reads, the last gamma*Q - L of them on zero taps
+        # (n + Q - 1)*gamma values decimated_convolve reads, the last gamma*Q - L of them on zero taps
         lo = first - kern.support_end - slack
         hi = first - kern.support_end + gamma * (n + q_len - 1) + slack
         xi = np.random.default_rng(seed).standard_normal(hi - lo)
         # the view starts at the index v(support_end) weighs in Z_0
-        z = _decimated_convolve(xi[first - kern.support_end - lo:], one_branch(kern, gamma), n)
+        z = decimated_convolve(xi[first - kern.support_end - lo:], one_branch(kern, gamma), n)
         assert z.shape == (n,)
         for k in range(n):
             acc = 0.0
@@ -272,7 +277,7 @@ class TestDecimatedConvolve:
         kern = TimeKernel(-7, rng.standard_normal(length))
         xi = rng.standard_normal(gamma * (n - 1) + length + 3)
         want = np.correlate(xi[:gamma * (n - 1) + length], kern.coeffs[::-1], "valid")[::gamma]
-        z = _decimated_convolve(xi, one_branch(kern, gamma), n)
+        z = decimated_convolve(xi, one_branch(kern, gamma), n)
         assert np.max(np.abs(z - want)) <= 1e-12 * np.linalg.norm(xi) * np.linalg.norm(kern.coeffs)
 
     def test_long_kernel_transforms_rows_not_the_full_rate_stream(self, monkeypatch):
@@ -288,7 +293,7 @@ class TestDecimatedConvolve:
             return rfft(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counted)
-        z = _decimated_convolve(xi, one_branch(kern, gamma), n)
+        z = _correlate(xi.reshape(-1, gamma), one_branch(kern, gamma))
         want = np.correlate(xi[:gamma * (n - 1) + kern.length], kern.coeffs[::-1], "valid")[::gamma]
         assert max(sizes, default=0) <= 4096
         assert np.max(np.abs(z - want)) <= 1e-12 * np.linalg.norm(xi) * np.linalg.norm(kern.coeffs)
@@ -421,7 +426,7 @@ class TestLinearProcess:
     def test_other_noise_convolves_the_stream(self, name, spec):
         k = LINEAR_KERNELS[name]
         xi = noise_values(spec, 17, 1 - k.support_end, 301 - k.support_start)
-        want = _decimated_convolve(xi, k.coeffs[::-1, None], 300)
+        want = _correlate(xi[:, None], k.coeffs[::-1, None])
         assert simulate_linear_process(k, 300, spec, 17).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", sorted(LINEAR_KERNELS))
@@ -429,9 +434,9 @@ class TestLinearProcess:
         k = LINEAR_KERNELS[name]
         xi = simulate._philox(0, 17)[1].standard_normal(300 + k.length - 1)
         x = simulate_linear_process(k, 300, GAUSS, 17)
-        assert x.tobytes() == _decimated_convolve(xi, k.coeffs[::-1, None], 300).tobytes()
+        assert x.tobytes() == _correlate(xi[:, None], k.coeffs[::-1, None]).tobytes()
         stream = noise_values(GAUSS, 17, 1 - k.support_end, 301 - k.support_start)
-        assert not np.array_equal(x, _decimated_convolve(stream, k.coeffs[::-1, None], 300))  # not the stream's xi_t
+        assert not np.array_equal(x, _correlate(stream[:, None], k.coeffs[::-1, None]))  # not the stream's xi_t
 
     @pytest.mark.parametrize("spec", [RADEMACHER, UNIFORM, GAUSS], ids=lambda s: s.distribution)
     def test_identity_kernel_reads_xi_0_to_n(self, spec):
@@ -571,11 +576,11 @@ def _unit_taps(length):
     return taps / np.linalg.norm(taps)
 
 
-def driven_by_standard_normal(lv, n, seed):
-    """Outputs 0 .. n-1 of a level fed, in stream order, by standard_normal of a fresh Philox keyed by the seed."""
-    blocks = lv._blocks[1]
-    xi = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n + blocks.shape[1] - 1) * lv.gamma)
-    return np.array([_decimated_convolve(xi, rows, n) for rows in blocks])
+def driven_by_standard_normal(blocks, n, seed):
+    """Outputs 0 .. n-1 of a polyphase array fed in stream order by standard_normal of a fresh Philox keyed by seed."""
+    gamma = blocks.shape[2]
+    xi = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n + blocks.shape[1] - 1) * gamma)
+    return np.array([_correlate(xi.reshape(-1, gamma), rows) for rows in blocks])
 
 
 def standard_normal_fill(seed):
@@ -632,39 +637,43 @@ class TestPolyphaseArray:
 class TestGaussianLevel:
     @pytest.mark.parametrize("case", sorted(REDUCED_CASES))
     def test_every_lag_covariance_is_the_original(self, case):
+        # the block sum of the reduced array at every lag of the level's own, its dropped end blocks read as zero
         fam, j = REDUCED_CASES[case]
         lv = fam.levels[j]
-        red = lv.gaussian_level
-        assert red.gamma < lv.gamma
-        assert red.gaussian_level is red and lv.gaussian_level is red  # computed once per level object
-        reduced = single_level_family(red.kernels, red.gamma)
+        red = lv._gaussian_blocks
+        assert red.shape[2] < lv.gamma and not red.flags.writeable
+        assert lv._gaussian_blocks is red  # computed once per level object
         q_len = lv._blocks[1].shape[1]
+        a = np.zeros((fam.n_branches, q_len, red.shape[2]))
+        a[:, :red.shape[1]] = red
         for i in range(fam.n_branches):
             for ip in range(fam.n_branches):
                 for lag in range(1 - q_len, q_len):
-                    exact = cov_exact(fam, j, i, ip, 0, lag)
-                    assert cov_exact(reduced, 0, i, ip, 0, lag) == pytest.approx(exact, rel=0, abs=1e-14)
+                    sums = np.sum(a[i, max(lag, 0):q_len + min(lag, 0)] * a[ip, max(-lag, 0):q_len - max(lag, 0)])
+                    assert sums == pytest.approx(cov_exact(fam, j, i, ip, 0, lag), rel=0, abs=1e-14)
 
     def test_draws_r_values_per_output(self):
         w = make_bspline_window(4)
-        assert [lv.gaussian_level.gamma for lv in two_frequency_demo_family(w, [8, 64, 1024]).levels] == [2, 2, 2]
-        assert [lv.gaussian_level.gamma for lv in make_scaled_window_family(w, [8, 64, 1024]).levels] == [1, 1, 1]
+        gammas = [8, 64, 1024]
+        assert [lv._gaussian_blocks.shape for lv in two_frequency_demo_family(w, gammas).levels] == [(2, 1, 2)] * 3
+        assert [lv._gaussian_blocks.shape for lv in make_scaled_window_family(w, gammas).levels] == [(1, 1, 1)] * 3
 
     def test_level_with_gamma_nonzero_rows_is_its_own(self):
         # not reduced, but still fed the standard_normal values
         lv = DENSE_GAMMA2.levels[0]
-        assert lv.gaussian_level is lv
-        z = simulate._level_outputs(lv, 40, standard_normal_fill(9))
-        assert z.tobytes() == driven_by_standard_normal(lv, 40, 9).tobytes()
+        assert lv._gaussian_blocks is lv._blocks[1]
+        z = simulate._level_outputs(lv._gaussian_blocks, 40, standard_normal_fill(9))
+        assert z.tobytes() == driven_by_standard_normal(lv._blocks[1], 40, 9).tobytes()
 
     def test_all_zero_level_is_its_own(self):
         fam = single_level_family([TimeKernel(0, np.zeros(9))], gamma=4)
-        assert fam.levels[0].gaussian_level is fam.levels[0]
+        assert fam.levels[0]._gaussian_blocks is fam.levels[0]._blocks[1]
 
     def test_law_only_draws_from_the_reduced_level(self):
         fam, _ = REDUCED_CASES["two_frequency_g256"]
-        z = simulate._level_outputs(fam.levels[0].gaussian_level, 30, standard_normal_fill(4))
-        assert z.tobytes() == driven_by_standard_normal(fam.levels[0].gaussian_level, 30, 4).tobytes()
+        red = fam.levels[0]._gaussian_blocks
+        z = simulate._level_outputs(red, 30, standard_normal_fill(4))
+        assert z.tobytes() == driven_by_standard_normal(red, 30, 4).tobytes()
         assert not np.array_equal(z, simulate_decimated(fam, 0, 30, GAUSS, 4))
 
     @pytest.mark.parametrize("fam, j", [REDUCED_CASES["two_frequency_g256"], REDUCED_CASES["files_three_branches"],
@@ -672,8 +681,9 @@ class TestGaussianLevel:
     def test_law_only_is_the_same_for_any_block_size(self, monkeypatch, fam, j):
         # every block size feeds the same ordered values; BLAS may sum a row in another order where it falls
         # elsewhere in a block, so outputs match the one-block oracle to rounding
-        want = driven_by_standard_normal(fam.levels[j].gaussian_level, 300, 13)
+        red = fam.levels[j]._gaussian_blocks
+        want = driven_by_standard_normal(red, 300, 13)
         for block in (7, 64, 1 << 15):
             monkeypatch.setattr(simulate, "_NOISE_BLOCK", block)
-            z = simulate._level_outputs(fam.levels[j].gaussian_level, 300, standard_normal_fill(13))
+            z = simulate._level_outputs(red, 300, standard_normal_fill(13))
             assert np.max(np.abs(z - want)) < 1e-12, block
