@@ -19,7 +19,7 @@ Branches and levels are 0-based throughout the Python API.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -28,10 +28,8 @@ TWO_PI = 2.0 * np.pi
 INTEGER_TOL = 1e-9  # absolute tolerance for gamma*lambda / (2*pi) integrality
 RESCALED_HALFWIDTH = 20.0  # check_condition_c compares rescaled responses on [-20, 20]
 GRID_SIZE = 512  # check_condition_c's grid: points on [0, pi) and on the rescaled interval
-# _correlate's crossover from per-phase np.correlate to FFT blocks, measured on the direct multiply-add count
-_FFT_MIN_WORK = 1 << 20
-_FFT_MIN_SIDE = 128  # and on the fewer of outputs and rows of taps
-_FFT_BLOCK = 1 << 12  # least overlap-save block, in values over all phases; 2**14 ran faster but raised the peak memory
+# _correlate's least overlap-save block, in values over all phases; 2**14 ran faster but raised the peak memory
+_FFT_BLOCK = 1 << 12
 _RESPONSE_TABLE = 1 << 15  # entries per power table of eval_response (0.5 MiB of complex)
 
 
@@ -130,27 +128,20 @@ def _correlate(x, h):
 
     x and h are rows of a polyphase layout (FamilyLevel._blocks), so out is
     a decimated correlation: the sum over the gamma phases of a valid-mode
-    correlation along the rows. Three paths, chosen from the shapes:
+    correlation along the rows. Two paths, chosen from the shapes:
     - Q <= gamma (as in every window family at gamma >= 2): Q block
       matrix-vector products, sum_q x[q:q + n_out] @ h[q], in BLAS order;
-    - Q > gamma below the crossover (fewer than _FFT_MIN_WORK direct
-      multiply-adds, or fewer than _FFT_MIN_SIDE outputs or rows of taps):
-      one np.correlate per phase, so at gamma = 1 np.correlate itself, bit
-      for bit;
-    - above it, overlap-save (Stockham 1966) along the rows of every phase
-      at once, the product spectra summed over the phases before one
-      inverse. At F points, lag d of a phase of x against that of h is entry
-      d (mod F) of irfft(rfft(x) * conj(rfft(h))) while no lag wraps. F is
-      the power of two covering the smaller of max(4 * (the fewer of
-      outputs and rows of taps), ceil(_FFT_BLOCK / gamma)) and M, and the
-      blocking goes two ways:
-      - more outputs than rows of taps: the outputs in blocks of F - Q + 1,
-        each block one window of x against the one spectrum of h;
-      - more rows of taps than outputs: the taps in parts of F - n_out + 1,
-        each part against its own window of x, the products summed before
-        one inverse.
-    Each block is gamma rffts of F values, so memory is O(x.size + h.size)
-    at any length.
+    - Q > gamma: overlap-save (Stockham 1966) along the rows of every phase
+      at once, the product spectra summed over the phases and the tap
+      parts before one inverse per block. At F points, lag d of a phase of
+      x against that of a part of P rows of taps is entry d (mod F) of
+      irfft(rfft(x) * conj(rfft(h))) while no lag wraps, so the outputs go
+      in blocks of F - P + 1. F is the power of two covering the smaller
+      of max(4 * (the fewer of outputs and rows of taps),
+      ceil(_FFT_BLOCK / gamma)) and M; P = Q when n_out >= Q, and
+      P = F - n_out + 1, one block of outputs, otherwise.
+    Each block is gamma rffts of F values per tap part, each part's
+    spectrum taken once, so memory is O(x.size + h.size) at any length.
     """
     (rows, g), taps = x.shape, h.shape[0]
     n_out = rows - taps + 1
@@ -159,27 +150,23 @@ def _correlate(x, h):
         for q in range(1, taps):
             out += x[q:q + n_out] @ h[q]
         return out
-    short = min(n_out, taps)
-    if n_out * taps * g < _FFT_MIN_WORK or short < _FFT_MIN_SIDE:
-        out = np.correlate(x[:, 0], h[:, 0])
-        for r in range(1, g):
-            out += np.correlate(x[:, r], h[:, r])
-        return out
-    size = 1 << (min(max(4 * short, -(-_FFT_BLOCK // g)), rows) - 1).bit_length()
+    size = 1 << (min(max(4 * min(n_out, taps), -(-_FFT_BLOCK // g)), rows) - 1).bit_length()
+    part = taps if n_out >= taps else size - n_out + 1
+    step = size - part + 1
     x, h = x.T, h.T  # phase-major: one row of x and of h per phase
-    if n_out >= taps:
-        step = size - taps + 1
-        spectrum = np.conj(np.fft.rfft(h, size))
-        out = np.empty(n_out)
-        for first in range(0, n_out, step):  # rfft's n zero-pads the last window
-            block = np.fft.irfft((np.fft.rfft(x[:, first:first + size], size) * spectrum).sum(axis=0), size)
-            out[first:first + step] = block[:min(step, n_out - first)]
-        return out
-    step = size - n_out + 1
-    acc = np.zeros(size // 2 + 1, dtype=complex)
-    for first in range(0, taps, step):  # rfft's n zero-pads each part, and the last window
-        acc += (np.fft.rfft(x[:, first:first + size], size) * np.conj(np.fft.rfft(h[:, first:first + step], size))).sum(axis=0)
-    return np.fft.irfft(acc, size)[:n_out]
+
+    @lru_cache(maxsize=1)  # several blocks come with one part and several parts with one block: each is taken once
+    def spectrum(t):
+        return np.conj(np.fft.rfft(h[:, t:t + part], size))
+
+    out = np.empty(n_out)
+    for first in range(0, n_out, step):  # rfft's n zero-pads the last window and the last part
+        acc = 0
+        for t in range(0, taps, part):
+            h_t = spectrum(t)  # before the window's rfft: three arrays of the block's size are held at most
+            acc += (np.fft.rfft(x[:, first + t:first + t + size], size) * h_t).sum(axis=0)
+        out[first:first + step] = np.fft.irfft(acc, size)[:min(step, n_out - first)]
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ without quadrature. The lag-tau covariance is sum_q A[i, q+tau] . A[i', q],
 zero for |tau| >= Q. A(n) and B(n) are triangular-weighted sums of these
 lags for the rows A[i] and A[i'] (squared after correlating), and for their
 squares: each sign of tau is one decimated correlation (kernels._correlate),
-block products for Q <= gamma, np.correlate per phase for short rows and an
-rfft product for long ones, within rounding.
+block products for Q <= gamma and overlap-save rfft products for more
+rows, within rounding.
 
 The covariance identity at the center of the module: for branches i, i' at
 one level,
@@ -144,9 +144,9 @@ def _decimated_lags(family, level, i, ip, n, power):
     and b = A[i']**power, zero for |tau| >= Q. The lags tau = 0 .. Q - 1 are
     one valid-mode kernels._correlate of a, with Q - 1 zero rows appended,
     against b; tau < 0 are the swapped pair's, as c_{i,i'}(-tau) = c_{i',i}(tau),
-    and for i = i' the same call. Above the crossover of kernels._correlate
-    each is one rfft product, O(Q*gamma log) instead of Q**2*gamma
-    multiply-adds, and each lag moves by rounding only: about eps * |a| * |b|.
+    and for i = i' the same call. For Q > gamma rows kernels._correlate
+    takes rfft products, O(Q*gamma log) instead of Q**2*gamma multiply-adds,
+    and each lag moves by rounding only: about eps * |a| * |b|.
     """
     n = _integer(n, "n", 1)
     blocks = family.level(level)._blocks[1]

@@ -5,7 +5,7 @@ as the paper's CLTs do (replicate_sums).
 
 Every report here is a function of the law of the replicates, so Gaussian
 replicates are drawn from the law, not from the xi_t simulate_decimated
-reads: numpy's ziggurat standard_normal on the thread's Philox keyed by the
+reads: numpy's ziggurat standard_normal on a Philox keyed by the
 seed, from counter 0, drives the level's reduced polyphase array
 (FamilyLevel._gaussian_blocks), r <= N*Q values per output with exactly the
 joint law of the sums. Where that array holds Q = 1 block, as on every
@@ -45,14 +45,14 @@ def _bartlett_sums(d, n, n_replicates, seed):
     decomposition W = A A^T draws it exactly in law (Bartlett 1933; Odell &
     Feiveson 1966): A is (r, m), m = min(n, r), with A_jj = sqrt(chi2_{n-j})
     for j < m, A_jl ~ N(0, 1) for l < min(j, m) and zeros elsewhere, so
-    n < r needs no special case. Recipe: the thread's Philox keyed by the
+    n < r needs no special case. Recipe: a Philox keyed by the
     seed, from counter 0, draws chisquare(n - j), j < m, as an (R, m) array,
     row b the diagonal of replicate b's A, then standard_normal as an (R, P)
     array, row b its P entries below the diagonal in row-major order;
     S_i = ||D_i A||^2.
     """
     r, m = d.shape[1], min(n, d.shape[1])
-    gen = _philox(0, seed)[1]
+    gen = _philox(0, seed)
     a = np.zeros((n_replicates, r, m))
     j = np.arange(m)
     a[:, j, j] = np.sqrt(gen.chisquare(n - j.astype(float), (n_replicates, m)))
@@ -98,7 +98,7 @@ def replicate_sums(family, level, n, noise, n_replicates, base_seed, workers=1):
                 lo, hi = c * per_chunk, min(n_replicates, (c + 1) * per_chunk)
                 size, seed = (hi - lo - 1) * stride + n, mix_seed(base_seed, c)
                 if gaussian:
-                    gen = _philox(0, seed)[1]
+                    gen = _philox(0, seed)
                     z = _level_outputs(blocks, size, lambda _, out: gen.standard_normal(out=out))
                 else:
                     z = simulate_decimated(family, level, size, noise, seed)

@@ -12,15 +12,14 @@ overlapping output indices, therefore consume consistent noise values, and
 results do not depend on chunking or on how work is spread across workers.
 The stream is the realization: simulate_decimated returns the sums of the
 documented xi_t, read block by block into one reused buffer (noise_values
-with out=), and `decilab simulate` writes them. Each thread keys one
-reused Philox by setting its state.
+with out=), and `decilab simulate` writes them. Each read opens its own
+keyed Philox, so no two calls or threads share a generator.
 
 ndtri (scipy.special) is imported on the first Gaussian noise_values call,
 not with this module, so runs that draw no Gaussian xi_t never load scipy.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ from .kernels import TimeKernel, _correlate, _integer, make_scaled_window_family
 _MASK64 = (1 << 64) - 1
 _T_OFFSET = 1 << 62  # shifts time indices into the nonnegative counter range
 AR1_TAIL = 1e-12  # ar1_kernel drops a tail of at most this l2 norm
-_THREAD = threading.local()  # one Philox generator per thread (_philox)
 # noise values per simulate_decimated block (256 KiB): sizes 2**14-2**17 timed within the spread,
 # and 2**15 blocks match the whole-array call bit for bit at one BLAS thread
 _NOISE_BLOCK = 1 << 15
@@ -68,22 +66,8 @@ def mix_seed(base_seed, index):
 
 
 def _philox(counter, key):
-    """This thread's Philox and its Generator, in the state Philox(counter=counter, key=key) starts in.
-
-    The pair belongs to the thread, whose next _philox call re-keys it. Setting the state of one generator
-    per thread skips the SeedSequence entropy pull that constructing a keyed Philox makes and then discards.
-    """
-    pair = getattr(_THREAD, "philox", None)
-    if pair is None:
-        bg = np.random.Philox(0)
-        pair = _THREAD.philox = (bg, np.random.Generator(bg))
-    pair[0].state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.frombuffer(counter.to_bytes(32, "little"), np.uint64),
-                  "key": np.array([key, 0], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return pair
+    """A new Generator on Philox(counter=counter, key=key), the caller's own: no later call touches it."""
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 def noise_values(spec, seed, lo, hi, out=None):
@@ -102,7 +86,8 @@ def noise_values(spec, seed, lo, hi, out=None):
     if not count:
         return out
     i0 = lo + _T_OFFSET
-    bg, gen = _philox(i0 >> 2, seed)  # the 4-word block holding w_lo
+    gen = _philox(i0 >> 2, seed)  # the 4-word block holding w_lo
+    bg = gen.bit_generator
     bg.random_raw(i0 & 3)  # the words of the block that precede w_lo
     if spec.distribution == "rademacher":
         raw = bg.random_raw(count)
@@ -167,14 +152,14 @@ def simulate_linear_process(a, n, noise, seed):
 
     The decimated convolution at gamma = 1: kernels._correlate of the
     n + L - 1 noise values, as rows of one phase, against the reversed
-    kernel. That is np.correlate itself below a measured size and blocked
-    FFTs above it, so a kernel far longer than the output (an AR(1) near
-    the unit root) costs O((n + L) log) operations, not n*L, one bounded
-    FFT block at a time: memory stays O(n + L) at paper scale (n around
-    1e6, AR kernels of millions of taps).
+    kernel. That is overlap-save for any kernel of more than one tap, so a
+    kernel far longer than the output (an AR(1) near the unit root) costs
+    O((n + L) log) operations, not n*L, one bounded FFT block at a time:
+    memory stays O(n + L) at paper scale (n around 1e6, AR kernels of
+    millions of taps).
 
     Under Gaussian noise the n + L - 1 values are the first standard_normal
-    values of the thread's Philox keyed by the seed from counter 0: the same
+    values of a Philox keyed by the seed from counter 0: the same
     seeded series on every run, with exactly the law of X, but not the
     realization of xi_t that simulate_decimated reads. Other noise reads
     xi_t bit for bit.
@@ -183,7 +168,7 @@ def simulate_linear_process(a, n, noise, seed):
     t_lo = 1 - a.support_end
     t_hi = n - a.support_start + 1
     if noise.distribution == "gaussian":
-        xi = _philox(0, seed)[1].standard_normal(t_hi - t_lo)
+        xi = _philox(0, seed).standard_normal(t_hi - t_lo)
     else:
         xi = noise_values(noise, seed, t_lo, t_hi)
     return _correlate(xi[:, None], a.coeffs[::-1, None])

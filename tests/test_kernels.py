@@ -9,8 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decilab.kernels import (
-    _FFT_MIN_SIDE,
-    _FFT_MIN_WORK,
     _RESPONSE_TABLE,
     GRID_SIZE,
     DecimatedFamily,
@@ -65,15 +63,10 @@ def phase_sums(x, h):
 
 
 def check_against_phase_sums(x, h):
-    """Bit for bit on the per-phase np.correlate path, within 1e-12 * |x| * |h| on the others."""
-    (rows, g), taps = x.shape, h.shape[0]
-    n_out = rows - taps + 1
+    """Within 1e-12 * |x| * |h| of the summed per-phase np.correlate oracle, on either path."""
     got, want = _correlate(x, h), phase_sums(x, h)
-    assert got.shape == want.shape == (n_out,)
-    if taps > g and (n_out * taps * g < _FFT_MIN_WORK or min(n_out, taps) < _FFT_MIN_SIDE):
-        assert got.tobytes() == want.tobytes()
-    else:
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(h)
+    assert got.shape == want.shape == (x.shape[0] - h.shape[0] + 1,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(h)
 
 
 def direct_response(kernel, lam):
@@ -209,8 +202,12 @@ class TestCorrelate:
     @given(shape=correlation_shapes(), more_outputs=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     @example(shape=(100_000, 561), more_outputs=True, seed=1)  # the AR(1) phi = 0.95 series: output blocks
     @example(shape=(60_001, 301), more_outputs=False, seed=2)  # a kernel far longer than the output: tap parts
-    @example(shape=(100_000, 127), more_outputs=True, seed=3)  # below the crossover on the short side
-    @example(shape=(1021, 1019), more_outputs=True, seed=4)  # below the crossover on the work
+    @example(shape=(1021, 1019), more_outputs=True, seed=4)  # about as many outputs as taps, one block
+    # short gamma = 1 kernels, one part of 3, 13, 41 and 127 taps against 4096-point blocks
+    @example(shape=(100_000, 3), more_outputs=True, seed=5)
+    @example(shape=(100_000, 13), more_outputs=True, seed=6)
+    @example(shape=(100_000, 41), more_outputs=True, seed=7)
+    @example(shape=(100_000, 127), more_outputs=True, seed=3)
     # the least block, _FFT_BLOCK points, where 4 * short is under it
     @example(shape=(100_000, 130), more_outputs=True, seed=8)
     @example(shape=(8418, 297), more_outputs=False, seed=9)
@@ -221,7 +218,7 @@ class TestCorrelate:
     # at F = 16384 each part holds 12289 taps, so the last of 24579 holds one
     @example(shape=(24_579, 4096), more_outputs=False, seed=13)
     def test_valid_matches_np_correlate(self, shape, more_outputs, seed):
-        # one phase: (M, 1) against (Q, 1), np.correlate itself below the crossover
+        # one phase: (M, 1) against (Q, 1)
         long, short = shape
         n_out, taps = (long, short) if more_outputs else (short, long)
         rng = np.random.default_rng(seed)
@@ -229,7 +226,7 @@ class TestCorrelate:
 
     @settings(max_examples=60, deadline=None)
     @given(shape=polyphase_shapes(), more_outputs=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    # above the crossover at each gamma, Q > gamma rows of taps: output blocks, then tap parts
+    # Q > gamma rows of taps at each gamma: output blocks, then tap parts
     @example(shape=(2, 20_000, 300), more_outputs=True, seed=19)
     @example(shape=(2, 20_000, 300), more_outputs=False, seed=20)
     @example(shape=(3, 9_000, 200), more_outputs=True, seed=21)
@@ -256,6 +253,8 @@ class TestCorrelate:
         (1, 100_000, 561, 2 * 2 ** 20),  # the output, 0.8 MB, and a few 4096-point blocks
         (1, 4096, 2_000_000, 2 ** 20),  # a few 16384-point blocks; the taps are never copied whole
         (8, 1000, 250_000, 2 ** 20),  # tap parts of 4096 rows of 8 phases; x, 16 MB, is never copied whole
+        # 84 tap parts of 3797 against one 4096-point block: within four times x and h, 5.1 MB, and 1 MiB
+        (1, 300, 318_881, 4 * 8 * ((300 + 318_881 - 1) + 318_881) + 2 ** 20),
     ])
     def test_valid_memory_is_the_output_and_a_few_blocks(self, gamma, n_out, taps, bound):
         rng = np.random.default_rng(14)

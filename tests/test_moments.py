@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from decilab import moments
 from decilab.kernels import (
-    _FFT_MIN_WORK,
     DecimatedFamily,
     FamilyLevel,
     TimeKernel,
@@ -158,14 +157,11 @@ class TestABTerms:
     @pytest.mark.parametrize("phi,length", [(0.98, 1448), (0.99, 2945)])
     def test_ar1_sums_on_the_fft_path(self, monkeypatch, phi, length, gamma):
         # A(n) against its geometric closed form and B(n) against np.correlate. The lag call correlates Q
-        # outputs against Q = ceil(L/gamma) rows of gamma taps, Q**2 * gamma direct multiply-adds: phi 0.99 at
-        # gamma 2, 4 and 8 is on the FFT path, one rfft product summed over the phases; phi 0.98 at every
-        # gamma, and phi 0.99 at gamma 16, on the per-phase np.correlate path
+        # outputs against Q = ceil(L/gamma) rows of gamma taps, Q > gamma at every gamma here, so it takes
+        # the overlap-save path, rfft products summed over the phases
         n = 100_000
         kern = ar1_kernel(phi)
-        q_len = -(-length // gamma)
-        fft = q_len ** 2 * gamma >= _FFT_MIN_WORK
-        assert kern.length == length and fft == (phi == 0.99 and gamma <= 8)
+        assert kern.length == length and -(-length // gamma) > gamma
         fam = single_level_family([kern], gamma=gamma)
         rfft, calls = np.fft.rfft, []
 
@@ -177,7 +173,7 @@ class TestABTerms:
         tau = np.abs(np.arange(-(n - 1), n))
         closed = np.sum((1.0 - tau / n) * phi ** (2 * gamma * tau)) / (1.0 - phi * phi) ** 2
         assert a_term(fam, 0, 0, 0, n) == pytest.approx(closed, rel=1e-12, abs=0)
-        assert bool(calls) == fft
+        assert calls
         weights, corr = direct_decimated_lags(kern, kern, gamma, n, 2)
         assert b_term(fam, 0, 0, 0, n) == pytest.approx(float(np.dot(weights, corr)), rel=1e-12, abs=0)
 
@@ -189,7 +185,6 @@ class TestABTerms:
         taps = rng.standard_normal(1500)
         kernels = [TimeKernel(-1500, taps), TimeKernel(-1500, taps.copy()),
                    TimeKernel(-1500, rng.standard_normal(1500)), TimeKernel(-1377, taps.copy())]
-        assert kernels[0].length ** 2 >= _FFT_MIN_WORK
         fam = single_level_family(kernels, gamma=gamma)
         calls = []
 
@@ -212,7 +207,6 @@ class TestABTerms:
         # paths are about 1e-7 off in relative terms, so the comparison is on the rounding scale of A
         fam = two_frequency_demo_family(make_bspline_window(4), [1024])
         k1, k2 = fam.levels[0].kernels
-        assert k1.length * k2.length >= _FFT_MIN_WORK
         n = 500
         weights, corr = direct_decimated_lags(k1, k2, 1024, n, 1)
         delta = np.finfo(float).eps * np.linalg.norm(k1.coeffs) * np.linalg.norm(k2.coeffs)

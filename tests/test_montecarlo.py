@@ -101,10 +101,10 @@ LONG_KERNEL = single_level_family([TimeKernel(0, np.full(6, 6 ** -0.5))], gamma=
 
 def chunk_draw(family, level, n, noise, seed):
     """The (N, n) outputs of one replicate_sums chunk: the realization of xi_t, or under Gaussian noise the
-    level's _gaussian_blocks fed the standard_normal values of the thread's Philox keyed by the seed."""
+    level's _gaussian_blocks fed the standard_normal values of a Philox keyed by the seed."""
     if noise is not GAUSS:
         return simulate_decimated(family, level, n, noise, seed)
-    gen = simulate._philox(0, seed)[1]
+    gen = simulate._philox(0, seed)
     blocks = family.level(level)._gaussian_blocks
     return simulate._level_outputs(blocks, n, lambda lo, out: gen.standard_normal(out=out))
 

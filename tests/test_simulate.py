@@ -183,7 +183,7 @@ class TestNoise:
         assert 0 <= mix_seed(2 ** 64 - 1, 1) < 2 ** 64
 
     def test_thread_generator_gives_the_words_of_a_fresh_philox(self):
-        # each thread sets the state of its one generator in place of building a keyed Philox per call
+        # each call opens its own keyed Philox, so threads drawing at once read the words of their keys
         cases = [(seed, lo) for seed in (0, 5, 2 ** 63 + 7, 2 ** 64 - 1) for lo in (-2 ** 62, -6, -1, 0, 3, 2 ** 40 + 1)]
         expected = {}
         for seed, lo in cases:
@@ -192,9 +192,9 @@ class TestNoise:
         found = {}
 
         def draw(tag):
-            for seed, lo in cases * 3:  # repeats reuse the thread's generator
+            for seed, lo in cases * 3:
                 i0 = lo + 2 ** 62
-                bg, _ = simulate._philox(i0 >> 2, seed)
+                bg = simulate._philox(i0 >> 2, seed).bit_generator
                 bg.random_raw(i0 % 4)
                 found[tag, seed, lo] = bg.random_raw(50)
 
@@ -212,6 +212,17 @@ class TestNoise:
         assert len(found) == 3 * len(cases)
         for (tag, seed, lo), words in found.items():
             assert words.tobytes() == expected[seed, lo].tobytes(), (tag, seed, lo)
+
+    def test_earlier_generator_keeps_its_key_and_stream(self):
+        # a later call, on the same thread and at another key and counter, leaves an earlier generator as it was
+        first = simulate._philox(5, 7)
+        head = first.bit_generator.random_raw(3)
+        later = simulate._philox(0, 2 ** 64 - 1)
+        later.standard_normal(10)
+        assert later is not first
+        assert first.bit_generator.state["state"]["key"].tolist() == [7, 0]
+        want = np.random.Philox(counter=5, key=7).random_raw(3 + 8)
+        assert np.concatenate([head, first.bit_generator.random_raw(8)]).tobytes() == want.tobytes()
 
     def test_mix_seed_spreads(self):
         seeds = {mix_seed(5, r) for r in range(1000)}
@@ -269,7 +280,7 @@ class TestDecimatedConvolve:
         (4, 4_097, 1_500),  # gamma does not divide L
         (4, 50_001, 300),  # Q = 12 501 rows of taps against 300 outputs: tap parts
         (8, 5_000, 1_000),  # Q = 625: output blocks along the rows of 8 phases
-        (64, 5_053, 1_000),  # Q = 79 rows, under _FFT_MIN_SIDE: one np.correlate per phase
+        (64, 5_053, 1_000),  # Q = 79 rows: output blocks of 512 rows of 64 phases
     ])
     def test_long_kernels_match_direct_correlation(self, gamma, length, n):
         # Q > gamma, against one direct full-rate correlation sampled every gamma
@@ -364,11 +375,13 @@ class TestSimulateDecimated:
         fam = single_level_family([a], gamma=1)
         z = simulate_decimated(fam, 0, 33, RADEMACHER, 9)[0]
         x = simulate_linear_process(a, 32, RADEMACHER, 9)
-        # the linear process starts at u = 1, the decimated grid at k = 0
-        assert np.allclose(z[1:], x, atol=0, rtol=0)
+        # the linear process starts at u = 1, the decimated grid at k = 0; each tiles its overlap-save blocks
+        # from its own first output, so the two agree within rounding
+        xi = noise_values(RADEMACHER, 9, 1 - a.support_end, 33 - a.support_start)  # the values x reads
+        assert np.max(np.abs(z[1:] - x)) <= 1e-12 * np.linalg.norm(a.coeffs) * np.linalg.norm(xi)
 
 
-# simulate_linear_process kernels on the block-product path (L = 1) and the np.correlate path (L > gamma = 1)
+# simulate_linear_process kernels on the block-product path (L = 1) and the overlap-save path (L > gamma = 1)
 LINEAR_KERNELS = {"identity": TimeKernel(1, np.array([1.0])), "short": TimeKernel(-2, np.array([0.5, -1.0, 0.25])),
                     "ar1": ar1_kernel(0.95)}
 
@@ -379,7 +392,7 @@ class TestLinearProcess:
         k = TimeKernel(0, np.array([1.0]))
         x = simulate_linear_process(k, 50, spec, 21)
         if spec is GAUSS:  # X_u takes the u-th standard_normal value, u = 1 .. n
-            want = simulate._philox(0, 21)[1].standard_normal(50)
+            want = simulate._philox(0, 21).standard_normal(50)
         else:
             want = noise_values(spec, 21, 1, 51)
         assert np.array_equal(x, want)
@@ -411,7 +424,7 @@ class TestLinearProcess:
         assert x.shape == (n,)
         assert peak < 64 * 2 ** 20
         # X_u = sum_t a(u - t) xi_t at both ends of the range, xi_t the (t + L - 2)-th standard_normal value
-        values = simulate._philox(0, 41)[1].standard_normal(n + kern.length - 1)
+        values = simulate._philox(0, 41).standard_normal(n + kern.length - 1)
         for u in (1, n):
             xi = values[u - 1:u - 1 + kern.length]
             assert abs(x[u - 1] - np.dot(kern.coeffs[::-1], xi)) < 1e-12
@@ -432,7 +445,7 @@ class TestLinearProcess:
     @pytest.mark.parametrize("name", sorted(LINEAR_KERNELS))
     def test_gaussian_convolves_standard_normal(self, name):
         k = LINEAR_KERNELS[name]
-        xi = simulate._philox(0, 17)[1].standard_normal(300 + k.length - 1)
+        xi = simulate._philox(0, 17).standard_normal(300 + k.length - 1)
         x = simulate_linear_process(k, 300, GAUSS, 17)
         assert x.tobytes() == _correlate(xi[:, None], k.coeffs[::-1, None]).tobytes()
         stream = noise_values(GAUSS, 17, 1 - k.support_end, 301 - k.support_start)
@@ -443,7 +456,7 @@ class TestLinearProcess:
         # specdens' white series: X_u = xi_{u-1}, u = 1 .. n
         x = simulate_linear_process(TimeKernel(1, np.array([1.0])), 500, spec, 23)
         if spec is GAUSS:
-            want = simulate._philox(0, 23)[1].standard_normal(500)
+            want = simulate._philox(0, 23).standard_normal(500)
         else:
             want = noise_values(spec, 23, 0, 500)
         assert x.tobytes() == want.tobytes()
@@ -584,8 +597,8 @@ def driven_by_standard_normal(blocks, n, seed):
 
 
 def standard_normal_fill(seed):
-    """A _level_outputs fill writing the next standard_normal values of the thread's Philox keyed by the seed."""
-    gen = simulate._philox(0, seed)[1]
+    """A _level_outputs fill writing the next standard_normal values of a Philox keyed by the seed."""
+    gen = simulate._philox(0, seed)
     return lambda lo, out: gen.standard_normal(out=out)
 
 
